@@ -13,7 +13,14 @@ import sys
 from typing import Sequence
 
 from ._version import TOOL_VERSION
-from .errors import CapacityError, InvariantError, MechlearnError, UsageError
+from .errors import (
+    CapacityError,
+    ConfigError,
+    InvariantError,
+    MechlearnError,
+    UsageError,
+    read_text,
+)
 from .experiments import (
     ExperimentConfig,
     build_instance,
@@ -55,13 +62,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> dict:
-    from .errors import ConfigError
-
+    text = read_text(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{path}: no such file") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
@@ -156,7 +159,7 @@ def _cmd_myerson(args) -> int:
 
 
 def _cmd_nudge(args) -> int:
-    mech = deserialize_mechanism(open(args.mech, encoding="utf-8").read())
+    mech = deserialize_mechanism(read_text(args.mech))
     if mech.n != 1:
         raise UsageError("nudge applies to single-bidder mechanisms only")
     model_cfg = mech.meta.get("model")
@@ -244,7 +247,7 @@ def _load_prior_arg(path: str):
 
 
 def _cmd_eval(args) -> int:
-    mech = deserialize_mechanism(open(args.mech, encoding="utf-8").read())
+    mech = deserialize_mechanism(read_text(args.mech))
     prior = _load_prior_arg(args.prior)
     spec = mech.domain.spec
     if (prior.n, prior.m) != (mech.n, mech.m):
@@ -264,7 +267,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     from .mechanism import audit_over_domain
 
-    mech = deserialize_mechanism(open(args.mech, encoding="utf-8").read())
+    mech = deserialize_mechanism(read_text(args.mech))
     prior = _load_prior_arg(args.prior).to_grid_prior(mech.domain.spec)
     model_cfg = mech.meta.get("model")
     if args.config:

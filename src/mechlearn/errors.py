@@ -31,3 +31,13 @@ class CapacityError(MechlearnError):
 
 class InvariantError(MechlearnError):
     """An internal invariant that should never fail did fail."""
+
+
+def read_text(path: str) -> str:
+    """The contents of a UTF-8 text file; a file that cannot be opened or
+    decoded raises ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}") from exc

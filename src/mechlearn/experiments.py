@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .errors import ConfigError, UsageError
+from .errors import ConfigError, UsageError, read_text
 from .grid import DiscreteMarginal, GridSpec, ProductPrior
 from .learner import learn_bic, learn_dsic
 from .mechanism import regret_report
@@ -45,8 +45,6 @@ __all__ = [
 ]
 
 MODES = ("bic", "dsic", "single_parameter")
-BRUTE_PROFILE_GUARD = 16
-BRUTE_OUTCOME_GUARD = 16
 
 
 def config_hash(obj: Mapping[str, Any]) -> str:
@@ -138,10 +136,10 @@ def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
     grid_prior = bundle.prior.to_grid_prior(bundle.spec)
     ic_mode = "dsic" if mode == "dsic" else "bic"
     eta = 2.0 * bundle.m * bundle.spec.epsilon if mode == "dsic" else 0.0
-    profiles = grid_prior_profile_count(grid_prior)
-    if profiles <= BRUTE_PROFILE_GUARD and bundle.space.num_outcomes <= BRUTE_OUTCOME_GUARD:
-        from .exactlp import brute_force_optimal
+    from .exactlp import OUTCOME_GUARD, PROFILE_GUARD, brute_force_optimal
 
+    profiles = grid_prior_profile_count(grid_prior)
+    if profiles <= PROFILE_GUARD and bundle.space.num_outcomes <= OUTCOME_GUARD:
         return float(
             brute_force_optimal(grid_prior, bundle.space, bundle.model, ic_mode, eta)
         )
@@ -414,8 +412,7 @@ def profile_function_from_config(
     if kind == "mechanism_revenue":
         from .mechanism import deserialize_mechanism
 
-        with open(obj["mechanism"], encoding="utf-8") as fh:
-            mech = deserialize_mechanism(fh.read())
+        mech = deserialize_mechanism(read_text(obj["mechanism"]))
         if len(marginals) != mech.n * mech.m:
             raise ConfigError(
                 "mechanism_revenue needs one marginal per (bidder, parameter)"

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, ParseError, UsageError
+from .errors import DomainError, InvariantError, ParseError, UsageError, read_text
 
 __all__ = [
     "GridSpec",
@@ -72,10 +72,6 @@ class GridSpec:
 
     def values(self) -> np.ndarray:
         return np.arange(self.levels, dtype=np.float64) * self.epsilon
-
-    def exact_value(self, index: int) -> Fraction:
-        """Grid point as the exact rational of its float representation."""
-        return Fraction(self.value(index))
 
 
 @dataclass(frozen=True)
@@ -277,18 +273,15 @@ class SampleSet:
         import csv
 
         cells: dict[tuple[int, int], dict[int, float]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            expected = ["bidder", "parameter", "sample_index", "value"]
-            if reader.fieldnames != expected:
-                raise ParseError(
-                    f"{path}: expected header {','.join(expected)}, got {reader.fieldnames}"
-                )
-            for row in reader:
-                key = (int(row["bidder"]), int(row["parameter"]))
-                cells.setdefault(key, {})[int(row["sample_index"])] = float(
-                    row["value"]
-                )
+        reader = csv.DictReader(read_text(path).splitlines(keepends=True))
+        expected = ["bidder", "parameter", "sample_index", "value"]
+        if reader.fieldnames != expected:
+            raise ParseError(
+                f"{path}: expected header {','.join(expected)}, got {reader.fieldnames}"
+            )
+        for row in reader:
+            key = (int(row["bidder"]), int(row["parameter"]))
+            cells.setdefault(key, {})[int(row["sample_index"])] = float(row["value"])
         if not cells:
             raise UsageError(f"{path}: no sample rows")
         n = 1 + max(i for i, _ in cells)

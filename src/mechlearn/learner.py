@@ -26,15 +26,16 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    _axis_views,
-    _bidder_weight_vectors,
-    _rest_weights,
+    axis_views,
+    expost_utilities,
+    interim_utilities,
 )
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
     OutcomeSpace,
     ValuationModel,
     check_weakly_downward_closed,
+    grid_type_ranks,
 )
 from .priors import PriorDescription
 
@@ -219,16 +220,6 @@ class Menu:
         pay = np.array([e.payment for e in self.entries])
         return val @ probs.T - pay[None, :]
 
-    def has_zero_entry(self, model: ValuationModel, spec: GridSpec) -> bool:
-        from .outcomes import grid_type_indices
-
-        types = grid_type_indices(spec, self.space.m)
-        val = model.values_for(self.space, 0, types * spec.epsilon)
-        for e in self.entries:
-            if e.payment == 0.0 and np.all(val @ e.probs == 0.0):
-                return True
-        return False
-
 
 def _zero_entry(space: OutcomeSpace, model: ValuationModel, spec: GridSpec) -> MenuEntry:
     from .outcomes import grid_type_indices
@@ -335,20 +326,15 @@ def real_lattice_bic_regret(
     and reports pass through the rounding wrapper; prior over grid types."""
     inner = mech.inner
     spec = mech.spec
-    weights = _bidder_weight_vectors(inner, prior)
     worst = 0.0
     for k in range(mech.n):
-        probs_view, pay_view = _axis_views(inner, k)
-        w_rest = _rest_weights(weights, k)
-        cp = np.einsum("sro,r->so", probs_view, w_rest)  # (T_grid, K)
-        cpay = pay_view @ w_rest
         pts = _lattice_points(spec, mech.m, per_coord)
         val_real = model.values_for(inner.space, k, pts)  # (T_real, K)
-        u = val_real @ cp.T - cpay[None, :]  # (T_real, T_grid reports)
+        u, _ = interim_utilities(inner, prior, k, val_real)  # (T_real, T_grid)
         idx = np.stack(
             [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
         )
-        truth_rank = idx @ (spec.levels ** np.arange(mech.m - 1, -1, -1))
+        truth_rank = grid_type_ranks(idx, spec.levels)
         truthful = u[np.arange(u.shape[0]), truth_rank]
         worst = max(worst, float(np.max(u - truthful[:, None])))
     return max(worst, 0.0)
@@ -365,14 +351,14 @@ def real_lattice_dsic_regret(
     spec = mech.spec
     worst = 0.0
     for k in range(mech.n):
-        probs_view, pay_view = _axis_views(inner, k)  # (T_grid, R_rest, K)
+        probs_view, pay_view = axis_views(inner, k)  # (T_grid, R_rest, K)
         pts = _lattice_points(spec, mech.m, per_coord)
         val_real = model.values_for(inner.space, k, pts)  # (T_real, K)
-        u = np.einsum("sro,to->tsr", probs_view, val_real) - pay_view[None, :, :]
+        u = expost_utilities(probs_view, pay_view, val_real)
         idx = np.stack(
             [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
         )
-        truth_rank = idx @ (spec.levels ** np.arange(mech.m - 1, -1, -1))
+        truth_rank = grid_type_ranks(idx, spec.levels)
         truthful = u[np.arange(u.shape[0]), truth_rank, :]  # (T_real, R_rest)
         worst = max(worst, float(np.max(u - truthful[:, None, :])))
     return max(worst, 0.0)

@@ -22,13 +22,18 @@ import numpy as np
 
 from .errors import InvariantError, ParseError, UsageError
 from .grid import GridSpec, ProductPrior
-from .outcomes import OutcomeSpace, ValuationModel
+from .outcomes import OutcomeSpace, ValuationModel, grid_type_ranks
 
 __all__ = [
     "ProfileDomain",
     "MechanismTable",
     "InterimForm",
     "RegretReport",
+    "axis_views",
+    "type_weights",
+    "rest_weights",
+    "interim_utilities",
+    "expost_utilities",
     "revenue",
     "interim_form",
     "regret_report",
@@ -130,6 +135,32 @@ class ProfileDomain:
             )
         )
 
+    def split_rank(self, k: int, rank):
+        """Bidder k's type rank and the other bidders' rest rank at profile
+        rank(s) ``rank``. The rest rank enumerates the others' types in
+        bidder order, bidder-major, as the rest axis of ``axis_views``."""
+        s, t = int(self.bidder_strides()[k]), self.bidder_type_count(k)
+        return (rank // s) % t, (rank // (s * t)) * s + rank % s
+
+    def join_rank(self, k: int, t, rest):
+        """Profile rank(s) of bidder k's type rank ``t`` against the others'
+        rest rank ``rest``; the inverse of ``split_rank``."""
+        s = int(self.bidder_strides()[k])
+        return (rest // s) * (s * self.bidder_type_count(k)) + t * s + rest % s
+
+    def type_ranks(self) -> np.ndarray:
+        """(R, n) array: bidder i's type rank at each profile rank."""
+        ranks = np.arange(self.num_profiles, dtype=np.int64)
+        return np.stack([self.split_rank(i, ranks)[0] for i in range(self.n)], axis=1)
+
+    def grid_to_domain(self, i: int) -> np.ndarray:
+        """Rank among bidder i's domain types of every grid type, in
+        ``grid_type_indices`` order; -1 where the grid type is off the domain."""
+        out = np.full(self.spec.levels**self.m, -1, dtype=np.int64)
+        types = self.bidder_types(i)
+        out[grid_type_ranks(types, self.spec.levels)] = np.arange(len(types))
+        return out
+
     def profiles(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """All profiles in rank order, as n-tuples of m-tuples of indices."""
         per_bidder = [
@@ -203,43 +234,52 @@ class MechanismTable:
         return out
 
 
-def _bidder_weight_vectors(
-    mech: MechanismTable, prior: ProductPrior
-) -> list[np.ndarray]:
-    """Per-bidder probabilities of each domain type under the prior.
-
-    Weights are assembled as exact rationals and collapsed to floats once.
-    """
-    missing = mech.domain.covers(prior)
+def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fraction]]:
+    """Exact prior probability of each of every bidder's domain types, in
+    ``bidder_types`` order. Raises if prior mass leaves the domain."""
+    missing = domain.covers(prior)
     if missing is not None:
         i, j, k = missing
-        profile = [
-            [cells[0] for cells in row] for row in mech.domain.supports
-        ]
+        profile = [[cells[0] for cells in row] for row in domain.supports]
         profile[i][j] = k
         raise UsageError(
             f"prior support leaves the mechanism domain; first uncovered "
             f"profile {profile} (bidder {i}, parameter {j}, grid index {k})"
         )
     out = []
-    for i in range(mech.n):
-        types = mech.domain.bidder_types(i)
+    for i in range(domain.n):
         weights = []
-        for t in types:
+        for t in domain.bidder_types(i):
             w = Fraction(1)
-            for j in range(mech.m):
+            for j in range(domain.m):
                 w *= prior.marginals[i][j].mass.get(int(t[j]), Fraction(0))
             weights.append(w)
-        out.append(np.array([float(w) for w in weights]))
+        out.append(weights)
     return out
 
 
-def _axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+def rest_weights(weights: Sequence[Sequence], k: int) -> np.ndarray:
+    """Prior probability of each rest profile of bidder k, in the order of
+    the rest axis of ``axis_views``.
+
+    Products are taken in the arithmetic of ``weights``: ``Fraction``
+    weights give exact products rounded to float once, float weights give
+    float products. The two differ in the last bits, and callers rely on
+    which one they get.
+    """
+    acc = [1]
+    for i, ws in enumerate(weights):
+        if i != k:
+            acc = [a * w for a in acc for w in ws]
+    return np.array([float(a) for a in acc])
+
+
+def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lottery and payment tensors with bidder k's type axis first.
 
     Returns probs as (T_k, R_rest, K) and bidder k's payments as
     (T_k, R_rest); the rest axis enumerates other bidders' types in bidder
-    order, consistent with flattened outer products of their weights.
+    order, consistent with ``ProfileDomain.split_rank`` and ``rest_weights``.
     """
     sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
     probs = mech.probs.reshape(*sizes, mech.space.num_outcomes)
@@ -249,12 +289,27 @@ def _axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     return probs, pay
 
 
-def _rest_weights(weights: list[np.ndarray], k: int) -> np.ndarray:
-    rest = [w for i, w in enumerate(weights) if i != k]
-    out = np.ones(1)
-    for w in rest:
-        out = np.multiply.outer(out, w).reshape(-1)
-    return out
+def interim_utilities(
+    mech: MechanismTable, prior: ProductPrior, k: int, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interim utility ``u[t, r]`` of value row ``values[t]`` reporting
+    bidder k's domain type r, the others' types drawn from the prior, and
+    the interim expected payment of each report r."""
+    weights = [[float(w) for w in ws] for ws in type_weights(mech.domain, prior)]
+    w_rest = rest_weights(weights, k)
+    probs_view, pay_view = axis_views(mech, k)
+    cp = np.einsum("sro,r->so", probs_view, w_rest)  # (T_k, K)
+    cpay = pay_view @ w_rest  # (T_k,)
+    return values @ cp.T - cpay[None, :], cpay
+
+
+def expost_utilities(
+    probs_view: np.ndarray, pay_view: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``u[t, s, rest]``: ex-post utility of value row ``values[t]``
+    reporting type s against the others' profile rest, over the mechanism's
+    randomness only; ``probs_view`` and ``pay_view`` come from ``axis_views``."""
+    return np.einsum("sro,to->tsr", probs_view, values) - pay_view[None, :, :]
 
 
 def _domain_value_table(
@@ -272,10 +327,8 @@ def revenue(
     With ``exact=True`` all arithmetic is rational (float payments embedded
     exactly), so regrouping the sum cannot change the result.
     """
+    weights = type_weights(mech.domain, prior)  # raises if mass leaves the domain
     if exact:
-        missing = mech.domain.covers(prior)
-        if missing is not None:
-            _bidder_weight_vectors(mech, prior)  # raises with details
         total = Fraction(0)
         for profile in prior.support_profiles():
             p = prior.profile_prob(profile)
@@ -287,11 +340,10 @@ def revenue(
             )
             total += p * paysum
         return total
-    weights = _bidder_weight_vectors(mech, prior)
     sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
     acc = mech.payments.sum(axis=1).reshape(sizes)
     for w in reversed(weights):
-        acc = acc @ w
+        acc = acc @ np.array([float(x) for x in w])
     return float(acc)
 
 
@@ -324,13 +376,9 @@ def interim_form(
     model: ValuationModel,
     k: int,
 ) -> InterimForm:
-    weights = _bidder_weight_vectors(mech, prior)
-    probs_view, pay_view = _axis_views(mech, k)
-    w_rest = _rest_weights(weights, k)
-    val = _domain_value_table(mech, model, k)  # (T, K)
-    cp = np.einsum("sro,r->so", probs_view, w_rest)  # (T', K)
-    cpay = pay_view @ w_rest  # (T',)
-    utilities = val @ cp.T - cpay[None, :]
+    utilities, cpay = interim_utilities(
+        mech, prior, k, _domain_value_table(mech, model, k)
+    )
     return InterimForm(
         bidder=k,
         types=mech.domain.bidder_types(k),
@@ -385,10 +433,9 @@ def audit_over_domain(
                 "report": types[r].tolist(),
             }
 
-        probs_view, pay_view = _axis_views(mech, k)
+        probs_view, pay_view = axis_views(mech, k)
         val = _domain_value_table(mech, model, k)
-        # u_expost[t, s, rest]: true type t, report s, others' profile rest
-        u_expost = np.einsum("sro,to->tsr", probs_view, val) - pay_view[None, :, :]
+        u_expost = expost_utilities(probs_view, pay_view, val)
         truth = np.einsum("tro,to->tr", probs_view, val) - pay_view
         gain_x = u_expost - truth[:, None, :]
         t, s, rest = np.unravel_index(np.argmax(gain_x), gain_x.shape)
@@ -485,12 +532,19 @@ def serialize_mechanism(mech: MechanismTable) -> str:
 
 
 def deserialize_mechanism(text: str) -> MechanismTable:
+    """Load a mechanism file; any malformed content raises ParseError."""
     try:
         doc = json.loads(text)
-        header = doc["header"]
-        rows = doc["rows"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        return _decode_mechanism(doc["header"], doc["rows"])
+    except ParseError:
+        raise
+    except (
+        UsageError, KeyError, TypeError, ValueError, AttributeError, OverflowError
+    ) as exc:
         raise ParseError(f"mechanism file is not valid: {exc}") from exc
+
+
+def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
     if header.get("format") != _FORMAT:
         raise ParseError(f"unknown mechanism format {header.get('format')!r}")
     n, m = int(header["n"]), int(header["m"])
@@ -509,6 +563,8 @@ def deserialize_mechanism(text: str) -> MechanismTable:
     if header.get("space_hash") != space.content_hash():
         raise ParseError("space_hash does not match the embedded space")
     if header["domain"] == "full":
+        # count before enumerating: a corrupt grid step can be huge
+        _check_row_count(spec.levels ** (n * m), rows)
         domain = ProfileDomain.full_grid(spec, n, m)
     else:
         domain = ProfileDomain(
@@ -518,8 +574,7 @@ def deserialize_mechanism(text: str) -> MechanismTable:
             ),
         )
     r, k = domain.num_profiles, space.num_outcomes
-    if len(rows) != r:
-        raise ParseError(f"expected {r} rows for the declared domain, got {len(rows)}")
+    _check_row_count(r, rows)
     probs = np.zeros((r, k))
     payments = np.zeros((r, n))
     for rank, (row, profile) in enumerate(zip(rows, domain.profiles())):
@@ -538,15 +593,19 @@ def deserialize_mechanism(text: str) -> MechanismTable:
             probs[rank, o] += p
             total += p
             payments[rank] = [ _num_from_str(x, where) for x in entry["pay"] ]
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ParseError(f"row {rank}: lottery probabilities sum to {total!r}")
-    try:
-        return MechanismTable(
-            domain=domain,
-            space=space,
-            probs=probs,
-            payments=payments,
-            meta=dict(header.get("meta", {})),
+    return MechanismTable(
+        domain=domain,
+        space=space,
+        probs=probs,
+        payments=payments,
+        meta=dict(header.get("meta", {})),
+    )
+
+
+def _check_row_count(expected: int, rows: list) -> None:
+    if len(rows) != expected:
+        raise ParseError(
+            f"expected {expected} rows for the declared domain, got {len(rows)}"
         )
-    except UsageError as exc:
-        raise ParseError(str(exc)) from exc

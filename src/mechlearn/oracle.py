@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal
 
 import numpy as np
@@ -38,11 +37,13 @@ from .grid import ProductPrior
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    _axis_views,
-    _bidder_weight_vectors,
-    _rest_weights,
     audit_over_domain,
+    axis_views,
+    expost_utilities,
+    interim_utilities,
+    rest_weights,
     revenue,
+    type_weights,
 )
 from .outcomes import (
     ClosureResult,
@@ -102,52 +103,21 @@ class LpSolution:
             )
 
 
-def _profile_type_ranks(domain: ProfileDomain) -> np.ndarray:
-    """(R, n) array: bidder i's type rank at each profile rank."""
-    sizes = [domain.bidder_type_count(i) for i in range(domain.n)]
-    strides = domain.bidder_strides()
-    r = domain.num_profiles
-    ranks = np.arange(r, dtype=np.int64)
-    return np.stack(
-        [(ranks // strides[i]) % sizes[i] for i in range(domain.n)], axis=1
-    )
-
-
-def _rest_bases(domain: ProfileDomain, k: int) -> np.ndarray:
-    """Profile-rank contribution of every combination of other bidders'
-    types, enumerated in the same order as the flattened rest axis."""
-    strides = domain.bidder_strides()
-    parts = [
-        np.arange(domain.bidder_type_count(i), dtype=np.int64) * strides[i]
-        for i in range(domain.n)
-        if i != k
-    ]
-    if not parts:
-        return np.zeros(1, dtype=np.int64)
-    return functools.reduce(np.add.outer, parts).reshape(-1)
-
-
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
     problem.check_budget()
     domain = problem.domain()
     space = problem.space
-    n, m = domain.n, domain.m
+    n = domain.n
     r_profiles = domain.num_profiles
     k_out = space.num_outcomes
     n_x = r_profiles * k_out
     n_vars = n_x + r_profiles * n
 
-    def xvar(r: int, o: int) -> int:
-        return r * k_out + o
-
-    def pvar(r: int, i: int) -> int:
-        return n_x + r * n + i
-
     # Exact rational weights, converted to float exactly once.
-    weights_frac = _bidder_weight_vectors_fraction(problem.prior, domain)
+    weights_frac = type_weights(domain, problem.prior)
     weights = [np.array([float(w) for w in ws]) for ws in weights_frac]
-    type_ranks = _profile_type_ranks(domain)
+    type_ranks = domain.type_ranks()
     profile_w = np.ones(r_profiles)
     for i in range(n):
         profile_w *= weights[i][type_ranks[:, i]]
@@ -163,101 +133,23 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     for i in range(n):
         c[n_x + np.arange(r_profiles) * n + i] = -profile_w  # maximize revenue
 
-    eq_rows: list[int] = []
-    eq_cols: list[int] = []
-    eq_data: list[float] = []
-    for r in range(r_profiles):
-        eq_rows.extend([r] * k_out)
-        eq_cols.extend(range(r * k_out, (r + 1) * k_out))
-        eq_data.extend([1.0] * k_out)
-    a_eq = sp.coo_matrix(
-        (eq_data, (eq_rows, eq_cols)), shape=(r_profiles, n_vars)
+    # One equality row per profile: its lottery sums to one.
+    a_eq = sp.csr_matrix(
+        (np.ones(n_x), np.arange(n_x), np.arange(0, n_x + 1, k_out)),
+        shape=(r_profiles, n_vars),
     )
     b_eq = np.ones(r_profiles)
-
-    ub_rows: list[int] = []
-    ub_cols: list[int] = []
-    ub_data: list[float] = []
-    b_ub: list[float] = []
-    row_id = 0
-
-    def add_entry(row: int, col: int, coef: float) -> None:
-        ub_rows.append(row)
-        ub_cols.append(col)
-        ub_data.append(coef)
-
-    # IR: payment can never exceed the expected lottery value.
-    for r in range(r_profiles):
-        for i in range(n):
-            v = vals[i][type_ranks[r, i]]
-            for o in range(k_out):
-                if v[o] != 0.0:
-                    add_entry(row_id, xvar(r, o), -float(v[o]))
-            add_entry(row_id, pvar(r, i), 1.0)
-            b_ub.append(0.0)
-            row_id += 1
-
-    if problem.ic_mode == "bic":
-        for i in range(n):
-            w_rest_frac = _rest_weights_fraction(weights_frac, i)
-            w_rest = np.array([float(w) for w in w_rest_frac])
-            bases = _rest_bases(domain, i)
-            stride = int(domain.bidder_strides()[i])
-            t_i = domain.bidder_type_count(i)
-            for t in range(t_i):
-                v = vals[i][t]
-                for t_rep in range(t_i):
-                    if t_rep == t:
-                        continue
-                    # interim utility of reporting t_rep minus truthful, <= 0
-                    for rest, wr in zip(bases, w_rest):
-                        if wr == 0.0:
-                            continue
-                        r_dev = int(rest) + t_rep * stride
-                        r_tru = int(rest) + t * stride
-                        for o in range(k_out):
-                            if v[o] != 0.0:
-                                add_entry(row_id, xvar(r_dev, o), wr * float(v[o]))
-                                add_entry(row_id, xvar(r_tru, o), -wr * float(v[o]))
-                        add_entry(row_id, pvar(r_dev, i), -wr)
-                        add_entry(row_id, pvar(r_tru, i), wr)
-                    b_ub.append(0.0)
-                    row_id += 1
-    else:
-        for i in range(n):
-            stride = int(domain.bidder_strides()[i])
-            t_i = domain.bidder_type_count(i)
-            bases = _rest_bases(domain, i)
-            for t in range(t_i):
-                v = vals[i][t]
-                for t_rep in range(t_i):
-                    if t_rep == t:
-                        continue
-                    for rest in bases:
-                        r_dev = int(rest) + t_rep * stride
-                        r_tru = int(rest) + t * stride
-                        for o in range(k_out):
-                            if v[o] != 0.0:
-                                add_entry(row_id, xvar(r_dev, o), float(v[o]))
-                                add_entry(row_id, xvar(r_tru, o), -float(v[o]))
-                        add_entry(row_id, pvar(r_dev, i), -1.0)
-                        add_entry(row_id, pvar(r_tru, i), 1.0)
-                        b_ub.append(problem.eta)
-                        row_id += 1
-
-    a_ub = sp.coo_matrix(
-        (ub_data, (ub_rows, ub_cols)), shape=(row_id, n_vars)
-    )
+    a_ub, b_ub = _inequality_rows(problem, domain, vals, weights_frac, type_ranks)
     bounds = [(0.0, None)] * n_x + [(None, None)] * (r_profiles * n)
 
     if lp_dump is not None:
-        _dump_lp(lp_dump, c, a_ub.tocsr(), np.array(b_ub), a_eq.tocsr(), b_eq, n_x)
+        _dump_lp(lp_dump, c, a_ub, b_ub, a_eq, b_eq, n_x)
 
     res = linprog(
         c,
-        A_ub=a_ub.tocsr(),
-        b_ub=np.array(b_ub),
-        A_eq=a_eq.tocsr(),
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=a_eq,
         b_eq=b_eq,
         bounds=bounds,
         method="highs",
@@ -286,7 +178,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     )
 
     objective = -float(res.fun)
-    dual = float(res.eqlin.marginals @ b_eq + res.ineqlin.marginals @ np.array(b_ub))
+    dual = float(res.eqlin.marginals @ b_eq + res.ineqlin.marginals @ b_ub)
     solution = LpSolution(
         mechanism=mech,
         objective_value=objective,
@@ -297,28 +189,68 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     return solution
 
 
-def _bidder_weight_vectors_fraction(
-    prior: ProductPrior, domain: ProfileDomain
-) -> list[list[Fraction]]:
-    out = []
-    for i in range(domain.n):
-        types = domain.bidder_types(i)
-        ws = []
-        for t in types:
-            w = Fraction(1)
-            for j in range(domain.m):
-                w *= prior.marginals[i][j].mass.get(int(t[j]), Fraction(0))
-            ws.append(w)
-        out.append(ws)
-    return out
+def _inequality_rows(
+    problem: OracleProblem,
+    domain: ProfileDomain,
+    vals: list[np.ndarray],
+    weights_frac: list[list],
+    type_ranks: np.ndarray,
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """IR rows, profile-major, then IC rows per bidder by (true type,
+    report) in BIC mode or (true type, report, rest) in DSIC mode.
 
+    Every row is a sum of terms (row, profile, bidder, true type, coef).
+    A term puts ``coef * v[o]`` on lottery variable (profile, o) for every
+    nonzero value ``v[o]`` of the true type, and ``-coef`` on the bidder's
+    payment at the profile.
+    """
+    n, r_profiles = domain.n, domain.num_profiles
+    ranks, bidders = np.arange(r_profiles)[:, None], np.arange(n)
+    # IR: payment can never exceed the expected lottery value.
+    terms = [(ranks * n + bidders, ranks, bidders, type_ranks, -1.0)]
+    b_ub = [np.zeros(r_profiles * n)]
+    row0 = r_profiles * n
+    for i in range(n):
+        t_i = domain.bidder_type_count(i)
+        true, report = np.nonzero(~np.eye(t_i, dtype=bool))
+        true, pair = true[:, None], np.arange(true.size)[:, None]
+        rest = np.arange(r_profiles // t_i)
+        if problem.ic_mode == "bic":
+            # interim utility of the report minus truthful, <= 0
+            w = rest_weights(weights_frac, i)
+            rows = row0 + pair
+            b_ub.append(np.zeros(true.size))
+        else:
+            w = np.ones(rest.size)
+            rows = row0 + pair * rest.size + rest
+            b_ub.append(np.full(rows.size, problem.eta, dtype=np.float64))
+        terms.append((rows, domain.join_rank(i, report[:, None], rest), i, true, w))
+        terms.append((rows, domain.join_rank(i, true, rest), i, true, -w))
+        row0 += b_ub[-1].size
 
-def _rest_weights_fraction(weights: list[list[Fraction]], k: int) -> list[Fraction]:
-    rest = [w for i, w in enumerate(weights) if i != k]
-    acc = [Fraction(1)]
-    for ws in rest:
-        acc = [a * w for a in acc for w in ws]
-    return acc
+    row, prof, bidder, t, coef = (
+        np.concatenate(col)
+        for col in zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms))
+    )
+    # a rest profile whose weight rounds to zero adds no entries
+    keep = np.flatnonzero(coef)
+    row, prof, bidder, t, coef = (a[keep] for a in (row, prof, bidder, t, coef))
+    offsets = np.cumsum([0] + [len(v) for v in vals])
+    v = np.concatenate(vals)[offsets[bidder] + t]  # (terms, K)
+    term, o = np.nonzero(v)
+    k_out = v.shape[1]
+    n_x = r_profiles * k_out
+    a_ub = sp.coo_matrix(
+        (
+            np.concatenate([coef[term] * v[term, o], -coef]),
+            (
+                np.concatenate([row[term], row]),
+                np.concatenate([prof[term] * k_out + o, n_x + prof * n + bidder]),
+            ),
+        ),
+        shape=(row0, n_x + r_profiles * n),
+    )
+    return a_ub.tocsr(), np.concatenate(b_ub)
 
 
 def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
@@ -343,66 +275,20 @@ def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
         )
 
 
-def _full_type_data(
-    domain: ProfileDomain, space: OutcomeSpace, model: ValuationModel
-):
-    """Full-grid types per bidder plus on-support maps into domain types."""
-    spec = domain.spec
-    full_types = grid_type_indices(spec, domain.m)  # shared across bidders
-    t_full = full_types.shape[0]
-    on_mask = []
-    to_support = []
-    for i in range(domain.n):
-        mask = np.ones(t_full, dtype=bool)
-        rank = np.zeros(t_full, dtype=np.int64)
-        mult = 1
-        # mixed-radix rank over support positions, parameter 0 most significant
-        for j in range(domain.m - 1, -1, -1):
-            cell = domain.supports[i][j]
-            lookup = -np.ones(spec.levels, dtype=np.int64)
-            for pos, idx in enumerate(cell):
-                lookup[idx] = pos
-            pos_j = lookup[full_types[:, j]]
-            mask &= pos_j >= 0
-            rank += np.where(pos_j >= 0, pos_j, 0) * mult
-            mult *= len(cell)
-        rank[~mask] = -1
-        on_mask.append(mask)
-        to_support.append(rank)
-    return full_types, on_mask, to_support
-
-
 def extend_bic(
     mech: MechanismTable,
     prior: ProductPrior,
     model: ValuationModel,
 ) -> MechanismTable:
     """Algorithm-level best-response extension of a support mechanism."""
-    domain = mech.domain
-    spec = domain.spec
-    space = mech.space
-    full_types, on_mask, to_support = _full_type_data(domain, space, model)
-    weights = _bidder_weight_vectors(mech, prior)
-
-    replace = []
-    for k in range(mech.n):
-        probs_view, pay_view = _axis_views(mech, k)
-        w_rest = _rest_weights(weights, k)
-        cp = np.einsum("sro,r->so", probs_view, w_rest)  # (T_supp, K)
-        cpay = pay_view @ w_rest
-        val_full = model.values_for(space, k, full_types * spec.epsilon)
-        utilities = val_full @ cp.T - cpay[None, :]  # (T_full, T_supp)
-        best = np.argmax(utilities, axis=1)  # first max = lex smallest type
-        rep = np.where(on_mask[k], to_support[k], best)
-        replace.append(rep.astype(np.int64))
-
-    strides = domain.bidder_strides()
+    replace = [bic_replacement_map(mech, prior, model, k) for k in range(mech.n)]
+    strides = mech.domain.bidder_strides()
     parts = [replace[i] * strides[i] for i in range(mech.n)]
     src = functools.reduce(np.add.outer, parts).reshape(-1)
-    full_domain = ProfileDomain.full_grid(spec, mech.n, mech.m)
+    full_domain = ProfileDomain.full_grid(mech.domain.spec, mech.n, mech.m)
     return MechanismTable(
         domain=full_domain,
-        space=space,
+        space=mech.space,
         probs=mech.probs[src],
         payments=mech.payments[src],
         meta={**mech.meta, "extension": "bic_best_response"},
@@ -413,17 +299,13 @@ def bic_replacement_map(
     mech: MechanismTable, prior: ProductPrior, model: ValuationModel, k: int
 ) -> np.ndarray:
     """Support-type rank chosen for each full-grid type of bidder k."""
-    domain = mech.domain
-    full_types, on_mask, to_support = _full_type_data(domain, mech.space, model)
-    weights = _bidder_weight_vectors(mech, prior)
-    probs_view, pay_view = _axis_views(mech, k)
-    w_rest = _rest_weights(weights, k)
-    cp = np.einsum("sro,r->so", probs_view, w_rest)
-    cpay = pay_view @ w_rest
-    val_full = model.values_for(mech.space, k, full_types * domain.spec.epsilon)
-    utilities = val_full @ cp.T - cpay[None, :]
-    best = np.argmax(utilities, axis=1)
-    return np.where(on_mask[k], to_support[k], best).astype(np.int64)
+    spec = mech.domain.spec
+    full_types = grid_type_indices(spec, mech.m)
+    val_full = model.values_for(mech.space, k, full_types * spec.epsilon)
+    utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
+    best = np.argmax(utilities, axis=1)  # first max = lex smallest type
+    to_support = mech.domain.grid_to_domain(k)
+    return np.where(to_support >= 0, to_support, best).astype(np.int64)
 
 
 def extend_dsic(
@@ -441,8 +323,7 @@ def extend_dsic(
     domain = mech.domain
     spec = domain.spec
     n, m = mech.n, mech.m
-    full_types, on_mask, to_support = _full_type_data(domain, space, model)
-    t_full = full_types.shape[0]
+    full_types = grid_type_indices(spec, m)
     k_out = space.num_outcomes
 
     full_domain = ProfileDomain.full_grid(spec, n, m)
@@ -450,17 +331,19 @@ def extend_dsic(
     probs = np.zeros((r_full, k_out))
     payments = np.zeros((r_full, n))
 
-    # bidder i's full-grid type at each full profile rank, and off counts
-    digits = _profile_type_ranks(full_domain)  # (R_full, n)
-    off = np.stack([~on_mask[i][digits[:, i]] for i in range(n)], axis=1)
+    # bidder i's full-grid type and support type rank (-1 off-support) at
+    # each full profile rank, and off counts
+    digits = full_domain.type_ranks()  # (R_full, n)
+    supp = np.stack(
+        [domain.grid_to_domain(i)[digits[:, i]] for i in range(n)], axis=1
+    )
+    off = supp < 0
     off_counts = off.sum(axis=1)
-    supp_strides = domain.bidder_strides()
+    # support profile rank, reading an off-support bidder's rank as 0
+    src = np.maximum(supp, 0) @ domain.bidder_strides()
 
     # all bidders on-support: copy the corresponding support row
     on_all = off_counts == 0
-    src = np.zeros(r_full, dtype=np.int64)
-    for i in range(n):
-        src += np.where(on_mask[i][digits[:, i]], to_support[i][digits[:, i]], 0) * supp_strides[i]
     probs[on_all] = mech.probs[src[on_all]]
     payments[on_all] = mech.payments[src[on_all]]
 
@@ -482,23 +365,14 @@ def extend_dsic(
         ranks = np.flatnonzero(group)
         if ranks.size == 0:
             continue
-        probs_view, pay_view = _axis_views(mech, k)  # (T_supp, R_rest, K)
+        probs_view, pay_view = axis_views(mech, k)  # (T_supp, R_rest, K)
         val_full = model.values_for(space, k, full_types * spec.epsilon)
-        # u[t_full, s, rest] over mechanism randomness only
-        u = np.einsum("sro,to->tsr", probs_view, val_full) - pay_view[None, :, :]
+        u = expost_utilities(probs_view, pay_view, val_full)  # (T_full, T_supp, R_rest)
         best = np.argmax(u, axis=1)  # (T_full, R_rest), lex-smallest ties
 
-        rest_bases = _rest_bases(domain, k)
-        rest_strides = _rest_strides(domain, k)
-        rest_rank = np.zeros(ranks.size, dtype=np.int64)
-        pos = 0
-        for i in range(n):
-            if i == k:
-                continue
-            rest_rank += to_support[i][digits[ranks, i]] * rest_strides[pos]
-            pos += 1
+        _, rest_rank = domain.split_rank(k, src[ranks])
         chosen = best[digits[ranks, k], rest_rank]
-        src_rank = chosen * supp_strides[k] + rest_bases[rest_rank]
+        src_rank = domain.join_rank(k, chosen, rest_rank)
 
         wit = closure.witness[:, k]
         scatter = np.zeros((k_out, k_out))
@@ -519,16 +393,6 @@ def extend_dsic(
         payments=payments,
         meta={**mech.meta, "extension": "dsic_zero_out"},
     )
-
-
-def _rest_strides(domain: ProfileDomain, k: int) -> np.ndarray:
-    sizes = [
-        domain.bidder_type_count(i) for i in range(domain.n) if i != k
-    ]
-    strides = np.ones(len(sizes), dtype=np.int64)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    return strides
 
 
 def _dump_lp(

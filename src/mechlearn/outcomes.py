@@ -34,6 +34,7 @@ __all__ = [
     "bidder_value",
     "check_weakly_downward_closed",
     "grid_type_indices",
+    "grid_type_ranks",
     "space_from_config",
     "model_from_config",
 ]
@@ -145,6 +146,14 @@ def grid_type_indices(spec: GridSpec, m: int) -> np.ndarray:
     return grids.astype(np.int64)
 
 
+def grid_type_ranks(indices: np.ndarray, levels: int) -> np.ndarray:
+    """Row of each (T, m) grid index vector in ``grid_type_indices``: its
+    mixed-radix rank, first coordinate major."""
+    m = indices.shape[1]
+    weights = levels ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return indices @ weights
+
+
 @dataclass(frozen=True)
 class ValuationModel:
     """Parametrized valuation with a declared Lipschitz constant."""
@@ -198,7 +207,7 @@ class ValuationModel:
         idx = np.stack(
             [round_down_indices(pts[:, j], spec) for j in range(space.m)], axis=1
         )
-        ranks = _type_ranks(idx, spec.levels)
+        ranks = grid_type_ranks(idx, spec.levels)
         return self.table[ranks]
 
     def value_table(self, space: OutcomeSpace, spec: GridSpec, bidder: int) -> np.ndarray:
@@ -223,10 +232,10 @@ class ValuationModel:
         tol = self.lipschitz_l * spec.epsilon + 1e-12
         for j in range(space.m):
             movable = types[:, j] < spec.top_index
-            src = _type_ranks(types[movable], spec.levels)
+            src = grid_type_ranks(types[movable], spec.levels)
             stepped = types[movable].copy()
             stepped[:, j] += 1
-            dst = _type_ranks(stepped, spec.levels)
+            dst = grid_type_ranks(stepped, spec.levels)
             gap = np.abs(table[dst] - table[src])
             if gap.size and gap.max() > tol:
                 at = int(np.argmax(gap.max(axis=1)))
@@ -235,13 +244,6 @@ class ValuationModel:
                     f"{self.lipschitz_l} at grid type {types[movable][at].tolist()} "
                     f"coordinate {j}"
                 )
-
-
-def _type_ranks(indices: np.ndarray, levels: int) -> np.ndarray:
-    """Mixed-radix rank of (T, m) index vectors, first coordinate major."""
-    m = indices.shape[1]
-    weights = levels ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    return indices @ weights
 
 
 def bidder_value(

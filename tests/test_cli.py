@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from mechlearn import GridSpec, serialize_mechanism
 from mechlearn.cli import cli_dispatch
+
+from conftest import posted_price_table
 
 
 INSTANCE = {
@@ -212,6 +215,38 @@ class TestExitCodes:
         assert cli_dispatch(
             ["eval", "--mech", str(bad), "--prior", str(workdir / "prior.json")]
         ) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--mech", "{w}/missing.json", "--prior", "{w}/prior.json"],
+            ["verify", "--mech", "{w}/missing.json", "--prior", "{w}/prior.json"],
+            ["nudge", "--mech", "{w}/missing.json", "--epsilon", "0.1",
+             "--out", "{w}/o.json"],
+            ["eval", "--mech", "{w}", "--prior", "{w}/prior.json"],
+            ["eval", "--mech", "{w}/no_n.json", "--prior", "{w}/prior.json"],
+            ["eval", "--mech", "{w}/no_outcome.json", "--prior", "{w}/prior.json"],
+            ["sweep", "--config", "{w}", "--out", "{w}/sweep"],
+            ["learn-bic", "--config", "{w}/inst.json", "--samples", "{w}/missing.csv",
+             "--out", "{w}/o.json"],
+            ["concentrate", "--config", "{w}/conc.json", "--seed", "1",
+             "--out", "{w}/c.csv"],
+        ],
+    )
+    def test_unreadable_input_is_usage_error(self, workdir, capsys, argv):
+        doc = json.loads(serialize_mechanism(posted_price_table(GridSpec(0.25, 2.0), 1.0)))
+        del doc["header"]["n"]
+        (workdir / "no_n.json").write_text(json.dumps(doc))
+        doc["header"]["n"] = 1
+        del doc["rows"][0]["entries"][0]["outcome"]
+        (workdir / "no_outcome.json").write_text(json.dumps(doc))
+        (workdir / "conc.json").write_text(json.dumps({
+            "epsilon": 0.5, "h": 1.0, "s": 10, "epsilon_dev": 0.1, "trials": 5,
+            "marginals": [{"values": [0.5], "probs": ["1"]}],
+            "f": {"kind": "mechanism_revenue", "mechanism": str(workdir / "missing.json")},
+        }))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_verify_declared_bound_violation_is_exit_three(self, workdir):
         from mechlearn.mechanism import deserialize_mechanism, serialize_mechanism

@@ -1,7 +1,10 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechlearn import (
     GridSpec,
@@ -16,6 +19,7 @@ from mechlearn import (
     revenue,
     serialize_mechanism,
 )
+from mechlearn.mechanism import axis_views
 from conftest import posted_price_table, product_prior
 
 
@@ -41,6 +45,37 @@ def two_bidder_posted_price(spec, price):
             if digits[i] == i + 1:
                 payments[rank, i] = price
     return MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
+
+
+class TestProfileIndex:
+    def test_rank_helpers_agree_with_enumeration(self):
+        # uneven supports, three bidders: every helper matches profiles()
+        spec = GridSpec(epsilon=0.5, h=2.0)
+        domain = ProfileDomain(
+            spec=spec, supports=(((0, 3),), ((1, 2, 4),), ((0, 1, 2, 3),))
+        )
+        mech = MechanismTable(
+            domain=domain,
+            space=enumerate_multi_item(3, 1),
+            probs=np.eye(4)[np.arange(domain.num_profiles) % 4],
+            payments=np.arange(domain.num_profiles * 3.0).reshape(-1, 3),
+        )
+        profiles = list(domain.profiles())
+        ranks = np.arange(len(profiles))
+        types = domain.type_ranks()
+        for i in range(3):
+            expected = [domain.bidder_type_rank(i, p[i]) for p in profiles]
+            assert types[:, i].tolist() == expected
+            t, rest = domain.split_rank(i, ranks)
+            assert t.tolist() == expected
+            assert np.array_equal(domain.join_rank(i, t, rest), ranks)
+            probs_view, pay_view = axis_views(mech, i)
+            assert np.array_equal(probs_view[t, rest], mech.probs)
+            assert np.array_equal(pay_view[t, rest], mech.payments[:, i])
+            to_domain = domain.grid_to_domain(i)
+            for k in range(spec.levels):
+                on = k in domain.supports[i][0]
+                assert to_domain[k] == (domain.bidder_type_rank(i, [k]) if on else -1)
 
 
 class TestRevenue:
@@ -363,3 +398,60 @@ class TestSerialization:
         bad = text.replace('"outcome":1', '"outcome":9', 1)
         with pytest.raises(ParseError, match="outcome"):
             deserialize_mechanism(bad)
+
+    @pytest.mark.parametrize(
+        "where, key",
+        # every key but the optional header "meta"
+        [("header", k) for k in ("format", "n", "m", "epsilon", "h", "space_hash",
+                                 "space", "domain")]
+        + [("row", "profile"), ("row", "entries")]
+        + [("entry", "p"), ("entry", "outcome"), ("entry", "pay")],
+    )
+    def test_missing_key_is_parse_error(self, quarter_grid, where, key):
+        doc = json.loads(serialize_mechanism(posted_price_table(quarter_grid, price=1.0)))
+        row = doc["rows"][-1]
+        del {"header": doc["header"], "row": row, "entry": row["entries"][0]}[where][key]
+        with pytest.raises(ParseError):
+            deserialize_mechanism(json.dumps(doc))
+
+
+def _small_documents() -> list[str]:
+    spec = GridSpec(epsilon=1.0, h=2.0)
+    support = MechanismTable(
+        domain=ProfileDomain(spec=spec, supports=(((0, 2),),)),
+        space=enumerate_multi_item(1, 1),
+        probs=np.array([[1.0, 0.0], [0.25, 0.75]]),
+        payments=np.array([[0.0], [1.2]]),
+    )
+    return [serialize_mechanism(posted_price_table(spec, price=1.0, m=2)),
+            serialize_mechanism(support)]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_document_raises_only_parse_error(data):
+    doc = json.loads(data.draw(st.sampled_from(_small_documents())))
+    node = doc
+    while True:  # walk down to a random container, then mutate one child
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        node = child
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(_JSON_VALUES)
+    try:
+        deserialize_mechanism(json.dumps(doc))
+    except ParseError:
+        pass

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -209,6 +210,44 @@ class TestSolveOptimal:
                 product_prior(spec, [[shifted]]), space, additive, "bic"
             )
             assert up >= base
+
+    @pytest.mark.parametrize(
+        "name, mode, digest",
+        [
+            ("n2m2", "bic", "2512cdf73d97b10bad02dd82490d3faeaea534faebea76fa77f8bbb00527f11c"),
+            ("n2m2", "dsic", "8d2f0fe1af40c6bcb2f4cf500c19cb5ad2da3d5666112df88626b4819e2d5510"),
+            ("n3m1", "bic", "ac8c1f0ffa7ee3d38aefa900282db3fd6d1f7b56249eb65ddf296bf88d40584c"),
+            ("n3m1", "dsic", "42eccb12e74ba4c926ce45891fda41c9812f8d247d7f65e8174c252535a31ad6"),
+        ],
+    )
+    def test_lp_dump_is_pinned(self, additive, tmp_path, name, mode, digest):
+        # Every coefficient, bound and row order of the assembled LP, as
+        # the text dump shows them; a change here changes what HiGHS solves.
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        cells = {
+            "n2m2": [
+                [{1: Fraction(1, 3), 2: Fraction(2, 3)}, {0: Fraction(1, 2), 2: Fraction(1, 2)}],
+                [{1: Fraction(1, 5), 2: Fraction(4, 5)}, {1: Fraction(1, 7), 2: Fraction(6, 7)}],
+            ],
+            "n3m1": [
+                [{1: Fraction(1, 3), 2: Fraction(2, 3)}],
+                [{0: Fraction(1, 2), 2: Fraction(1, 2)}],
+                [{1: Fraction(1, 5), 2: Fraction(4, 5)}],
+            ],
+        }[name]
+        n, m = len(cells), len(cells[0])
+        path = tmp_path / "dump.lp"
+        solve_optimal(
+            OracleProblem(
+                prior=product_prior(spec, cells),
+                space=enumerate_multi_item(n, m),
+                model=additive,
+                ic_mode=mode,
+                eta=0.5 if mode == "dsic" else 0.0,
+            ),
+            lp_dump=str(path),
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestExtendBic:
