@@ -20,6 +20,7 @@ from .errors import (
     MechlearnError,
     UsageError,
     read_text,
+    write_text,
 )
 from .experiments import (
     ExperimentConfig,
@@ -70,10 +71,7 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+    write_text(path, text if text.endswith("\n") else text + "\n")
 
 
 def _get_samples(args, bundle) -> SampleSet:

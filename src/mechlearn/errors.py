@@ -41,3 +41,13 @@ def read_text(path: str) -> str:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to a UTF-8 file; a file that cannot be created or
+    written raises ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc}") from exc

@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .errors import ConfigError, UsageError, read_text
+from .errors import ConfigError, UsageError, read_text, write_text
 from .grid import DiscreteMarginal, GridSpec, ProductPrior
 from .learner import learn_bic, learn_dsic
 from .mechanism import regret_report
@@ -268,7 +268,10 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
         timings=timings,
     )
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{out_dir}: cannot write: {exc}") from exc
         meta = {
             "config_hash": result.config_hash,
             "tool_version": TOOL_VERSION,
@@ -301,15 +304,14 @@ def write_rows_csv(
 ) -> None:
     """CSV with a deterministic comment header embedding provenance."""
     head = " ".join(f"{k}={meta[k]}" for k in sorted(meta))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {head}\n")
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            cells = []
-            for f in fields:
-                v = row[f]
-                cells.append(repr(float(v)) if isinstance(v, float) else str(v))
-            fh.write(",".join(cells) + "\n")
+    lines = [f"# {head}", ",".join(fields)]
+    for row in rows:
+        cells = []
+        for f in fields:
+            v = row[f]
+            cells.append(repr(float(v)) if isinstance(v, float) else str(v))
+        lines.append(",".join(cells))
+    write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

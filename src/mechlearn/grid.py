@@ -253,7 +253,8 @@ class SampleSet:
             )
         if self.s < 1:
             raise UsageError("need at least one sample per cell")
-        if vals.size and (vals.min() < 0.0 or vals.max() > self.h):
+        # negated so that a NaN, which fails every comparison, is rejected
+        if vals.size and not (vals.min() >= 0.0 and vals.max() <= self.h):
             raise DomainError("sample values must lie in [0, h]")
         object.__setattr__(self, "values", vals)
 
@@ -280,17 +281,30 @@ class SampleSet:
                 f"{path}: expected header {','.join(expected)}, got {reader.fieldnames}"
             )
         for row in reader:
-            key = (int(row["bidder"]), int(row["parameter"]))
-            cells.setdefault(key, {})[int(row["sample_index"])] = float(row["value"])
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():  # a long or a short row
+                raise ParseError(f"{where}: expected {len(expected)} fields")
+            try:
+                i, j, k = (int(row[f]) for f in expected[:3])
+                value = float(row["value"])
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+            if min(i, j, k) < 0:
+                raise ParseError(f"{where}: negative index")
+            cells.setdefault((i, j), {})[k] = value
         if not cells:
             raise UsageError(f"{path}: no sample rows")
         n = 1 + max(i for i, _ in cells)
         m = 1 + max(j for _, j in cells)
         s = 1 + max(max(d) for d in cells.values())
-        values = np.zeros((n, m, s))
+        # checked before allocating: one stray index must not size the array
+        if len(cells) != n * m:
+            raise UsageError(f"{path}: samples cover {len(cells)} of {n}x{m} cells")
         for (i, j), d in cells.items():
             if len(d) != s:
                 raise UsageError(f"{path}: ragged sample counts at cell ({i},{j})")
+        values = np.zeros((n, m, s))
+        for (i, j), d in cells.items():
             for k, v in d.items():
                 values[i, j, k] = v
         return cls(n=n, m=m, s=s, h=h, values=values, rng_seed=rng_seed)

@@ -201,6 +201,8 @@ class MechanismTable:
             raise UsageError(
                 f"payments shape {self.payments.shape} != ({r}, {self.domain.n})"
             )
+        if not np.all(np.isfinite(self.probs)):
+            raise UsageError("lottery probabilities must be finite")
         if self.probs.size and self.probs.min() < -1e-9:
             raise UsageError("lottery probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)
@@ -499,6 +501,13 @@ def _num_from_str(s: str, where: str) -> float:
 
 
 def serialize_mechanism(mech: MechanismTable) -> str:
+    """Canonical text of a mechanism file: compact JSON with sorted keys.
+
+    The rows are written piece by piece from the arrays; their key order is
+    fixed by hand (``entries`` < ``profile``; ``outcome`` < ``p`` < ``pay``),
+    so the text equals ``json.dumps`` of the same document with
+    ``sort_keys=True`` byte for byte.
+    """
     dom = mech.domain
     header = {
         "format": _FORMAT,
@@ -513,22 +522,28 @@ def serialize_mechanism(mech: MechanismTable) -> str:
         ],
         "meta": mech.meta,
     }
-    rows = []
-    for rank, profile in enumerate(dom.profiles()):
-        entries = [
-            {
-                "p": _num_to_str(mech.probs[rank, o]),
-                "outcome": int(o),
-                "pay": [_num_to_str(x) for x in mech.payments[rank]],
-            }
-            for o in np.flatnonzero(mech.probs[rank] != 0.0)
-        ]
-        rows.append(
-            {"profile": [int(k) for bidder in profile for k in bidder], "entries": entries}
+    types = [
+        [",".join(map(str, t)) for t in dom.bidder_types(i).tolist()]
+        for i in range(dom.n)
+    ]
+    profiles = map(",".join, itertools.product(*types))  # rank order
+    pay_texts = map(repr, mech.payments.ravel().tolist())
+    # one shared iterator, so zip yields each row's n payments in turn
+    pays = ['"' + '","'.join(row) + '"' for row in zip(*[pay_texts] * dom.n)]
+    rank, outcome = np.nonzero(mech.probs != 0.0)
+    entries = [
+        f'{{"outcome":{o},"p":"{p!r}","pay":[{pays[r]}]}}'
+        for r, o, p in zip(
+            rank.tolist(), outcome.tolist(), mech.probs[rank, outcome].tolist()
         )
-    return json.dumps(
-        {"header": header, "rows": rows}, sort_keys=True, separators=(",", ":")
+    ]
+    bounds = np.searchsorted(rank, np.arange(dom.num_profiles + 1)).tolist()
+    rows = ",".join(
+        f'{{"entries":[{",".join(entries[a:b])}],"profile":[{profile}]}}'
+        for profile, a, b in zip(profiles, bounds, bounds[1:])
     )
+    head = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return f'{{"header":{head},"rows":[{rows}]}}'
 
 
 def deserialize_mechanism(text: str) -> MechanismTable:

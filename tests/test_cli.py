@@ -248,6 +248,51 @@ class TestExitCodes:
         assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn-bic", "--config", "{w}/inst.json", "--s", "20", "--seed", "1",
+             "--out", "{w}/nodir/o.json"],
+            ["concentrate", "--config", "{w}/conc.json", "--seed", "1",
+             "--out", "{w}/nodir/c.csv"],
+            ["sweep", "--config", "{w}/sweep.json", "--out", "{w}/inst.json"],
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, workdir, capsys, argv):
+        (workdir / "conc.json").write_text(json.dumps({
+            "epsilon": 0.5, "h": 1.0, "s": 10, "epsilon_dev": 0.1, "trials": 5,
+            "marginals": [{"values": [0.5], "probs": ["1"]}], "f": {"kind": "scaled_sum"},
+        }))
+        (workdir / "sweep.json").write_text(json.dumps(
+            {"instance": INSTANCE, "mode": "bic", "s_values": [5], "seeds": [0]}
+        ))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {argv[-1].format(w=workdir)}: cannot write: ")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0,0,0,abc", "line 2: could not convert"),
+            ("0,0", "line 2: expected 4 fields"),
+            ("0,0,-5,1.0", "line 2: negative index"),
+            ("0,0,0,1.0\n0,1,0,1.0,7", "line 3: expected 4 fields"),
+            ("0,0,0,1.0\n3,1,0,1.0", "samples cover 2 of 4x2 cells"),
+            ("0,0,999999999999,1.0", "ragged sample counts"),
+            ("0,0,0,nan\n0,1,0,1.0", "must lie in"),
+        ],
+        ids=["not_a_number", "short_row", "negative_index", "long_row",
+             "missing_cell", "huge_index", "nan_value"],
+    )
+    def test_malformed_sample_csv_is_usage_error(self, workdir, capsys, body, message):
+        samples = workdir / "samples.csv"
+        samples.write_text(f"bidder,parameter,sample_index,value\n{body}\n")
+        assert cli_dispatch(
+            ["learn-bic", "--config", str(workdir / "inst.json"), "--samples",
+             str(samples), "--out", str(workdir / "o.json")]
+        ) == 1
+        assert message in capsys.readouterr().err
+
     def test_verify_declared_bound_violation_is_exit_three(self, workdir):
         from mechlearn.mechanism import deserialize_mechanism, serialize_mechanism
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,15 +10,23 @@ from hypothesis import strategies as st
 from mechlearn import (
     GridSpec,
     MechanismTable,
+    OracleProblem,
     ParseError,
+    PriorCell,
+    PriorDescription,
     ProfileDomain,
     UsageError,
+    ValuationModel,
     deserialize_mechanism,
     enumerate_multi_item,
     interim_form,
+    learn_bic,
+    learn_dsic,
     regret_report,
     revenue,
+    sample_prior,
     serialize_mechanism,
+    solve_optimal,
 )
 from mechlearn.mechanism import axis_views
 from conftest import posted_price_table, product_prior
@@ -375,6 +384,17 @@ class TestSerialization:
         with pytest.raises(ParseError, match="sum"):
             deserialize_mechanism(bad)
 
+    def test_nan_lottery_is_rejected_before_it_is_written(self, quarter_grid):
+        # NaN fails every comparison, so the range and sum checks let it by;
+        # written out it becomes "p":"nan", which no reader accepts.
+        mech = posted_price_table(quarter_grid, price=1.0)
+        probs = mech.probs.copy()
+        probs[0, 1] = np.nan
+        with pytest.raises(UsageError, match="finite"):
+            MechanismTable(
+                domain=mech.domain, space=mech.space, probs=probs, payments=mech.payments
+            )
+
     def test_rejects_unknown_format(self):
         with pytest.raises(ParseError):
             deserialize_mechanism('{"header": {"format": "bogus"}, "rows": []}')
@@ -413,6 +433,59 @@ class TestSerialization:
         del {"header": doc["header"], "row": row, "entry": row["entries"][0]}[where][key]
         with pytest.raises(ParseError):
             deserialize_mechanism(json.dumps(doc))
+
+
+def _pinned_mechanism(name: str) -> MechanismTable:
+    additive = ValuationModel(tag="additive")
+    if name in ("learned_dsic", "learned_bic"):
+        cell = PriorCell("uniform", {"low": 0.0, "high": 2.0})
+        desc = PriorDescription(n=2, m=2, h=2.0, cells=((cell, cell), (cell, cell)))
+        samples = sample_prior(desc, 2, 2, 3, seed=5)
+        learn = learn_dsic if name == "learned_dsic" else learn_bic
+        return learn(samples, 0.5, enumerate_multi_item(2, 2), additive).inner
+    spec = GridSpec(epsilon=1.0, h=2.0)
+    if name == "support_n3":
+        prior = product_prior(spec, [
+            [{1: Fraction(1, 3), 2: Fraction(2, 3)}],
+            [{0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}],
+            [{2: 1}],
+        ])
+        problem = OracleProblem(
+            prior=prior, space=enumerate_multi_item(3, 1), model=additive, ic_mode="bic"
+        )
+        return solve_optimal(problem).mechanism
+    # hand-built: a -0.0 payment, a 1/3 lottery and zero-probability outcomes
+    probs = np.zeros((9, 4))
+    probs[:, 0] = 1.0
+    probs[4] = [1 / 3, 0.0, 0.0, 2 / 3]
+    probs[8] = [0.0, 0.25, 0.75, 0.0]
+    payments = np.zeros((9, 1))
+    payments[0, 0] = -0.0
+    payments[4, 0] = 1 / 3
+    payments[8, 0] = 1.1
+    return MechanismTable(
+        domain=ProfileDomain.full_grid(spec, 1, 2),
+        space=enumerate_multi_item(1, 2),
+        probs=probs,
+        payments=payments,
+        meta={"note": "hand-built", "bound": 0.1},
+    )
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("learned_dsic", "40b9ff7af919737d346643458edd6052ad18f598386f5472bcd5f18edcd8eac2"),
+        ("learned_bic", "0af3a30fd429b2846a77e8f3dba70e78adcb0606a68abf63ab31e2853910b048"),
+        ("support_n3", "1a7ef3dfc6856575506468dc577e182c1b895b3095b36eb5bbf5d7729949c76a"),
+        ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
+    ],
+)
+def test_serialized_bytes_are_pinned(name, digest):
+    # Every byte of the canonical mechanism file: key order, number text,
+    # row and entry order, and which zero-probability outcomes are left out.
+    text = serialize_mechanism(_pinned_mechanism(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _small_documents() -> list[str]:
