@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import TOOL_VERSION
 from .errors import ConfigError, UsageError, read_text, write_text
-from .grid import DiscreteMarginal, GridSpec, ProductPrior
+from .grid import DiscreteMarginal, GridSpec
 from .learner import learn_bic, learn_dsic
 from .mechanism import regret_report
 from .myerson import learn_single_parameter
@@ -138,11 +138,6 @@ def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
     eta = 2.0 * bundle.m * bundle.spec.epsilon if mode == "dsic" else 0.0
     from .exactlp import OUTCOME_GUARD, PROFILE_GUARD, brute_force_optimal
 
-    profiles = grid_prior_profile_count(grid_prior)
-    if profiles <= PROFILE_GUARD and bundle.space.num_outcomes <= OUTCOME_GUARD:
-        return float(
-            brute_force_optimal(grid_prior, bundle.space, bundle.model, ic_mode, eta)
-        )
     problem = OracleProblem(
         prior=grid_prior,
         space=bundle.space,
@@ -150,15 +145,14 @@ def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
         ic_mode=ic_mode,
         eta=eta,
     )
+    if (
+        problem.domain().num_profiles <= PROFILE_GUARD
+        and bundle.space.num_outcomes <= OUTCOME_GUARD
+    ):
+        return float(
+            brute_force_optimal(grid_prior, bundle.space, bundle.model, ic_mode, eta)
+        )
     return solve_optimal(problem).objective_value
-
-
-def grid_prior_profile_count(prior: ProductPrior) -> int:
-    count = 1
-    for row in prior.marginals:
-        for marg in row:
-            count *= len(marg.support)
-    return count
 
 
 def _run_cell(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,9 +56,6 @@ class IronedVirtuals:
     @property
     def support(self) -> tuple[int, ...]:
         return self.marginal.support
-
-    def phi(self, position: int) -> float:
-        return float(self.phi_exact[position])
 
     def phi_floats(self) -> np.ndarray:
         return np.array([float(p) for p in self.phi_exact])
@@ -172,64 +170,64 @@ class MyersonAuction:
     def support_values(self, i: int) -> np.ndarray:
         return self.virtuals[i].marginal.support_values()
 
-    def _choose(self, phi: Sequence[float | None]) -> int:
-        """Argmax outcome of total virtual welfare under the fixed tie order.
+    @cached_property
+    def _position_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Chosen outcome (-1 where none is feasible) and every bidder's
+        ladder payment at every position profile. Axis i is indexed by
+        bidder i's position + 1, so index 0 is NON_PARTICIPANT.
 
-        ``phi[i] is None`` marks a non-participant, whose allocation must be
-        zero in the chosen outcome.
+        The chosen outcome is the first of the lexicographic maxima of
+        (virtual welfare, total allocation) among the outcomes that give
+        no non-participant any allocation; the total is negated when zero
+        ties do not allocate. Welfare is summed in bidder order.
         """
         alloc = self.space.alloc[:, :, 0]  # (K, n)
-        feasible = np.ones(alloc.shape[0], dtype=bool)
-        vw = np.zeros(alloc.shape[0])
+        shape = tuple(len(iv.support) + 1 for iv in self.virtuals)
+        welfare = np.zeros(shape + alloc.shape[:1])
+        feasible = np.ones(welfare.shape, dtype=bool)
         total = np.zeros(alloc.shape[0])
-        for i, f in enumerate(phi):
-            if f is None:
-                feasible &= alloc[:, i] == 0.0
-            else:
-                vw += alloc[:, i] * f
-                total += alloc[:, i]
-        if not np.any(feasible):
+        for i, iv in enumerate(self.virtuals):
+            phi = np.concatenate(([0.0], iv.phi_floats()))
+            welfare += phi.reshape((-1,) + (1,) * (self.n - i)) * alloc[:, i]
+            feasible[(slice(None),) * i + (0,)] &= alloc[:, i] == 0.0
+            total += alloc[:, i]
+        best = np.where(feasible, welfare, -np.inf).max(axis=-1, keepdims=True)
+        tied = feasible & (welfare == best)
+        key = np.where(tied, total if self.allocate_on_zero_ties else -total, -np.inf)
+        tied &= key == key.max(axis=-1, keepdims=True)
+        chosen = np.where(feasible.any(axis=-1), tied.argmax(axis=-1), -1)
+
+        # Myerson's payment identity on the ladder: a bidder at position p
+        # pays v_p x_p minus the sum over lower positions l of
+        # x_l (v_{l+1} - v_l), all other positions held fixed.
+        payments = np.zeros(shape + (self.n,))
+        for i in range(self.n):
+            vals = self.support_values(i)
+            x = np.moveaxis(alloc[chosen, i], i, -1)[..., 1:]
+            ladder = np.zeros_like(x)
+            np.cumsum(x[..., :-1] * np.diff(vals), axis=-1, out=ladder[..., 1:])
+            np.moveaxis(payments[..., i], i, -1)[..., 1:] = vals * x - ladder
+        return chosen, payments
+
+    def _outcomes_at(self, index: tuple) -> np.ndarray:
+        chosen = self._position_table[0][index]
+        if np.any(chosen < 0):
             raise UsageError(
                 "no outcome excludes the non-participating bidders; the space "
                 "cannot host below-minimum bids"
             )
-        order = np.flatnonzero(feasible)
-        best = order[0]
-        for o in order[1:]:
-            if vw[o] > vw[best]:
-                best = o
-            elif vw[o] == vw[best]:
-                if self.allocate_on_zero_ties and total[o] > total[best]:
-                    best = o
-                elif not self.allocate_on_zero_ties and total[o] < total[best]:
-                    best = o
-        return int(best)
+        return chosen
 
     def outcome_for_positions(self, positions: Sequence[int]) -> int:
-        phi = [
-            None if pos == NON_PARTICIPANT else self.virtuals[i].phi(pos)
-            for i, pos in enumerate(positions)
-        ]
-        return self._choose(phi)
+        return int(self._outcomes_at(tuple(p + 1 for p in positions)))
 
     def priced_outcome(self, positions: Sequence[int]) -> PricedOutcome:
         """Allocation plus ladder-threshold payments for support positions."""
-        chosen = self.outcome_for_positions(positions)
-        alloc = self.space.alloc[:, :, 0]
-        payments = np.zeros(self.n)
-        for i, pos in enumerate(positions):
-            if pos == NON_PARTICIPANT:
-                continue
-            x_here = alloc[chosen, i]
-            support_vals = self.support_values(i)
-            ladder = 0.0
-            for lower in range(pos):
-                probe = list(positions)
-                probe[i] = lower
-                x_low = alloc[self.outcome_for_positions(probe), i]
-                ladder += x_low * (support_vals[lower + 1] - support_vals[lower])
-            payments[i] = support_vals[pos] * x_here - ladder
-        return PricedOutcome(outcome=chosen, payments=payments)
+        index = tuple(p + 1 for p in positions)
+        return PricedOutcome(
+            outcome=int(self._outcomes_at(index)),
+            payments=self._position_table[1][index].copy(),
+        )
 
 
 def snap_to_support(v: float, marginal: DiscreteMarginal) -> int:
@@ -265,27 +263,18 @@ def single_parameter_table(
 
     n = auction.n
     domain = ProfileDomain.full_grid(spec, n, 1)
-    k_out = auction.space.num_outcomes
     r = domain.num_profiles
-    probs = np.zeros((r, k_out))
-    payments = np.zeros((r, n))
-    support_positions = []
-    for i in range(n):
-        vals = auction.support_values(i)
-        grid_vals = spec.values()
-        support_positions.append(
-            np.searchsorted(vals, grid_vals, side="right") - 1
+    # snapped position + 1 of every grid value, 0 below the support
+    index = np.ix_(
+        *(
+            np.searchsorted(auction.support_values(i), spec.values(), side="right")
+            for i in range(n)
         )
-    for rank, profile in enumerate(domain.profiles()):
-        positions = [
-            int(support_positions[i][profile[i][0]]) for i in range(n)
-        ]
-        positions = [
-            p if p >= 0 else NON_PARTICIPANT for p in positions
-        ]
-        priced = auction.priced_outcome(positions)
-        probs[rank, priced.outcome] = 1.0
-        payments[rank] = priced.payments
+    )
+    chosen = auction._outcomes_at(index).ravel()
+    probs = np.zeros((r, auction.space.num_outcomes))
+    probs[np.arange(r), chosen] = 1.0
+    payments = auction._position_table[1][index].reshape(r, n)
     return MechanismTable(
         domain=domain,
         space=auction.space,

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .errors import CapacityError, InvariantError, UsageError
+from .errors import CapacityError, InvariantError, UsageError, write_text
 from .grid import ProductPrior
 from .mechanism import (
     MechanismTable,
@@ -416,21 +416,21 @@ def _dump_lp(
             terms.append(f"{sign} {abs(float(v))!r} {var(j)}")
         return " ".join(terms) if terms else "0"
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("Minimize\n obj: ")
-        fh.write(
-            " ".join(
-                f"{'+' if v >= 0 else '-'} {abs(float(v))!r} {var(j)}"
-                for j, v in enumerate(c)
-                if v != 0.0
-            )
-        )
-        fh.write("\nSubject To\n")
-        for r in range(a_ub.shape[0]):
-            fh.write(f" ub{r}: {expr(a_ub.getrow(r))} <= {float(b_ub[r])!r}\n")
-        for r in range(a_eq.shape[0]):
-            fh.write(f" eq{r}: {expr(a_eq.getrow(r))} = {float(b_eq[r])!r}\n")
-        fh.write("Bounds\n")
-        for j in range(n_x, len(c)):
-            fh.write(f" {var(j)} free\n")
-        fh.write("End\n")
+    objective = " ".join(
+        f"{'+' if v >= 0 else '-'} {abs(float(v))!r} {var(j)}"
+        for j, v in enumerate(c)
+        if v != 0.0
+    )
+    lines = ["Minimize", f" obj: {objective}", "Subject To"]
+    lines += [
+        f" ub{r}: {expr(a_ub.getrow(r))} <= {float(b_ub[r])!r}"
+        for r in range(a_ub.shape[0])
+    ]
+    lines += [
+        f" eq{r}: {expr(a_eq.getrow(r))} = {float(b_eq[r])!r}"
+        for r in range(a_eq.shape[0])
+    ]
+    lines.append("Bounds")
+    lines += [f" {var(j)} free" for j in range(n_x, len(c))]
+    lines.append("End")
+    write_text(path, "\n".join(lines) + "\n")

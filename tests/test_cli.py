@@ -256,6 +256,8 @@ class TestExitCodes:
             ["concentrate", "--config", "{w}/conc.json", "--seed", "1",
              "--out", "{w}/nodir/c.csv"],
             ["sweep", "--config", "{w}/sweep.json", "--out", "{w}/inst.json"],
+            ["oracle", "--config", "{w}/inst.json", "--out", "{w}/o.json",
+             "--lp-dump", "{w}/nodir/d.lp"],
         ],
     )
     def test_unwritable_output_is_usage_error(self, workdir, capsys, argv):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -329,3 +330,192 @@ class TestMyersonOptimality:
             got = revenue(table, prior)
             opt = float(brute_force_optimal(prior, space, model, "bic"))
             assert got == pytest.approx(opt, abs=1e-7)
+
+
+def _pin_auctions():
+    """Four auctions whose tables and priced outcomes are pinned by digest:
+    one bidder; supports above index 0; three bidders on fractional levels
+    with a non-dyadic grid step; and the no-allocation tie convention."""
+    one = GridSpec(epsilon=1.0, h=10.0)
+    half = GridSpec(epsilon=0.5, h=2.0)
+    tenth = GridSpec(epsilon=0.1, h=1.0)
+    # as one bidder's virtual value rises the choice walks through several
+    # allocation levels, so ladders hold several nonzero inexact terms
+    fractional = single_parameter_space(
+        [
+            [0, 0, 0],
+            [1, 0, 0],
+            [0.8, 0.5, 0],
+            [0.5, 0.8, 0.1],
+            [0, 1, 0],
+            [0.3, 0.9, 0.2],
+            [0.1, 0.3, 0.9],
+            [0, 0, 1],
+            [0.7, 0, 0.6],
+        ]
+    )
+    halves = single_parameter_space([[0, 0], [1, 0], [0, 1], [0.5, 0.5]])
+    return [
+        (one, (marginal(one, {4: "1/2", 5: "3/10", 10: "1/5"}),), single_item_space(1), True),
+        (
+            half,
+            (marginal(half, {1: "1/3", 3: "2/3"}), marginal(half, {2: "1/2", 4: "1/2"})),
+            single_item_space(2),
+            True,
+        ),
+        (
+            tenth,
+            (
+                marginal(tenth, {3: "2/13", 4: "2/13", 5: "3/13", 6: "3/13", 9: "3/13"}),
+                marginal(
+                    tenth,
+                    {0: "1/19", 3: "4/19", 5: "4/19", 6: "4/19", 7: "2/19", 8: "1/19", 9: "3/19"},
+                ),
+                marginal(
+                    tenth,
+                    {1: "2/17", 2: "2/17", 3: "3/17", 4: "3/17", 5: "2/17", 7: "1/17", 8: "4/17"},
+                ),
+            ),
+            fractional,
+            True,
+        ),
+        (
+            half,
+            (marginal(half, {2: "1/2", 4: "1/2"}), marginal(half, {0: "1/4", 2: "1/4", 4: "1/2"})),
+            halves,
+            False,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "case, table_digest, priced_digest",
+    [
+        (
+            0,
+            "2ffc77d367525351b4a333cb100b1a969943536d9afafdccf7e246a9903c015a",
+            "e2d7fc9ea0f77c1625303ef97129b6a50e03f62cd36b27e42c445ffd52554f2a",
+        ),
+        (
+            1,
+            "d48119946a09f1a9f18eca1522fcc8881b08b66458607c3b0308552e469d55c7",
+            "16597f1735222505b2b6c5db9390f6a1f870fe31ed2346d616ab0d8114cd2ea9",
+        ),
+        (
+            2,
+            "f5aba4eb8ddf6453db45e6ad8177ff21a4644bb3b963125284b968bffd551e83",
+            "437f2d244543b5e458053be726560c253d14cdd1295aecf3a8303e2b0e8f78f7",
+        ),
+        (
+            3,
+            "8379738ff8b721eb8973fc00b26d22011830123d438cffcf76b381b4faba44b9",
+            "0ad8de560b8393dd20f5f085df8add6a998899bb01315714bbd7492e499fc47c",
+        ),
+    ],
+    ids=["one_bidder", "supports_above_zero", "fractional_levels", "no_allocation_on_ties"],
+)
+def test_tables_are_pinned(case, table_digest, priced_digest):
+    # Digests of the table bytes and of priced_outcome at every position
+    # profile, NON_PARTICIPANT included: the tie order and the order in which
+    # ladder payments are summed both show in the last bits.
+    spec, margs, space, allocate = _pin_auctions()[case]
+    auction = MyersonAuction(
+        virtuals=tuple(iron(m) for m in margs),
+        space=space,
+        allocate_on_zero_ties=allocate,
+    )
+    table = single_parameter_table(auction, spec)
+    got_table = hashlib.sha256(table.probs.tobytes() + table.payments.tobytes())
+    got_priced = hashlib.sha256()
+    for positions in itertools.product(
+        *(range(NON_PARTICIPANT, len(m.support)) for m in margs)
+    ):
+        priced = auction.priced_outcome(list(positions))
+        got_priced.update(np.int64(priced.outcome).tobytes() + priced.payments.tobytes())
+    assert (got_table.hexdigest(), got_priced.hexdigest()) == (table_digest, priced_digest)
+
+
+def test_missing_exclusion_fails_only_when_looked_up():
+    # every outcome allocates to bidder 0, so no outcome leaves bidder 0 out
+    spec = GridSpec(epsilon=0.5, h=1.0)
+    space = single_parameter_space([[1, 0], [0.5, 0.5]])
+    low = marginal(spec, {0: "1/2", 2: "1/2"})
+    high = marginal(spec, {1: "1/2", 2: "1/2"})
+    built = single_parameter_table(
+        MyersonAuction(virtuals=(iron(low), iron(high)), space=space), spec
+    )
+    assert built.probs.sum(axis=1).tolist() == [1.0] * built.domain.num_profiles
+    auction = MyersonAuction(virtuals=(iron(high), iron(low)), space=space)
+    with pytest.raises(UsageError, match="no outcome excludes"):
+        single_parameter_table(auction, spec)
+    with pytest.raises(UsageError, match="no outcome excludes"):
+        auction.priced_outcome([NON_PARTICIPANT, 0])
+    assert auction.priced_outcome([0, NON_PARTICIPANT]).outcome == 0
+
+
+def _reference_priced(auction, positions):
+    """Per-query reference for priced_outcome: a scan over the outcomes for
+    the first one of greatest (welfare, signed total allocation), then the
+    ladder summed upward from the lowest position."""
+    alloc = auction.space.alloc[:, :, 0]
+
+    def choose(pos):
+        best, best_key = None, None
+        for o in range(alloc.shape[0]):
+            if any(p == NON_PARTICIPANT and alloc[o, i] != 0.0 for i, p in enumerate(pos)):
+                continue
+            welfare, total = 0.0, 0.0
+            for i, p in enumerate(pos):
+                if p != NON_PARTICIPANT:
+                    welfare += alloc[o, i] * float(auction.virtuals[i].phi_exact[p])
+                    total += alloc[o, i]
+            key = (welfare, total if auction.allocate_on_zero_ties else -total)
+            if best is None or key > best_key:
+                best, best_key = o, key
+        if best is None:
+            raise UsageError("no outcome excludes the non-participating bidders")
+        return best
+
+    chosen = choose(positions)
+    payments = np.zeros(auction.n)
+    for i, p in enumerate(positions):
+        if p == NON_PARTICIPANT:
+            continue
+        vals = auction.support_values(i)
+        ladder = 0.0
+        for low in range(p):
+            probe = positions[:i] + (low,) + positions[i + 1 :]
+            ladder += alloc[choose(probe), i] * (vals[low + 1] - vals[low])
+        payments[i] = vals[p] * alloc[chosen, i] - ladder
+    return chosen, payments
+
+
+def test_priced_outcome_matches_the_per_query_reference():
+    rng = np.random.default_rng(41)
+    spec = GridSpec(epsilon=0.1, h=1.0)
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        levels = rng.choice([0.0, 0.25, 1 / 3, 0.5, 0.7, 1.0], size=(int(rng.integers(2, 7)), n))
+        if rng.random() < 0.7:
+            levels[0] = 0.0
+        margs = []
+        for _ in range(n):
+            idx = sorted(rng.choice(spec.levels, size=int(rng.integers(1, 5)), replace=False))
+            w = rng.integers(1, 5, size=len(idx))
+            margs.append(marginal(spec, {int(k): Fraction(int(x), int(w.sum())) for k, x in zip(idx, w)}))
+        auction = MyersonAuction(
+            virtuals=tuple(iron(m) for m in margs),
+            space=single_parameter_space(levels),
+            allocate_on_zero_ties=bool(rng.random() < 0.5),
+        )
+        for positions in itertools.product(
+            *(range(NON_PARTICIPANT, len(m.support)) for m in margs)
+        ):
+            try:
+                expected = _reference_priced(auction, positions)
+            except UsageError:
+                with pytest.raises(UsageError, match="no outcome excludes"):
+                    auction.priced_outcome(list(positions))
+                continue
+            got = auction.priced_outcome(list(positions))
+            assert (got.outcome, got.payments.tobytes()) == (expected[0], expected[1].tobytes())
