@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from ._version import TOOL_VERSION
@@ -31,7 +32,7 @@ from .experiments import (
     run_sweep,
     write_rows_csv,
 )
-from .grid import SampleSet
+from .grid import DiscreteMarginal, GridSpec, SampleSet, round_down
 from .learner import (
     LearnedMechanism,
     learn_bic,
@@ -41,6 +42,7 @@ from .learner import (
     nudge_to_ic,
 )
 from .mechanism import (
+    audit_over_domain,
     deserialize_mechanism,
     regret_report,
     revenue,
@@ -197,10 +199,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_concentrate(args) -> int:
-    from fractions import Fraction
-
-    from .grid import DiscreteMarginal, GridSpec, round_down
-
     cfg = _load_json(args.config)
     spec = GridSpec(epsilon=float(cfg["epsilon"]), h=float(cfg["h"]))
     marginals = []
@@ -263,8 +261,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .mechanism import audit_over_domain
-
     mech = deserialize_mechanism(read_text(args.mech))
     prior = _load_prior_arg(args.prior).to_grid_prior(mech.domain.spec)
     model_cfg = mech.meta.get("model")

@@ -14,10 +14,12 @@ contract.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -28,7 +30,7 @@ from ._version import TOOL_VERSION
 from .errors import ConfigError, UsageError, read_text, write_text
 from .grid import DiscreteMarginal, GridSpec
 from .learner import learn_bic, learn_dsic
-from .mechanism import regret_report
+from .mechanism import deserialize_mechanism, regret_report
 from .myerson import learn_single_parameter
 from .oracle import OracleProblem, solve_optimal
 from .outcomes import OutcomeSpace, ValuationModel, model_from_config, space_from_config
@@ -225,8 +227,6 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
         row["benchmark_revenue"] = benchmark
         row["gap"] = benchmark - row["learned_revenue"]
         if config.mode == "bic" and row["regret"] > soft_bound + 1e-8:
-            import warnings
-
             warnings.warn(
                 f"single-run regret {row['regret']} above the {soft_bound} "
                 f"bound at (s={s}, seed={seed}); the guarantee is only "
@@ -406,8 +406,6 @@ def profile_function_from_config(
             total = total + g
         return total / (len(marginals) * h), 1.0
     if kind == "mechanism_revenue":
-        from .mechanism import deserialize_mechanism
-
         mech = deserialize_mechanism(read_text(obj["mechanism"]))
         if len(marginals) != mech.n * mech.m:
             raise ConfigError(
@@ -418,8 +416,6 @@ def profile_function_from_config(
             raise UsageError("mechanism payments are negative; f must be in [0, H_f]")
         f = np.zeros(sizes)
         supports = [m.support for m in marginals]
-        import itertools
-
         for combo in itertools.product(*(range(len(s)) for s in supports)):
             profile = [
                 [

@@ -9,6 +9,7 @@ multiples of 1/S.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -217,8 +218,6 @@ class ProductPrior:
 
     def support_profiles(self) -> Iterator[tuple[tuple[int, ...], ...]]:
         """All profiles in the support, as n-tuples of m-tuples of indices."""
-        import itertools
-
         per_bidder = [
             list(itertools.product(*(row[j].support for j in range(self.m))))
             for row in self.marginals

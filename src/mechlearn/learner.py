@@ -26,9 +26,9 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    axis_views,
     expost_utilities,
     interim_utilities,
+    max_gain,
 )
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
@@ -212,20 +212,14 @@ class Menu:
 
     def utilities(self, model: ValuationModel, spec: GridSpec) -> np.ndarray:
         """(T, E) utility of every grid type for every entry."""
-        from .outcomes import grid_type_indices
-
-        types = grid_type_indices(spec, self.space.m)
-        val = model.values_for(self.space, 0, types * spec.epsilon)  # (T, K)
+        val = model.value_table(self.space, spec, 0)  # (T, K)
         probs = np.stack([e.probs for e in self.entries], axis=0)  # (E, K)
         pay = np.array([e.payment for e in self.entries])
         return val @ probs.T - pay[None, :]
 
 
 def _zero_entry(space: OutcomeSpace, model: ValuationModel, spec: GridSpec) -> MenuEntry:
-    from .outcomes import grid_type_indices
-
-    types = grid_type_indices(spec, space.m)
-    val = model.values_for(space, 0, types * spec.epsilon)
+    val = model.value_table(space, spec, 0)
     zero_cols = np.flatnonzero(np.all(val == 0.0, axis=0))
     if zero_cols.size == 0:
         raise UsageError(
@@ -309,11 +303,14 @@ def menu_mechanism(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_points(spec: GridSpec, m: int, per_coord: int) -> np.ndarray:
-    """(per_coord^m, m) real parameter vectors covering [0, h]."""
+def _lattice(spec: GridSpec, m: int, per_coord: int) -> tuple[np.ndarray, np.ndarray]:
+    """(per_coord^m, m) real parameter vectors covering [0, h], and the grid
+    type rank each rounds down to: its truthful report through the wrapper."""
     axis = np.linspace(0.0, spec.h, per_coord)
     mesh = np.meshgrid(*([axis] * m), indexing="ij")
-    return np.stack([g.reshape(-1) for g in mesh], axis=1)
+    pts = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    idx = np.stack([round_down_indices(pts[:, j], spec) for j in range(m)], axis=1)
+    return pts, grid_type_ranks(idx, spec.levels)
 
 
 def real_lattice_bic_regret(
@@ -324,20 +321,13 @@ def real_lattice_bic_regret(
 ) -> float:
     """Worst interim deviation gain when true types live on a real lattice
     and reports pass through the rounding wrapper; prior over grid types."""
-    inner = mech.inner
-    spec = mech.spec
+    pts, truth = _lattice(mech.spec, mech.m, per_coord)
     worst = 0.0
     for k in range(mech.n):
-        pts = _lattice_points(spec, mech.m, per_coord)
-        val_real = model.values_for(inner.space, k, pts)  # (T_real, K)
-        u, _ = interim_utilities(inner, prior, k, val_real)  # (T_real, T_grid)
-        idx = np.stack(
-            [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
-        )
-        truth_rank = grid_type_ranks(idx, spec.levels)
-        truthful = u[np.arange(u.shape[0]), truth_rank]
-        worst = max(worst, float(np.max(u - truthful[:, None])))
-    return max(worst, 0.0)
+        val = model.values_for(mech.inner.space, k, pts)  # (T_real, K)
+        u, _ = interim_utilities(mech.inner, prior, k, val)  # (T_real, T_grid)
+        worst = max(worst, max_gain(u, truth)[0])
+    return worst
 
 
 def real_lattice_dsic_regret(
@@ -347,18 +337,10 @@ def real_lattice_dsic_regret(
 ) -> float:
     """Worst ex-post deviation gain over a real lattice of true types, with
     others' bids ranging over all grid profiles."""
-    inner = mech.inner
-    spec = mech.spec
+    pts, truth = _lattice(mech.spec, mech.m, per_coord)
     worst = 0.0
     for k in range(mech.n):
-        probs_view, pay_view = axis_views(inner, k)  # (T_grid, R_rest, K)
-        pts = _lattice_points(spec, mech.m, per_coord)
-        val_real = model.values_for(inner.space, k, pts)  # (T_real, K)
-        u = expost_utilities(probs_view, pay_view, val_real)
-        idx = np.stack(
-            [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
-        )
-        truth_rank = grid_type_ranks(idx, spec.levels)
-        truthful = u[np.arange(u.shape[0]), truth_rank, :]  # (T_real, R_rest)
-        worst = max(worst, float(np.max(u - truthful[:, None, :])))
-    return max(worst, 0.0)
+        val = model.values_for(mech.inner.space, k, pts)  # (T_real, K)
+        u = expost_utilities(mech.inner, k, val)  # (T_real, T_grid, R_rest)
+        worst = max(worst, max_gain(u, truth)[0])
+    return worst

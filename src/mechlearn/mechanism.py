@@ -20,7 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvariantError, ParseError, UsageError
+from .errors import CapacityError, InvariantError, ParseError, UsageError
 from .grid import GridSpec, ProductPrior
 from .outcomes import OutcomeSpace, ValuationModel, grid_type_ranks
 
@@ -34,6 +34,7 @@ __all__ = [
     "rest_weights",
     "interim_utilities",
     "expost_utilities",
+    "max_gain",
     "revenue",
     "interim_form",
     "regret_report",
@@ -41,6 +42,10 @@ __all__ = [
     "serialize_mechanism",
     "deserialize_mechanism",
 ]
+
+# cells of the one (T_values, T_k, R_rest) ex-post utility tensor; 1e8
+# doubles are 800 MB
+EXPOST_CELL_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -224,10 +229,6 @@ class MechanismTable:
     def m(self) -> int:
         return self.domain.m
 
-    def row(self, profile: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-        r = self.domain.profile_rank(profile)
-        return self.probs[r], self.payments[r]
-
     def lottery_entries(self, rank: int) -> list[tuple[float, int, np.ndarray]]:
         """Explicit (probability, outcome, payments) entries of one row."""
         out = []
@@ -305,13 +306,30 @@ def interim_utilities(
     return values @ cp.T - cpay[None, :], cpay
 
 
-def expost_utilities(
-    probs_view: np.ndarray, pay_view: np.ndarray, values: np.ndarray
-) -> np.ndarray:
+def expost_utilities(mech: MechanismTable, k: int, values: np.ndarray) -> np.ndarray:
     """``u[t, s, rest]``: ex-post utility of value row ``values[t]``
-    reporting type s against the others' profile rest, over the mechanism's
-    randomness only; ``probs_view`` and ``pay_view`` come from ``axis_views``."""
-    return np.einsum("sro,to->tsr", probs_view, values) - pay_view[None, :, :]
+    reporting bidder k's domain type s against the others' profile rest,
+    over the mechanism's randomness only. Raises ``CapacityError`` when the
+    tensor would exceed ``EXPOST_CELL_BUDGET`` cells."""
+    cells = len(values) * mech.domain.num_profiles
+    if cells > EXPOST_CELL_BUDGET:
+        raise CapacityError(
+            f"ex-post utility tensor of bidder {k} has {cells} cells, over the "
+            f"{EXPOST_CELL_BUDGET} budget"
+        )
+    probs_view, pay_view = axis_views(mech, k)
+    u = np.einsum("sro,to->tsr", probs_view, values)
+    u -= pay_view
+    return u
+
+
+def max_gain(u: np.ndarray, truth: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest gain of ``u[t, s]`` or ``u[t, s, rest]`` over the truthful
+    report ``u[t, truth[t]]``, and its first index in C order. Overwrites
+    ``u`` with the gains."""
+    u -= u[np.arange(len(u)), truth][:, None]
+    i = int(np.argmax(u))
+    return float(u.flat[i]), tuple(int(x) for x in np.unravel_index(i, u.shape))
 
 
 def _domain_value_table(
@@ -415,48 +433,38 @@ def audit_over_domain(
 ) -> RegretReport:
     """Regret and IR metrics with deviations ranging over the mechanism's
     own domain (full grid or a listed support)."""
-    bic_best = 0.0
-    bic_wit: dict = {}
-    dsic_best = 0.0
-    dsic_wit: dict = {}
-    ir_best = np.inf
-    ir_wit: dict = {}
+    bic, bic_wit = 0.0, {}
+    dsic, dsic_wit = 0.0, {}
+    ir, ir_wit = np.inf, {}
     for k in range(mech.n):
-        types = mech.domain.bidder_types(k)
-        form = interim_form(mech, prior, model, k)
-        u = form.utilities
-        gain = u - np.diag(u)[:, None]
-        t, r = np.unravel_index(np.argmax(gain), gain.shape)
-        if gain[t, r] > bic_best:
-            bic_best = float(gain[t, r])
-            bic_wit = {
-                "bidder": k,
-                "true_type": types[t].tolist(),
-                "report": types[r].tolist(),
-            }
-
-        probs_view, pay_view = axis_views(mech, k)
+        types = mech.domain.bidder_types(k).tolist()
+        own = np.arange(len(types))
         val = _domain_value_table(mech, model, k)
-        u_expost = expost_utilities(probs_view, pay_view, val)
-        truth = np.einsum("tro,to->tr", probs_view, val) - pay_view
-        gain_x = u_expost - truth[:, None, :]
-        t, s, rest = np.unravel_index(np.argmax(gain_x), gain_x.shape)
-        if gain_x[t, s, rest] > dsic_best:
-            dsic_best = float(gain_x[t, s, rest])
+        u, _ = interim_utilities(mech, prior, k, val)
+        gain, (t, r) = max_gain(u, own)
+        if gain > bic:
+            bic = gain
+            bic_wit = {"bidder": k, "true_type": types[t], "report": types[r]}
+
+        u = expost_utilities(mech, k, val)
+        truthful = u[own, own]  # (T_k, R_rest)
+        t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
+        if truthful[t, rest] < ir:
+            ir = float(truthful[t, rest])
+            ir_wit = {"bidder": k, "type": types[t], "rest_rank": int(rest)}
+        gain, (t, s, rest) = max_gain(u, own)
+        if gain > dsic:
+            dsic = gain
             dsic_wit = {
                 "bidder": k,
-                "true_type": types[t].tolist(),
-                "report": types[s].tolist(),
-                "rest_rank": int(rest),
+                "true_type": types[t],
+                "report": types[s],
+                "rest_rank": rest,
             }
-        t, rest = np.unravel_index(np.argmin(truth), truth.shape)
-        if truth[t, rest] < ir_best:
-            ir_best = float(truth[t, rest])
-            ir_wit = {"bidder": k, "type": types[t].tolist(), "rest_rank": int(rest)}
     return RegretReport(
-        bic_regret=max(bic_best, 0.0),
-        dsic_regret=max(dsic_best, 0.0),
-        ir_slack=float(ir_best),
+        bic_regret=bic,
+        dsic_regret=dsic,
+        ir_slack=ir,
         bic_witness=bic_wit,
         dsic_witness=dsic_wit,
         ir_witness=ir_wit,
@@ -467,12 +475,9 @@ def regret_report(
     mech: MechanismTable,
     prior: ProductPrior,
     model: ValuationModel,
-    space: OutcomeSpace | None = None,
 ) -> RegretReport:
     """Full-grid regret report; partial-domain mechanisms must be extended
     first so that deviations range over all grid types."""
-    if space is not None and space is not mech.space:
-        raise UsageError("regret_report must use the mechanism's own space")
     if not mech.domain.is_full_grid:
         raise UsageError(
             "mechanism domain does not cover the full grid; extend it first"
@@ -607,7 +612,10 @@ def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
             p = _num_from_str(entry["p"], where)
             probs[rank, o] += p
             total += p
-            payments[rank] = [ _num_from_str(x, where) for x in entry["pay"] ]
+            pay = [_num_from_str(x, where) for x in entry["pay"]]
+            if e and pay != payments[rank].tolist():
+                raise ParseError(f"{where}: payments {pay} disagree with entry 0")
+            payments[rank] = pay
         if not abs(total - 1.0) <= 1e-9:
             raise ParseError(f"row {rank}: lottery probabilities sum to {total!r}")
     return MechanismTable(

@@ -38,7 +38,6 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
-    axis_views,
     expost_utilities,
     interim_utilities,
     rest_weights,
@@ -49,7 +48,6 @@ from .outcomes import (
     ClosureResult,
     OutcomeSpace,
     ValuationModel,
-    grid_type_indices,
 )
 
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
@@ -299,9 +297,7 @@ def bic_replacement_map(
     mech: MechanismTable, prior: ProductPrior, model: ValuationModel, k: int
 ) -> np.ndarray:
     """Support-type rank chosen for each full-grid type of bidder k."""
-    spec = mech.domain.spec
-    full_types = grid_type_indices(spec, mech.m)
-    val_full = model.values_for(mech.space, k, full_types * spec.epsilon)
+    val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
     best = np.argmax(utilities, axis=1)  # first max = lex smallest type
     to_support = mech.domain.grid_to_domain(k)
@@ -323,7 +319,8 @@ def extend_dsic(
     domain = mech.domain
     spec = domain.spec
     n, m = mech.n, mech.m
-    full_types = grid_type_indices(spec, m)
+    # before the full table: value_table raises CapacityError on a huge grid
+    values = [model.value_table(space, spec, k) for k in range(n)]
     k_out = space.num_outcomes
 
     full_domain = ProfileDomain.full_grid(spec, n, m)
@@ -365,9 +362,7 @@ def extend_dsic(
         ranks = np.flatnonzero(group)
         if ranks.size == 0:
             continue
-        probs_view, pay_view = axis_views(mech, k)  # (T_supp, R_rest, K)
-        val_full = model.values_for(space, k, full_types * spec.epsilon)
-        u = expost_utilities(probs_view, pay_view, val_full)  # (T_full, T_supp, R_rest)
+        u = expost_utilities(mech, k, values[k])  # (T_full, T_supp, R_rest)
         best = np.argmax(u, axis=1)  # (T_full, R_rest), lex-smallest ties
 
         _, rest_rank = domain.split_rank(k, src[ranks])

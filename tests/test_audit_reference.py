@@ -1,0 +1,289 @@
+"""The deviation-gain kernel against the two-tensor audit it replaced.
+
+``_reference_audit`` and ``_reference_lattice_*`` are the previous
+implementations, kept here verbatim in their arithmetic: the truthful
+ex-post utility from its own ``"tro,to->tr"`` contraction, a separate gain
+tensor, and one lattice per bidder. Every report field, every witness and
+both lattice regrets must come out equal, not approximately equal.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from mechlearn import (
+    CapacityError,
+    GridSpec,
+    MechanismTable,
+    OracleProblem,
+    PriorCell,
+    PriorDescription,
+    ProfileDomain,
+    ValuationModel,
+    enumerate_multi_item,
+    extend_bic,
+    extend_dsic,
+    learn_bic,
+    learn_dsic,
+    regret_report,
+    sample_prior,
+    solve_optimal,
+)
+from mechlearn import mechanism
+from mechlearn.grid import round_down_indices
+from mechlearn.learner import (
+    LearnedMechanism,
+    real_lattice_bic_regret,
+    real_lattice_dsic_regret,
+)
+from mechlearn.mechanism import (
+    RegretReport,
+    audit_over_domain,
+    axis_views,
+    interim_form,
+    interim_utilities,
+)
+from mechlearn.outcomes import check_weakly_downward_closed, grid_type_ranks
+
+from conftest import posted_price_table, product_prior
+
+
+def _old_expost(probs_view, pay_view, values):
+    return np.einsum("sro,to->tsr", probs_view, values) - pay_view[None, :, :]
+
+
+def _reference_audit(mech, prior, model) -> RegretReport:
+    bic_best, bic_wit = 0.0, {}
+    dsic_best, dsic_wit = 0.0, {}
+    ir_best, ir_wit = np.inf, {}
+    for k in range(mech.n):
+        types = mech.domain.bidder_types(k)
+        u = interim_form(mech, prior, model, k).utilities
+        gain = u - np.diag(u)[:, None]
+        t, r = np.unravel_index(np.argmax(gain), gain.shape)
+        if gain[t, r] > bic_best:
+            bic_best = float(gain[t, r])
+            bic_wit = {
+                "bidder": k,
+                "true_type": types[t].tolist(),
+                "report": types[r].tolist(),
+            }
+
+        probs_view, pay_view = axis_views(mech, k)
+        val = model.values_for(mech.space, k, types * mech.domain.spec.epsilon)
+        u_expost = _old_expost(probs_view, pay_view, val)
+        truth = np.einsum("tro,to->tr", probs_view, val) - pay_view
+        gain_x = u_expost - truth[:, None, :]
+        t, s, rest = np.unravel_index(np.argmax(gain_x), gain_x.shape)
+        if gain_x[t, s, rest] > dsic_best:
+            dsic_best = float(gain_x[t, s, rest])
+            dsic_wit = {
+                "bidder": k,
+                "true_type": types[t].tolist(),
+                "report": types[s].tolist(),
+                "rest_rank": int(rest),
+            }
+        t, rest = np.unravel_index(np.argmin(truth), truth.shape)
+        if truth[t, rest] < ir_best:
+            ir_best = float(truth[t, rest])
+            ir_wit = {"bidder": k, "type": types[t].tolist(), "rest_rank": int(rest)}
+    return RegretReport(
+        bic_regret=max(bic_best, 0.0),
+        dsic_regret=max(dsic_best, 0.0),
+        ir_slack=float(ir_best),
+        bic_witness=bic_wit,
+        dsic_witness=dsic_wit,
+        ir_witness=ir_wit,
+    )
+
+
+def _old_lattice_points(spec, m, per_coord):
+    axis = np.linspace(0.0, spec.h, per_coord)
+    mesh = np.meshgrid(*([axis] * m), indexing="ij")
+    return np.stack([g.reshape(-1) for g in mesh], axis=1)
+
+
+def _reference_lattice_bic(mech, prior, model, per_coord):
+    inner, spec, worst = mech.inner, mech.spec, 0.0
+    for k in range(mech.n):
+        pts = _old_lattice_points(spec, mech.m, per_coord)
+        val_real = model.values_for(inner.space, k, pts)
+        u, _ = interim_utilities(inner, prior, k, val_real)
+        idx = np.stack(
+            [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
+        )
+        truth_rank = grid_type_ranks(idx, spec.levels)
+        truthful = u[np.arange(u.shape[0]), truth_rank]
+        worst = max(worst, float(np.max(u - truthful[:, None])))
+    return max(worst, 0.0)
+
+
+def _reference_lattice_dsic(mech, model, per_coord):
+    inner, spec, worst = mech.inner, mech.spec, 0.0
+    for k in range(mech.n):
+        probs_view, pay_view = axis_views(inner, k)
+        pts = _old_lattice_points(spec, mech.m, per_coord)
+        val_real = model.values_for(inner.space, k, pts)
+        u = _old_expost(probs_view, pay_view, val_real)
+        idx = np.stack(
+            [round_down_indices(pts[:, j], spec) for j in range(mech.m)], axis=1
+        )
+        truth_rank = grid_type_ranks(idx, spec.levels)
+        truthful = u[np.arange(u.shape[0]), truth_rank, :]
+        worst = max(worst, float(np.max(u - truthful[:, None, :])))
+    return max(worst, 0.0)
+
+
+SPEC = GridSpec(epsilon=0.5, h=1.5)  # four levels
+MODELS = (ValuationModel(tag="additive"), ValuationModel(tag="unit_demand"))
+
+
+def _random_cell(rng, pool):
+    size = int(rng.integers(1, len(pool) + 1))
+    return tuple(sorted(rng.choice(pool, size=size, replace=False).tolist()))
+
+
+def _random_case(seed: int):
+    """A random table (uneven supports unless full) and a prior inside it.
+    Half the tables use point lotteries and half-unit payments, so many
+    utilities tie exactly and the first-index tie order is exercised."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    m = int(rng.integers(1, 3)) if n < 3 else 1
+    full = seed % 3 == 0
+    levels = list(range(SPEC.levels))
+    supports = tuple(
+        tuple(tuple(levels) if full else _random_cell(rng, levels) for _ in range(m))
+        for _ in range(n)
+    )
+    domain = ProfileDomain(spec=SPEC, supports=supports)
+    space = enumerate_multi_item(n, m)
+    r, k = domain.num_profiles, space.num_outcomes
+    if seed % 2:
+        probs = np.eye(k)[rng.integers(0, k, size=r)]
+        payments = rng.integers(0, 4, size=(r, n)) * 0.5
+    else:
+        probs = rng.dirichlet(np.ones(k), size=r)
+        payments = rng.uniform(-0.5, 2.0, size=(r, n))
+    mech = MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
+    cells = [
+        [
+            {
+                idx: Fraction(int(rng.integers(1, 5)))
+                for idx in _random_cell(rng, list(cell))
+            }
+            for cell in row
+        ]
+        for row in supports
+    ]
+    for row in cells:
+        for cell in row:
+            total = sum(cell.values())
+            for idx in cell:
+                cell[idx] /= total
+    return mech, product_prior(SPEC, cells), MODELS[seed % 4 >= 2]
+
+
+def _assert_reports_equal(new: RegretReport, old: RegretReport) -> None:
+    assert new == old
+    for name in ("bic_regret", "dsic_regret", "ir_slack"):
+        assert type(getattr(new, name)) is float
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_audit_equals_the_two_tensor_reference(seed):
+    mech, prior, model = _random_case(seed)
+    _assert_reports_equal(
+        audit_over_domain(mech, prior, model), _reference_audit(mech, prior, model)
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 3, 6, 9, 12, 15, 18, 21])
+def test_lattice_regrets_equal_the_per_bidder_reference(seed):
+    mech, prior, model = _random_case(seed)
+    assert mech.domain.is_full_grid
+    learned = LearnedMechanism(inner=mech, mode="bic")
+    for per_coord in (2, 7):
+        assert real_lattice_bic_regret(
+            learned, prior, model, per_coord=per_coord
+        ) == _reference_lattice_bic(learned, prior, model, per_coord)
+        assert real_lattice_dsic_regret(
+            learned, model, per_coord=per_coord
+        ) == _reference_lattice_dsic(learned, model, per_coord)
+
+
+def _learning_samples():
+    cell = PriorCell(
+        "point_masses", {"values": [0.3, 1.1, 1.8], "probs": ["1/4", "1/4", "1/2"]}
+    )
+    desc = PriorDescription(n=2, m=2, h=2.0, cells=((cell, cell), (cell, cell)))
+    return desc, sample_prior(desc, 2, 2, 5, seed=5)
+
+
+def _oracle_cases():
+    additive = ValuationModel(tag="additive")
+    spec = GridSpec(epsilon=1.0, h=2.0)
+    prior = product_prior(spec, [
+        [{1: Fraction(1, 3), 2: Fraction(2, 3)}],
+        [{0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 2)}],
+    ])
+    space = enumerate_multi_item(2, 1)
+    closure = check_weakly_downward_closed(space, additive, spec)
+    for mode in ("bic", "dsic"):
+        problem = OracleProblem(
+            prior=prior, space=space, model=additive, ic_mode=mode, eta=0.0
+        )
+        support = solve_optimal(problem).mechanism
+        full = (
+            extend_bic(support, prior, additive)
+            if mode == "bic"
+            else extend_dsic(support, space, additive, closure)
+        )
+        yield support, prior, additive
+        yield full, prior, additive
+    desc, samples = _learning_samples()
+    for learn in (learn_bic, learn_dsic):
+        learned = learn(samples, 0.5, enumerate_multi_item(2, 2), additive)
+        yield learned.inner, desc.to_grid_prior(learned.spec), additive
+
+
+def test_oracle_and_learned_tables_equal_the_reference():
+    for mech, prior, model in _oracle_cases():
+        _assert_reports_equal(
+            audit_over_domain(mech, prior, model), _reference_audit(mech, prior, model)
+        )
+
+
+def test_learned_lattice_regrets_equal_the_reference():
+    desc, samples = _learning_samples()
+    model = ValuationModel(tag="additive")
+    for learn in (learn_bic, learn_dsic):
+        learned = learn(samples, 0.5, enumerate_multi_item(2, 2), model)
+        prior = desc.to_grid_prior(learned.spec)
+        assert real_lattice_bic_regret(
+            learned, prior, model, per_coord=9
+        ) == _reference_lattice_bic(learned, prior, model, 9)
+        assert real_lattice_dsic_regret(
+            learned, model, per_coord=9
+        ) == _reference_lattice_dsic(learned, model, 9)
+
+
+class TestExpostBudget:
+    # posted_price_table on the quarter grid, m=2: 81 types, one bidder, so
+    # the ex-post tensor has 81 * 81 = 6561 cells
+    def _case(self):
+        spec = GridSpec(epsilon=0.25, h=2.0)
+        prior = product_prior(spec, [[{4: 1}, {8: 1}]])
+        return posted_price_table(spec, price=1.0, m=2), prior
+
+    def test_regret_report_over_budget_is_capacity_error(self, monkeypatch, additive):
+        mech, prior = self._case()
+        monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 6560)
+        with pytest.raises(CapacityError, match="6561 cells"):
+            regret_report(mech, prior, additive)
+
+    def test_regret_report_at_budget_runs(self, monkeypatch, additive):
+        mech, prior = self._case()
+        monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 6561)
+        assert regret_report(mech, prior, additive).dsic_regret == 0.0

@@ -314,3 +314,20 @@ class TestExitCodes:
             ["verify", "--mech", str(tampered), "--prior", str(workdir / "prior.json")]
         )
         assert code == 3
+
+    def test_verify_over_the_expost_budget_is_exit_two(
+        self, workdir, capsys, monkeypatch
+    ):
+        from mechlearn import mechanism
+
+        mech = posted_price_table(GridSpec(epsilon=0.25, h=2.0), 1.0, m=2)
+        mech_path = workdir / "posted.json"
+        mech_path.write_text(serialize_mechanism(mech))
+        # 81 types of one bidder: the ex-post tensor has 6561 cells
+        monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 6560)
+        code = cli_dispatch(
+            ["verify", "--mech", str(mech_path), "--prior", str(workdir / "prior.json"),
+             "--config", str(workdir / "inst.json")]
+        )
+        assert code == 2
+        assert "capacity error: ex-post utility tensor" in capsys.readouterr().err

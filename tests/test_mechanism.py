@@ -412,6 +412,19 @@ class TestSerialization:
         with pytest.raises(ParseError, match="rows"):
             deserialize_mechanism(json.dumps(doc))
 
+    def test_rejects_disagreeing_entry_payments(self):
+        mech = MechanismTable(
+            domain=ProfileDomain.full_grid(GridSpec(epsilon=1.0, h=2.0), 1, 1),
+            space=enumerate_multi_item(1, 1),
+            probs=np.array([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]]),
+            payments=np.array([[0.0], [1.2], [0.5]]),
+        )
+        doc = json.loads(serialize_mechanism(mech))
+        assert deserialize_mechanism(json.dumps(doc)).payments[1, 0] == 1.2
+        doc["rows"][1]["entries"][1]["pay"] = ["99.0"]
+        with pytest.raises(ParseError, match="row 1 entry 1: payments"):
+            deserialize_mechanism(json.dumps(doc))
+
     def test_rejects_bad_outcome_index(self, quarter_grid):
         mech = posted_price_table(quarter_grid, price=1.0)
         text = serialize_mechanism(mech)
