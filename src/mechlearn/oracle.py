@@ -6,6 +6,12 @@ mechanism is IR at every profile, and either exact interim (BIC) truthfulness
 or ex-post truthfulness up to a slack eta (DSIC mode) holds for deviations
 within the support. The objective is expected revenue under the prior.
 
+In BIC mode each bidder's support type also gets interim variables, its
+expected lottery and payment over the others' profiles, each defined by one
+equality row; the BIC rows read only these, so a row has at most 2K + 2
+nonzeros (the reduced form of Cai, Daskalakis and Weinberg, without Border
+constraints).
+
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solve
 is deterministic, making the whole oracle a deterministic function of its
@@ -14,8 +20,10 @@ input.
 Two extension rules lift a support-domain solution to the full grid:
 
 * ``extend_bic``: a bidder with any off-support coordinate is re-bid as the
-  in-support type vector maximizing her interim expected utility (others
-  drawn fresh from the prior), ties to the lexicographically smallest type.
+  in-support type vector of highest interim expected utility (others drawn
+  fresh from the prior) among the reports that are ex-post IR for the true
+  type at every support profile of the others, or among all reports when
+  none is; ties go to the lexicographically smallest type.
 * ``extend_dsic``: with exactly one off-support bidder, her best in-support
   reply against the realized others is played through a downward-closure
   witness that keeps her value and payment and zeroes everyone else; with
@@ -25,7 +33,8 @@ Two extension rules lift a support-domain solution to the full grid:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -53,6 +62,9 @@ from .outcomes import (
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
 VARIABLE_BUDGET = 500_000
+# Assembly holds about 54 bytes per nonzero of the bound (lp_2x2, DSIC), so
+# the budget caps it near 0.5 GB before HiGHS starts.
+NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
 
 
@@ -91,6 +103,9 @@ class LpSolution:
     objective_value: float
     solver_status: str
     certificate: float  # dual objective value
+    # rows, cols, nnz, HiGHS iterations (nit), assemble_s and solve_s; kept
+    # out of the mechanism, so never serialized
+    stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         gap = abs(self.objective_value - self.certificate)
@@ -103,6 +118,7 @@ class LpSolution:
 
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
+    start = time.perf_counter()
     problem.check_budget()
     domain = problem.domain()
     space = problem.space
@@ -110,7 +126,15 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     r_profiles = domain.num_profiles
     k_out = space.num_outcomes
     n_x = r_profiles * k_out
-    n_vars = n_x + r_profiles * n
+    # BIC mode adds, per bidder i and support type t, the interim columns
+    # pi_i(t, o) of every outcome o, then P_i(t); interim[i] is bidder i's
+    # first one and interim[n] the column count
+    sizes = [
+        domain.bidder_type_count(i) * (k_out + 1) if problem.ic_mode == "bic" else 0
+        for i in range(n)
+    ]
+    interim = n_x + r_profiles * n + np.cumsum([0] + sizes)
+    n_vars = int(interim[-1])
 
     # Exact rational weights, converted to float exactly once.
     weights_frac = type_weights(domain, problem.prior)
@@ -131,18 +155,26 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     for i in range(n):
         c[n_x + np.arange(r_profiles) * n + i] = -profile_w  # maximize revenue
 
-    # One equality row per profile: its lottery sums to one.
-    a_eq = sp.csr_matrix(
-        (np.ones(n_x), np.arange(n_x), np.arange(0, n_x + 1, k_out)),
-        shape=(r_profiles, n_vars),
-    )
-    b_eq = np.ones(r_profiles)
-    a_ub, b_ub = _inequality_rows(problem, domain, vals, weights_frac, type_ranks)
-    bounds = [(0.0, None)] * n_x + [(None, None)] * (r_profiles * n)
+    a_ub, b_ub = _inequality_rows(problem, domain, vals, weights_frac, type_ranks, interim)
+    # One equality row per profile: its lottery sums to one; then, in BIC
+    # mode, one per interim variable, defining it.
+    a_eq = [
+        sp.csr_matrix(
+            (np.ones(n_x), np.arange(n_x), np.arange(0, n_x + 1, k_out)),
+            shape=(r_profiles, n_vars),
+        )
+    ]
+    if problem.ic_mode == "bic":
+        a_eq.append(_interim_rows(domain, weights_frac, k_out, interim))
+    a_eq = sp.vstack(a_eq, format="csr")
+    b_eq = np.concatenate([np.ones(r_profiles), np.zeros(a_eq.shape[0] - r_profiles)])
+    bounds = [(0.0, None)] * n_x + [(None, None)] * (n_vars - n_x)
+    assembled = time.perf_counter()
 
     if lp_dump is not None:
-        _dump_lp(lp_dump, c, a_ub, b_ub, a_eq, b_eq, n_x)
+        _dump_lp(lp_dump, c, a_ub, b_ub, a_eq, b_eq, n_x, k_out, interim)
 
+    solve_start = time.perf_counter()
     res = linprog(
         c,
         A_ub=a_ub,
@@ -152,6 +184,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         bounds=bounds,
         method="highs",
     )
+    solve_s = time.perf_counter() - solve_start
     if res.status == 2:
         raise InvariantError(
             "oracle LP reported infeasible, but the zero mechanism is always "
@@ -166,7 +199,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     if np.max(np.abs(sums - 1.0)) > 1e-6:
         raise InvariantError("solver returned lotteries far from stochastic")
     probs = probs / sums[:, None]
-    payments = x[n_x:].reshape(r_profiles, n)
+    payments = x[n_x : interim[0]].reshape(r_profiles, n)
     mech = MechanismTable(
         domain=domain,
         space=space,
@@ -182,9 +215,32 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         objective_value=objective,
         solver_status="optimal",
         certificate=-dual,
+        stats={
+            "rows": a_ub.shape[0] + a_eq.shape[0],
+            "cols": n_vars,
+            "nnz": a_ub.nnz + a_eq.nnz,
+            "nit": int(res.nit),
+            "assemble_s": assembled - start,
+            "solve_s": solve_s,
+        },
     )
     _audit_solution(problem, solution)
     return solution
+
+
+def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
+    """Nonzeros the LP can have at most, from its shapes alone."""
+    n, r_profiles = domain.n, domain.num_profiles
+    per_term = k_out + 1  # a type's values and its payment
+    total = r_profiles * k_out + r_profiles * n * per_term  # lotteries, IR
+    for i in range(n):
+        t_i = domain.bidder_type_count(i)
+        rest = r_profiles // t_i
+        if problem.ic_mode == "bic":  # IC rows, then the interim definitions
+            total += 2 * t_i * (t_i - 1) * per_term + t_i * per_term * (rest + 1)
+        else:
+            total += 2 * t_i * (t_i - 1) * rest * per_term
+    return total
 
 
 def _inequality_rows(
@@ -193,62 +249,107 @@ def _inequality_rows(
     vals: list[np.ndarray],
     weights_frac: list[list],
     type_ranks: np.ndarray,
+    interim: np.ndarray,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """IR rows, profile-major, then IC rows per bidder by (true type,
     report) in BIC mode or (true type, report, rest) in DSIC mode.
 
-    Every row is a sum of terms (row, profile, bidder, true type, coef).
-    A term puts ``coef * v[o]`` on lottery variable (profile, o) for every
-    nonzero value ``v[o]`` of the true type, and ``-coef`` on the bidder's
-    payment at the profile.
+    IR and DSIC rows are sums of terms (row, profile, bidder, true type,
+    coef). A term puts ``coef * v[o]`` on lottery variable (profile, o) for
+    every nonzero value ``v[o]`` of the true type, and ``-coef`` on the
+    bidder's payment at the profile. A BIC row reads only the interim
+    variables: ``v . (pi(report) - pi(true)) - P(report) + P(true) <= 0``.
+
+    Raises ``CapacityError`` before allocating when the LP's nonzeros could
+    exceed ``NNZ_BUDGET``.
     """
     n, r_profiles = domain.n, domain.num_profiles
+    k_out = vals[0].shape[1]
+    n_x = r_profiles * k_out
+    bound = _nnz_bound(problem, domain, k_out)
+    if bound > NNZ_BUDGET:
+        raise CapacityError(
+            f"the oracle LP has up to {bound} nonzeros, over the {NNZ_BUDGET} budget"
+        )
     ranks, bidders = np.arange(r_profiles)[:, None], np.arange(n)
     # IR: payment can never exceed the expected lottery value.
     terms = [(ranks * n + bidders, ranks, bidders, type_ranks, -1.0)]
+    interim_entries = []  # (row, column, coef) of the BIC rows
     b_ub = [np.zeros(r_profiles * n)]
     row0 = r_profiles * n
     for i in range(n):
         t_i = domain.bidder_type_count(i)
         true, report = np.nonzero(~np.eye(t_i, dtype=bool))
         true, pair = true[:, None], np.arange(true.size)[:, None]
-        rest = np.arange(r_profiles // t_i)
         if problem.ic_mode == "bic":
             # interim utility of the report minus truthful, <= 0
-            w = rest_weights(weights_frac, i)
-            rows = row0 + pair
+            coef = np.hstack([vals[i], -np.ones((t_i, 1))])[true[:, 0]]
+            col = interim[i] + np.arange(k_out + 1)
+            rows = np.broadcast_to(row0 + pair, coef.shape)
+            nz = coef != 0.0
+            interim_entries += [
+                (rows[nz], (report[:, None] * (k_out + 1) + col)[nz], coef[nz]),
+                (rows[nz], (true * (k_out + 1) + col)[nz], -coef[nz]),
+            ]
             b_ub.append(np.zeros(true.size))
         else:
-            w = np.ones(rest.size)
+            rest = np.arange(r_profiles // t_i)
             rows = row0 + pair * rest.size + rest
             b_ub.append(np.full(rows.size, problem.eta, dtype=np.float64))
-        terms.append((rows, domain.join_rank(i, report[:, None], rest), i, true, w))
-        terms.append((rows, domain.join_rank(i, true, rest), i, true, -w))
+            terms.append((rows, domain.join_rank(i, report[:, None], rest), i, true, 1.0))
+            terms.append((rows, domain.join_rank(i, true, rest), i, true, -1.0))
         row0 += b_ub[-1].size
 
     row, prof, bidder, t, coef = (
         np.concatenate(col)
         for col in zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms))
     )
-    # a rest profile whose weight rounds to zero adds no entries
-    keep = np.flatnonzero(coef)
-    row, prof, bidder, t, coef = (a[keep] for a in (row, prof, bidder, t, coef))
     offsets = np.cumsum([0] + [len(v) for v in vals])
     v = np.concatenate(vals)[offsets[bidder] + t]  # (terms, K)
     term, o = np.nonzero(v)
-    k_out = v.shape[1]
-    n_x = r_profiles * k_out
-    a_ub = sp.coo_matrix(
-        (
-            np.concatenate([coef[term] * v[term, o], -coef]),
-            (
-                np.concatenate([row[term], row]),
-                np.concatenate([prof[term] * k_out + o, n_x + prof * n + bidder]),
-            ),
-        ),
-        shape=(row0, n_x + r_profiles * n),
-    )
+    entries = [
+        (row[term], prof[term] * k_out + o, coef[term] * v[term, o]),
+        (row, n_x + prof * n + bidder, -coef),
+        *interim_entries,
+    ]
+    rows, cols, data = (np.concatenate(a) for a in zip(*entries))
+    a_ub = sp.coo_matrix((data, (rows, cols)), shape=(row0, int(interim[-1])))
     return a_ub.tocsr(), np.concatenate(b_ub)
+
+
+def _interim_rows(
+    domain: ProfileDomain,
+    weights_frac: list[list],
+    k_out: int,
+    interim: np.ndarray,
+) -> sp.csr_matrix:
+    """One equality row per interim variable, in column order, with right
+    side 0: ``pi_i(t, o) - sum_rest w(rest) x(join(i, t, rest), o)`` and
+    ``P_i(t) - sum_rest w(rest) p(join(i, t, rest), i)``."""
+    n, r_profiles = domain.n, domain.num_profiles
+    n_x = r_profiles * k_out
+    entries = []  # (row, column, coef)
+    for i in range(n):
+        t_i = domain.bidder_type_count(i)
+        w = rest_weights(weights_frac, i)
+        prof = domain.join_rank(i, np.arange(t_i)[:, None], np.arange(w.size))
+        # (T_i, R_rest, K + 1): x(prof, o) for each outcome o, then p(prof, i)
+        cols = np.concatenate(
+            [prof[..., None] * k_out + np.arange(k_out), (n_x + prof * n + i)[..., None]],
+            axis=2,
+        )
+        own = np.arange(interim[i], interim[i + 1]).reshape(t_i, 1, k_out + 1)
+        # a rest profile whose weight rounds to zero adds no entries
+        keep = np.flatnonzero(w)
+        rows, cols = np.broadcast_arrays(own - interim[0], cols[:, keep])
+        coef = np.broadcast_to(-w[keep][:, None], cols.shape)
+        entries += [
+            (own.ravel() - interim[0], own.ravel(), np.ones(own.size)),
+            (rows.ravel(), cols.ravel(), coef.ravel()),
+        ]
+    rows, cols, data = (np.concatenate(a) for a in zip(*entries))
+    shape = (int(interim[-1] - interim[0]), int(interim[-1]))
+    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
 
 
 def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
@@ -296,10 +397,15 @@ def extend_bic(
 def bic_replacement_map(
     mech: MechanismTable, prior: ProductPrior, model: ValuationModel, k: int
 ) -> np.ndarray:
-    """Support-type rank chosen for each full-grid type of bidder k."""
+    """Support-type rank chosen for each full-grid type of bidder k: its own
+    rank on the support; off it, the report of best interim utility among
+    those ex-post IR for the type at every rest profile, or among all
+    reports when none is. Ties go to the lexicographically smallest type."""
     val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
-    best = np.argmax(utilities, axis=1)  # first max = lex smallest type
+    safe = expost_utilities(mech, k, val_full).min(axis=2) >= -FEASIBILITY_TOL
+    safe[~safe.any(axis=1)] = True
+    best = np.argmax(np.where(safe, utilities, -np.inf), axis=1)
     to_support = mech.domain.grid_to_domain(k)
     return np.where(to_support >= 0, to_support, best).astype(np.int64)
 
@@ -398,11 +504,17 @@ def _dump_lp(
     a_eq: sp.csr_matrix,
     b_eq: np.ndarray,
     n_x: int,
+    k_out: int,
+    interim: np.ndarray,
 ) -> None:
     """Write the instance in CPLEX LP text format for external checking."""
 
     def var(j: int) -> str:
-        return f"x{j}" if j < n_x else f"p{j - n_x}"
+        if j < interim[0]:
+            return f"x{j}" if j < n_x else f"p{j - n_x}"
+        i = int(np.searchsorted(interim, j, side="right")) - 1
+        t, o = divmod(j - int(interim[i]), k_out + 1)
+        return f"ix{i}_{t}_{o}" if o < k_out else f"ip{i}_{t}"
 
     def expr(row: sp.csr_matrix) -> str:
         terms = []

@@ -331,3 +331,18 @@ class TestExitCodes:
         )
         assert code == 2
         assert "capacity error: ex-post utility tensor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_oracle_over_the_nnz_budget_is_exit_two(
+        self, workdir, capsys, monkeypatch, mode
+    ):
+        from mechlearn import oracle
+
+        argv = ["oracle", "--config", str(workdir / "inst.json"), "--mode", mode,
+                "--out", str(workdir / "o.json")]
+        assert cli_dispatch(argv) == 0
+        capsys.readouterr()
+        # 4 profiles, 4 outcomes: the LP's nnz bound is in the hundreds
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", 100)
+        assert cli_dispatch(argv) == 2
+        assert "capacity error: the oracle LP has up to" in capsys.readouterr().err

@@ -489,8 +489,8 @@ def _pinned_mechanism(name: str) -> MechanismTable:
     "name, digest",
     [
         ("learned_dsic", "40b9ff7af919737d346643458edd6052ad18f598386f5472bcd5f18edcd8eac2"),
-        ("learned_bic", "0af3a30fd429b2846a77e8f3dba70e78adcb0606a68abf63ab31e2853910b048"),
-        ("support_n3", "1a7ef3dfc6856575506468dc577e182c1b895b3095b36eb5bbf5d7729949c76a"),
+        ("learned_bic", "f587a05d58b91d952788bfd7e5a022024a27b3a286ae12529540349c28819ece"),
+        ("support_n3", "1e9e84f8fb1af74cfc83711786453c623bdfbcc5cbe6978a87959143ba1e8259"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
     ],
 )

@@ -1,9 +1,13 @@
 import hashlib
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mechlearn import (
     CapacityError,
@@ -11,6 +15,7 @@ from mechlearn import (
     MechanismTable,
     ProfileDomain,
     UsageError,
+    ValuationModel,
     brute_force_optimal,
     check_weakly_downward_closed,
     enumerate_multi_item,
@@ -19,7 +24,7 @@ from mechlearn import (
     revenue,
     solve_optimal,
 )
-from mechlearn.mechanism import audit_over_domain
+from mechlearn.mechanism import audit_over_domain, expost_utilities
 from mechlearn.oracle import OracleProblem, bic_replacement_map
 
 from conftest import product_prior
@@ -214,9 +219,9 @@ class TestSolveOptimal:
     @pytest.mark.parametrize(
         "name, mode, digest",
         [
-            ("n2m2", "bic", "2512cdf73d97b10bad02dd82490d3faeaea534faebea76fa77f8bbb00527f11c"),
+            ("n2m2", "bic", "bad04ac03f871951d85975d61be9ef0f825e55ad47110ec9d03ec3874eb99a55"),
             ("n2m2", "dsic", "8d2f0fe1af40c6bcb2f4cf500c19cb5ad2da3d5666112df88626b4819e2d5510"),
-            ("n3m1", "bic", "ac8c1f0ffa7ee3d38aefa900282db3fd6d1f7b56249eb65ddf296bf88d40584c"),
+            ("n3m1", "bic", "259945ca7e8ba971afbc3e5a125554d4d4645ee0ab1b063c4a2ce51bf18282eb"),
             ("n3m1", "dsic", "42eccb12e74ba4c926ce45891fda41c9812f8d247d7f65e8174c252535a31ad6"),
         ],
     )
@@ -249,6 +254,135 @@ class TestSolveOptimal:
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+
+def _lp_dump_instance(name, mode):
+    # the instances of test_lp_dump_is_pinned
+    spec = GridSpec(epsilon=1.0, h=2.0)
+    cells = {
+        "n2m2": [
+            [{1: Fraction(1, 3), 2: Fraction(2, 3)}, {0: Fraction(1, 2), 2: Fraction(1, 2)}],
+            [{1: Fraction(1, 5), 2: Fraction(4, 5)}, {1: Fraction(1, 7), 2: Fraction(6, 7)}],
+        ],
+        "n3m1": [
+            [{1: Fraction(1, 3), 2: Fraction(2, 3)}],
+            [{0: Fraction(1, 2), 2: Fraction(1, 2)}],
+            [{1: Fraction(1, 5), 2: Fraction(4, 5)}],
+        ],
+    }[name]
+    n, m = len(cells), len(cells[0])
+    return OracleProblem(
+        prior=product_prior(spec, cells),
+        space=enumerate_multi_item(n, m),
+        model=ValuationModel(tag="additive"),
+        ic_mode=mode,
+        eta=0.5 if mode == "dsic" else 0.0,
+    )
+
+
+def _dump_rows(path):
+    """{row name: variable names} of an ``--lp-dump`` file's constraints."""
+    rows = {}
+    lines = path.read_text().splitlines()
+    for line in lines[lines.index("Subject To") + 1 : lines.index("Bounds")]:
+        name, body = line.strip().split(": ", 1)
+        tokens = body.rsplit(" ", 2)[0].split()
+        rows[name] = tokens[2::3]
+    return rows
+
+
+class TestInterimLp:
+    @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
+    def test_bic_rows_read_only_interim_variables(self, tmp_path, name):
+        problem = _lp_dump_instance(name, "bic")
+        domain, k_out = problem.domain(), problem.space.num_outcomes
+        path = tmp_path / "dump.lp"
+        sol = solve_optimal(problem, lp_dump=str(path))
+        rows = _dump_rows(path)
+        ir_rows = domain.num_profiles * domain.n
+        ic = [rows[f"ub{r}"] for r in range(ir_rows, sum(k.startswith("ub") for k in rows))]
+        assert len(ic) == sum(
+            domain.bidder_type_count(i) * (domain.bidder_type_count(i) - 1)
+            for i in range(domain.n)
+        )
+        for names in ic:
+            assert len(names) <= 2 * k_out + 2
+            assert all(v.startswith(("ix", "ip")) for v in names)
+        # one defining row per interim variable, after the lottery rows
+        interim = sum(domain.bidder_type_count(i) for i in range(domain.n)) * (k_out + 1)
+        eq = [rows[f"eq{r}"] for r in range(domain.num_profiles, domain.num_profiles + interim)]
+        assert [names[-1] for names in eq[: k_out + 2]] == [
+            *(f"ix0_0_{o}" for o in range(k_out)), "ip0_0", "ix0_1_0"
+        ]
+        assert sol.stats["rows"] == len(rows)
+        assert sol.stats["nnz"] == sum(len(names) for names in rows.values())
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_stats_describe_the_lp(self, mode):
+        from mechlearn.oracle import _nnz_bound
+
+        problem = _lp_dump_instance("n2m2", mode)
+        domain, k_out = problem.domain(), problem.space.num_outcomes
+        stats = solve_optimal(problem).stats
+        assert set(stats) == {"rows", "cols", "nnz", "nit", "assemble_s", "solve_s"}
+        interim = sum(domain.bidder_type_count(i) for i in range(domain.n)) * (k_out + 1)
+        base = domain.num_profiles * (k_out + domain.n)
+        assert stats["cols"] == base + (interim if mode == "bic" else 0)
+        assert 0 < stats["nnz"] <= _nnz_bound(problem, domain, k_out)
+        assert stats["nit"] > 0 and stats["assemble_s"] >= 0 and stats["solve_s"] >= 0
+
+    def test_stats_stay_out_of_the_mechanism_file(self):
+        from mechlearn import LpSolution, serialize_mechanism
+
+        sol = solve_optimal(_lp_dump_instance("n3m1", "bic"))
+        bare = LpSolution(
+            mechanism=sol.mechanism,
+            objective_value=sol.objective_value,
+            solver_status=sol.solver_status,
+            certificate=sol.certificate,
+        )
+        assert bare.stats == {} and sol.stats
+        assert serialize_mechanism(sol.mechanism) == serialize_mechanism(bare.mechanism)
+        assert set(sol.mechanism.meta) == {"ic_mode", "eta"}
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_nnz_budget_raises_capacity_error(self, monkeypatch, mode):
+        from mechlearn import oracle
+
+        problem = _lp_dump_instance("n2m2", mode)
+        bound = oracle._nnz_bound(problem, problem.domain(), problem.space.num_outcomes)
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", bound - 1)
+        with pytest.raises(CapacityError, match="nonzeros"):
+            solve_optimal(problem)
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", bound)
+        solve_optimal(problem)
+
+    def test_nnz_budget_admits_the_shipped_configs(self):
+        # A learned prior's support lies inside the rounded true support, so
+        # the LP of the true grid prior bounds every LP a config can build.
+        from mechlearn import oracle
+        from mechlearn.experiments import build_instance
+
+        root = Path(__file__).resolve().parent.parent
+        paths = sorted((root / "configs").glob("*.json"))
+        paths += sorted((root / "perfbench" / "configs").glob("*.json"))
+        checked = 0
+        for path in paths:
+            config = json.loads(path.read_text())
+            instance = config.get("instance", config)
+            if "space" not in instance:
+                continue
+            bundle = build_instance(instance)
+            prior = bundle.prior.to_grid_prior(bundle.spec)
+            for mode in ("bic", "dsic"):
+                problem = OracleProblem(
+                    prior=prior, space=bundle.space, model=bundle.model, ic_mode=mode
+                )
+                bound = oracle._nnz_bound(
+                    problem, problem.domain(), bundle.space.num_outcomes
+                )
+                assert bound <= oracle.NNZ_BUDGET, (path.name, mode, bound)
+                checked += 1
+        assert checked >= 14
 
 class TestExtendBic:
     def _support_solution(self, additive):
@@ -297,6 +431,71 @@ class TestExtendBic:
         assert rep[1] == 0  # lexicographically smaller of the tied replies
         assert rep[0] == 0 and rep[2] == 1  # on-support types untouched
 
+
+    def _overcharging_mech(self, type0_price):
+        # bidder 0's support {0, 2} against bidder 1's {1, 2}: reporting 2
+        # wins the item for 0 or 1.5, so the off-support value 1 gains 0.25
+        # in the interim but loses 0.5 against bidder 1's type 2
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        space = enumerate_multi_item(2, 1)  # outcomes: none, bidder 0, bidder 1
+        domain = ProfileDomain(spec=spec, supports=(((0, 2),), ((1, 2),)))
+        probs = np.array([[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
+        payments = np.array(
+            [[type0_price, 0.0], [type0_price, 0.0], [0.0, 0.0], [1.5, 0.0]]
+        )
+        mech = MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
+        half = {0: Fraction(1, 2), 2: Fraction(1, 2)}
+        prior = product_prior(spec, [[half], [{1: Fraction(1, 2), 2: Fraction(1, 2)}]])
+        return spec, mech, prior
+
+    def test_best_reply_is_ir_safe(self, additive):
+        spec, mech, prior = self._overcharging_mech(type0_price=0.0)
+        assert bic_replacement_map(mech, prior, additive, 0).tolist() == [0, 0, 1]
+        full = extend_bic(mech, prior, additive)
+        uniform = {k: Fraction(1, 3) for k in range(3)}
+        rep = audit_over_domain(full, product_prior(spec, [[uniform]] * 2), additive)
+        assert rep.ir_slack >= -1e-8
+
+    def test_no_ir_safe_reply_keeps_best_interim(self, additive):
+        # reporting 0 now costs 0.5 at every rest profile: nothing is safe
+        _, mech, prior = self._overcharging_mech(type0_price=0.5)
+        assert bic_replacement_map(mech, prior, additive, 0).tolist() == [0, 1, 1]
+
+    @given(
+        m=st.integers(1, 2),
+        cells=st.lists(
+            st.lists(
+                st.dictionaries(st.integers(0, 2), st.integers(1, 4), min_size=1, max_size=3),
+                min_size=2,
+                max_size=2,
+            ),
+            min_size=2,
+            max_size=2,
+        ),
+        unit_demand=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_extension_is_ir_when_every_type_has_a_safe_reply(self, m, cells, unit_demand):
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        cells = [
+            [{k: Fraction(w, sum(c.values())) for k, w in c.items()} for c in row[:m]]
+            for row in cells
+        ]
+        prior = product_prior(spec, cells)
+        model = ValuationModel(tag="unit_demand" if unit_demand else "additive")
+        space = enumerate_multi_item(2, m)
+        mech = solve_optimal(
+            OracleProblem(prior=prior, space=space, model=model, ic_mode="bic")
+        ).mechanism
+        for k in range(2):
+            val = model.value_table(space, spec, k)
+            off = mech.domain.grid_to_domain(k) < 0
+            safe = expost_utilities(mech, k, val[off]).min(axis=2) >= -1e-8
+            assume(safe.any(axis=1).all())
+        full = extend_bic(mech, prior, model)
+        uniform = {k: Fraction(1, spec.levels) for k in range(spec.levels)}
+        rep = audit_over_domain(full, product_prior(spec, [[uniform] * m] * 2), model)
+        assert rep.ir_slack >= -1e-8
 
 class TestExtendDsic:
     def _two_bidder_solution(self, additive):
