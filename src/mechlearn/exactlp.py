@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InvariantError, UsageError
 from .grid import ProductPrior
-from .outcomes import OutcomeSpace, ValuationModel
+from .outcomes import OutcomeSpace, ValuationModel, bidder_value
 
 try:  # pragma: no cover - exercised implicitly on hosts with gmpy2
     from gmpy2 import mpq as _Q
@@ -189,8 +189,6 @@ def brute_force_optimal(
 
     def value(i, t, o):
         vec = [spec.value(idx) for idx in t]
-        from .outcomes import bidder_value
-
         return Fraction(bidder_value(model, space, i, vec, o))
 
     n_x = r_profiles * k_out

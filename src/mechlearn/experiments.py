@@ -64,7 +64,6 @@ class InstanceBundle:
     space: OutcomeSpace
     model: ValuationModel
     prior: PriorDescription
-    lipschitz_l: float
 
 
 def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
@@ -91,7 +90,6 @@ def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
         space=space,
         model=model,
         prior=prior,
-        lipschitz_l=model.lipschitz_l,
     )
 
 

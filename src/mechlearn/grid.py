@@ -9,15 +9,15 @@ multiples of 1/S.
 
 from __future__ import annotations
 
-import itertools
+import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, ParseError, UsageError, read_text
+from .errors import DomainError, InvariantError, ParseError, UsageError, read_text, write_text
 
 __all__ = [
     "GridSpec",
@@ -113,12 +113,6 @@ def round_down(v: float, spec: GridSpec) -> GridValue:
     return GridValue(idx)
 
 
-def _as_fraction(x: int | float | Fraction | str) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class DiscreteMarginal:
     """A finite distribution over grid points of one (bidder, parameter) cell.
@@ -133,7 +127,7 @@ class DiscreteMarginal:
     mass: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        frozen = {int(k): _as_fraction(p) for k, p in self.mass.items()}
+        frozen = {int(k): Fraction(p) for k, p in self.mass.items()}
         object.__setattr__(self, "mass", frozen)
         top = self.spec.top_index
         for k, p in frozen.items():
@@ -216,22 +210,6 @@ class ProductPrior:
     def exact(self) -> bool:
         return all(m.exact for row in self.marginals for m in row)
 
-    def support_profiles(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """All profiles in the support, as n-tuples of m-tuples of indices."""
-        per_bidder = [
-            list(itertools.product(*(row[j].support for j in range(self.m))))
-            for row in self.marginals
-        ]
-        for combo in itertools.product(*per_bidder):
-            yield combo
-
-    def profile_prob(self, profile: Sequence[Sequence[int]]) -> Fraction:
-        p = Fraction(1)
-        for i in range(self.n):
-            for j in range(self.m):
-                p *= self.marginals[i][j].mass.get(int(profile[i][j]), Fraction(0))
-        return p
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -261,17 +239,15 @@ class SampleSet:
         return self.values[i, j]
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("bidder,parameter,sample_index,value\n")
-            for i in range(self.n):
-                for j in range(self.m):
-                    for s in range(self.s):
-                        fh.write(f"{i},{j},{s},{float(self.values[i, j, s])!r}\n")
+        lines = ["bidder,parameter,sample_index,value\n"]
+        for i in range(self.n):
+            for j in range(self.m):
+                for s in range(self.s):
+                    lines.append(f"{i},{j},{s},{float(self.values[i, j, s])!r}\n")
+        write_text(path, "".join(lines))
 
     @classmethod
     def from_csv(cls, path: str, h: float, rng_seed: int = 0) -> "SampleSet":
-        import csv
-
         cells: dict[tuple[int, int], dict[int, float]] = {}
         reader = csv.DictReader(read_text(path).splitlines(keepends=True))
         expected = ["bidder", "parameter", "sample_index", "value"]

@@ -29,6 +29,7 @@ from .mechanism import (
     expost_utilities,
     interim_utilities,
     max_gain,
+    revenue,
 )
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
@@ -87,17 +88,14 @@ class LearnedMechanism:
 
     def exact_revenue_on_atoms(self, prior: PriorDescription) -> Fraction:
         """Exact expected revenue under a finite-support true prior, with
-        real bids rounded through the wrapper."""
+        real bids rounded through the wrapper.
+
+        The wrapper and the grid pushforward both round with
+        ``round_down_indices`` on this grid, so this is the exact revenue of
+        the inner table under the prior's pushforward."""
         if (prior.n, prior.m) != (self.n, self.m):
             raise UsageError("prior and mechanism disagree on (n, m)")
-        total = Fraction(0)
-        for values, prob in prior.atom_profiles():
-            rank = self.grid_rank(values)
-            paysum = sum(
-                (Fraction(float(x)) for x in self.inner.payments[rank]), Fraction(0)
-            )
-            total += prob * paysum
-        return total
+        return revenue(self.inner, prior.to_grid_prior(self.spec), exact=True)
 
 
 def evaluate_on_reals(

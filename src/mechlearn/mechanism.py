@@ -342,29 +342,30 @@ def _domain_value_table(
 def revenue(
     mech: MechanismTable, prior: ProductPrior, exact: bool = False
 ) -> float | Fraction:
-    """Expected total payment under the prior.
+    """Expected total payment under the prior: the table of per-profile
+    payment sums contracted along each bidder's type axis with that bidder's
+    type weights, last bidder first.
 
-    With ``exact=True`` all arithmetic is rational (float payments embedded
-    exactly), so regrouping the sum cannot change the result.
+    With ``exact=True`` the contraction runs in rationals (float payments
+    embedded exactly) over the types of nonzero weight, so regrouping the
+    sum cannot change the result.
     """
     weights = type_weights(mech.domain, prior)  # raises if mass leaves the domain
-    if exact:
-        total = Fraction(0)
-        for profile in prior.support_profiles():
-            p = prior.profile_prob(profile)
-            if p == 0:
-                continue
-            rank = mech.domain.profile_rank(profile)
-            paysum = sum(
-                (Fraction(float(x)) for x in mech.payments[rank]), Fraction(0)
-            )
-            total += p * paysum
-        return total
     sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
-    acc = mech.payments.sum(axis=1).reshape(sizes)
+    if exact:
+        live = [[t for t, w in enumerate(ws) if w] for ws in weights]
+        pays = mech.payments.reshape(*sizes, mech.n)[np.ix_(*live)]
+        rows = pays.reshape(-1, mech.n).tolist()
+        acc = np.array(
+            [sum(map(Fraction, row), Fraction(0)) for row in rows], dtype=object
+        ).reshape(pays.shape[:-1])
+        weights = [[ws[t] for t in ts] for ts, ws in zip(live, weights)]
+    else:
+        acc = mech.payments.sum(axis=1).reshape(sizes)
+        weights = [[float(x) for x in ws] for ws in weights]
     for w in reversed(weights):
-        acc = acc @ np.array([float(x) for x in w])
-    return float(acc)
+        acc = acc @ np.array(w, dtype=acc.dtype)
+    return acc if exact else float(acc)
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,8 @@ import numpy as np
 
 from .errors import UsageError
 from .grid import DiscreteMarginal, GridSpec, SampleSet, empirical_marginal
+from .learner import LearnedMechanism
+from .mechanism import MechanismTable, ProfileDomain
 from .outcomes import OutcomeSpace, PricedOutcome
 
 __all__ = [
@@ -257,10 +259,8 @@ def run_myerson(auction: MyersonAuction, bids: Sequence[float]) -> PricedOutcome
 
 def single_parameter_table(
     auction: MyersonAuction, spec: GridSpec
-) -> "MechanismTable":
+) -> MechanismTable:
     """Materialize the snapped auction as a full-grid mechanism table."""
-    from .mechanism import MechanismTable, ProfileDomain
-
     n = auction.n
     domain = ProfileDomain.full_grid(spec, n, 1)
     r = domain.num_profiles
@@ -286,11 +286,9 @@ def single_parameter_table(
 
 def learn_single_parameter(
     samples: SampleSet, epsilon: float, space: OutcomeSpace
-) -> "LearnedMechanism":
+) -> LearnedMechanism:
     """Rounding, empirical marginals, ironing, and the snapped Myersonian
     auction, wrapped for real bids; exactly IR and DSIC."""
-    from .learner import LearnedMechanism
-
     if samples.m != 1:
         raise UsageError("single-parameter learning requires m = 1 samples")
     if space.m != 1:

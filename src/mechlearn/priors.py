@@ -15,7 +15,6 @@ support sampling.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,21 +177,6 @@ class PriorDescription:
                     if spec.value(round_down(v, spec).index) != v:
                         return False
         return True
-
-    def atom_profiles(self):
-        """Iterate (profile values n x m tuple, exact probability)."""
-        if not self.finite:
-            raise ConfigError("atom enumeration requires finite prior families")
-        per_cell = [
-            [self.cell(i, j).atoms() for j in range(self.m)] for i in range(self.n)
-        ]
-        flat = [per_cell[i][j] for i in range(self.n) for j in range(self.m)]
-        for combo in itertools.product(*flat):
-            prob = Fraction(1)
-            for _, q in combo:
-                prob *= q
-            vals = np.array([v for v, _ in combo]).reshape(self.n, self.m)
-            yield vals, prob
 
 
 def sample_prior(

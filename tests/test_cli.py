@@ -273,6 +273,24 @@ class TestExitCodes:
         assert err.startswith(f"error: {argv[-1].format(w=workdir)}: cannot write: ")
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--mech", "{w}/posted.json", "--prior", "{w}/off_grid.json"],
+            ["verify", "--mech", "{w}/posted.json", "--prior", "{w}/off_grid.json",
+             "--config", "{w}/inst.json"],
+        ],
+    )
+    def test_off_grid_discrete_prior_is_usage_error(self, workdir, capsys, argv):
+        mech = posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2)
+        (workdir / "posted.json").write_text(serialize_mechanism(mech))
+        (workdir / "off_grid.json").write_text(json.dumps({
+            "n": 1, "m": 2, "h": 2.0, "family": "discrete_on_grid",
+            "params": {"values": [1.1, 2.0], "probs": ["1/2", "1/2"]},
+        }))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        assert "is not a grid point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "body, message",
         [
             ("0,0,0,abc", "line 2: could not convert"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mechlearn import (
+    ConfigError,
     DiscreteMarginal,
     DomainError,
     GridSpec,
@@ -209,6 +210,11 @@ class TestSampleSetCsv:
         out.to_csv(str(path))
         back = SampleSet.from_csv(str(path), h=2.0)
         assert np.array_equal(back.values, out.values)
+
+    def test_missing_directory_is_config_error(self, tmp_path):
+        out = SampleSet(n=1, m=1, s=1, h=1.0, values=np.zeros((1, 1, 1)))
+        with pytest.raises(ConfigError, match="cannot write"):
+            out.to_csv(str(tmp_path / "nodir" / "samples.csv"))
 
 
 class TestRecommendedSampleCount:
