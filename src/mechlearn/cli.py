@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Sequence
 
 from ._version import TOOL_VERSION
@@ -20,6 +19,7 @@ from .errors import (
     InvariantError,
     MechlearnError,
     UsageError,
+    config_errors,
     read_text,
     write_text,
 )
@@ -32,7 +32,7 @@ from .experiments import (
     run_sweep,
     write_rows_csv,
 )
-from .grid import DiscreteMarginal, GridSpec, SampleSet, round_down
+from .grid import GridSpec, SampleSet
 from .learner import (
     LearnedMechanism,
     learn_bic,
@@ -51,7 +51,7 @@ from .mechanism import (
 from .myerson import iron, ironed_curve_rows, learn_single_parameter
 from .oracle import OracleProblem, solve_optimal
 from .outcomes import model_from_config
-from .priors import prior_from_config, sample_prior
+from .priors import PriorCell, prior_from_config, sample_prior
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -76,6 +76,29 @@ def _write_text(path: str, text: str) -> None:
     write_text(path, text if text.endswith("\n") else text + "\n")
 
 
+def _load_instance(path: str):
+    """The instance config at ``path`` and the bundle it describes."""
+    instance = _load_json(path)
+    with config_errors(path):
+        return instance, build_instance(instance)
+
+
+def _load_model(args, mech):
+    """The valuation model config named by --config, else by the mechanism's
+    meta, and the model it describes."""
+    with config_errors(args.config or args.mech):
+        if args.config:
+            model_cfg = _load_json(args.config)["model"]
+        else:
+            model_cfg = mech.meta.get("model")
+        if model_cfg is None:
+            raise UsageError(
+                "mechanism file carries no model; pass --config with the instance"
+            )
+        model = model_from_config(model_cfg, spec=mech.domain.spec, space=mech.space)
+    return model_cfg, model
+
+
 def _get_samples(args, bundle) -> SampleSet:
     if args.samples:
         return SampleSet.from_csv(args.samples, h=bundle.spec.h)
@@ -87,8 +110,7 @@ def _get_samples(args, bundle) -> SampleSet:
 
 
 def _learn_common(args, pipeline: str) -> int:
-    instance = _load_json(args.config)
-    bundle = build_instance(instance)
+    instance, bundle = _load_instance(args.config)
     samples = _get_samples(args, bundle)
     if pipeline == "bic":
         learned = learn_bic(samples, bundle.spec.epsilon, bundle.space, bundle.model)
@@ -109,8 +131,7 @@ def _learn_common(args, pipeline: str) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    instance = _load_json(args.config)
-    bundle = build_instance(instance)
+    instance, bundle = _load_instance(args.config)
     prior = bundle.prior.to_grid_prior(bundle.spec)
     eta = args.eta
     if args.mode == "dsic" and eta is None:
@@ -138,8 +159,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_myerson(args) -> int:
-    instance = _load_json(args.config)
-    bundle = build_instance(instance)
+    instance, bundle = _load_instance(args.config)
     if bundle.m != 1:
         raise UsageError("myerson requires an m = 1 instance")
     prior = bundle.prior.to_grid_prior(bundle.spec)
@@ -162,14 +182,7 @@ def _cmd_nudge(args) -> int:
     mech = deserialize_mechanism(read_text(args.mech))
     if mech.n != 1:
         raise UsageError("nudge applies to single-bidder mechanisms only")
-    model_cfg = mech.meta.get("model")
-    if args.config:
-        model_cfg = _load_json(args.config)["model"]
-    if model_cfg is None:
-        raise UsageError(
-            "mechanism file carries no model; pass --config with the instance"
-        )
-    model = model_from_config(model_cfg, spec=mech.domain.spec, space=mech.space)
+    model_cfg, model = _load_model(args, mech)
     menu = mechanism_to_menu(mech, model)
     nudged = nudge_to_ic(menu, model, args.epsilon)
     out = menu_mechanism(nudged, model, mech.domain.spec)
@@ -187,7 +200,9 @@ def _cmd_nudge(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = ExperimentConfig.from_json(_load_json(args.config))
+    obj = _load_json(args.config)
+    with config_errors(args.config):
+        config = ExperimentConfig.from_json(obj)
     result = run_sweep(config, out_dir=args.out)
     for row in result.summary:
         print(
@@ -200,22 +215,21 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_concentrate(args) -> int:
     cfg = _load_json(args.config)
-    spec = GridSpec(epsilon=float(cfg["epsilon"]), h=float(cfg["h"]))
-    marginals = []
-    for cell in cfg["marginals"]:
-        mass: dict = {}
-        for v, p in zip(cell["values"], cell["probs"]):
-            k = round_down(float(v), spec).index
-            mass[k] = mass.get(k, Fraction(0)) + Fraction(p)
-        marginals.append(DiscreteMarginal(spec, mass))
-    f_values, h_f = profile_function_from_config(cfg["f"], marginals)
-    if "h_f" in cfg:
-        h_f = float(cfg["h_f"])
+    with config_errors(args.config):
+        spec = GridSpec(epsilon=float(cfg["epsilon"]), h=float(cfg["h"]))
+        marginals = [
+            PriorCell("point_masses", cell).grid_pushforward(spec)
+            for cell in cfg["marginals"]
+        ]
+        f_values, h_f = profile_function_from_config(cfg["f"], marginals)
+        h_f = float(cfg.get("h_f", h_f))
+        s, trials = int(cfg["s"]), int(cfg["trials"])
+        epsilon = float(cfg["epsilon_dev"])
     result = concentration_experiment(
         marginals,
-        s=int(cfg["s"]),
-        epsilon=float(cfg["epsilon_dev"]),
-        trials=int(cfg["trials"]),
+        s=s,
+        epsilon=epsilon,
+        trials=trials,
         f_values=f_values,
         h_f=h_f,
         seed=int(args.seed),
@@ -239,7 +253,9 @@ def _cmd_concentrate(args) -> int:
 
 
 def _load_prior_arg(path: str):
-    return prior_from_config(_load_json(path))
+    obj = _load_json(path)
+    with config_errors(path):
+        return prior_from_config(obj)
 
 
 def _cmd_eval(args) -> int:
@@ -263,14 +279,7 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     mech = deserialize_mechanism(read_text(args.mech))
     prior = _load_prior_arg(args.prior).to_grid_prior(mech.domain.spec)
-    model_cfg = mech.meta.get("model")
-    if args.config:
-        model_cfg = _load_json(args.config)["model"]
-    if model_cfg is None:
-        raise UsageError(
-            "mechanism file carries no model; pass --config with the instance"
-        )
-    model = model_from_config(model_cfg, spec=mech.domain.spec, space=mech.space)
+    _, model = _load_model(args, mech)
     if mech.domain.is_full_grid:
         report = regret_report(mech, prior, model)
     else:

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: UsageError/ConfigError/DomainError -> 1,
 CapacityError -> 2, InvariantError -> 3.
 """
 
+from contextlib import contextmanager
+
 
 class MechlearnError(Exception):
     """Base class for all package errors."""
@@ -51,3 +53,17 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write: {exc}") from exc
+
+
+@contextmanager
+def config_errors(path: str):
+    """Interpret a config read from ``path``: a missing key, a value of the
+    wrong type or shape, or an unparsable number raises ConfigError naming
+    the file. Wrap only the interpretation, so that internal faults keep
+    their own exit code."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ConfigError(
+            f"{path}: malformed config: {type(exc).__name__}: {exc}"
+        ) from exc

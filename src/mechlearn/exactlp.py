@@ -1,9 +1,13 @@
 """Independent exact-rational verification oracle for tiny LP instances.
 
 This module re-derives the oracle LP from scratch (its own profile
-enumeration, its own constraint assembly) and solves it with a dense tableau
-simplex over exact rationals using Bland's rule, so it shares no code path
-with the floating-point solver it cross-checks. Only meant for tiny
+enumeration, its own constraint assembly) and solves it with a simplex over
+exact rationals, so it shares no code path with the floating-point solver it
+cross-checks. The tableau is sparse: each row is a dict of its nonzero
+entries, and the objective row (z_j - c_j, with the objective value as its
+right-hand side) is the last row, updated by the same pivot as the others.
+Dantzig's rule picks the entering column for the first 500 iterations, then
+Bland's rule, so degenerate instances still terminate. Only meant for tiny
 instances; a hard size guard keeps it honest.
 
 Uses gmpy2 rationals when available (identical results, much faster), plain
@@ -13,6 +17,7 @@ Uses gmpy2 rationals when available (identical results, much faster), plain
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import InvariantError, UsageError
@@ -32,7 +37,7 @@ OUTCOME_GUARD = 16
 
 def simplex_maximize(c, a_eq, b_eq, a_ub, b_ub, nonneg):
     """Maximize c.x s.t. a_eq x = b_eq, a_ub x <= b_ub, x_j >= 0 for j in
-    nonneg (others free). Dense exact simplex with Bland's rule.
+    nonneg (others free). Sparse exact simplex.
 
     Free variables are split internally. Requires that setting the first
     equality-column of each equality row to its RHS (and everything else to
@@ -40,78 +45,61 @@ def simplex_maximize(c, a_eq, b_eq, a_ub, b_ub, nonneg):
     nonnegative; a guard verifies this and fails loudly otherwise.
     """
     zero = _Q(0)
-    one = _Q(1)
     n_orig = len(c)
-    free = [j for j in range(n_orig) if j not in nonneg]
     # column layout: originals (free ones get a paired negative), then slacks
-    neg_of = {}
-    cols = n_orig
-    for j in free:
-        neg_of[j] = cols
-        cols += 1
-    n_ub = len(a_ub)
-    slack0 = cols
-    cols += n_ub
+    free = [j for j in range(n_orig) if j not in nonneg]
+    neg_of = {j: n_orig + k for k, j in enumerate(free)}
+    slack0 = n_orig + len(free)
 
-    def expand(row):
-        out = [zero] * cols
+    def sparse(row, sign=1):
+        out = {}
         for j, v in row.items():
-            out[j] = _Q(v)
-            if j in neg_of:
-                out[neg_of[j]] = -_Q(v)
+            q = sign * _Q(v)
+            if q:
+                out[j] = q
+                if j in neg_of:
+                    out[neg_of[j]] = -q
         return out
 
-    rows = []
-    rhs = []
-    basis = []
-    for r, row in enumerate(a_eq):
-        rows.append(expand(row))
-        rhs.append(_Q(b_eq[r]))
+    rows = [sparse(row) for row in a_eq]
+    rhs = [_Q(b) for b in b_eq]
     for u, row in enumerate(a_ub):
-        line = expand(row)
-        line[slack0 + u] = one
+        line = sparse(row)
+        line[slack0 + u] = _Q(1)
         rows.append(line)
         rhs.append(_Q(b_ub[u]))
-        basis.append(slack0 + u)
-
-    cost = [zero] * cols
-    for j, v in enumerate(c):
-        cost[j] = _Q(v)
-        if j in neg_of:
-            cost[neg_of[j]] = -_Q(v)
-
-    # objective row holds z_j - c_j; objective value tracked separately
-    zrow = [-x for x in cost]
-    zval = zero
-    m_eq = len(a_eq)
-    basis = [None] * m_eq + basis
+    # the last row holds z_j - c_j; its right-hand side is the objective value
+    rows.append(sparse(dict(enumerate(c)), -1))
+    rhs.append(zero)
+    zrow = rows[-1]
+    basis = [None] * len(a_eq) + [slack0 + u for u in range(len(a_ub))]
 
     def pivot(pr, pc):
-        nonlocal zval
-        piv = rows[pr][pc]
-        inv = one / piv
-        rows[pr] = [x * inv for x in rows[pr]]
-        rhs[pr] = rhs[pr] * inv
-        for i in range(len(rows)):
-            if i != pr and rows[i][pc] != zero:
-                f = rows[i][pc]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[pr])]
-                rhs[i] = rhs[i] - f * rhs[pr]
-        if zrow[pc] != zero:
-            f = zrow[pc]
-            for j in range(cols):
-                zrow[j] = zrow[j] - f * rows[pr][j]
-            # entering variable takes value rhs[pr] with reduced cost -f
-            zval = zval - f * rhs[pr]
+        prow = rows[pr]
+        inv = 1 / prow[pc]
+        for j in prow:
+            prow[j] *= inv
+        rhs[pr] *= inv
+        for i, row in enumerate(rows):
+            f = row.get(pc)
+            if f is None or i == pr:
+                continue
+            for j, v in prow.items():
+                x = row.get(j, zero) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            rhs[i] -= f * rhs[pr]
         basis[pr] = pc
 
     # make each equality row's designated column basic
     for r, row in enumerate(a_eq):
         pc = min(row.keys())
-        if rows[r][pc] == zero:
+        if pc not in rows[r]:
             raise InvariantError("equality row lost its designated basic column")
         pivot(r, pc)
-    if any(v < zero for v in rhs):
+    if any(v < zero for v in rhs[:-1]):
         raise InvariantError(
             "initial basis is infeasible; the oracle LP should always admit "
             "the constant-outcome zero-payment start"
@@ -120,33 +108,21 @@ def simplex_maximize(c, a_eq, b_eq, a_ub, b_ub, nonneg):
     # Dantzig's rule first for speed, pure Bland after a while so the run
     # provably terminates even on degenerate instances.
     for iteration in range(200_000):
-        entering = None
+        candidates = [j for j, v in zrow.items() if v < zero]
+        if not candidates:
+            return rhs[-1]
         if iteration < 500:
-            most = zero
-            for j in range(cols):
-                if zrow[j] < most:
-                    most = zrow[j]
-                    entering = j
+            entering = min(candidates, key=lambda j: (zrow[j], j))
         else:
-            for j in range(cols):
-                if zrow[j] < zero:
-                    entering = j
-                    break
-        if entering is None:
-            return zval
-        leaving = None
-        best = None
-        for i in range(len(rows)):
-            if rows[i][entering] > zero:
-                ratio = rhs[i] / rows[i][entering]
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
-                    leaving = i
-        if leaving is None:
+            entering = min(candidates)
+        ratios = [
+            (rhs[i] / row[entering], basis[i], i)
+            for i, row in enumerate(rows[:-1])
+            if row.get(entering, zero) > zero
+        ]
+        if not ratios:
             raise InvariantError("oracle LP is unbounded; assembly must be wrong")
-        pivot(leaving, entering)
+        pivot(min(ratios)[2], entering)
     raise InvariantError("simplex exceeded its iteration guard")
 
 
@@ -223,60 +199,39 @@ def brute_force_optimal(
             a_ub.append(row)
             b_ub.append(Fraction(0))
 
-    if ic_mode == "bic":
-        for i in range(n):
-            others = [bidder_types[x] for x in range(n) if x != i]
-            for t in bidder_types[i]:
-                for t_rep in bidder_types[i]:
-                    if t_rep == t:
-                        continue
-                    row: dict[int, Fraction] = {}
-                    for rest in itertools.product(*others):
-                        w = Fraction(1)
-                        for x, tx in zip(
-                            (x for x in range(n) if x != i), rest
-                        ):
-                            w *= type_prob(x, tx)
-                        if w == 0:
-                            continue
-                        prof_dev = tuple(
-                            t_rep if x == i else rest[x - (1 if x > i else 0)]
-                            for x in range(n)
-                        )
-                        prof_tru = tuple(
-                            t if x == i else rest[x - (1 if x > i else 0)]
-                            for x in range(n)
-                        )
-                        rd, rt = rank[prof_dev], rank[prof_tru]
-                        for o in range(k_out):
-                            v = value(i, t, o)
-                            if v:
-                                row[xvar(rd, o)] = row.get(xvar(rd, o), Fraction(0)) + w * v
-                                row[xvar(rt, o)] = row.get(xvar(rt, o), Fraction(0)) - w * v
-                        row[pvar(rd, i)] = row.get(pvar(rd, i), Fraction(0)) - w
-                        row[pvar(rt, i)] = row.get(pvar(rt, i), Fraction(0)) + w
-                    a_ub.append(row)
-                    b_ub.append(Fraction(0))
-    else:
-        slack = Fraction(eta)
-        for i in range(n):
-            for r, prof in enumerate(profiles):
-                t = prof[i]
-                for t_rep in bidder_types[i]:
-                    if t_rep == t:
-                        continue
-                    prof_dev = tuple(
-                        t_rep if x == i else prof[x] for x in range(n)
+    def add_gain(row, i, t, t_rep, rest, w):
+        """Add w x (bidder i's ex-post gain from reporting t_rep instead of
+        t against the others' types rest) into row."""
+        rd = rank[rest[:i] + (t_rep,) + rest[i:]]
+        rt = rank[rest[:i] + (t,) + rest[i:]]
+        for o in range(k_out):
+            v = value(i, t, o)
+            if v:
+                row[xvar(rd, o)] = row.get(xvar(rd, o), 0) + w * v
+                row[xvar(rt, o)] = row.get(xvar(rt, o), 0) - w * v
+        row[pvar(rd, i)] = row.get(pvar(rd, i), 0) - w
+        row[pvar(rt, i)] = row.get(pvar(rt, i), 0) + w
+
+    slack = Fraction(eta)
+    for i in range(n):
+        others = [x for x in range(n) if x != i]
+        rests = list(itertools.product(*(bidder_types[x] for x in others)))
+        for t, t_rep in itertools.permutations(bidder_types[i], 2):
+            if ic_mode == "bic":
+                row = {}
+                for rest in rests:
+                    w = math.prod(
+                        (type_prob(x, tx) for x, tx in zip(others, rest)),
+                        start=Fraction(1),
                     )
-                    rd = rank[prof_dev]
+                    if w:
+                        add_gain(row, i, t, t_rep, rest, w)
+                a_ub.append(row)
+                b_ub.append(Fraction(0))
+            else:
+                for rest in rests:
                     row = {}
-                    for o in range(k_out):
-                        v = value(i, t, o)
-                        if v:
-                            row[xvar(rd, o)] = row.get(xvar(rd, o), Fraction(0)) + v
-                            row[xvar(r, o)] = row.get(xvar(r, o), Fraction(0)) - v
-                    row[pvar(rd, i)] = row.get(pvar(rd, i), Fraction(0)) - Fraction(1)
-                    row[pvar(r, i)] = row.get(pvar(r, i), Fraction(0)) + Fraction(1)
+                    add_gain(row, i, t, t_rep, rest, Fraction(1))
                     a_ub.append(row)
                     b_ub.append(slack)
 

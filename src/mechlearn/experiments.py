@@ -71,6 +71,8 @@ def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
         if key not in instance:
             raise ConfigError(f"instance config missing {key!r}")
     n, m = int(instance["n"]), int(instance["m"])
+    if n < 1 or m < 1:
+        raise ConfigError(f"instance needs n >= 1 and m >= 1, got n={n}, m={m}")
     spec = GridSpec(epsilon=float(instance["epsilon"]), h=float(instance["h"]))
     space = space_from_config(instance["space"], n, m)
     model = model_from_config(instance["model"], spec=spec, space=space)

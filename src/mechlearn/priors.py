@@ -64,9 +64,18 @@ class PriorCell:
                 raise ConfigError(
                     f"{self.family} needs matching 'values' and 'probs' lists"
                 )
-            total = sum((_fraction(q) for q in probs), Fraction(0))
+            try:
+                atoms = tuple((float(v), _fraction(q)) for v, q in zip(values, probs))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(
+                    f"{self.family} values and probs must be numbers: {exc}"
+                ) from exc
+            if any(q < 0 for _, q in atoms):
+                raise ConfigError(f"{self.family} probs must be nonnegative")
+            total = sum((q for _, q in atoms), Fraction(0))
             if abs(total - 1) > Fraction(1, 10**12):
                 raise ConfigError(f"probs sum to {float(total)}, not 1")
+            object.__setattr__(self, "_atoms", atoms)
         elif self.family == "uniform":
             if not {"low", "high"} <= p.keys() or not p["low"] < p["high"]:
                 raise ConfigError("uniform needs low < high")
@@ -84,9 +93,7 @@ class PriorCell:
     def atoms(self) -> list[tuple[float, Fraction]]:
         if not self.finite:
             raise ConfigError(f"{self.family} has no finite atom list")
-        vals = [float(v) for v in self.params["values"]]
-        probs = [_fraction(q) for q in self.params["probs"]]
-        return list(zip(vals, probs))
+        return list(self._atoms)
 
     def grid_pushforward(self, spec: GridSpec) -> DiscreteMarginal:
         """Distribution of the epsilon-rounded value, exactly."""

@@ -21,6 +21,11 @@ INSTANCE = {
     },
 }
 
+CONCENTRATE = {
+    "epsilon": 0.5, "h": 1.0, "s": 10, "epsilon_dev": 0.1, "trials": 5,
+    "marginals": [{"values": [0.5], "probs": ["1"]}], "f": {"kind": "scaled_sum"},
+}
+
 
 @pytest.fixture
 def workdir(tmp_path):
@@ -289,6 +294,55 @@ class TestExitCodes:
         }))
         assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
         assert "is not a grid point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, body",
+        [
+            *[(command, {**INSTANCE, key: value})
+              for command in ("learn-bic", "oracle", "myerson")
+              for key, value in [("n", "abc"), ("epsilon", "x"), ("space", "x"),
+                                 ("prior", "x"), ("n", 0)]],
+            *[("learn-bic", {**INSTANCE, "prior": {
+                "family": "point_masses", "params": {"values": values, "probs": probs}}})
+              for values, probs in [([1.0, 2.0], ["3/2", "-1/2"]),
+                                    ([1.0, 2.0], ["a", "b"]),
+                                    ([1.0, 2.0], ["1/0", "1"]),
+                                    (["x", 1.0], ["1/2", "1/2"])]],
+            ("sweep", {"instance": INSTANCE, "mode": "bic", "s_values": ["x"], "seeds": [0]}),
+            ("sweep", {"instance": INSTANCE, "mode": "bic", "s_values": [5], "seeds": 3}),
+            ("prior", [INSTANCE["prior"]]),
+            ("prior", {"n": "x", "m": 2, "h": 2.0, **INSTANCE["prior"]}),
+            *[("concentrate", {k: v for k, v in CONCENTRATE.items() if k != key})
+              for key in CONCENTRATE],
+            ("concentrate", {**CONCENTRATE, "f": "x"}),
+            *[(command, body)
+              for command in ("verify", "nudge")
+              for body in [{k: v for k, v in INSTANCE.items() if k != "model"},
+                           {**INSTANCE, "model": "additive"},
+                           [INSTANCE]]],
+        ],
+    )
+    def test_malformed_config_is_usage_error(self, workdir, capsys, command, body):
+        (workdir / "posted.json").write_text(
+            serialize_mechanism(posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2))
+        )
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(body))
+        argv = {
+            "learn-bic": ["--config", "{b}", "--s", "5", "--seed", "1", "--out", "{w}/o.json"],
+            "oracle": ["--config", "{b}", "--out", "{w}/o.json"],
+            "myerson": ["--config", "{b}", "--out", "{w}/o.csv"],
+            "sweep": ["--config", "{b}", "--out", "{w}/sweep"],
+            "prior": ["--mech", "{w}/posted.json", "--prior", "{b}"],
+            "concentrate": ["--config", "{b}", "--seed", "1", "--out", "{w}/c.csv"],
+            "verify": ["--mech", "{w}/posted.json", "--prior", "{w}/prior.json",
+                       "--config", "{b}"],
+            "nudge": ["--mech", "{w}/posted.json", "--epsilon", "0.1", "--config", "{b}",
+                      "--out", "{w}/o.json"],
+        }[command]
+        command = "eval" if command == "prior" else command
+        assert cli_dispatch([command] + [a.format(w=workdir, b=bad) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "body, message",
