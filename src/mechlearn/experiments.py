@@ -119,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError("s_values and seeds must be nonempty")
         if any(s < 1 for s in s_values):
             raise ConfigError("sample counts must be positive")
+        if any(seed < 0 for seed in seeds):
+            raise ConfigError("seeds must be nonnegative")
         build_instance(obj["instance"])  # validate eagerly
         return cls(
             instance=dict(obj["instance"]),
@@ -351,8 +353,8 @@ def concentration_experiment(
             f"f must map into the declared range [0, {h_f}]; "
             f"observed [{f.min()}, {f.max()}]"
         )
-    if epsilon <= 0 or s < 1 or trials < 1:
-        raise UsageError("need epsilon > 0, s >= 1, trials >= 1")
+    if epsilon <= 0 or s < 1 or trials < 1 or seed < 0:
+        raise UsageError("need epsilon > 0, s >= 1, trials >= 1, seed >= 0")
 
     true_probs = [m.probs_float(m.support) for m in marginals]
     expected_true = f.copy()

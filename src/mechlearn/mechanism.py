@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -506,6 +508,15 @@ def _num_from_str(s: str, where: str) -> float:
         raise ParseError(f"{where}: bad number {s!r}") from exc
 
 
+def _profile_texts(dom: ProfileDomain) -> Iterator[str]:
+    """Each profile's flat grid indices as ``"i,j,..."`` text, in rank order."""
+    types = [
+        [",".join(map(str, t)) for t in dom.bidder_types(i).tolist()]
+        for i in range(dom.n)
+    ]
+    return map(",".join, itertools.product(*types))
+
+
 def serialize_mechanism(mech: MechanismTable) -> str:
     """Canonical text of a mechanism file: compact JSON with sorted keys.
 
@@ -528,11 +539,6 @@ def serialize_mechanism(mech: MechanismTable) -> str:
         ],
         "meta": mech.meta,
     }
-    types = [
-        [",".join(map(str, t)) for t in dom.bidder_types(i).tolist()]
-        for i in range(dom.n)
-    ]
-    profiles = map(",".join, itertools.product(*types))  # rank order
     pay_texts = map(repr, mech.payments.ravel().tolist())
     # one shared iterator, so zip yields each row's n payments in turn
     pays = ['"' + '","'.join(row) + '"' for row in zip(*[pay_texts] * dom.n)]
@@ -546,17 +552,69 @@ def serialize_mechanism(mech: MechanismTable) -> str:
     bounds = np.searchsorted(rank, np.arange(dom.num_profiles + 1)).tolist()
     rows = ",".join(
         f'{{"entries":[{",".join(entries[a:b])}],"profile":[{profile}]}}'
-        for profile, a, b in zip(profiles, bounds, bounds[1:])
+        for profile, a, b in zip(_profile_texts(dom), bounds, bounds[1:])
     )
     head = json.dumps(header, sort_keys=True, separators=(",", ":"))
     return f'{{"header":{head},"rows":[{rows}]}}'
 
 
-def deserialize_mechanism(text: str) -> MechanismTable:
-    """Load a mechanism file; any malformed content raises ParseError."""
+# The reader follows the writer's layout and key order, with any JSON
+# whitespace between tokens.
+_LAYOUT = (
+    '{"header":{...},"rows":[{"entries":[{"outcome":O,"p":"P",'
+    '"pay":["X",...]},...],"profile":[I,...]},...]}'
+)
+_WS = " \t\n\r"
+_HEAD = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*"header"[ \t\n\r]*:[ \t\n\r]*')
+_ROWS = ',"rows":['
+# A whitespace run that touches a structural character, which is where JSON
+# puts whitespace between tokens. Dropping one inside a string changes only
+# strings that hold a structural character, which no key or number does.
+_LOOSE = re.compile(
+    r'[ \t\n\r](?:(?<=[{}\[\]:,][ \t\n\r])[ \t\n\r]*|[ \t\n\r]*(?=[{}\[\]:,]))'
+)
+_ROW_OPEN = '{"entries":[{"outcome":'  # a row and its first entry
+_STR = r'"[^"\\\x00-\x1f]*"'  # a string with no escapes or control characters
+# characters outside the groups of an entry, and of a row's closer
+_ENTRY_CHARS = len('{"outcome":,"p":"","pay":[]}')
+_CLOSER_CHARS = len('],"profile":[]}')
+
+
+def _entry_pattern(n: int) -> re.Pattern:
+    """One entry with n payments. Groups: the row opener if the entry starts
+    a row, the outcome, p, the payment strings, the profile if the entry
+    ends a row, and the comma that follows."""
+    return re.compile(
+        r'(\{"entries":\[)?\{"outcome":(-?(?:0|[1-9][0-9]*)),"p":"([^"\\\x00-\x1f]*)",'
+        r'"pay":\[(' + _STR + r'(?:,' + _STR + r'){' + str(n - 1) + r'})\]\}'
+        r'(?:\],"profile":\[([^\]]*)\]\})?(,?)'
+    )
+
+
+def _layout_error(what: str) -> ParseError:
+    return ParseError(f"mechanism file does not follow the layout {_LAYOUT}: {what}")
+
+
+def _numbers(texts: Sequence[str], where) -> np.ndarray:
+    """float() of each text; when one fails, every text goes through
+    ``_num_from_str``, so ``a/b`` parses and a bad number names ``where(i)``."""
     try:
-        doc = json.loads(text)
-        return _decode_mechanism(doc["header"], doc["rows"])
+        return np.fromiter(map(float, texts), np.float64, len(texts))
+    except ValueError:
+        return np.array(
+            [_num_from_str(s, where(i)) for i, s in enumerate(texts)], dtype=np.float64
+        )
+
+
+def deserialize_mechanism(text: str) -> MechanismTable:
+    """Load a mechanism file; any malformed content raises ParseError.
+
+    The rows are read straight into arrays, so they must follow the writer's
+    layout and key order (``_LAYOUT``), with any JSON whitespace between
+    tokens and numbers as ``float()`` text or ``a/b``.
+    """
+    try:
+        return _decode_mechanism(text)
     except ParseError:
         raise
     except (
@@ -565,7 +623,15 @@ def deserialize_mechanism(text: str) -> MechanismTable:
         raise ParseError(f"mechanism file is not valid: {exc}") from exc
 
 
-def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
+def _decode_mechanism(text: str) -> MechanismTable:
+    head = _HEAD.match(text)
+    if head is None:
+        raise _layout_error('it does not open with {"header":')
+    header, start = json.JSONDecoder().raw_decode(text, head.end())
+    end = len(text)
+    while end > start and text[end - 1] in _WS:  # the CLI's trailing newline
+        end -= 1
+
     if header.get("format") != _FORMAT:
         raise ParseError(f"unknown mechanism format {header.get('format')!r}")
     n, m = int(header["n"]), int(header["m"])
@@ -583,9 +649,17 @@ def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
     )
     if header.get("space_hash") != space.content_hash():
         raise ParseError("space_hash does not match the embedded space")
+
+    if any(text.find(c, start, end) >= 0 for c in _WS):
+        text = _LOOSE.sub("", text[start:end])
+        start, end = 0, len(text)
+    if not (text.startswith(_ROWS, start) and text.endswith("]}]}", start, end)):
+        raise _layout_error(f"the header is not followed by {_ROWS}...]}} alone")
+    start, end = start + len(_ROWS), end - 2
+    count = text.count(_ROW_OPEN, start, end)
     if header["domain"] == "full":
         # count before enumerating: a corrupt grid step can be huge
-        _check_row_count(spec.levels ** (n * m), rows)
+        _check_row_count(spec.levels ** (n * m), count)
         domain = ProfileDomain.full_grid(spec, n, m)
     else:
         domain = ProfileDomain(
@@ -595,30 +669,70 @@ def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
             ),
         )
     r, k = domain.num_profiles, space.num_outcomes
-    _check_row_count(r, rows)
+    _check_row_count(r, count)
+    # the outputs before the parse, so its temporaries are freed above them
     probs = np.zeros((r, k))
     payments = np.zeros((r, n))
-    for rank, (row, profile) in enumerate(zip(rows, domain.profiles())):
-        flat = [idx for bidder in profile for idx in bidder]
-        if row.get("profile") != flat:
-            raise ParseError(
-                f"row {rank}: profile {row.get('profile')} out of order; expected {flat}"
-            )
-        total = 0.0
-        for e, entry in enumerate(row.get("entries", [])):
-            where = f"row {rank} entry {e}"
-            o = int(entry["outcome"])
-            if not (0 <= o < k):
-                raise ParseError(f"{where}: outcome {o} outside the space")
-            p = _num_from_str(entry["p"], where)
-            probs[rank, o] += p
-            total += p
-            pay = [_num_from_str(x, where) for x in entry["pay"]]
-            if e and pay != payments[rank].tolist():
-                raise ParseError(f"{where}: payments {pay} disagree with entry 0")
-            payments[rank] = pay
-        if not abs(total - 1.0) <= 1e-9:
-            raise ParseError(f"row {rank}: lottery probabilities sum to {total!r}")
+
+    matches = _entry_pattern(n).findall(text, start, end)
+    if not matches:
+        raise _layout_error("the rows hold no entry")
+    opener, outcome, p, pay, profile, comma = (
+        list(map(operator.itemgetter(g), matches)) for g in range(6)
+    )
+    del matches
+    opens = np.fromiter(map(bool, opener), bool, len(opener))
+    closes = np.fromiter(map(bool, profile), bool, len(profile))
+    chars = sum(
+        sum(map(len, col)) for col in (opener, outcome, p, pay, profile, comma)
+    ) + len(opener) * _ENTRY_CHARS + int(closes.sum()) * _CLOSER_CHARS
+    if not (
+        chars == end - start
+        and opens[0] and closes[-1] and np.array_equal(opens[1:], closes[:-1])
+        and all(comma[:-1]) and not comma[-1]
+    ):
+        raise _layout_error("the rows text is not a list of such rows")
+
+    row = np.cumsum(opens) - 1  # each entry's row rank
+    first = np.flatnonzero(opens)  # each row's entry 0
+
+    def where(j: int) -> str:
+        return f"row {row[j]} entry {j - first[row[j]]}"
+
+    profiles = list(filter(None, profile))
+    del profile
+    bad = next(itertools.compress(
+        itertools.count(), map(str.__ne__, profiles, _profile_texts(domain))
+    ), None)
+    if bad is not None:
+        expected = next(itertools.islice(_profile_texts(domain), bad, None))
+        raise ParseError(
+            f"row {bad}: profile [{profiles[bad]}] out of order; expected [{expected}]"
+        )
+    del profiles
+
+    codes = {str(o): o for o in range(k)}
+    outs = np.fromiter(
+        map(codes.get, outcome, itertools.repeat(-1)), np.int64, len(outcome)
+    )
+    if (outs < 0).any():
+        j = int(np.argmax(outs < 0))
+        raise ParseError(f"{where(j)}: outcome {outcome[j]} outside the space")
+    p = _numbers(p, where)
+    pay = _numbers(",".join(pay)[1:-1].split('","'), lambda i: where(i // n))
+    pay = pay.reshape(-1, n)
+    disagree = (pay != pay[first[row]]).any(axis=1)
+    if disagree.any():
+        j = int(np.argmax(disagree))
+        raise ParseError(f"{where(j)}: payments {pay[j].tolist()} disagree with entry 0")
+    payments[:] = pay[closes]  # each row's last entry, as a sequential read keeps
+    np.add.at(probs, (row, outs), p)
+    total = np.zeros(r)
+    np.add.at(total, row, p)  # in entry order, as a running sum
+    off = ~(np.abs(total - 1.0) <= 1e-9)
+    if off.any():
+        bad = int(np.argmax(off))
+        raise ParseError(f"row {bad}: lottery probabilities sum to {total[bad]!r}")
     return MechanismTable(
         domain=domain,
         space=space,
@@ -628,8 +742,9 @@ def _decode_mechanism(header: dict, rows: list) -> MechanismTable:
     )
 
 
-def _check_row_count(expected: int, rows: list) -> None:
-    if len(rows) != expected:
+def _check_row_count(expected: int, got: int) -> None:
+    if got != expected:
         raise ParseError(
-            f"expected {expected} rows for the declared domain, got {len(rows)}"
+            f"expected {expected} rows for the declared domain, got {got}"
+            f" (a row opens with {_ROW_OPEN}, as in the layout {_LAYOUT})"
         )

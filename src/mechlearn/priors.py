@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, UsageError
 from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet, round_down
 
 __all__ = [
@@ -194,6 +194,8 @@ def sample_prior(
         raise ConfigError(
             f"prior is {prior.n}x{prior.m} but {n}x{m} samples were requested"
         )
+    if s < 1 or seed < 0:
+        raise UsageError(f"need s >= 1 and seed >= 0, got s={s} and seed={seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = np.empty((n, m, s))
     for i in range(n):

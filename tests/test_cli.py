@@ -367,6 +367,36 @@ class TestExitCodes:
         ) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["learn-bic", "--config", "{w}/inst.json", "--s", "5", "--seed", "-3",
+              "--out", "{w}/o.json"], "seed >= 0"),
+            (["learn-dsic", "--config", "{w}/inst.json", "--s", "-1", "--seed", "1",
+              "--out", "{w}/o.json"], "s >= 1"),
+            (["concentrate", "--config", "{w}/conc.json", "--seed", "-1",
+              "--out", "{w}/c.csv"], "seed >= 0"),
+            (["sweep", "--config", "{w}/sweep.json", "--out", "{w}/sweep"],
+             "seeds must be nonnegative"),
+        ],
+        ids=["learn_seed", "learn_s", "concentrate_seed", "sweep_seed"],
+    )
+    def test_negative_seed_or_sample_count_is_usage_error(
+        self, workdir, capsys, monkeypatch, argv, message
+    ):
+        from mechlearn import experiments
+
+        def no_benchmark(*args):
+            pytest.fail("a bad sweep config must fail before the exact benchmark")
+
+        monkeypatch.setattr(experiments, "exact_benchmark", no_benchmark)
+        (workdir / "conc.json").write_text(json.dumps(CONCENTRATE))
+        (workdir / "sweep.json").write_text(json.dumps(
+            {"instance": INSTANCE, "mode": "bic", "s_values": [5], "seeds": [0, -1]}
+        ))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        assert message in capsys.readouterr().err
+
     def test_verify_declared_bound_violation_is_exit_three(self, workdir):
         from mechlearn.mechanism import deserialize_mechanism, serialize_mechanism
 
