@@ -36,9 +36,9 @@ __all__ = [
 class GridSpec:
     """A value grid: multiples of ``epsilon`` inside [0, h].
 
-    The top grid point is the largest multiple of epsilon that does not
-    exceed h; when h itself is not a multiple of epsilon the top cell is
-    partial and h is not a grid point.
+    The top grid point is the largest float ``k * epsilon`` that does not
+    exceed h, the same float grid ``round_down_indices`` rounds onto; when
+    no such point equals h the top cell is partial and h is not a grid point.
     """
 
     epsilon: float
@@ -53,12 +53,20 @@ class GridSpec:
             raise DomainError(
                 f"epsilon must not exceed h, got epsilon={self.epsilon} > h={self.h}"
             )
+        if not math.isfinite(self.h / self.epsilon):
+            raise DomainError(f"h / epsilon overflows: h={self.h}, epsilon={self.epsilon}")
 
     @property
     def top_index(self) -> int:
-        # Exact rational floor(h / epsilon): float division could straddle
-        # an integer boundary for non-dyadic steps.
-        return int(Fraction(self.h) / Fraction(self.epsilon))
+        # Float division can straddle an integer boundary for non-dyadic
+        # steps; as in round_down_indices, each pass moves at most one step.
+        k = math.floor(self.h / self.epsilon)
+        for _ in range(2):
+            if (k + 1) * self.epsilon <= self.h:
+                k += 1
+            if k * self.epsilon > self.h:
+                k -= 1
+        return k
 
     @property
     def levels(self) -> int:

@@ -12,10 +12,20 @@ equality row; the BIC rows read only these, so a row has at most 2K + 2
 nonzeros (the reduced form of Cai, Daskalakis and Weinberg, without Border
 constraints).
 
+The full LP is always assembled (and is what ``--lp-dump`` writes), but
+HiGHS solves it by row generation, since few IC rows bind. The first round
+holds every equality row, the IR rows and the IC rows violated by the IR-only
+optimum, in which each profile plays its welfare-maximizing outcome and every
+bidder pays their value for it. Each later round adds every inactive row the
+last optimum violates by more than ``ROW_TOL``. Rows are only added, so the
+loop ends; when no inactive row is violated, the last relaxation's optimum is
+feasible for the full LP and therefore optimal for it, and its duals on the
+active rows certify the objective.
+
 Interim constraint weights are assembled as exact rationals and converted to
-floats once, so identical priors produce identical matrices; the HiGHS solve
-is deterministic, making the whole oracle a deterministic function of its
-input.
+floats once, so identical priors produce identical matrices; the HiGHS solves
+and the row choice are deterministic, making the whole oracle a deterministic
+function of its input.
 
 Two extension rules lift a support-domain solution to the full grid:
 
@@ -35,7 +45,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,6 +76,8 @@ VARIABLE_BUDGET = 500_000
 # the budget caps it near 0.5 GB before HiGHS starts.
 NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
+# An inactive row joins the LP once the last optimum violates it by more.
+ROW_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -103,8 +115,11 @@ class LpSolution:
     objective_value: float
     solver_status: str
     certificate: float  # dual objective value
-    # rows, cols, nnz, HiGHS iterations (nit), assemble_s and solve_s; kept
-    # out of the mechanism, so never serialized
+    # rows, cols and nnz of the full LP; rounds of row generation, the rows
+    # HiGHS saw in the last one (active_rows: every equality row and the
+    # generated inequality rows) and its iterations over all of them (nit);
+    # assemble_s, solve_s and audit_s; kept out of the mechanism, so never
+    # serialized
     stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -116,11 +131,102 @@ class LpSolution:
             )
 
 
+class _Lp(NamedTuple):
+    """The assembled LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``,
+    ``a_eq @ x == b_eq`` and ``bounds``; ``seed`` is its IR-only optimum."""
+
+    c: np.ndarray
+    a_ub: sp.csr_matrix
+    b_ub: np.ndarray
+    a_eq: sp.csr_matrix
+    b_eq: np.ndarray
+    bounds: list
+    seed: np.ndarray
+
+
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
     start = time.perf_counter()
-    problem.check_budget()
     domain = problem.domain()
+    lp, n_x, interim = _assemble(problem, domain)
+    assembled = time.perf_counter()
+    if lp_dump is not None:
+        _dump_lp(lp_dump, lp, n_x, problem.space.num_outcomes, interim)
+
+    # Row generation (see the module docstring): the IR rows, which come
+    # first, and the IC rows the IR-only optimum violates, then each round's
+    # violated rows.
+    ir_rows = np.arange(lp.b_ub.size) < domain.num_profiles * domain.n
+    active = ir_rows | (lp.a_ub @ lp.seed - lp.b_ub > ROW_TOL)
+    rounds = nit = 0
+    while True:
+        res = linprog(
+            lp.c,
+            A_ub=lp.a_ub[active],
+            b_ub=lp.b_ub[active],
+            A_eq=lp.a_eq,
+            b_eq=lp.b_eq,
+            bounds=lp.bounds,
+            method="highs",
+        )
+        if res.status == 2:
+            raise InvariantError(
+                "oracle LP reported infeasible, but the zero mechanism is always "
+                "feasible; this is an internal solver fault"
+            )
+        if res.status != 0:
+            raise InvariantError(f"LP solver failed with status {res.status}: {res.message}")
+        rounds, nit = rounds + 1, nit + int(res.nit)
+        x = np.asarray(res.x)
+        new = ~active & (lp.a_ub @ x - lp.b_ub > ROW_TOL)
+        if not new.any():
+            break
+        active |= new
+    solved = time.perf_counter()
+
+    r_profiles, k_out = domain.num_profiles, problem.space.num_outcomes
+    probs = np.clip(x[:n_x].reshape(r_profiles, k_out), 0.0, None)
+    sums = probs.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > 1e-6:
+        raise InvariantError("solver returned lotteries far from stochastic")
+    probs = probs / sums[:, None]
+    payments = x[n_x : interim[0]].reshape(r_profiles, domain.n)
+    mech = MechanismTable(
+        domain=domain,
+        space=problem.space,
+        probs=probs,
+        payments=payments,
+        meta={"ic_mode": problem.ic_mode, "eta": problem.eta},
+    )
+
+    objective = -float(res.fun)
+    dual = float(res.eqlin.marginals @ lp.b_eq + res.ineqlin.marginals @ lp.b_ub[active])
+    solution = LpSolution(
+        mechanism=mech,
+        objective_value=objective,
+        solver_status="optimal",
+        certificate=-dual,
+        stats={
+            "rows": lp.a_ub.shape[0] + lp.a_eq.shape[0],
+            "cols": lp.c.size,
+            "nnz": lp.a_ub.nnz + lp.a_eq.nnz,
+            "nit": nit,
+            "rounds": rounds,
+            "active_rows": int(active.sum()) + lp.a_eq.shape[0],
+            "assemble_s": assembled - start,
+            "solve_s": solved - assembled,
+        },
+    )
+    _audit_solution(problem, solution)
+    solution.stats["audit_s"] = time.perf_counter() - solved
+    return solution
+
+
+def _assemble(
+    problem: OracleProblem, domain: ProfileDomain
+) -> tuple[_Lp, int, np.ndarray]:
+    """The full LP, the lottery column count and the interim column offsets."""
+    problem.check_budget()
     space = problem.space
     n = domain.n
     r_profiles = domain.num_profiles
@@ -169,63 +275,18 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     a_eq = sp.vstack(a_eq, format="csr")
     b_eq = np.concatenate([np.ones(r_profiles), np.zeros(a_eq.shape[0] - r_profiles)])
     bounds = [(0.0, None)] * n_x + [(None, None)] * (n_vars - n_x)
-    assembled = time.perf_counter()
 
-    if lp_dump is not None:
-        _dump_lp(lp_dump, c, a_ub, b_ub, a_eq, b_eq, n_x, k_out, interim)
-
-    solve_start = time.perf_counter()
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    solve_s = time.perf_counter() - solve_start
-    if res.status == 2:
-        raise InvariantError(
-            "oracle LP reported infeasible, but the zero mechanism is always "
-            "feasible; this is an internal solver fault"
-        )
-    if res.status != 0:
-        raise InvariantError(f"LP solver failed with status {res.status}: {res.message}")
-
-    x = np.asarray(res.x)
-    probs = np.clip(x[:n_x].reshape(r_profiles, k_out), 0.0, None)
-    sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
-        raise InvariantError("solver returned lotteries far from stochastic")
-    probs = probs / sums[:, None]
-    payments = x[n_x : interim[0]].reshape(r_profiles, n)
-    mech = MechanismTable(
-        domain=domain,
-        space=space,
-        probs=probs,
-        payments=payments,
-        meta={"ic_mode": problem.ic_mode, "eta": problem.eta},
-    )
-
-    objective = -float(res.fun)
-    dual = float(res.eqlin.marginals @ b_eq + res.ineqlin.marginals @ b_ub)
-    solution = LpSolution(
-        mechanism=mech,
-        objective_value=objective,
-        solver_status="optimal",
-        certificate=-dual,
-        stats={
-            "rows": a_ub.shape[0] + a_eq.shape[0],
-            "cols": n_vars,
-            "nnz": a_ub.nnz + a_eq.nnz,
-            "nit": int(res.nit),
-            "assemble_s": assembled - start,
-            "solve_s": solve_s,
-        },
-    )
-    _audit_solution(problem, solution)
-    return solution
+    # IR-only optimum: each profile plays its welfare-maximizing outcome and
+    # every bidder pays their value for it; the interim columns then follow
+    # from their defining rows, which read them with coefficient 1.
+    own = [vals[i][type_ranks[:, i]] for i in range(n)]  # (R, K) per bidder
+    best = np.argmax(sum(own), axis=1)
+    seed = np.zeros(n_vars)
+    seed[np.arange(r_profiles) * k_out + best] = 1.0
+    paid = [v[np.arange(r_profiles), best] for v in own]
+    seed[n_x : interim[0]] = np.stack(paid, axis=1).ravel()
+    seed[interim[0] :] -= a_eq[r_profiles:] @ seed
+    return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed), n_x, interim
 
 
 def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
@@ -496,18 +557,9 @@ def extend_dsic(
     )
 
 
-def _dump_lp(
-    path: str,
-    c: np.ndarray,
-    a_ub: sp.csr_matrix,
-    b_ub: np.ndarray,
-    a_eq: sp.csr_matrix,
-    b_eq: np.ndarray,
-    n_x: int,
-    k_out: int,
-    interim: np.ndarray,
-) -> None:
-    """Write the instance in CPLEX LP text format for external checking."""
+def _dump_lp(path: str, lp: _Lp, n_x: int, k_out: int, interim: np.ndarray) -> None:
+    """Write the full LP in CPLEX LP text format for external checking."""
+    c, a_ub, b_ub, a_eq, b_eq = lp[:5]
 
     def var(j: int) -> str:
         if j < interim[0]:

@@ -32,9 +32,33 @@ class TestGridSpec:
         assert spec.top_index == 3
         assert spec.value(spec.top_index) <= 1.0
 
+    @pytest.mark.parametrize("epsilon, top", [(0.2, 5), (0.1, 10), (0.05, 20)])
+    def test_non_dyadic_step_keeps_the_top_point(self, epsilon, top):
+        # k * epsilon == 1.0 in floats, though Fraction(epsilon) * k > 1
+        spec = GridSpec(epsilon=epsilon, h=1.0)
+        assert spec.top_index == top and spec.values()[-1] == 1.0
+        assert round_down(1.0, spec).value(spec) == 1.0
+
+    @given(
+        st.floats(min_value=1e-3, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=50.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_index_is_the_last_float_grid_point(self, epsilon, h):
+        if epsilon > h:
+            return
+        k = GridSpec(epsilon=epsilon, h=h).top_index
+        assert k * epsilon <= h < (k + 1) * epsilon
+
+    @pytest.mark.parametrize("epsilon, h", [(0.25, 2.0), (0.5, 1.0), (1.0, 2.0), (0.125, 3.0)])
+    def test_dyadic_steps_keep_the_exact_top(self, epsilon, h):
+        assert GridSpec(epsilon=epsilon, h=h).top_index == int(Fraction(h) / Fraction(epsilon))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             GridSpec(epsilon=0.0, h=1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            GridSpec(epsilon=1e-300, h=1e300)
         with pytest.raises(DomainError):
             GridSpec(epsilon=2.0, h=1.0)
         with pytest.raises(DomainError):

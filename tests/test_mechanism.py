@@ -488,9 +488,9 @@ def _pinned_mechanism(name: str) -> MechanismTable:
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("learned_dsic", "40b9ff7af919737d346643458edd6052ad18f598386f5472bcd5f18edcd8eac2"),
-        ("learned_bic", "f587a05d58b91d952788bfd7e5a022024a27b3a286ae12529540349c28819ece"),
-        ("support_n3", "1e9e84f8fb1af74cfc83711786453c623bdfbcc5cbe6978a87959143ba1e8259"),
+        ("learned_dsic", "8cc16aa6ce993301be249c72c7f00e7665522dfb04d27f881b44f65e39bd9d45"),
+        ("learned_bic", "cf6d04e95396a23c0d860ddd1f33ad7376cbb5079f1f9f5c37dbce19ddc75f96"),
+        ("support_n3", "63eea77a97575cc33f9a6e8b027ad8a6751a0b0321bee12baf4f4c699b375d38"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
     ],
 )

@@ -403,7 +403,7 @@ def _pin_auctions():
         ),
         (
             2,
-            "f5aba4eb8ddf6453db45e6ad8177ff21a4644bb3b963125284b968bffd551e83",
+            "19ba8a631511ad646b190a478ffe45155aa9f23d24fd322f8b9f57978a3ad36b",
             "437f2d244543b5e458053be726560c253d14cdd1295aecf3a8303e2b0e8f78f7",
         ),
         (

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from mechlearn import (
     CapacityError,
@@ -317,18 +318,28 @@ class TestInterimLp:
         assert sol.stats["nnz"] == sum(len(names) for names in rows.values())
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
-    def test_stats_describe_the_lp(self, mode):
+    def test_stats_describe_the_lp(self, tmp_path, mode):
         from mechlearn.oracle import _nnz_bound
 
         problem = _lp_dump_instance("n2m2", mode)
         domain, k_out = problem.domain(), problem.space.num_outcomes
-        stats = solve_optimal(problem).stats
-        assert set(stats) == {"rows", "cols", "nnz", "nit", "assemble_s", "solve_s"}
+        path = tmp_path / "dump.lp"
+        stats = solve_optimal(problem, lp_dump=str(path)).stats
+        assert set(stats) == {
+            "rows", "cols", "nnz", "nit", "rounds", "active_rows",
+            "assemble_s", "solve_s", "audit_s",
+        }
         interim = sum(domain.bidder_type_count(i) for i in range(domain.n)) * (k_out + 1)
         base = domain.num_profiles * (k_out + domain.n)
         assert stats["cols"] == base + (interim if mode == "bic" else 0)
         assert 0 < stats["nnz"] <= _nnz_bound(problem, domain, k_out)
-        assert stats["nit"] > 0 and stats["assemble_s"] >= 0 and stats["solve_s"] >= 0
+        # rows and nnz describe the full LP, as dumped, not the generated subset
+        rows = _dump_rows(path)
+        assert stats["rows"] == len(rows)
+        assert stats["nnz"] == sum(len(names) for names in rows.values())
+        assert 1 <= stats["rounds"] and stats["active_rows"] <= stats["rows"]
+        assert stats["nit"] > 0
+        assert min(stats["assemble_s"], stats["solve_s"], stats["audit_s"]) >= 0
 
     def test_stats_stay_out_of_the_mechanism_file(self):
         from mechlearn import LpSolution, serialize_mechanism
@@ -496,6 +507,84 @@ class TestExtendBic:
         uniform = {k: Fraction(1, spec.levels) for k in range(spec.levels)}
         rep = audit_over_domain(full, product_prior(spec, [[uniform] * m] * 2), model)
         assert rep.ir_slack >= -1e-8
+
+
+def _full_x(problem, sol, lp):
+    """The LP point of a solution: its lotteries and payments, then the
+    interim columns their defining rows give."""
+    r_profiles = problem.domain().num_profiles
+    x = np.zeros(lp.c.size)
+    base = np.concatenate([sol.mechanism.probs.ravel(), sol.mechanism.payments.ravel()])
+    x[: base.size] = base
+    x[base.size :] -= lp.a_eq[r_profiles:] @ x
+    return x
+
+
+class TestRowGeneration:
+    @given(
+        m=st.integers(1, 2),
+        cells=st.lists(
+            st.lists(
+                st.dictionaries(st.integers(0, 2), st.integers(1, 4), min_size=1, max_size=3),
+                min_size=2,
+                max_size=2,
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        mode=st.sampled_from(["bic", "dsic"]),
+        eta=st.sampled_from([0.0, 0.5]),
+        unit_demand=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_generated_rows_agree_with_the_full_lp(self, m, cells, mode, eta, unit_demand):
+        from mechlearn import oracle
+        from mechlearn.exactlp import OUTCOME_GUARD
+
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        cells = [
+            [{k: Fraction(w, sum(c.values())) for k, w in c.items()} for c in row[:m]]
+            for row in cells
+        ]
+        prior = product_prior(spec, cells)
+        model = ValuationModel(tag="unit_demand" if unit_demand else "additive")
+        space = enumerate_multi_item(len(cells), m)
+        eta = eta if mode == "dsic" else 0.0
+        problem = OracleProblem(prior=prior, space=space, model=model, ic_mode=mode, eta=eta)
+        sol = solve_optimal(problem)
+
+        # every row in one linprog call: the reference the generated rows must meet
+        lp, _, _ = oracle._assemble(problem, problem.domain())
+        full = linprog(
+            lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+            bounds=lp.bounds, method="highs",
+        )
+        assert full.status == 0
+        assert sol.objective_value == pytest.approx(-full.fun, rel=1e-9, abs=1e-12)
+        assert 1 <= sol.stats["rounds"] and sol.stats["active_rows"] <= sol.stats["rows"]
+        x = _full_x(problem, sol, lp)
+        assert np.max(lp.a_ub @ x - lp.b_ub) <= oracle.FEASIBILITY_TOL
+        if problem.domain().num_profiles <= 8 and space.num_outcomes <= OUTCOME_GUARD:
+            exact = brute_force_optimal(prior, space, model, mode, eta)
+            assert sol.objective_value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+
+    def test_sweep_instances_solve_in_one_round(self):
+        # The IR-only seed is enough here: the first optimum violates no
+        # other row, so the many short solves of a sweep pay no second
+        # linprog call.
+        from mechlearn.experiments import build_instance
+        from mechlearn.learner import _empirical_prior
+        from mechlearn.priors import sample_prior
+
+        root = Path(__file__).resolve().parent.parent
+        config = json.loads((root / "perfbench" / "configs" / "sweep_bic.json").read_text())
+        bundle = build_instance(config["instance"])
+        for s, seed in itertools.product(config["s_values"], config["seeds"]):
+            samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
+            prior = _empirical_prior(samples, bundle.spec)
+            problem = OracleProblem(prior=prior, space=bundle.space, model=bundle.model)
+            assert solve_optimal(problem).stats["rounds"] == 1
+
 
 class TestExtendDsic:
     def _two_bidder_solution(self, additive):
