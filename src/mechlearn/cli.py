@@ -329,7 +329,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("oracle", help="solve the LP on an explicit grid prior")
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=("bic", "dsic"), default="bic")
-    p.add_argument("--eta", type=float, help="DSIC slack (default 2*m*epsilon)")
+    p.add_argument(
+        "--eta", type=float, help="DSIC slack (default 2*m*epsilon; bic mode takes only 0)"
+    )
     p.add_argument("--lp-dump", help="write the LP in text form")
     p.add_argument("--out", required=True)
 

@@ -13,14 +13,19 @@ nonzeros (the reduced form of Cai, Daskalakis and Weinberg, without Border
 constraints).
 
 The full LP is always assembled (and is what ``--lp-dump`` writes), but
-HiGHS solves it by row generation, since few IC rows bind. The first round
-holds every equality row, the IR rows and the IC rows violated by the IR-only
-optimum, in which each profile plays its welfare-maximizing outcome and every
-bidder pays their value for it. Each later round adds every inactive row the
-last optimum violates by more than ``ROW_TOL``. Rows are only added, so the
-loop ends; when no inactive row is violated, the last relaxation's optimum is
-feasible for the full LP and therefore optimal for it, and its duals on the
-active rows certify the objective.
+HiGHS solves it by row generation, since few IC rows bind. One HiGHS model
+is built once and rows are only ever appended to it. The first rows are the
+IR rows and the IC rows violated by the IR-only optimum, in which each
+profile plays its welfare-maximizing outcome and every bidder pays their
+value for it; the equality rows come after them (with the equality rows
+first, HiGHS lands on a vertex that needs a second round on some sweep
+priors). Each later round appends every inactive row the last optimum
+violates by more than ``ROW_TOL`` and re-solves from the last basis, which
+the new rows leave valid, so HiGHS continues with the dual simplex instead
+of starting over. Rows are only added, so the loop ends; when no inactive
+row is violated, the last relaxation's optimum is feasible for the full LP
+and therefore optimal for it, and its duals on the added rows certify the
+objective.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -49,7 +54,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import CapacityError, InvariantError, UsageError, write_text
 from .grid import ProductPrior
@@ -72,8 +77,9 @@ from .outcomes import (
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
 VARIABLE_BUDGET = 500_000
-# Assembly holds about 54 bytes per nonzero of the bound (lp_2x2, DSIC), so
-# the budget caps it near 0.5 GB before HiGHS starts.
+# Assembly peaks about 100 bytes per nonzero above the interpreter (5.74 M
+# nonzeros lift the process from 79 to 653 MB on a DSIC LP), so the budget
+# caps it near 1 GB before HiGHS starts; the solve adds nothing above that.
 NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
 # An inactive row joins the LP once the last optimum violates it by more.
@@ -95,6 +101,8 @@ class OracleProblem:
             raise UsageError(f"ic_mode must be 'bic' or 'dsic', got {self.ic_mode!r}")
         if self.eta < 0:
             raise UsageError(f"eta must be nonnegative, got {self.eta}")
+        if self.ic_mode == "bic" and self.eta != 0:
+            raise UsageError(f"eta is a DSIC slack; BIC mode is exact, got eta {self.eta}")
         if (self.prior.n, self.prior.m) != (self.space.n, self.space.m):
             raise UsageError("prior and outcome space disagree on (n, m)")
 
@@ -133,14 +141,15 @@ class LpSolution:
 
 class _Lp(NamedTuple):
     """The assembled LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``,
-    ``a_eq @ x == b_eq`` and ``bounds``; ``seed`` is its IR-only optimum."""
+    ``a_eq @ x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``;
+    ``seed`` is its IR-only optimum."""
 
     c: np.ndarray
     a_ub: sp.csr_matrix
     b_ub: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
-    bounds: list
+    bounds: np.ndarray
     seed: np.ndarray
 
 
@@ -153,35 +162,40 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     if lp_dump is not None:
         _dump_lp(lp_dump, lp, n_x, problem.space.num_outcomes, interim)
 
-    # Row generation (see the module docstring): the IR rows, which come
-    # first, and the IC rows the IR-only optimum violates, then each round's
-    # violated rows.
+    # Row generation (see the module docstring) on one live HiGHS model: the
+    # IR rows, which come first, and the IC rows the IR-only optimum
+    # violates, then the equality rows, then each round's violated rows.
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.addVars(lp.c.size, lp.bounds[:, 0], lp.bounds[:, 1])
+    highs.changeColsCost(lp.c.size, np.arange(lp.c.size, dtype=np.int32), lp.c)
     ir_rows = np.arange(lp.b_ub.size) < domain.num_profiles * domain.n
     active = ir_rows | (lp.a_ub @ lp.seed - lp.b_ub > ROW_TOL)
-    rounds = nit = 0
+    added = [np.flatnonzero(active)]  # a_ub rows, round by round
+    _add_rows(highs, lp.a_ub[added[0]], -np.inf, lp.b_ub[added[0]])
+    _add_rows(highs, lp.a_eq, lp.b_eq, lp.b_eq)
+    nit = 0
     while True:
-        res = linprog(
-            lp.c,
-            A_ub=lp.a_ub[active],
-            b_ub=lp.b_ub[active],
-            A_eq=lp.a_eq,
-            b_eq=lp.b_eq,
-            bounds=lp.bounds,
-            method="highs",
-        )
-        if res.status == 2:
+        highs.run()
+        status = highs.getModelStatus()
+        if status == HighsModelStatus.kInfeasible:
             raise InvariantError(
                 "oracle LP reported infeasible, but the zero mechanism is always "
                 "feasible; this is an internal solver fault"
             )
-        if res.status != 0:
-            raise InvariantError(f"LP solver failed with status {res.status}: {res.message}")
-        rounds, nit = rounds + 1, nit + int(res.nit)
-        x = np.asarray(res.x)
-        new = ~active & (lp.a_ub @ x - lp.b_ub > ROW_TOL)
-        if not new.any():
+        if status != HighsModelStatus.kOptimal:
+            raise InvariantError(
+                f"LP solver failed with status {highs.modelStatusToString(status)}"
+            )
+        info, result = highs.getInfo(), highs.getSolution()
+        nit += info.simplex_iteration_count
+        x = np.asarray(result.col_value)
+        new = np.flatnonzero(~active & (lp.a_ub @ x - lp.b_ub > ROW_TOL))
+        if not new.size:
             break
-        active |= new
+        active[new] = True
+        added.append(new)
+        _add_rows(highs, lp.a_ub[new], -np.inf, lp.b_ub[new])
     solved = time.perf_counter()
 
     r_profiles, k_out = domain.num_profiles, problem.space.num_outcomes
@@ -199,8 +213,10 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         meta={"ic_mode": problem.ic_mode, "eta": problem.eta},
     )
 
-    objective = -float(res.fun)
-    dual = float(res.eqlin.marginals @ lp.b_eq + res.ineqlin.marginals @ lp.b_ub[active])
+    objective = -info.objective_function_value
+    # the right sides of the model's rows, in the order they were added
+    b = np.concatenate([lp.b_ub[added[0]], lp.b_eq, *(lp.b_ub[a] for a in added[1:])])
+    dual = float(np.asarray(result.row_dual) @ b)
     solution = LpSolution(
         mechanism=mech,
         objective_value=objective,
@@ -211,7 +227,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
             "cols": lp.c.size,
             "nnz": lp.a_ub.nnz + lp.a_eq.nnz,
             "nit": nit,
-            "rounds": rounds,
+            "rounds": len(added),
             "active_rows": int(active.sum()) + lp.a_eq.shape[0],
             "assemble_s": assembled - start,
             "solve_s": solved - assembled,
@@ -274,7 +290,8 @@ def _assemble(
         a_eq.append(_interim_rows(domain, weights_frac, k_out, interim))
     a_eq = sp.vstack(a_eq, format="csr")
     b_eq = np.concatenate([np.ones(r_profiles), np.zeros(a_eq.shape[0] - r_profiles)])
-    bounds = [(0.0, None)] * n_x + [(None, None)] * (n_vars - n_x)
+    bounds = np.tile([-np.inf, np.inf], (n_vars, 1))
+    bounds[:n_x, 0] = 0.0
 
     # IR-only optimum: each profile plays its welfare-maximizing outcome and
     # every bidder pays their value for it; the interim columns then follow
@@ -289,19 +306,35 @@ def _assemble(
     return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed), n_x, interim
 
 
+def _add_rows(highs: _Highs, a: sp.csr_matrix, lower, upper: np.ndarray) -> None:
+    """Append the rows ``lower <= a @ x <= upper`` to a live HiGHS model."""
+    lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), upper.shape)
+    highs.addRows(
+        a.shape[0], lower, upper, a.nnz,
+        a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data,
+    )
+
+
 def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
-    """Nonzeros the LP can have at most, from its shapes alone."""
+    """Nonzeros the LP can have at most, from its shapes and the true types'
+    nonzero values; exact but for the BIC interim definitions, which skip
+    rest profiles of zero weight."""
     n, r_profiles = domain.n, domain.num_profiles
-    per_term = k_out + 1  # a type's values and its payment
-    total = r_profiles * k_out + r_profiles * n * per_term  # lotteries, IR
+    total = r_profiles * k_out  # lotteries
     for i in range(n):
         t_i = domain.bidder_type_count(i)
         rest = r_profiles // t_i
+        vals = problem.model.values_for(
+            problem.space, i, domain.bidder_types(i) * domain.spec.epsilon
+        )
+        # one term per true type: its nonzero values and its payment
+        terms = np.count_nonzero(vals) + t_i
+        total += rest * terms  # IR
         if problem.ic_mode == "bic":  # IC rows, then the interim definitions
-            total += 2 * t_i * (t_i - 1) * per_term + t_i * per_term * (rest + 1)
+            total += 2 * (t_i - 1) * terms + t_i * (k_out + 1) * (rest + 1)
         else:
-            total += 2 * t_i * (t_i - 1) * rest * per_term
-    return total
+            total += 2 * (t_i - 1) * rest * terms
+    return int(total)
 
 
 def _inequality_rows(

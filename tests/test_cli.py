@@ -434,6 +434,15 @@ class TestExitCodes:
         assert code == 2
         assert "capacity error: ex-post utility tensor" in capsys.readouterr().err
 
+    def test_oracle_eta_in_bic_mode_is_usage_error(self, workdir, capsys):
+        out = workdir / "o.json"
+        argv = ["oracle", "--config", str(workdir / "inst.json"), "--mode", "bic",
+                "--out", str(out)]
+        assert cli_dispatch(argv + ["--eta", "0.5"]) == 1
+        assert "eta" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli_dispatch(argv + ["--eta", "0"]) == 0
+
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     def test_oracle_over_the_nnz_budget_is_exit_two(
         self, workdir, capsys, monkeypatch, mode

@@ -137,6 +137,30 @@ class TestSolveOptimal:
                 prior=prior, space=space, model=additive, ic_mode="dsic", eta=-0.1
             )
 
+    def test_highs_binding_solves_and_certifies(self):
+        # The oracle drives HiGHS through scipy's private binding; a scipy
+        # release that moves or changes it fails here first. minimize
+        # -x0 - 2 x1 s.t. x0 + x1 <= 4, x0 - x1 == 1, x >= 0: the optimum
+        # is x = (2.5, 1.5), objective -5.5, duals (-1.5, 0.5).
+        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.addVars(2, np.zeros(2), np.full(2, np.inf))
+        highs.changeColsCost(2, np.arange(2, dtype=np.int32), np.array([-1.0, -2.0]))
+        # the <= row first, then the == row, as the oracle adds them
+        starts, index = np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32)
+        for lower, upper, coefs in ((-np.inf, 4.0, [1.0, 1.0]), (1.0, 1.0, [1.0, -1.0])):
+            highs.addRows(1, np.array([lower]), np.array([upper]), 2, starts, index,
+                          np.array(coefs))
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        assert highs.getInfo().objective_function_value == pytest.approx(-5.5)
+        solution = highs.getSolution()
+        np.testing.assert_allclose(solution.col_value, [2.5, 1.5])
+        np.testing.assert_allclose(solution.row_dual, [-1.5, 0.5])
+        assert np.asarray(solution.row_dual) @ [4.0, 1.0] == pytest.approx(-5.5)
+
     def test_lp_dump_written(self, additive, tmp_path):
         spec = GridSpec(epsilon=1.0, h=2.0)
         prior = u12_prior(spec, 1, 1)
@@ -367,6 +391,16 @@ class TestInterimLp:
         monkeypatch.setattr(oracle, "NNZ_BUDGET", bound)
         solve_optimal(problem)
 
+    @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
+    def test_nnz_bound_is_exact_in_dsic_mode(self, name):
+        # IR, DSIC and lottery entries never share a (row, column), so the
+        # bound counts each true type's nonzero values and payment exactly
+        from mechlearn.oracle import _nnz_bound
+
+        problem = _lp_dump_instance(name, "dsic")
+        bound = _nnz_bound(problem, problem.domain(), problem.space.num_outcomes)
+        assert bound == solve_optimal(problem).stats["nnz"]
+
     def test_nnz_budget_admits_the_shipped_configs(self):
         # A learned prior's support lies inside the rounded true support, so
         # the LP of the true grid prior bounds every LP a config can build.
@@ -571,7 +605,7 @@ class TestRowGeneration:
     def test_sweep_instances_solve_in_one_round(self):
         # The IR-only seed is enough here: the first optimum violates no
         # other row, so the many short solves of a sweep pay no second
-        # linprog call.
+        # run() of the HiGHS model.
         from mechlearn.experiments import build_instance
         from mechlearn.learner import _empirical_prior
         from mechlearn.priors import sample_prior
