@@ -252,18 +252,21 @@ def _cmd_concentrate(args) -> int:
     return 0
 
 
-def _load_prior_arg(path: str):
-    obj = _load_json(path)
-    with config_errors(path):
-        return prior_from_config(obj)
+def _load_mech_and_prior(args):
+    """The mechanism at --mech and the prior at --prior, which must agree on
+    (n, m)."""
+    mech = deserialize_mechanism(read_text(args.mech))
+    obj = _load_json(args.prior)
+    with config_errors(args.prior):
+        prior = prior_from_config(obj)
+    if (prior.n, prior.m) != (mech.n, mech.m):
+        raise UsageError("prior and mechanism disagree on (n, m)")
+    return mech, prior
 
 
 def _cmd_eval(args) -> int:
-    mech = deserialize_mechanism(read_text(args.mech))
-    prior = _load_prior_arg(args.prior)
+    mech, prior = _load_mech_and_prior(args)
     spec = mech.domain.spec
-    if (prior.n, prior.m) != (mech.n, mech.m):
-        raise UsageError("prior and mechanism disagree on (n, m)")
     if mech.domain.is_full_grid and prior.finite:
         wrapper = LearnedMechanism(
             inner=mech, mode=str(mech.meta.get("mode", "bic"))
@@ -277,8 +280,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    mech = deserialize_mechanism(read_text(args.mech))
-    prior = _load_prior_arg(args.prior).to_grid_prior(mech.domain.spec)
+    mech, prior = _load_mech_and_prior(args)
+    prior = prior.to_grid_prior(mech.domain.spec)
     _, model = _load_model(args, mech)
     if mech.domain.is_full_grid:
         report = regret_report(mech, prior, model)

@@ -26,7 +26,7 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    expost_utilities,
+    expost_slabs,
     interim_utilities,
     max_gain,
     revenue,
@@ -339,6 +339,6 @@ def real_lattice_dsic_regret(
     worst = 0.0
     for k in range(mech.n):
         val = model.values_for(mech.inner.space, k, pts)  # (T_real, K)
-        u = expost_utilities(mech.inner, k, val)  # (T_real, T_grid, R_rest)
-        worst = max(worst, max_gain(u, truth)[0])
+        for _, u in expost_slabs(mech.inner, k, val):  # (T_real, T_grid, rest)
+            worst = max(worst, max_gain(u, truth)[0])
     return worst

@@ -35,7 +35,7 @@ __all__ = [
     "type_weights",
     "rest_weights",
     "interim_utilities",
-    "expost_utilities",
+    "expost_slabs",
     "max_gain",
     "revenue",
     "interim_form",
@@ -45,9 +45,13 @@ __all__ = [
     "deserialize_mechanism",
 ]
 
-# cells of the one (T_values, T_k, R_rest) ex-post utility tensor; 1e8
-# doubles are 800 MB
+# cells of one rest column, (T_values, T_k), of the ex-post utility kernel;
+# 1e8 doubles are 800 MB
 EXPOST_CELL_BUDGET = 10**8
+# cells of one slab the ex-post kernel yields, 8 MiB of doubles, unless one
+# rest column alone is larger; the full_grid_3x2 audit ran fastest from 2**19
+# to 2**21 cells, and about 15% slower at 2**22
+EXPOST_CHUNK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -308,21 +312,31 @@ def interim_utilities(
     return values @ cp.T - cpay[None, :], cpay
 
 
-def expost_utilities(mech: MechanismTable, k: int, values: np.ndarray) -> np.ndarray:
-    """``u[t, s, rest]``: ex-post utility of value row ``values[t]``
-    reporting bidder k's domain type s against the others' profile rest,
-    over the mechanism's randomness only. Raises ``CapacityError`` when the
-    tensor would exceed ``EXPOST_CELL_BUDGET`` cells."""
-    cells = len(values) * mech.domain.num_profiles
-    if cells > EXPOST_CELL_BUDGET:
+def expost_slabs(
+    mech: MechanismTable, k: int, values: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The ex-post utility tensor ``u[t, s, rest]`` of value row
+    ``values[t]`` reporting bidder k's domain type s against the others'
+    profile rest, over the mechanism's randomness only, one slab at a time.
+
+    Yields ``(r0, u[:, :, r0:r1])`` in rest order. Each slab holds whole
+    rest columns, as many as fit in ``EXPOST_CHUNK_CELLS`` cells and at
+    least one, and is a fresh array the caller may overwrite. Raises
+    ``CapacityError`` when one rest column, ``T_values * T_k`` cells,
+    exceeds ``EXPOST_CELL_BUDGET``.
+    """
+    column = len(values) * mech.domain.bidder_type_count(k)
+    if column > EXPOST_CELL_BUDGET:
         raise CapacityError(
-            f"ex-post utility tensor of bidder {k} has {cells} cells, over the "
-            f"{EXPOST_CELL_BUDGET} budget"
+            f"ex-post utility tensor of bidder {k} has {column} cells per rest "
+            f"profile, over the {EXPOST_CELL_BUDGET} budget"
         )
     probs_view, pay_view = axis_views(mech, k)
-    u = np.einsum("sro,to->tsr", probs_view, values)
-    u -= pay_view
-    return u
+    step = max(1, EXPOST_CHUNK_CELLS // column)
+    for r0 in range(0, pay_view.shape[1], step):
+        u = np.einsum("sro,to->tsr", probs_view[:, r0 : r0 + step], values)
+        u -= pay_view[:, r0 : r0 + step]
+        yield r0, u
 
 
 def max_gain(u: np.ndarray, truth: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -449,15 +463,23 @@ def audit_over_domain(
             bic = gain
             bic_wit = {"bidder": k, "true_type": types[t], "report": types[r]}
 
-        u = expost_utilities(mech, k, val)
-        truthful = u[own, own]  # (T_k, R_rest)
-        t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
-        if truthful[t, rest] < ir:
-            ir = float(truthful[t, rest])
-            ir_wit = {"bidder": k, "type": types[t], "rest_rank": int(rest)}
-        gain, (t, s, rest) = max_gain(u, own)
-        if gain > dsic:
-            dsic = gain
+        # per slab, the smallest truthful utility and the largest gain (kept
+        # negated), each with its first C-order index; the smallest
+        # (value, index) over the slabs is the whole tensor's first extreme
+        lows, highs = [], []
+        for r0, u in expost_slabs(mech, k, val):
+            truthful = u[own, own]  # (T_k, rest columns)
+            t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
+            lows.append((float(truthful[t, rest]), int(t), r0 + int(rest)))
+            gain, (t, s, rest) = max_gain(u, own)
+            highs.append((-gain, t, s, r0 + rest))
+        low, t, rest = min(lows)
+        if low < ir:
+            ir = low
+            ir_wit = {"bidder": k, "type": types[t], "rest_rank": rest}
+        neg_gain, t, s, rest = min(highs)
+        if -neg_gain > dsic:
+            dsic = -neg_gain
             dsic_wit = {
                 "bidder": k,
                 "true_type": types[t],

@@ -62,7 +62,7 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
-    expost_utilities,
+    expost_slabs,
     interim_utilities,
     rest_weights,
     revenue,
@@ -494,10 +494,17 @@ def bic_replacement_map(
     """Support-type rank chosen for each full-grid type of bidder k: its own
     rank on the support; off it, the report of best interim utility among
     those ex-post IR for the type at every rest profile, or among all
-    reports when none is. Ties go to the lexicographically smallest type."""
+    reports when none is. Ties go to the lexicographically smallest type.
+
+    The worst ex-post utility over rest profiles is a running minimum over
+    ``expost_slabs``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
+    cells and ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
-    safe = expost_utilities(mech, k, val_full).min(axis=2) >= -FEASIBILITY_TOL
+    low = functools.reduce(  # (T_full, T_supp): the worst ex-post utility
+        np.minimum, (u.min(axis=2) for _, u in expost_slabs(mech, k, val_full))
+    )
+    safe = low >= -FEASIBILITY_TOL
     safe[~safe.any(axis=1)] = True
     best = np.argmax(np.where(safe, utilities, -np.inf), axis=1)
     to_support = mech.domain.grid_to_domain(k)
@@ -510,7 +517,12 @@ def extend_dsic(
     model: ValuationModel,
     closure: ClosureResult,
 ) -> MechanismTable:
-    """Algorithm-level zero-out extension of a support mechanism."""
+    """Algorithm-level zero-out extension of a support mechanism.
+
+    A lone off-support bidder's best reply and its utility, per (full-grid
+    type, rest profile), come from one pass over ``expost_slabs``, whose
+    ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp cells and
+    ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     if not closure.closed or closure.witness is None:
         raise UsageError(
             "outcome space is not weakly downward closed (or the closure "
@@ -562,8 +574,13 @@ def extend_dsic(
         ranks = np.flatnonzero(group)
         if ranks.size == 0:
             continue
-        u = expost_utilities(mech, k, values[k])  # (T_full, T_supp, R_rest)
-        best = np.argmax(u, axis=1)  # (T_full, R_rest), lex-smallest ties
+        # per (full-grid type, rest): the best reply, lex-smallest on ties,
+        # and its utility
+        shape = (len(values[k]), domain.num_profiles // domain.bidder_type_count(k))
+        best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
+        for r0, u in expost_slabs(mech, k, values[k]):  # (T_full, T_supp, rest)
+            best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
+            top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
 
         _, rest_rank = domain.split_rank(k, src[ranks])
         chosen = best[digits[ranks, k], rest_rank]
@@ -575,7 +592,7 @@ def extend_dsic(
         probs[ranks] = mech.probs[src_rank] @ scatter
         payments[ranks, k] = mech.payments[src_rank, k]
         if closure.zero_outcome is not None:
-            declines = u[digits[ranks, k], chosen, rest_rank] < 0.0
+            declines = top[digits[ranks, k], rest_rank] < 0.0
             out_ranks = ranks[declines]
             probs[out_ranks] = 0.0
             probs[out_ranks, closure.zero_outcome] = 1.0

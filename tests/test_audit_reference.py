@@ -5,12 +5,19 @@ implementations, kept here verbatim in their arithmetic: the truthful
 ex-post utility from its own ``"tro,to->tr"`` contraction, a separate gain
 tensor, and one lattice per bidder. Every report field, every witness and
 both lattice regrets must come out equal, not approximately equal.
+
+``expost_utilities`` is the whole-tensor kernel that ``expost_slabs``
+replaced; the streamed reductions are checked against it with one rest
+column per slab, so that ties span slabs.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mechlearn import (
     CapacityError,
@@ -43,7 +50,9 @@ from mechlearn.mechanism import (
     axis_views,
     interim_form,
     interim_utilities,
+    serialize_mechanism,
 )
+from mechlearn.oracle import FEASIBILITY_TOL, bic_replacement_map
 from mechlearn.outcomes import check_weakly_downward_closed, grid_type_ranks
 
 from conftest import posted_price_table, product_prior
@@ -51,6 +60,23 @@ from conftest import posted_price_table, product_prior
 
 def _old_expost(probs_view, pay_view, values):
     return np.einsum("sro,to->tsr", probs_view, values) - pay_view[None, :, :]
+
+
+def expost_utilities(mech, k, values):
+    """``u[t, s, rest]``: the whole ex-post utility tensor of value row
+    ``values[t]`` reporting bidder k's domain type s against the others'
+    profile rest, in one allocation."""
+    return _old_expost(*axis_views(mech, k), values)
+
+
+def _reference_replacement_map(mech, prior, model, k):
+    val_full = model.value_table(mech.space, mech.domain.spec, k)
+    utilities, _ = interim_utilities(mech, prior, k, val_full)
+    safe = expost_utilities(mech, k, val_full).min(axis=2) >= -FEASIBILITY_TOL
+    safe[~safe.any(axis=1)] = True
+    best = np.argmax(np.where(safe, utilities, -np.inf), axis=1)
+    to_support = mech.domain.grid_to_domain(k)
+    return np.where(to_support >= 0, to_support, best).astype(np.int64)
 
 
 def _reference_audit(mech, prior, model) -> RegretReport:
@@ -287,3 +313,84 @@ class TestExpostBudget:
         mech, prior = self._case()
         monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 6561)
         assert regret_report(mech, prior, additive).dsic_regret == 0.0
+
+
+def _retable(mech, table):
+    """``mech`` itself, or on its domain a posted price of 1 for the bundle
+    of every item to bidder 0 (the others get nothing and pay nothing), or
+    the table that allocates nothing and charges nothing. In the last two,
+    utilities do not depend on the rest profile, so every slab reaches the
+    same extremes, and in the all-zero table every gain ties at 0."""
+    if table == "random":
+        return mech
+    dom, space = mech.domain, mech.space
+    r = dom.num_profiles
+    probs = np.zeros((r, space.num_outcomes))
+    payments = np.zeros((r, mech.n))
+    buys = np.zeros(r, dtype=bool)
+    if table == "posted":
+        bundle = int(np.flatnonzero(space.alloc[:, 0, :].all(axis=1))[0])
+        t0, _ = dom.split_rank(0, np.arange(r))
+        buys = dom.bidder_types(0)[t0].sum(axis=1) * dom.spec.epsilon >= 1.0
+        probs[buys, bundle] = 1.0
+        payments[buys, 0] = 1.0
+    probs[~buys, 0] = 1.0
+    return MechanismTable(domain=dom, space=space, probs=probs, payments=payments)
+
+
+@given(
+    seed=st.integers(0, 2**16),
+    table=st.sampled_from(("random", "posted", "zero")),
+    per_coord=st.integers(2, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_streamed_reductions_equal_the_whole_tensor(seed, table, per_coord):
+    mech, prior, model = _random_case(seed)
+    mech = _retable(mech, table)
+    closure = check_weakly_downward_closed(mech.space, model, SPEC)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanism, "EXPOST_CHUNK_CELLS", 10**9)  # one slab
+        whole_full = extend_dsic(mech, mech.space, model, closure)
+        mp.setattr(mechanism, "EXPOST_CHUNK_CELLS", 1)  # one rest column a slab
+        full = extend_dsic(mech, mech.space, model, closure)
+        assert serialize_mechanism(full) == serialize_mechanism(whole_full)
+        for table_ in (mech, full):
+            _assert_reports_equal(
+                audit_over_domain(table_, prior, model),
+                _reference_audit(table_, prior, model),
+            )
+        for k in range(mech.n):
+            assert np.array_equal(
+                bic_replacement_map(mech, prior, model, k),
+                _reference_replacement_map(mech, prior, model, k),
+            )
+        learned = LearnedMechanism(inner=full, mode="dsic")
+        assert real_lattice_dsic_regret(
+            learned, model, per_coord=per_coord
+        ) == _reference_lattice_dsic(learned, model, per_coord)
+
+
+def test_audit_peak_memory_stays_under_half_the_whole_tensor(monkeypatch, additive):
+    # n = 2, m = 2 on the quarter grid: 81 types a bidder, so the whole
+    # ex-post tensor has 81**3 cells, 4.25 MB of doubles
+    spec = GridSpec(epsilon=0.25, h=2.0)
+    domain = ProfileDomain.full_grid(spec, 2, 2)
+    space = enumerate_multi_item(2, 2)
+    rng = np.random.default_rng(0)
+    mech = MechanismTable(
+        domain=domain,
+        space=space,
+        probs=rng.dirichlet(np.ones(space.num_outcomes), size=domain.num_profiles),
+        payments=rng.uniform(0.0, 2.0, size=(domain.num_profiles, 2)),
+    )
+    prior = product_prior(spec, [[{4: 1}, {8: 1}]] * 2)
+    whole_bytes = 81**3 * 8
+    monkeypatch.setattr(mechanism, "EXPOST_CHUNK_CELLS", 8 * 81 * 81)
+    tracemalloc.start()
+    try:
+        report = audit_over_domain(mech, prior, additive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < whole_bytes / 2
+    assert report == _reference_audit(mech, prior, additive)

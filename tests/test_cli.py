@@ -1,8 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
-from mechlearn import GridSpec, serialize_mechanism
+from mechlearn import (
+    GridSpec,
+    MechanismTable,
+    ProfileDomain,
+    enumerate_multi_item,
+    serialize_mechanism,
+)
 from mechlearn.cli import cli_dispatch
 
 from conftest import posted_price_table
@@ -433,6 +440,61 @@ class TestExitCodes:
         )
         assert code == 2
         assert "capacity error: ex-post utility tensor" in capsys.readouterr().err
+
+    def test_verify_streams_a_tensor_over_the_expost_budget(
+        self, workdir, capsys, monkeypatch
+    ):
+        from mechlearn import mechanism
+
+        (workdir / "inst2.json").write_text(json.dumps({**INSTANCE, "n": 2, "m": 1}))
+        prior = {"n": 2, "m": 1, "h": 2.0, **INSTANCE["prior"]}
+        (workdir / "prior2.json").write_text(json.dumps(prior))
+        mech = workdir / "two.json"
+        assert cli_dispatch(
+            ["learn-dsic", "--config", str(workdir / "inst2.json"), "--s", "40",
+             "--seed", "1", "--out", str(mech)]
+        ) == 0
+        argv = ["verify", "--mech", str(mech), "--prior", str(workdir / "prior2.json")]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 0
+        report = capsys.readouterr().out
+        # 9 types a bidder: the whole ex-post tensor has 9**3 = 729 cells, and
+        # one rest column 81
+        monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 81)
+        assert cli_dispatch(argv) == 0
+        assert capsys.readouterr().out == report
+        monkeypatch.setattr(mechanism, "EXPOST_CELL_BUDGET", 80)
+        assert cli_dispatch(argv) == 2
+        assert "has 81 cells per rest profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    @pytest.mark.parametrize(
+        "n, m", [(1, 2), (2, 1), (3, 2)], ids=["fewer_bidders", "fewer_params", "more_bidders"]
+    )
+    def test_prior_of_another_shape_is_usage_error(self, workdir, capsys, command, n, m):
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        domain = ProfileDomain.full_grid(spec, 2, 2)
+        space = enumerate_multi_item(2, 2)
+        probs = np.zeros((domain.num_profiles, space.num_outcomes))
+        probs[:, 0] = 1.0  # nothing allocated, nothing charged
+        mech = MechanismTable(
+            domain=domain, space=space, probs=probs,
+            payments=np.zeros((domain.num_profiles, 2)),
+        )
+        (workdir / "two.json").write_text(serialize_mechanism(mech))
+        for name, shape in (("same", (2, 2)), ("other", (n, m))):
+            prior = {"n": shape[0], "m": shape[1], "h": 2.0, **INSTANCE["prior"]}
+            (workdir / f"{name}.json").write_text(json.dumps(prior))
+        argv = [command, "--mech", str(workdir / "two.json")]
+        if command == "verify":
+            argv += ["--config", str(workdir / "inst.json")]
+        files = sorted(workdir.iterdir())
+        assert cli_dispatch(argv + ["--prior", str(workdir / "other.json")]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: prior and mechanism disagree on (n, m)\n"
+        assert out == ""
+        assert sorted(workdir.iterdir()) == files
+        assert cli_dispatch(argv + ["--prior", str(workdir / "same.json")]) == 0
 
     def test_oracle_eta_in_bic_mode_is_usage_error(self, workdir, capsys):
         out = workdir / "o.json"

@@ -25,10 +25,11 @@ from mechlearn import (
     revenue,
     solve_optimal,
 )
-from mechlearn.mechanism import audit_over_domain, expost_utilities
+from mechlearn.mechanism import audit_over_domain
 from mechlearn.oracle import OracleProblem, bic_replacement_map
 
 from conftest import product_prior
+from test_audit_reference import expost_utilities
 
 
 def u12_prior(spec, n, m):
