@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Sequence
 
@@ -18,6 +19,7 @@ from .errors import (
     ConfigError,
     InvariantError,
     MechlearnError,
+    ParseError,
     UsageError,
     config_errors,
     read_text,
@@ -279,8 +281,27 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _declared_bounds(meta: dict) -> dict[str, float]:
+    """The regret bounds a mechanism's meta declares, by key; a bound that
+    is not a finite number raises ParseError naming its key."""
+    bounds = {}
+    for key in ("bic_regret_bound", "dsic_regret_bound"):
+        if key not in meta:
+            continue
+        value = meta[key]
+        try:  # bool is not a number here, nor is a numeric string
+            bound = float(value) if type(value) in (int, float) else math.nan
+        except OverflowError:  # an integer beyond float range
+            bound = math.inf
+        if not math.isfinite(bound):
+            raise ParseError(f"mechanism meta {key} must be a finite number, got {value!r}")
+        bounds[key] = bound
+    return bounds
+
+
 def _cmd_verify(args) -> int:
     mech, prior = _load_mech_and_prior(args)
+    bounds = _declared_bounds(mech.meta)
     prior = prior.to_grid_prior(mech.domain.spec)
     _, model = _load_model(args, mech)
     if mech.domain.is_full_grid:
@@ -290,21 +311,12 @@ def _cmd_verify(args) -> int:
         report = audit_over_domain(mech, prior, model)
     print(report)
     failures = []
-    meta = mech.meta
     if report.ir_slack < -1e-8:
         failures.append(f"ir_slack {report.ir_slack} < -1e-8")
-    if "bic_regret_bound" in meta and report.bic_regret > float(
-        meta["bic_regret_bound"]
-    ) + 1e-8:
-        failures.append(
-            f"bic_regret {report.bic_regret} > declared {meta['bic_regret_bound']}"
-        )
-    if "dsic_regret_bound" in meta and report.dsic_regret > float(
-        meta["dsic_regret_bound"]
-    ) + 1e-8:
-        failures.append(
-            f"dsic_regret {report.dsic_regret} > declared {meta['dsic_regret_bound']}"
-        )
+    for name, regret in (("bic", report.bic_regret), ("dsic", report.dsic_regret)):
+        key = f"{name}_regret_bound"
+        if key in bounds and regret > bounds[key] + 1e-8:
+            failures.append(f"{name}_regret {regret} > declared {mech.meta[key]}")
     if failures:
         raise InvariantError("; ".join(failures))
     print("declared invariants hold")

@@ -26,6 +26,7 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
+    axis_views,
     expost_slabs,
     interim_utilities,
     max_gain,
@@ -339,6 +340,7 @@ def real_lattice_dsic_regret(
     worst = 0.0
     for k in range(mech.n):
         val = model.values_for(mech.inner.space, k, pts)  # (T_real, K)
-        for _, u in expost_slabs(mech.inner, k, val):  # (T_real, T_grid, rest)
+        views = axis_views(mech.inner, k)
+        for _, u in expost_slabs(*views, val):  # (T_real, T_grid, rest)
             worst = max(worst, max_gain(u, truth)[0])
     return worst

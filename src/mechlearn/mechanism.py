@@ -32,6 +32,7 @@ __all__ = [
     "InterimForm",
     "RegretReport",
     "axis_views",
+    "type_axis_first",
     "type_weights",
     "rest_weights",
     "interim_utilities",
@@ -283,19 +284,25 @@ def rest_weights(weights: Sequence[Sequence], k: int) -> np.ndarray:
     return np.array([float(a) for a in acc])
 
 
-def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lottery and payment tensors with bidder k's type axis first.
+def type_axis_first(domain: ProfileDomain, k: int, table: np.ndarray) -> np.ndarray:
+    """A table with one row per profile rank, ``(R, ...)``, as ``(T_k,
+    R_rest, ...)``: bidder k's type axis first, then the rest axis, which
+    enumerates other bidders' types in bidder order, consistent with
+    ``ProfileDomain.split_rank`` and ``rest_weights``. A view where NumPy
+    can make one; the table is read as given, unvalidated."""
+    sizes = [domain.bidder_type_count(i) for i in range(domain.n)]
+    tail = table.shape[1:]
+    return np.moveaxis(table.reshape(*sizes, *tail), k, 0).reshape(sizes[k], -1, *tail)
 
-    Returns probs as (T_k, R_rest, K) and bidder k's payments as
-    (T_k, R_rest); the rest axis enumerates other bidders' types in bidder
-    order, consistent with ``ProfileDomain.split_rank`` and ``rest_weights``.
-    """
-    sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
-    probs = mech.probs.reshape(*sizes, mech.space.num_outcomes)
-    pay = mech.payments[:, k].reshape(*sizes)
-    probs = np.moveaxis(probs, k, 0).reshape(sizes[k], -1, mech.space.num_outcomes)
-    pay = np.moveaxis(pay, k, 0).reshape(sizes[k], -1)
-    return probs, pay
+
+def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lottery and payment tensors with bidder k's type axis first: probs as
+    (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by
+    ``type_axis_first``."""
+    return (
+        type_axis_first(mech.domain, k, mech.probs),
+        type_axis_first(mech.domain, k, mech.payments[:, k]),
+    )
 
 
 def interim_utilities(
@@ -313,11 +320,15 @@ def interim_utilities(
 
 
 def expost_slabs(
-    mech: MechanismTable, k: int, values: np.ndarray
+    probs_view: np.ndarray, pay_view: np.ndarray, values: np.ndarray
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The ex-post utility tensor ``u[t, s, rest]`` of value row
     ``values[t]`` reporting bidder k's domain type s against the others'
     profile rest, over the mechanism's randomness only, one slab at a time.
+    ``probs_view`` (T_k, R_rest, K) and ``pay_view`` (T_k, R_rest) are
+    bidder k's lotteries and payments with its type axis first, as
+    ``axis_views`` gives them for a table and ``type_axis_first`` for any
+    arrays, such as an LP point.
 
     Yields ``(r0, u[:, :, r0:r1])`` in rest order. Each slab holds whole
     rest columns, as many as fit in ``EXPOST_CHUNK_CELLS`` cells and at
@@ -325,13 +336,12 @@ def expost_slabs(
     ``CapacityError`` when one rest column, ``T_values * T_k`` cells,
     exceeds ``EXPOST_CELL_BUDGET``.
     """
-    column = len(values) * mech.domain.bidder_type_count(k)
+    column = len(values) * len(probs_view)
     if column > EXPOST_CELL_BUDGET:
         raise CapacityError(
-            f"ex-post utility tensor of bidder {k} has {column} cells per rest "
-            f"profile, over the {EXPOST_CELL_BUDGET} budget"
+            f"ex-post utility tensor has {column} cells per rest profile, "
+            f"over the {EXPOST_CELL_BUDGET} budget"
         )
-    probs_view, pay_view = axis_views(mech, k)
     step = max(1, EXPOST_CHUNK_CELLS // column)
     for r0 in range(0, pay_view.shape[1], step):
         u = np.einsum("sro,to->tsr", probs_view[:, r0 : r0 + step], values)
@@ -467,7 +477,7 @@ def audit_over_domain(
         # negated), each with its first C-order index; the smallest
         # (value, index) over the slabs is the whole tensor's first extreme
         lows, highs = [], []
-        for r0, u in expost_slabs(mech, k, val):
+        for r0, u in expost_slabs(*axis_views(mech, k), val):
             truthful = u[own, own]  # (T_k, rest columns)
             t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
             lows.append((float(truthful[t, rest]), int(t), r0 + int(rest)))

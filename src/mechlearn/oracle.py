@@ -12,20 +12,25 @@ equality row; the BIC rows read only these, so a row has at most 2K + 2
 nonzeros (the reduced form of Cai, Daskalakis and Weinberg, without Border
 constraints).
 
-The full LP is always assembled (and is what ``--lp-dump`` writes), but
-HiGHS solves it by row generation, since few IC rows bind. One HiGHS model
-is built once and rows are only ever appended to it. The first rows are the
-IR rows and the IC rows violated by the IR-only optimum, in which each
-profile plays its welfare-maximizing outcome and every bidder pays their
-value for it; the equality rows come after them (with the equality rows
-first, HiGHS lands on a vertex that needs a second round on some sweep
-priors). Each later round appends every inactive row the last optimum
-violates by more than ``ROW_TOL`` and re-solves from the last basis, which
-the new rows leave valid, so HiGHS continues with the dual simplex instead
-of starting over. Rows are only added, so the loop ends; when no inactive
-row is violated, the last relaxation's optimum is feasible for the full LP
-and therefore optimal for it, and its duals on the added rows certify the
-objective.
+HiGHS solves the LP by row generation, since few IC rows bind, and only
+the rows HiGHS sees are ever built: ``--lp-dump`` is the one path that
+builds every row. One HiGHS model is built once and rows are only ever
+appended to it. The first rows are the IR rows and the IC rows violated by
+the IR-only optimum, in which each profile plays its welfare-maximizing
+outcome and every bidder pays their value for it; the equality rows come
+after them (with the equality rows first, HiGHS lands on a vertex that
+needs a second round on some sweep priors). Each later round appends every
+inactive row the last optimum violates by more than ``ROW_TOL`` and
+re-solves from the last basis, which the new rows leave valid, so HiGHS
+continues with the dual simplex instead of starting over. Rows are only
+added, so the loop ends; when no inactive row is violated, the last
+relaxation's optimum is feasible for the full LP and therefore optimal for
+it, and its duals on the added rows certify the objective.
+
+The violated rows are read off the point itself, not off a matrix: a DSIC
+row's left side is an ex-post utility gain, which ``expost_slabs`` yields
+slab by slab as it does for the audit, and a BIC row's is an interim one,
+one small product of the point's interim columns.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -48,6 +53,7 @@ Two extension rules lift a support-domain solution to the full grid:
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Literal, NamedTuple
@@ -62,10 +68,12 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
+    axis_views,
     expost_slabs,
     interim_utilities,
     rest_weights,
     revenue,
+    type_axis_first,
     type_weights,
 )
 from .outcomes import (
@@ -77,9 +85,11 @@ from .outcomes import (
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
 VARIABLE_BUDGET = 500_000
-# Assembly peaks about 100 bytes per nonzero above the interpreter (5.74 M
-# nonzeros lift the process from 79 to 653 MB on a DSIC LP), so the budget
-# caps it near 1 GB before HiGHS starts; the solve adds nothing above that.
+# Caps the nonzeros of the full LP. Building all of them peaks about 100
+# bytes per nonzero above the interpreter (5.74 M nonzeros lifted the
+# process from 79 to 653 MB on a DSIC LP), so the cap holds ``--lp-dump``
+# near 1 GB. The solve path builds only the rows HiGHS sees, but row
+# generation may hand HiGHS every row, so the cap is checked before it too.
 NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
 # An inactive row joins the LP once the last optimum violates it by more.
@@ -99,8 +109,8 @@ class OracleProblem:
     def __post_init__(self) -> None:
         if self.ic_mode not in ("bic", "dsic"):
             raise UsageError(f"ic_mode must be 'bic' or 'dsic', got {self.ic_mode!r}")
-        if self.eta < 0:
-            raise UsageError(f"eta must be nonnegative, got {self.eta}")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise UsageError(f"eta must be finite and nonnegative, got {self.eta}")
         if self.ic_mode == "bic" and self.eta != 0:
             raise UsageError(f"eta is a DSIC slack; BIC mode is exact, got eta {self.eta}")
         if (self.prior.n, self.prior.m) != (self.space.n, self.space.m):
@@ -126,7 +136,8 @@ class LpSolution:
     # rows, cols and nnz of the full LP; rounds of row generation, the rows
     # HiGHS saw in the last one (active_rows: every equality row and the
     # generated inequality rows) and its iterations over all of them (nit);
-    # assemble_s, solve_s and audit_s; kept out of the mechanism, so never
+    # assemble_s (the LP but its inequality rows, and the first round's
+    # rows), solve_s and audit_s; kept out of the mechanism, so never
     # serialized
     stats: dict = field(default_factory=dict)
 
@@ -140,40 +151,57 @@ class LpSolution:
 
 
 class _Lp(NamedTuple):
-    """The assembled LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``,
-    ``a_eq @ x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``;
-    ``seed`` is its IR-only optimum."""
+    """The LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @
+    x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``; ``seed`` is
+    its IR-only optimum, ``vals[i]`` bidder i's (T_i, K) value table and
+    ``interim`` the interim column offsets. The solve path leaves ``a_ub``
+    and ``b_ub`` unset and builds their rows on demand with
+    ``_inequality_rows``; ``_assemble`` builds them all."""
 
     c: np.ndarray
-    a_ub: sp.csr_matrix
-    b_ub: np.ndarray
+    a_ub: sp.csr_matrix | None
+    b_ub: np.ndarray | None
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     bounds: np.ndarray
     seed: np.ndarray
+    vals: list[np.ndarray]
+    interim: np.ndarray
 
 
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
     start = time.perf_counter()
     domain = problem.domain()
-    lp, n_x, interim = _assemble(problem, domain)
-    assembled = time.perf_counter()
     if lp_dump is not None:
-        _dump_lp(lp_dump, lp, n_x, problem.space.num_outcomes, interim)
+        _dump_lp(lp_dump, problem, domain)
+    base = _base(problem, domain)
+    r_profiles, k_out, n = domain.num_profiles, problem.space.num_outcomes, domain.n
+    n_x = r_profiles * k_out
 
     # Row generation (see the module docstring) on one live HiGHS model: the
     # IR rows, which come first, and the IC rows the IR-only optimum
     # violates, then the equality rows, then each round's violated rows.
+    # active[i] marks bidder i's IC rows the model holds, one cell per row.
+    active = [np.zeros(_ic_shape(problem, domain, i), dtype=bool) for i in range(n)]
+
+    def new_rows(x: np.ndarray, ir: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+        picks = []
+        for a, violated in zip(active, _violated_rows(problem, domain, base, x)):
+            violated &= ~a
+            a |= violated
+            picks.append(np.nonzero(violated))
+        return _inequality_rows(problem, domain, base, ir, picks)
+
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
-    highs.addVars(lp.c.size, lp.bounds[:, 0], lp.bounds[:, 1])
-    highs.changeColsCost(lp.c.size, np.arange(lp.c.size, dtype=np.int32), lp.c)
-    ir_rows = np.arange(lp.b_ub.size) < domain.num_profiles * domain.n
-    active = ir_rows | (lp.a_ub @ lp.seed - lp.b_ub > ROW_TOL)
-    added = [np.flatnonzero(active)]  # a_ub rows, round by round
-    _add_rows(highs, lp.a_ub[added[0]], -np.inf, lp.b_ub[added[0]])
-    _add_rows(highs, lp.a_eq, lp.b_eq, lp.b_eq)
+    highs.addVars(base.c.size, base.bounds[:, 0], base.bounds[:, 1])
+    highs.changeColsCost(base.c.size, np.arange(base.c.size, dtype=np.int32), base.c)
+    a_ub, b_ub = new_rows(base.seed, np.arange(r_profiles))
+    _add_rows(highs, a_ub, -np.inf, b_ub)
+    _add_rows(highs, base.a_eq, base.b_eq, base.b_eq)
+    b_rows = [b_ub, base.b_eq]  # the right sides of the model's rows, in order
+    assembled = time.perf_counter()
     nit = 0
     while True:
         highs.run()
@@ -190,21 +218,19 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         info, result = highs.getInfo(), highs.getSolution()
         nit += info.simplex_iteration_count
         x = np.asarray(result.col_value)
-        new = np.flatnonzero(~active & (lp.a_ub @ x - lp.b_ub > ROW_TOL))
-        if not new.size:
+        a_ub, b_ub = new_rows(x, np.arange(0))
+        if not b_ub.size:
             break
-        active[new] = True
-        added.append(new)
-        _add_rows(highs, lp.a_ub[new], -np.inf, lp.b_ub[new])
+        b_rows.append(b_ub)
+        _add_rows(highs, a_ub, -np.inf, b_ub)
     solved = time.perf_counter()
 
-    r_profiles, k_out = domain.num_profiles, problem.space.num_outcomes
     probs = np.clip(x[:n_x].reshape(r_profiles, k_out), 0.0, None)
     sums = probs.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-6:
         raise InvariantError("solver returned lotteries far from stochastic")
     probs = probs / sums[:, None]
-    payments = x[n_x : interim[0]].reshape(r_profiles, domain.n)
+    payments = x[n_x : base.interim[0]].reshape(r_profiles, n)
     mech = MechanismTable(
         domain=domain,
         space=problem.space,
@@ -214,21 +240,22 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     )
 
     objective = -info.objective_function_value
-    # the right sides of the model's rows, in the order they were added
-    b = np.concatenate([lp.b_ub[added[0]], lp.b_eq, *(lp.b_ub[a] for a in added[1:])])
-    dual = float(np.asarray(result.row_dual) @ b)
+    dual = float(np.asarray(result.row_dual) @ np.concatenate(b_rows))
+    ir_rows = r_profiles * n
+    ic_rows = sum(a.size - a.size // len(a) for a in active)  # off the diagonal
     solution = LpSolution(
         mechanism=mech,
         objective_value=objective,
         solver_status="optimal",
         certificate=-dual,
         stats={
-            "rows": lp.a_ub.shape[0] + lp.a_eq.shape[0],
-            "cols": lp.c.size,
-            "nnz": lp.a_ub.nnz + lp.a_eq.nnz,
+            "rows": ir_rows + ic_rows + base.a_eq.shape[0],
+            "cols": base.c.size,
+            "nnz": _ub_nnz(problem, domain, base.vals) + base.a_eq.nnz,
             "nit": nit,
-            "rounds": len(added),
-            "active_rows": int(active.sum()) + lp.a_eq.shape[0],
+            "rounds": len(b_rows) - 1,
+            "active_rows": ir_rows + sum(int(a.sum()) for a in active)
+            + base.a_eq.shape[0],
             "assemble_s": assembled - start,
             "solve_s": solved - assembled,
         },
@@ -241,12 +268,35 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
 def _assemble(
     problem: OracleProblem, domain: ProfileDomain
 ) -> tuple[_Lp, int, np.ndarray]:
-    """The full LP, the lottery column count and the interim column offsets."""
+    """The full LP with every row built, the lottery column count and the
+    interim column offsets."""
+    base = _base(problem, domain)
+    every = []
+    for i in range(domain.n):
+        rows = np.ones(_ic_shape(problem, domain, i), dtype=bool)
+        own = np.arange(len(rows))
+        rows[own, own] = False
+        every.append(np.nonzero(rows))
+    a_ub, b_ub = _inequality_rows(
+        problem, domain, base, np.arange(domain.num_profiles), every
+    )
+    lp = base._replace(a_ub=a_ub, b_ub=b_ub)
+    return lp, domain.num_profiles * problem.space.num_outcomes, base.interim
+
+
+def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
+    """The LP without its inequality rows. Raises ``CapacityError`` first
+    when the LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
     problem.check_budget()
     space = problem.space
     n = domain.n
     r_profiles = domain.num_profiles
     k_out = space.num_outcomes
+    bound = _nnz_bound(problem, domain, k_out)
+    if bound > NNZ_BUDGET:
+        raise CapacityError(
+            f"the oracle LP has up to {bound} nonzeros, over the {NNZ_BUDGET} budget"
+        )
     n_x = r_profiles * k_out
     # BIC mode adds, per bidder i and support type t, the interim columns
     # pi_i(t, o) of every outcome o, then P_i(t); interim[i] is bidder i's
@@ -266,18 +316,12 @@ def _assemble(
     for i in range(n):
         profile_w *= weights[i][type_ranks[:, i]]
 
-    vals = [
-        problem.model.values_for(
-            space, i, domain.bidder_types(i) * domain.spec.epsilon
-        )
-        for i in range(n)
-    ]
+    vals = _values(problem, domain)
 
     c = np.zeros(n_vars)
     for i in range(n):
         c[n_x + np.arange(r_profiles) * n + i] = -profile_w  # maximize revenue
 
-    a_ub, b_ub = _inequality_rows(problem, domain, vals, weights_frac, type_ranks, interim)
     # One equality row per profile: its lottery sums to one; then, in BIC
     # mode, one per interim variable, defining it.
     a_eq = [
@@ -303,7 +347,60 @@ def _assemble(
     paid = [v[np.arange(r_profiles), best] for v in own]
     seed[n_x : interim[0]] = np.stack(paid, axis=1).ravel()
     seed[interim[0] :] -= a_eq[r_profiles:] @ seed
-    return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed), n_x, interim
+    return _Lp(c, None, None, a_eq, b_eq, bounds, seed, vals, interim)
+
+
+def _values(problem: OracleProblem, domain: ProfileDomain) -> list[np.ndarray]:
+    """Each bidder's (T_i, K) value table over its support types."""
+    return [
+        problem.model.values_for(
+            problem.space, i, domain.bidder_types(i) * domain.spec.epsilon
+        )
+        for i in range(domain.n)
+    ]
+
+
+def _ic_shape(problem: OracleProblem, domain: ProfileDomain, i: int) -> tuple:
+    """Bidder i's IC rows as cells (true type, report) in BIC mode or (true
+    type, report, rest) in DSIC mode; the diagonal cells are no rows."""
+    t_i = domain.bidder_type_count(i)
+    if problem.ic_mode == "bic":
+        return (t_i, t_i)
+    return (t_i, t_i, domain.num_profiles // t_i)
+
+
+def _violated_rows(
+    problem: OracleProblem, domain: ProfileDomain, base: _Lp, x: np.ndarray
+) -> list[np.ndarray]:
+    """Per bidder, the cells (see ``_ic_shape``) of the IC rows that the LP
+    point ``x`` violates by more than ``ROW_TOL``.
+
+    ``x`` is read as the rows read it, unclipped and unnormalized. A DSIC
+    row's left side is the ex-post gain ``u[t, s, rest] - u[t, t, rest]``
+    over ``expost_slabs``; a BIC row's is the interim gain, from one
+    product of bidder i's interim columns: ``v_t . pi_s - P_s`` less its
+    truthful value."""
+    n, r_profiles = domain.n, domain.num_profiles
+    k_out = base.vals[0].shape[1]
+    out = []
+    for i, vals in enumerate(base.vals):
+        own = np.arange(len(vals))
+        if problem.ic_mode == "bic":
+            block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, k_out + 1)
+            u = np.hstack([vals, -np.ones((len(vals), 1))]) @ block.T  # (T_i, T_i)
+            out.append(u - u[own, own][:, None] > ROW_TOL)
+            continue
+        probs = type_axis_first(domain, i, x[: r_profiles * k_out].reshape(-1, k_out))
+        pay = type_axis_first(
+            domain, i, x[r_profiles * k_out : base.interim[0]].reshape(-1, n)[:, i]
+        )
+        mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
+        for r0, u in expost_slabs(probs, pay, vals):  # (T_i, T_i, rest)
+            u -= u[own, own][:, None]
+            u -= problem.eta
+            np.greater(u, ROW_TOL, out=mask[:, :, r0 : r0 + u.shape[2]])
+        out.append(mask)
+    return out
 
 
 def _add_rows(highs: _Highs, a: sp.csr_matrix, lower, upper: np.ndarray) -> None:
@@ -315,100 +412,114 @@ def _add_rows(highs: _Highs, a: sp.csr_matrix, lower, upper: np.ndarray) -> None
     )
 
 
-def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
-    """Nonzeros the LP can have at most, from its shapes and the true types'
-    nonzero values; exact but for the BIC interim definitions, which skip
-    rest profiles of zero weight."""
-    n, r_profiles = domain.n, domain.num_profiles
-    total = r_profiles * k_out  # lotteries
-    for i in range(n):
-        t_i = domain.bidder_type_count(i)
-        rest = r_profiles // t_i
-        vals = problem.model.values_for(
-            problem.space, i, domain.bidder_types(i) * domain.spec.epsilon
-        )
-        # one term per true type: its nonzero values and its payment
-        terms = np.count_nonzero(vals) + t_i
+def _ub_nnz(
+    problem: OracleProblem, domain: ProfileDomain, vals: list[np.ndarray]
+) -> int:
+    """Nonzeros of the full LP's inequality rows, exactly: IR, IC and
+    lottery entries never share a (row, column), and a row holds one term
+    per true type, its nonzero values and its payment, at each profile it
+    reads."""
+    total = 0
+    for i, v in enumerate(vals):
+        t_i = len(v)
+        rest = domain.num_profiles // t_i
+        terms = np.count_nonzero(v) + t_i
         total += rest * terms  # IR
-        if problem.ic_mode == "bic":  # IC rows, then the interim definitions
-            total += 2 * (t_i - 1) * terms + t_i * (k_out + 1) * (rest + 1)
-        else:
-            total += 2 * (t_i - 1) * rest * terms
+        total += 2 * (t_i - 1) * terms * (1 if problem.ic_mode == "bic" else rest)
+    return int(total)
+
+
+def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
+    """Nonzeros the full LP can have at most: exact but for the BIC interim
+    definitions, which skip rest profiles of zero weight."""
+    total = _ub_nnz(problem, domain, _values(problem, domain))
+    total += domain.num_profiles * k_out  # lotteries
+    if problem.ic_mode == "bic":  # the interim definitions
+        for i in range(domain.n):
+            t_i = domain.bidder_type_count(i)
+            total += t_i * (k_out + 1) * (domain.num_profiles // t_i + 1)
     return int(total)
 
 
 def _inequality_rows(
     problem: OracleProblem,
     domain: ProfileDomain,
-    vals: list[np.ndarray],
-    weights_frac: list[list],
-    type_ranks: np.ndarray,
-    interim: np.ndarray,
+    base: _Lp,
+    ir: np.ndarray,
+    picks: list[tuple[np.ndarray, ...]],
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """IR rows, profile-major, then IC rows per bidder by (true type,
-    report) in BIC mode or (true type, report, rest) in DSIC mode.
+    """The IR rows of the profile ranks ``ir``, profile-major, then bidder
+    by bidder the IC rows ``picks[i]`` selects: index arrays of (true type,
+    report) in BIC mode or (true type, report, rest) in DSIC mode, as
+    ``np.nonzero`` gives them from a mask of ``_ic_shape``. Rows come in
+    the order of the full LP's, so every batch HiGHS gets holds the rows of
+    the full LP as they are; ``_assemble`` picks every row.
 
     IR and DSIC rows are sums of terms (row, profile, bidder, true type,
     coef). A term puts ``coef * v[o]`` on lottery variable (profile, o) for
     every nonzero value ``v[o]`` of the true type, and ``-coef`` on the
     bidder's payment at the profile. A BIC row reads only the interim
     variables: ``v . (pi(report) - pi(true)) - P(report) + P(true) <= 0``.
-
-    Raises ``CapacityError`` before allocating when the LP's nonzeros could
-    exceed ``NNZ_BUDGET``.
     """
     n, r_profiles = domain.n, domain.num_profiles
+    vals, interim = base.vals, base.interim
     k_out = vals[0].shape[1]
     n_x = r_profiles * k_out
-    bound = _nnz_bound(problem, domain, k_out)
-    if bound > NNZ_BUDGET:
-        raise CapacityError(
-            f"the oracle LP has up to {bound} nonzeros, over the {NNZ_BUDGET} budget"
-        )
-    ranks, bidders = np.arange(r_profiles)[:, None], np.arange(n)
+    bidders = np.arange(n)
     # IR: payment can never exceed the expected lottery value.
-    terms = [(ranks * n + bidders, ranks, bidders, type_ranks, -1.0)]
+    ir_types = np.stack([domain.split_rank(i, ir)[0] for i in range(n)], axis=1)
+    rows = np.arange(ir.size)[:, None] * n + bidders
+    terms = [(rows, ir[:, None], bidders, ir_types, -1.0)]
     interim_entries = []  # (row, column, coef) of the BIC rows
-    b_ub = [np.zeros(r_profiles * n)]
-    row0 = r_profiles * n
-    for i in range(n):
-        t_i = domain.bidder_type_count(i)
-        true, report = np.nonzero(~np.eye(t_i, dtype=bool))
-        true, pair = true[:, None], np.arange(true.size)[:, None]
+    b_ub = [np.zeros(ir.size * n)]
+    row0 = ir.size * n
+    for i, (true, report, *rest) in enumerate(picks):
+        rows = row0 + np.arange(true.size)
         if problem.ic_mode == "bic":
             # interim utility of the report minus truthful, <= 0
-            coef = np.hstack([vals[i], -np.ones((t_i, 1))])[true[:, 0]]
+            coef = np.hstack([vals[i], -np.ones((len(vals[i]), 1))])[true]
             col = interim[i] + np.arange(k_out + 1)
-            rows = np.broadcast_to(row0 + pair, coef.shape)
+            rows = np.broadcast_to(rows[:, None], coef.shape)
             nz = coef != 0.0
             interim_entries += [
                 (rows[nz], (report[:, None] * (k_out + 1) + col)[nz], coef[nz]),
-                (rows[nz], (true * (k_out + 1) + col)[nz], -coef[nz]),
+                (rows[nz], (true[:, None] * (k_out + 1) + col)[nz], -coef[nz]),
             ]
             b_ub.append(np.zeros(true.size))
         else:
-            rest = np.arange(r_profiles // t_i)
-            rows = row0 + pair * rest.size + rest
-            b_ub.append(np.full(rows.size, problem.eta, dtype=np.float64))
-            terms.append((rows, domain.join_rank(i, report[:, None], rest), i, true, 1.0))
-            terms.append((rows, domain.join_rank(i, true, rest), i, true, -1.0))
-        row0 += b_ub[-1].size
+            b_ub.append(np.full(true.size, problem.eta, dtype=np.float64))
+            terms.append((rows, domain.join_rank(i, report, rest[0]), i, true, 1.0))
+            terms.append((rows, domain.join_rank(i, true, rest[0]), i, true, -1.0))
+        row0 += true.size
 
+    a_ub = sp.coo_matrix(
+        _entries(terms, interim_entries, vals, n_x, n), shape=(row0, int(interim[-1]))
+    )
+    return a_ub.tocsr(), np.concatenate(b_ub)
+
+
+def _entries(
+    terms: list[tuple], extra: list[tuple], vals: list[np.ndarray], n_x: int, n: int
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``(data, (rows, cols))`` of the terms' entries (see
+    ``_inequality_rows``), then of ``extra``, (row, column, coef) arrays.
+    A function of its own so that its temporaries are freed before the
+    caller builds the matrix: a batch of rows then peaks near 65 bytes per
+    entry, where building them all in one scope took about 100."""
+    k_out = vals[0].shape[1]
     row, prof, bidder, t, coef = (
         np.concatenate(col)
         for col in zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms))
     )
     offsets = np.cumsum([0] + [len(v) for v in vals])
-    v = np.concatenate(vals)[offsets[bidder] + t]  # (terms, K)
-    term, o = np.nonzero(v)
-    entries = [
-        (row[term], prof[term] * k_out + o, coef[term] * v[term, o]),
-        (row, n_x + prof * n + bidder, -coef),
-        *interim_entries,
-    ]
-    rows, cols, data = (np.concatenate(a) for a in zip(*entries))
-    a_ub = sp.coo_matrix((data, (rows, cols)), shape=(row0, int(interim[-1])))
-    return a_ub.tocsr(), np.concatenate(b_ub)
+    # each term's nonzero values, in outcome order
+    v = sp.csr_matrix(np.concatenate(vals))[offsets[bidder] + t]
+    per_term = np.diff(v.indptr)
+    extra_rows, extra_cols, extra_data = zip(*extra) if extra else ((), (), ())
+    data = np.concatenate([np.repeat(coef, per_term) * v.data, -coef, *extra_data])
+    rows = np.concatenate([np.repeat(row, per_term), row, *extra_rows])
+    cols = [np.repeat(prof, per_term) * k_out + v.indices, n_x + prof * n + bidder]
+    return data, (rows, np.concatenate(cols + list(extra_cols)))
 
 
 def _interim_rows(
@@ -502,7 +613,8 @@ def bic_replacement_map(
     val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
     low = functools.reduce(  # (T_full, T_supp): the worst ex-post utility
-        np.minimum, (u.min(axis=2) for _, u in expost_slabs(mech, k, val_full))
+        np.minimum,
+        (u.min(axis=2) for _, u in expost_slabs(*axis_views(mech, k), val_full)),
     )
     safe = low >= -FEASIBILITY_TOL
     safe[~safe.any(axis=1)] = True
@@ -578,7 +690,8 @@ def extend_dsic(
         # and its utility
         shape = (len(values[k]), domain.num_profiles // domain.bidder_type_count(k))
         best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
-        for r0, u in expost_slabs(mech, k, values[k]):  # (T_full, T_supp, rest)
+        views = axis_views(mech, k)
+        for r0, u in expost_slabs(*views, values[k]):  # (T_full, T_supp, rest)
             best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
 
@@ -607,9 +720,12 @@ def extend_dsic(
     )
 
 
-def _dump_lp(path: str, lp: _Lp, n_x: int, k_out: int, interim: np.ndarray) -> None:
-    """Write the full LP in CPLEX LP text format for external checking."""
+def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
+    """Build the full LP, every row of it, and write it in CPLEX LP text
+    format for external checking."""
+    lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
+    k_out = problem.space.num_outcomes
 
     def var(j: int) -> str:
         if j < interim[0]:

@@ -505,6 +505,44 @@ class TestExitCodes:
         assert not out.exists()
         assert cli_dispatch(argv + ["--eta", "0"]) == 0
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_oracle_non_finite_eta_is_usage_error(self, workdir, capsys, eta):
+        out = workdir / "o.json"
+        argv = ["oracle", "--config", str(workdir / "inst.json"), "--mode", "dsic",
+                "--out", str(out), "--eta", eta]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: eta must be finite and nonnegative, got {eta}\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["bic_regret_bound", "dsic_regret_bound"])
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", None, [1], float("nan"), 10**400],
+        ids=["string", "null", "list", "nan", "beyond_float"],
+    )
+    def test_verify_malformed_declared_bound_is_parse_error(
+        self, workdir, capsys, key, value
+    ):
+        mech = posted_price_table(GridSpec(epsilon=0.25, h=2.0), 1.0, m=2)
+        path = workdir / "declared.json"
+        argv = ["verify", "--mech", str(path), "--prior", str(workdir / "prior.json"),
+                "--config", str(workdir / "inst.json")]
+        mech.meta[key] = value
+        path.write_text(serialize_mechanism(mech))
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: mechanism meta {key} must be a finite number, got {value!r}\n"
+        )
+        assert captured.out == ""
+        # a posted price is truthful: an integer bound of 0 holds
+        mech.meta[key] = 0
+        path.write_text(serialize_mechanism(mech))
+        assert cli_dispatch(argv) == 0
+        assert "declared invariants hold" in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     def test_oracle_over_the_nnz_budget_is_exit_two(
         self, workdir, capsys, monkeypatch, mode

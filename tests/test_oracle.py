@@ -603,6 +603,104 @@ class TestRowGeneration:
             exact = brute_force_optimal(prior, space, model, mode, eta)
             assert sol.objective_value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
 
+    @given(
+        m=st.integers(1, 2),
+        cells=st.lists(
+            st.lists(
+                st.dictionaries(st.integers(0, 2), st.integers(1, 4), min_size=1, max_size=3),
+                min_size=2,
+                max_size=2,
+            ),
+            min_size=2,
+            max_size=3,
+        ),
+        mode=st.sampled_from(["bic", "dsic"]),
+        eta=st.sampled_from([0.0, 0.5]),
+        unit_demand=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_separation_selects_the_rows_the_full_lp_violates(
+        self, m, cells, mode, eta, unit_demand
+    ):
+        # At the seed and at each round's optimum, the IC rows read off the
+        # point are those the full matrix finds violated, built as the full
+        # LP holds them, in its order.
+        from unittest import mock
+
+        from mechlearn import oracle
+
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        cells = [
+            [{k: Fraction(w, sum(c.values())) for k, w in c.items()} for c in row[:m]]
+            for row in cells
+        ]
+        model = ValuationModel(tag="unit_demand" if unit_demand else "additive")
+        problem = OracleProblem(
+            prior=product_prior(spec, cells),
+            space=enumerate_multi_item(len(cells), m),
+            model=model,
+            ic_mode=mode,
+            eta=eta if mode == "dsic" else 0.0,
+        )
+        seen = []  # (x, per-bidder violated cells) of every separation
+
+        def recording(problem, domain, base, x):
+            masks = violated_rows(problem, domain, base, x)
+            seen.append((x.copy(), [mask.copy() for mask in masks]))
+            return masks
+
+        violated_rows = oracle._violated_rows
+        with mock.patch.object(oracle, "_violated_rows", recording):
+            sol = solve_optimal(problem)
+        assert len(seen) == sol.stats["rounds"] + 1
+
+        domain = problem.domain()
+        lp, _, _ = oracle._assemble(problem, domain)
+        base = oracle._base(problem, domain)
+        ir_rows = domain.num_profiles * domain.n
+        for x, masks in seen:
+            # the reference: every IC row of the full matrix, by matvec
+            ref = ir_rows + np.flatnonzero(
+                lp.a_ub[ir_rows:] @ x - lp.b_ub[ir_rows:] > oracle.ROW_TOL
+            )
+            a_ub, b_ub = oracle._inequality_rows(
+                problem, domain, base, np.arange(0), [np.nonzero(mask) for mask in masks]
+            )
+            want = lp.a_ub[ref]
+            assert a_ub.shape == want.shape
+            assert np.array_equal(a_ub.indptr, want.indptr)
+            assert np.array_equal(a_ub.indices, want.indices)
+            assert np.array_equal(a_ub.data, want.data)
+            assert np.array_equal(b_ub, lp.b_ub[ref])
+
+    def test_solve_builds_no_full_inequality_matrix(self, additive):
+        # n = 2, m = 2, 36 types a bidder: the DSIC LP's full a_ub has 93 312
+        # rows and 1.1 M nonzeros; the solve path builds only the rows HiGHS
+        # sees, about 11 000 here
+        import tracemalloc
+
+        from mechlearn import oracle
+
+        spec = GridSpec(epsilon=0.25, h=2.0)
+        cell = {k: Fraction(k - 1, 21) for k in range(2, 8)}
+        problem = OracleProblem(
+            prior=product_prior(spec, [[dict(cell), dict(cell)]] * 2),
+            space=enumerate_multi_item(2, 2),
+            model=additive,
+            ic_mode="dsic",
+            eta=0.5,
+        )
+        assert all(problem.domain().bidder_type_count(i) == 36 for i in range(2))
+        tracemalloc.start()
+        try:
+            solve_optimal(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        a_ub = oracle._assemble(problem, problem.domain())[0].a_ub
+        full = a_ub.data.nbytes + a_ub.indices.nbytes + a_ub.indptr.nbytes
+        assert peak < full / 2, (peak, full)
+
     def test_sweep_instances_solve_in_one_round(self):
         # The IR-only seed is enough here: the first optimum violates no
         # other row, so the many short solves of a sweep pay no second
