@@ -75,7 +75,7 @@ def _load_json(path: str) -> dict:
 
 
 def _write_text(path: str, text: str) -> None:
-    write_text(path, text if text.endswith("\n") else text + "\n")
+    write_text(path, text, "" if text.endswith("\n") else "\n")
 
 
 def _load_instance(path: str):

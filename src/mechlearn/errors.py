@@ -45,12 +45,20 @@ def read_text(path: str) -> str:
         raise ConfigError(f"{path}: cannot read: {exc}") from exc
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to a UTF-8 file; a file that cannot be created or
-    written raises ConfigError."""
+# characters write_text encodes at once, so that writing a large text holds
+# one slice of it, not a whole encoded copy
+WRITE_SLICE_CHARS = 2**20
+
+
+def write_text(path: str, text: str, end: str = "") -> None:
+    """Write ``text`` and then ``end`` to a UTF-8 file, ``WRITE_SLICE_CHARS``
+    characters at a time; a file that cannot be created or written raises
+    ConfigError."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for i in range(0, len(text), WRITE_SLICE_CHARS):
+                fh.write(text[i : i + WRITE_SLICE_CHARS])
+            fh.write(end)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot write: {exc}") from exc
 

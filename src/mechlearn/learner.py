@@ -26,7 +26,6 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    axis_views,
     expost_slabs,
     interim_utilities,
     max_gain,
@@ -337,10 +336,10 @@ def real_lattice_dsic_regret(
     """Worst ex-post deviation gain over a real lattice of true types, with
     others' bids ranging over all grid profiles."""
     pts, truth = _lattice(mech.spec, mech.m, per_coord)
-    worst = 0.0
+    inner, worst = mech.inner, 0.0
     for k in range(mech.n):
-        val = model.values_for(mech.inner.space, k, pts)  # (T_real, K)
-        views = axis_views(mech.inner, k)
-        for _, u in expost_slabs(*views, val):  # (T_real, T_grid, rest)
+        val = model.values_for(inner.space, k, pts)  # (T_real, K)
+        slabs = expost_slabs(inner.domain, k, inner.probs, inner.payments[:, k], val)
+        for _, u in slabs:  # (T_real, T_grid, rest)
             worst = max(worst, max_gain(u, truth)[0])
     return worst

@@ -53,6 +53,15 @@ EXPOST_CELL_BUDGET = 10**8
 # rest column alone is larger; the full_grid_3x2 audit ran fastest from 2**19
 # to 2**21 cells, and about 15% slower at 2**22
 EXPOST_CHUNK_CELLS = 2**20
+# rows of a table that serialize_mechanism formats at once; besides the text
+# it holds only their per-entry strings, a few hundred bytes a row. The
+# full_grid_3x2 table serialized as fast with blocks of 2**8 to 2**14 rows
+SERIALIZE_BLOCK_ROWS = 2**10
+# characters of a mechanism file's rows that deserialize_mechanism parses at
+# once, running on to the next row; besides the text and the arrays it holds
+# only their match tuples, several bytes a character. The full_grid_3x2 file
+# decoded fastest with blocks of 2**15 to 2**17, and about 20% slower at 2**20
+DECODE_BLOCK_CHARS = 2**16
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,7 @@ def type_axis_first(domain: ProfileDomain, k: int, table: np.ndarray) -> np.ndar
 def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lottery and payment tensors with bidder k's type axis first: probs as
     (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by
-    ``type_axis_first``."""
+    ``type_axis_first``; for a middle bidder, copies of the table."""
     return (
         type_axis_first(mech.domain, k, mech.probs),
         type_axis_first(mech.domain, k, mech.payments[:, k]),
@@ -310,25 +319,39 @@ def interim_utilities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interim utility ``u[t, r]`` of value row ``values[t]`` reporting
     bidder k's domain type r, the others' types drawn from the prior, and
-    the interim expected payment of each report r."""
+    the interim expected payment of each report r. The lotteries are
+    contracted over the (A, T_k, B, K) view of the table that
+    ``expost_slabs`` reads, so nothing of its size is copied."""
     weights = [[float(w) for w in ws] for ws in type_weights(mech.domain, prior)]
     w_rest = rest_weights(weights, k)
-    probs_view, pay_view = axis_views(mech, k)
-    cp = np.einsum("sro,r->so", probs_view, w_rest)  # (T_k, K)
-    cpay = pay_view @ w_rest  # (T_k,)
+    t_k, b_n = mech.domain.bidder_type_count(k), int(mech.domain.bidder_strides()[k])
+    probs = mech.probs.reshape(-1, t_k, b_n, mech.probs.shape[1])
+    cp = np.einsum("asbo,ab->so", probs, w_rest.reshape(-1, b_n))  # (T_k, K)
+    cpay = type_axis_first(mech.domain, k, mech.payments[:, k]) @ w_rest  # (T_k,)
     return values @ cp.T - cpay[None, :], cpay
 
 
 def expost_slabs(
-    probs_view: np.ndarray, pay_view: np.ndarray, values: np.ndarray
+    domain: ProfileDomain,
+    k: int,
+    probs: np.ndarray,
+    pay: np.ndarray,
+    values: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The ex-post utility tensor ``u[t, s, rest]`` of value row
     ``values[t]`` reporting bidder k's domain type s against the others'
     profile rest, over the mechanism's randomness only, one slab at a time.
-    ``probs_view`` (T_k, R_rest, K) and ``pay_view`` (T_k, R_rest) are
-    bidder k's lotteries and payments with its type axis first, as
-    ``axis_views`` gives them for a table and ``type_axis_first`` for any
-    arrays, such as an LP point.
+    ``probs`` (R, K) and ``pay`` (R,) are the lotteries and bidder k's
+    payments in profile-rank order: a table's ``probs`` and
+    ``payments[:, k]``, or the blocks of an LP point.
+
+    The rest axis enumerates the other bidders' types in bidder order, as
+    ``ProfileDomain.split_rank`` does. Slabs are cut from the (A, T_k, B, K)
+    view of ``probs``, where A and B multiply the type counts of the bidders
+    before and after k, so that rest rank is ``a * B + b``: whole runs of
+    ``a`` when a slab holds B rest columns, else a run of ``b`` within one
+    ``a``. So a slab copies at most its own lotteries, even for a middle
+    bidder, whose rest columns are not adjacent in the table.
 
     Yields ``(r0, u[:, :, r0:r1])`` in rest order. Each slab holds whole
     rest columns, as many as fit in ``EXPOST_CHUNK_CELLS`` cells and at
@@ -336,17 +359,25 @@ def expost_slabs(
     ``CapacityError`` when one rest column, ``T_values * T_k`` cells,
     exceeds ``EXPOST_CELL_BUDGET``.
     """
-    column = len(values) * len(probs_view)
+    t_k, b_n = domain.bidder_type_count(k), int(domain.bidder_strides()[k])
+    column = len(values) * t_k
     if column > EXPOST_CELL_BUDGET:
         raise CapacityError(
             f"ex-post utility tensor has {column} cells per rest profile, "
             f"over the {EXPOST_CELL_BUDGET} budget"
         )
     step = max(1, EXPOST_CHUNK_CELLS // column)
-    for r0 in range(0, pay_view.shape[1], step):
-        u = np.einsum("sro,to->tsr", probs_view[:, r0 : r0 + step], values)
-        u -= pay_view[:, r0 : r0 + step]
-        yield r0, u
+    probs = probs.reshape(-1, t_k, b_n, probs.shape[1])
+    pay = pay.reshape(-1, t_k, b_n)
+    a_step, b_step = max(1, step // b_n), min(step, b_n)
+    for a in range(0, len(pay), a_step):
+        for b in range(0, b_n, b_step):
+            cut = np.s_[a : a + a_step, :, b : b + b_step]
+            # (T_k, rest columns, K); a copy only when it spans several a
+            lots = probs[cut].swapaxes(0, 1).reshape(t_k, -1, probs.shape[3])
+            u = np.einsum("sro,to->tsr", lots, values)
+            u -= pay[cut].swapaxes(0, 1).reshape(t_k, -1)
+            yield a * b_n + b, u
 
 
 def max_gain(u: np.ndarray, truth: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -477,7 +508,8 @@ def audit_over_domain(
         # negated), each with its first C-order index; the smallest
         # (value, index) over the slabs is the whole tensor's first extreme
         lows, highs = [], []
-        for r0, u in expost_slabs(*axis_views(mech, k), val):
+        slabs = expost_slabs(mech.domain, k, mech.probs, mech.payments[:, k], val)
+        for r0, u in slabs:
             truthful = u[own, own]  # (T_k, rest columns)
             t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
             lows.append((float(truthful[t, rest]), int(t), r0 + int(rest)))
@@ -549,10 +581,32 @@ def _profile_texts(dom: ProfileDomain) -> Iterator[str]:
     return map(",".join, itertools.product(*types))
 
 
+def _rows_text(probs: np.ndarray, payments: np.ndarray, profiles: Iterator[str]) -> str:
+    """The rows of one block of a table, comma-separated, each taking its
+    profile text from ``profiles``."""
+    pay_texts = map(repr, payments.ravel().tolist())
+    # one shared iterator, so zip yields each row's n payments in turn
+    pays = [
+        '"' + '","'.join(row) + '"' for row in zip(*[pay_texts] * payments.shape[1])
+    ]
+    rank, outcome = np.nonzero(probs != 0.0)
+    entries = [
+        f'{{"outcome":{o},"p":"{p!r}","pay":[{pays[r]}]}}'
+        for r, o, p in zip(rank.tolist(), outcome.tolist(), probs[rank, outcome].tolist())
+    ]
+    bounds = np.searchsorted(rank, np.arange(len(probs) + 1)).tolist()
+    # profiles last: zip stops at the end of bounds before taking a profile
+    return ",".join(
+        f'{{"entries":[{",".join(entries[a:b])}],"profile":[{profile}]}}'
+        for a, b, profile in zip(bounds, bounds[1:], profiles)
+    )
+
+
 def serialize_mechanism(mech: MechanismTable) -> str:
     """Canonical text of a mechanism file: compact JSON with sorted keys.
 
-    The rows are written piece by piece from the arrays; their key order is
+    The rows are written piece by piece from the arrays, ``SERIALIZE_BLOCK_ROWS``
+    rows at a time, and the block texts are joined once; their key order is
     fixed by hand (``entries`` < ``profile``; ``outcome`` < ``p`` < ``pay``),
     so the text equals ``json.dumps`` of the same document with
     ``sort_keys=True`` byte for byte.
@@ -571,23 +625,14 @@ def serialize_mechanism(mech: MechanismTable) -> str:
         ],
         "meta": mech.meta,
     }
-    pay_texts = map(repr, mech.payments.ravel().tolist())
-    # one shared iterator, so zip yields each row's n payments in turn
-    pays = ['"' + '","'.join(row) + '"' for row in zip(*[pay_texts] * dom.n)]
-    rank, outcome = np.nonzero(mech.probs != 0.0)
-    entries = [
-        f'{{"outcome":{o},"p":"{p!r}","pay":[{pays[r]}]}}'
-        for r, o, p in zip(
-            rank.tolist(), outcome.tolist(), mech.probs[rank, outcome].tolist()
-        )
-    ]
-    bounds = np.searchsorted(rank, np.arange(dom.num_profiles + 1)).tolist()
-    rows = ",".join(
-        f'{{"entries":[{",".join(entries[a:b])}],"profile":[{profile}]}}'
-        for profile, a, b in zip(_profile_texts(dom), bounds, bounds[1:])
-    )
     head = json.dumps(header, sort_keys=True, separators=(",", ":"))
-    return f'{{"header":{head},"rows":[{rows}]}}'
+    parts = [f'{{"header":{head},"rows":[']
+    profiles = _profile_texts(dom)
+    for a in range(0, dom.num_profiles, SERIALIZE_BLOCK_ROWS):
+        b = a + SERIALIZE_BLOCK_ROWS
+        parts += (_rows_text(mech.probs[a:b], mech.payments[a:b], profiles), ",")
+    parts[-1] = "]}"  # in place of the last block's comma
+    return "".join(parts)
 
 
 # The reader follows the writer's layout and key order, with any JSON
@@ -606,6 +651,7 @@ _LOOSE = re.compile(
     r'[ \t\n\r](?:(?<=[{}\[\]:,][ \t\n\r])[ \t\n\r]*|[ \t\n\r]*(?=[{}\[\]:,]))'
 )
 _ROW_OPEN = '{"entries":[{"outcome":'  # a row and its first entry
+_ROW_BREAK = "]}," + _ROW_OPEN  # the end of one row and the start of the next
 _STR = r'"[^"\\\x00-\x1f]*"'  # a string with no escapes or control characters
 # characters outside the groups of an entry, and of a row's closer
 _ENTRY_CHARS = len('{"outcome":,"p":"","pay":[]}')
@@ -641,9 +687,10 @@ def _numbers(texts: Sequence[str], where) -> np.ndarray:
 def deserialize_mechanism(text: str) -> MechanismTable:
     """Load a mechanism file; any malformed content raises ParseError.
 
-    The rows are read straight into arrays, so they must follow the writer's
-    layout and key order (``_LAYOUT``), with any JSON whitespace between
-    tokens and numbers as ``float()`` text or ``a/b``.
+    The rows are read straight into arrays, a block of about
+    ``DECODE_BLOCK_CHARS`` characters at a time, so they must follow the
+    writer's layout and key order (``_LAYOUT``), with any JSON whitespace
+    between tokens and numbers as ``float()`` text or ``a/b``.
     """
     try:
         return _decode_mechanism(text)
@@ -666,7 +713,7 @@ def _decode_mechanism(text: str) -> MechanismTable:
 
     if header.get("format") != _FORMAT:
         raise ParseError(f"unknown mechanism format {header.get('format')!r}")
-    n, m = int(header["n"]), int(header["m"])
+    n, m = (_header_int(header, key) for key in ("n", "m"))
     spec = GridSpec(
         epsilon=_num_from_str(header["epsilon"], "header.epsilon"),
         h=_num_from_str(header["h"], "header.h"),
@@ -705,66 +752,7 @@ def _decode_mechanism(text: str) -> MechanismTable:
     # the outputs before the parse, so its temporaries are freed above them
     probs = np.zeros((r, k))
     payments = np.zeros((r, n))
-
-    matches = _entry_pattern(n).findall(text, start, end)
-    if not matches:
-        raise _layout_error("the rows hold no entry")
-    opener, outcome, p, pay, profile, comma = (
-        list(map(operator.itemgetter(g), matches)) for g in range(6)
-    )
-    del matches
-    opens = np.fromiter(map(bool, opener), bool, len(opener))
-    closes = np.fromiter(map(bool, profile), bool, len(profile))
-    chars = sum(
-        sum(map(len, col)) for col in (opener, outcome, p, pay, profile, comma)
-    ) + len(opener) * _ENTRY_CHARS + int(closes.sum()) * _CLOSER_CHARS
-    if not (
-        chars == end - start
-        and opens[0] and closes[-1] and np.array_equal(opens[1:], closes[:-1])
-        and all(comma[:-1]) and not comma[-1]
-    ):
-        raise _layout_error("the rows text is not a list of such rows")
-
-    row = np.cumsum(opens) - 1  # each entry's row rank
-    first = np.flatnonzero(opens)  # each row's entry 0
-
-    def where(j: int) -> str:
-        return f"row {row[j]} entry {j - first[row[j]]}"
-
-    profiles = list(filter(None, profile))
-    del profile
-    bad = next(itertools.compress(
-        itertools.count(), map(str.__ne__, profiles, _profile_texts(domain))
-    ), None)
-    if bad is not None:
-        expected = next(itertools.islice(_profile_texts(domain), bad, None))
-        raise ParseError(
-            f"row {bad}: profile [{profiles[bad]}] out of order; expected [{expected}]"
-        )
-    del profiles
-
-    codes = {str(o): o for o in range(k)}
-    outs = np.fromiter(
-        map(codes.get, outcome, itertools.repeat(-1)), np.int64, len(outcome)
-    )
-    if (outs < 0).any():
-        j = int(np.argmax(outs < 0))
-        raise ParseError(f"{where(j)}: outcome {outcome[j]} outside the space")
-    p = _numbers(p, where)
-    pay = _numbers(",".join(pay)[1:-1].split('","'), lambda i: where(i // n))
-    pay = pay.reshape(-1, n)
-    disagree = (pay != pay[first[row]]).any(axis=1)
-    if disagree.any():
-        j = int(np.argmax(disagree))
-        raise ParseError(f"{where(j)}: payments {pay[j].tolist()} disagree with entry 0")
-    payments[:] = pay[closes]  # each row's last entry, as a sequential read keeps
-    np.add.at(probs, (row, outs), p)
-    total = np.zeros(r)
-    np.add.at(total, row, p)  # in entry order, as a running sum
-    off = ~(np.abs(total - 1.0) <= 1e-9)
-    if off.any():
-        bad = int(np.argmax(off))
-        raise ParseError(f"row {bad}: lottery probabilities sum to {total[bad]!r}")
+    _decode_rows(text, start, end, domain, probs, payments)
     return MechanismTable(
         domain=domain,
         space=space,
@@ -772,6 +760,107 @@ def _decode_mechanism(text: str) -> MechanismTable:
         payments=payments,
         meta=dict(header.get("meta", {})),
     )
+
+
+def _decode_rows(
+    text: str,
+    start: int,
+    end: int,
+    domain: ProfileDomain,
+    probs: np.ndarray,
+    payments: np.ndarray,
+) -> None:
+    """Decode the rows text ``text[start:end]`` into ``probs`` and
+    ``payments``, one block of about ``DECODE_BLOCK_CHARS`` characters at a
+    time.
+
+    A block runs on to the next ``_ROW_BREAK``, and is checked as the whole
+    text would be: its entries tile it, it opens and ends a row, and every
+    entry but its last ends with a comma, the last one too unless the block
+    ends the rows. In a text that passes these checks ``_ROW_BREAK`` occurs
+    only between rows, since no string or profile can hold it. So blocks
+    accept and refuse what one block would, and an error names the same
+    global row and entry numbers.
+    """
+    n = payments.shape[1]
+    pattern = _entry_pattern(n)
+    codes = {str(o): o for o in range(probs.shape[1])}
+    expected_profiles = _profile_texts(domain)  # runs on across blocks
+    row0 = 0  # rank of the block's first row
+    while start < end:
+        stop = text.find(_ROW_BREAK, start + DECODE_BLOCK_CHARS, end)
+        stop = end if stop < 0 else stop + len(_ROW_BREAK) - len(_ROW_OPEN)
+        matches = pattern.findall(text, start, stop)
+        opener, outcome, p, pay, profile, comma = (
+            list(map(operator.itemgetter(g), matches)) for g in range(6)
+        )
+        del matches
+        opens = np.fromiter(map(bool, opener), bool, len(opener))
+        closes = np.fromiter(map(bool, profile), bool, len(profile))
+        chars = sum(
+            sum(map(len, col)) for col in (opener, outcome, p, pay, profile, comma)
+        ) + len(opener) * _ENTRY_CHARS + int(closes.sum()) * _CLOSER_CHARS
+        if not (
+            opener and chars == stop - start
+            and opens[0] and closes[-1] and np.array_equal(opens[1:], closes[:-1])
+            and all(comma[:-1]) and bool(comma[-1]) == (stop < end)
+        ):
+            raise _layout_error("the rows text is not a list of such rows")
+
+        row = np.cumsum(opens) - 1  # each entry's row rank in the block
+        first = np.flatnonzero(opens)  # each row's entry 0
+
+        def where(j: int) -> str:
+            return f"row {row0 + row[j]} entry {j - first[row[j]]}"
+
+        profiles = list(filter(None, profile))
+        del profile
+        expected = list(itertools.islice(expected_profiles, len(profiles)))
+        bad = next(itertools.compress(
+            itertools.count(), map(str.__ne__, profiles, expected)
+        ), None)
+        if bad is not None:
+            raise ParseError(
+                f"row {row0 + bad}: profile [{profiles[bad]}] out of order;"
+                f" expected [{expected[bad]}]"
+            )
+        del profiles, expected
+
+        outs = np.fromiter(
+            map(codes.get, outcome, itertools.repeat(-1)), np.int64, len(outcome)
+        )
+        if (outs < 0).any():
+            j = int(np.argmax(outs < 0))
+            raise ParseError(f"{where(j)}: outcome {outcome[j]} outside the space")
+        p = _numbers(p, where)
+        pay = _numbers(",".join(pay)[1:-1].split('","'), lambda i: where(i // n))
+        pay = pay.reshape(-1, n)
+        disagree = (pay != pay[first[row]]).any(axis=1)
+        if disagree.any():
+            j = int(np.argmax(disagree))
+            raise ParseError(
+                f"{where(j)}: payments {pay[j].tolist()} disagree with entry 0"
+            )
+        # each row's last entry, as a sequential read keeps
+        payments[row0 : row0 + len(first)] = pay[closes]
+        np.add.at(probs, (row0 + row, outs), p)
+        total = np.zeros(len(first))
+        np.add.at(total, row, p)  # in entry order, as a running sum
+        off = ~(np.abs(total - 1.0) <= 1e-9)
+        if off.any():
+            bad = int(np.argmax(off))
+            raise ParseError(
+                f"row {row0 + bad}: lottery probabilities sum to {float(total[bad])!r}"
+            )
+        row0 += len(first)
+        start = stop
+
+
+def _header_int(header: dict, key: str) -> int:
+    value = header[key]
+    if type(value) is not int:  # not a float, a string or a bool
+        raise ParseError(f"header.{key}: {value!r} is not a JSON integer")
+    return value
 
 
 def _check_row_count(expected: int, got: int) -> None:

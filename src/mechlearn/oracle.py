@@ -68,12 +68,10 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
-    axis_views,
     expost_slabs,
     interim_utilities,
     rest_weights,
     revenue,
-    type_axis_first,
     type_weights,
 )
 from .outcomes import (
@@ -390,12 +388,10 @@ def _violated_rows(
             u = np.hstack([vals, -np.ones((len(vals), 1))]) @ block.T  # (T_i, T_i)
             out.append(u - u[own, own][:, None] > ROW_TOL)
             continue
-        probs = type_axis_first(domain, i, x[: r_profiles * k_out].reshape(-1, k_out))
-        pay = type_axis_first(
-            domain, i, x[r_profiles * k_out : base.interim[0]].reshape(-1, n)[:, i]
-        )
+        probs = x[: r_profiles * k_out].reshape(-1, k_out)
+        pay = x[r_profiles * k_out : base.interim[0]].reshape(-1, n)[:, i]
         mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
-        for r0, u in expost_slabs(probs, pay, vals):  # (T_i, T_i, rest)
+        for r0, u in expost_slabs(domain, i, probs, pay, vals):  # (T_i, T_i, rest)
             u -= u[own, own][:, None]
             u -= problem.eta
             np.greater(u, ROW_TOL, out=mask[:, :, r0 : r0 + u.shape[2]])
@@ -612,9 +608,9 @@ def bic_replacement_map(
     cells and ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
+    slabs = expost_slabs(mech.domain, k, mech.probs, mech.payments[:, k], val_full)
     low = functools.reduce(  # (T_full, T_supp): the worst ex-post utility
-        np.minimum,
-        (u.min(axis=2) for _, u in expost_slabs(*axis_views(mech, k), val_full)),
+        np.minimum, (u.min(axis=2) for _, u in slabs)
     )
     safe = low >= -FEASIBILITY_TOL
     safe[~safe.any(axis=1)] = True
@@ -690,8 +686,8 @@ def extend_dsic(
         # and its utility
         shape = (len(values[k]), domain.num_profiles // domain.bidder_type_count(k))
         best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
-        views = axis_views(mech, k)
-        for r0, u in expost_slabs(*views, values[k]):  # (T_full, T_supp, rest)
+        slabs = expost_slabs(domain, k, mech.probs, mech.payments[:, k], values[k])
+        for r0, u in slabs:  # (T_full, T_supp, rest)
             best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
 

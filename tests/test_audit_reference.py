@@ -394,3 +394,39 @@ def test_audit_peak_memory_stays_under_half_the_whole_tensor(monkeypatch, additi
         tracemalloc.stop()
     assert peak < whole_bytes / 2
     assert report == _reference_audit(mech, prior, additive)
+
+
+def test_middle_bidder_kernels_allocate_nothing_the_size_of_the_table(
+    monkeypatch, additive
+):
+    # n = 3, m = 2 on a five-level grid: 25 types a bidder, 15625 rows of 16
+    # outcomes. Bidder 1's rest columns are not adjacent in the table, and
+    # each slab below spans two values of bidder 0's type.
+    spec = GridSpec(epsilon=1.0, h=4.0)
+    domain = ProfileDomain.full_grid(spec, 3, 2)
+    space = enumerate_multi_item(3, 2)
+    rng = np.random.default_rng(0)
+    mech = MechanismTable(
+        domain=domain,
+        space=space,
+        probs=rng.dirichlet(np.ones(space.num_outcomes), size=domain.num_profiles),
+        payments=rng.uniform(0.0, 2.0, size=(domain.num_profiles, 3)),
+    )
+    prior = product_prior(spec, [[{1: 1}, {2: 1}]] * 3)
+    values = additive.value_table(space, spec, 1)
+    monkeypatch.setattr(mechanism, "EXPOST_CHUNK_CELLS", 2 * 25 * 25 * 25)
+    whole = expost_utilities(mech, 1, values)
+    tracemalloc.start()
+    try:
+        for r0, u in mechanism.expost_slabs(
+            domain, 1, mech.probs, mech.payments[:, 1], values
+        ):
+            assert np.array_equal(u, whole[:, :, r0 : r0 + u.shape[2]])
+            del u
+        interim = interim_utilities(mech, prior, 1, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < mech.probs.nbytes / 2
+    assert r0 > 0  # more than one slab
+    assert interim[0].shape == (25, 25)

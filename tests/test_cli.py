@@ -303,6 +303,29 @@ class TestExitCodes:
         assert "is not a grid point" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--mech", "{w}/posted.json", "--prior", "{w}/prior.json"],
+            ["verify", "--mech", "{w}/posted.json", "--prior", "{w}/prior.json",
+             "--config", "{w}/inst.json"],
+        ],
+    )
+    @pytest.mark.parametrize(
+        "key, value", [("n", "1"), ("n", 1.5), ("n", True), ("m", "2"), ("m", 2.0)]
+    )
+    def test_header_size_not_a_json_integer_is_usage_error(
+        self, workdir, capsys, argv, key, value
+    ):
+        # the file is valid with "n": 1 and "m": 2, which int() would recover
+        doc = json.loads(serialize_mechanism(posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2)))
+        doc["header"][key] = value
+        (workdir / "posted.json").write_text(json.dumps(doc))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: header.{key}: {value!r} is not a JSON integer\n"
+        )
+
+    @pytest.mark.parametrize(
         "command, body",
         [
             *[(command, {**INSTANCE, key: value})

@@ -26,6 +26,7 @@ from mechlearn import (
     enumerate_multi_item,
     serialize_mechanism,
 )
+from mechlearn import mechanism
 from mechlearn.mechanism import _FORMAT, _num_from_str
 from mechlearn.outcomes import OutcomeSpace
 
@@ -408,3 +409,155 @@ def test_guards_refuse_before_allocating_rows(case):
     assert peak < 8 * GUARD_ROWS, f"{peak} bytes allocated"
     if valid_json:
         assert '{"header":{...},"rows":[{"entries":[{"outcome":O' in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# Blocks: with blocks of a few dozen characters nearly every row is a block
+# of its own, and the decoder must accept, refuse and report as with one.
+# ---------------------------------------------------------------------------
+
+SMALL_BLOCK = 40
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(mechanism, "DECODE_BLOCK_CHARS", SMALL_BLOCK)
+
+
+@pytest.mark.parametrize(
+    "prop",
+    [
+        test_random_tables_decode_as_the_reference,
+        test_fraction_numbers_decode_as_the_reference,
+        test_text_mutations_agree_with_reference,
+        test_json_mutations_agree_with_reference,
+    ],
+)
+def test_agreement_holds_in_small_blocks(small_blocks, prop):
+    prop()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_whitespace_layouts_decode_alike_in_small_blocks(small_blocks, seed):
+    test_whitespace_layouts_decode_alike(seed)
+
+
+def _two_entry_text() -> str:
+    """25 rows (n = 1, m = 2, five levels), each a lottery of two entries."""
+    spec = GridSpec(epsilon=0.5, h=2.0)
+    domain = ProfileDomain.full_grid(spec, 1, 2)
+    space = enumerate_multi_item(1, 2)
+    r = domain.num_profiles
+    probs = np.zeros((r, space.num_outcomes))
+    probs[:, 0] = 0.5
+    probs[np.arange(r), 1 + np.arange(r) % 3] = 0.5
+    payments = np.arange(r, dtype=float)[:, None] / 4
+    return serialize_mechanism(MechanismTable(
+        domain=domain, space=space, probs=probs, payments=payments
+    ))
+
+
+TWO_ENTRY_TEXT = _two_entry_text()
+LATE = 20  # the row each case breaks, far past the first small block
+
+
+def _late_row(text: str, rank: int = LATE) -> tuple[int, int]:
+    """Start and end of row ``rank``'s text, without the comma after it."""
+    start = -1
+    for _ in range(rank + 1):
+        start = text.index('{"entries":[{"outcome":', start + 1)
+    return start, text.index("]}", text.index('"profile":[', start)) + 2
+
+
+def _edit_late_row(edit, rank: int = LATE):
+    def mutate(text: str) -> str:
+        a, b = _late_row(text, rank)
+        return text[:a] + edit(text[a:b]) + text[b:]
+    return mutate
+
+
+def _swap_profiles(text: str) -> str:
+    a, b = _late_row(text)
+    c, d = _late_row(text, LATE + 1)
+    row, after = text[a:b], text[c:d]
+    mine, theirs = (r[r.index('"profile":'):] for r in (row, after))
+    return (text[:a] + row.replace(mine, theirs) + text[b:c]
+            + after.replace(theirs, mine) + text[d:])
+
+
+def _opener_in_profile(text: str) -> str:
+    return _edit_late_row(lambda row: row.replace(
+        '"profile":[', '"profile":[{"entries":[{"outcome":'))(text)
+
+
+def _drop_last_row(text: str) -> str:
+    a, b = _late_row(text, 24)
+    return text[: a - 1] + text[b:]
+
+
+def _drop_comma_after_row(text: str) -> str:
+    b = _late_row(text)[1]
+    return text[:b] + text[b + 1:]
+
+
+def _in_last_entry(key: str, insert: str):
+    """Insert text at the start of the row's last entry's ``key`` value."""
+    def edit(row: str) -> str:
+        head, sep, tail = row.rpartition(key)
+        return head + sep + insert + tail
+    return _edit_late_row(edit)
+
+
+LATE_BLOCK_CASES = {
+    "missing_comma_between_rows": _drop_comma_after_row,
+    "opener_in_a_profile": _opener_in_profile,
+    # the same with the last row gone, so that the row count still holds
+    "opener_in_a_profile_and_a_row_less": lambda t: _opener_in_profile(_drop_last_row(t)),
+    "profile_out_of_order": _swap_profiles,
+    "bad_outcome": _in_last_entry('"outcome":', "9"),
+    "bad_number": _in_last_entry('"p":"', "x"),
+    "disagreeing_payments": _in_last_entry('"pay":["', "7"),
+    "bad_lottery_sum": _edit_late_row(lambda row: row.replace('"p":"0.5"', '"p":"0.25"', 1)),
+}
+
+
+@pytest.mark.parametrize("case", LATE_BLOCK_CASES)
+def test_late_block_errors_read_as_with_one_block(monkeypatch, case):
+    text = LATE_BLOCK_CASES[case](TWO_ENTRY_TEXT)
+    errors = []
+    for block in (10**9, SMALL_BLOCK):
+        monkeypatch.setattr(mechanism, "DECODE_BLOCK_CHARS", block)
+        with pytest.raises(ParseError) as err:
+            deserialize_mechanism(text)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1]
+    with pytest.raises(ParseError):
+        reference_deserialize(text)
+    if case not in ("missing_comma_between_rows", "opener_in_a_profile"):
+        assert f"row {LATE}" in errors[0]
+
+
+def test_decode_peak_memory_stays_under_one_and_a_half_arrays():
+    # n = 3, m = 2 on a five-level grid: 15625 rows of 16 outcomes, each a
+    # lottery of one or two of them
+    spec = GridSpec(epsilon=1.0, h=4.0)
+    domain = ProfileDomain.full_grid(spec, 3, 2)
+    space = enumerate_multi_item(3, 2)
+    r, k = domain.num_profiles, space.num_outcomes
+    rng = np.random.default_rng(0)
+    probs = np.zeros((r, k))
+    probs[np.arange(r), rng.integers(0, k, r)] = 0.5
+    probs[np.arange(r), rng.integers(0, k, r)] += 0.5
+    payments = rng.uniform(0.0, 2.0, size=(r, 3))
+    text = serialize_mechanism(MechanismTable(
+        domain=domain, space=space, probs=probs, payments=payments
+    ))
+    tracemalloc.start()
+    try:
+        back = deserialize_mechanism(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (probs.nbytes + payments.nbytes)
+    assert back.probs.tobytes() == probs.tobytes()
+    assert back.payments.tobytes() == payments.tobytes()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from mechlearn import (
     serialize_mechanism,
     solve_optimal,
 )
+from mechlearn import mechanism
 from mechlearn.mechanism import axis_views
 from conftest import posted_price_table, product_prior
 
@@ -499,6 +501,39 @@ def test_serialized_bytes_are_pinned(name, digest):
     # row and entry order, and which zero-probability outcomes are left out.
     text = serialize_mechanism(_pinned_mechanism(name))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("name", ["learned_dsic", "learned_bic", "support_n3", "hand_built"])
+def test_serialized_bytes_do_not_depend_on_the_row_block(monkeypatch, name, rows):
+    mech = _pinned_mechanism(name)
+    monkeypatch.setattr(mechanism, "SERIALIZE_BLOCK_ROWS", mech.domain.num_profiles)
+    whole = serialize_mechanism(mech)  # one block, as the pinned digests are
+    monkeypatch.setattr(mechanism, "SERIALIZE_BLOCK_ROWS", rows)
+    assert serialize_mechanism(mech) == whole
+
+
+def test_serialize_peak_memory_stays_under_two_and_a_half_texts():
+    # n = 3, m = 2 on a five-level grid: 15625 rows of one or two entries
+    spec = GridSpec(epsilon=1.0, h=4.0)
+    domain = ProfileDomain.full_grid(spec, 3, 2)
+    space = enumerate_multi_item(3, 2)
+    r, k = domain.num_profiles, space.num_outcomes
+    rng = np.random.default_rng(0)
+    probs = np.zeros((r, k))
+    probs[np.arange(r), rng.integers(0, k, r)] = 0.5
+    probs[np.arange(r), rng.integers(0, k, r)] += 0.5
+    mech = MechanismTable(
+        domain=domain, space=space, probs=probs,
+        payments=rng.uniform(0.0, 2.0, size=(r, 3)),
+    )
+    tracemalloc.start()
+    try:
+        text = serialize_mechanism(mech)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(text)
 
 
 def _small_documents() -> list[str]:
