@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     UsageError,
     config_errors,
+    config_int,
     read_text,
     write_text,
 )
@@ -225,7 +226,7 @@ def _cmd_concentrate(args) -> int:
         ]
         f_values, h_f = profile_function_from_config(cfg["f"], marginals)
         h_f = float(cfg.get("h_f", h_f))
-        s, trials = int(cfg["s"]), int(cfg["trials"])
+        s, trials = (config_int(cfg[key], key) for key in ("s", "trials"))
         epsilon = float(cfg["epsilon_dev"])
     result = concentration_experiment(
         marginals,

@@ -63,6 +63,21 @@ def write_text(path: str, text: str, end: str = "") -> None:
         raise ConfigError(f"{path}: cannot write: {exc}") from exc
 
 
+def config_int(value, key: str) -> int:
+    """The value of config key ``key``, which must be an integer: a bool, a
+    float or a string raises ConfigError naming the key."""
+    if type(value) is not int:
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    return value
+
+
+def config_ints(value, key: str) -> tuple[int, ...]:
+    """The value of config key ``key``, which must be a list of integers."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{key}: {value!r} is not a list")
+    return tuple(config_int(v, key) for v in value)
+
+
 @contextmanager
 def config_errors(path: str):
     """Interpret a config read from ``path``: a missing key, a value of the

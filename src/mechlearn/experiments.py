@@ -27,7 +27,15 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from ._version import TOOL_VERSION
-from .errors import ConfigError, UsageError, read_text, write_text
+from .errors import (
+    CapacityError,
+    ConfigError,
+    UsageError,
+    config_int,
+    config_ints,
+    read_text,
+    write_text,
+)
 from .grid import DiscreteMarginal, GridSpec
 from .learner import learn_bic, learn_dsic
 from .mechanism import deserialize_mechanism, regret_report
@@ -47,6 +55,10 @@ __all__ = [
 ]
 
 MODES = ("bic", "dsic", "single_parameter")
+# Caps trials * (support sizes summed over marginals), the sample counts a
+# concentration experiment draws at once: each takes 16 bytes, as a count and
+# as a frequency, so the cap holds it near 1.6 GB.
+CONCENTRATION_BUDGET = 10**8
 
 
 def config_hash(obj: Mapping[str, Any]) -> str:
@@ -70,7 +82,7 @@ def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
     for key in ("n", "m", "epsilon", "h", "space", "model", "prior"):
         if key not in instance:
             raise ConfigError(f"instance config missing {key!r}")
-    n, m = int(instance["n"]), int(instance["m"])
+    n, m = (config_int(instance[key], key) for key in ("n", "m"))
     if n < 1 or m < 1:
         raise ConfigError(f"instance needs n >= 1 and m >= 1, got n={n}, m={m}")
     spec = GridSpec(epsilon=float(instance["epsilon"]), h=float(instance["h"]))
@@ -113,8 +125,7 @@ class ExperimentConfig:
         mode = obj["mode"]
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        s_values = tuple(int(s) for s in obj["s_values"])
-        seeds = tuple(int(s) for s in obj["seeds"])
+        s_values, seeds = (config_ints(obj[key], key) for key in ("s_values", "seeds"))
         if not s_values or not seeds:
             raise ConfigError("s_values and seeds must be nonempty")
         if any(s < 1 for s in s_values):
@@ -348,13 +359,20 @@ def concentration_experiment(
     sizes = tuple(len(m.support) for m in marginals)
     if f.shape != sizes:
         raise UsageError(f"f_values shape {f.shape} != support sizes {sizes}")
-    if h_f <= 0 or f.min() < -1e-12 or f.max() > h_f + 1e-12:
+    if not 0 < h_f < math.inf:  # NaN fails it too
+        raise UsageError(f"h_f must be positive and finite, got {h_f}")
+    if f.min() < -1e-12 or f.max() > h_f + 1e-12:
         raise UsageError(
             f"f must map into the declared range [0, {h_f}]; "
             f"observed [{f.min()}, {f.max()}]"
         )
-    if epsilon <= 0 or s < 1 or trials < 1 or seed < 0:
-        raise UsageError("need epsilon > 0, s >= 1, trials >= 1, seed >= 0")
+    if not 0 < epsilon < math.inf or s < 1 or trials < 1 or seed < 0:
+        raise UsageError("need finite epsilon > 0, s >= 1, trials >= 1, seed >= 0")
+    if trials * sum(sizes) > CONCENTRATION_BUDGET:
+        raise CapacityError(
+            f"{trials} trials over supports of sizes {sizes} draw "
+            f"{trials * sum(sizes)} counts, over the {CONCENTRATION_BUDGET} budget"
+        )
 
     true_probs = [m.probs_float(m.support) for m in marginals]
     expected_true = f.copy()

@@ -271,12 +271,7 @@ def menu_selection(
     payment, then the earliest entry."""
     u = menu.utilities(model, spec)
     pay = np.array([e.payment for e in menu.entries])
-    choice = np.zeros(u.shape[0], dtype=np.int64)
-    for t in range(u.shape[0]):
-        best = u[t].max()
-        cands = np.flatnonzero(u[t] == best)
-        choice[t] = int(cands[np.argmax(pay[cands])])
-    return choice
+    return np.argmax(np.where(u == u.max(axis=1, keepdims=True), pay, -np.inf), axis=1)
 
 
 def menu_mechanism(
@@ -285,13 +280,11 @@ def menu_mechanism(
     """Single-bidder mechanism that lets every grid type pick from the menu."""
     choice = menu_selection(menu, model, spec)
     domain = ProfileDomain.full_grid(spec, 1, menu.space.m)
-    probs = np.stack([menu.entries[c].probs for c in choice], axis=0)
-    payments = np.array([[menu.entries[c].payment] for c in choice])
     return MechanismTable(
         domain=domain,
         space=menu.space,
-        probs=probs,
-        payments=payments,
+        probs=np.stack([e.probs for e in menu.entries])[choice],
+        payments=np.array([[e.payment] for e in menu.entries])[choice],
         meta={"pipeline": "menu_selection"},
     )
 

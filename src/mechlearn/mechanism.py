@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,7 +58,7 @@ EXPOST_CHUNK_CELLS = 2**20
 SERIALIZE_BLOCK_ROWS = 2**10
 # characters of a mechanism file's rows that deserialize_mechanism parses at
 # once, running on to the next row; besides the text and the arrays it holds
-# only their match tuples, several bytes a character. The full_grid_3x2 file
+# only the split block, several bytes a character. The full_grid_3x2 file
 # decoded fastest with blocks of 2**15 to 2**17, and about 20% slower at 2**20
 DECODE_BLOCK_CHARS = 2**16
 
@@ -653,9 +652,6 @@ _LOOSE = re.compile(
 _ROW_OPEN = '{"entries":[{"outcome":'  # a row and its first entry
 _ROW_BREAK = "]}," + _ROW_OPEN  # the end of one row and the start of the next
 _STR = r'"[^"\\\x00-\x1f]*"'  # a string with no escapes or control characters
-# characters outside the groups of an entry, and of a row's closer
-_ENTRY_CHARS = len('{"outcome":,"p":"","pay":[]}')
-_CLOSER_CHARS = len('],"profile":[]}')
 
 
 def _entry_pattern(n: int) -> re.Pattern:
@@ -775,12 +771,12 @@ def _decode_rows(
     time.
 
     A block runs on to the next ``_ROW_BREAK``, and is checked as the whole
-    text would be: its entries tile it, it opens and ends a row, and every
-    entry but its last ends with a comma, the last one too unless the block
-    ends the rows. In a text that passes these checks ``_ROW_BREAK`` occurs
-    only between rows, since no string or profile can hold it. So blocks
-    accept and refuse what one block would, and an error names the same
-    global row and entry numbers.
+    text would be: its entries tile it, so ``split`` leaves no text between
+    them, it opens and ends a row, and every entry but its last ends with a
+    comma, the last one too unless the block ends the rows. In a text that
+    passes these checks ``_ROW_BREAK`` occurs only between rows, since no
+    string or profile can hold it. So blocks accept and refuse what one
+    block would, and an error names the same global row and entry numbers.
     """
     n = payments.shape[1]
     pattern = _entry_pattern(n)
@@ -790,18 +786,15 @@ def _decode_rows(
     while start < end:
         stop = text.find(_ROW_BREAK, start + DECODE_BLOCK_CHARS, end)
         stop = end if stop < 0 else stop + len(_ROW_BREAK) - len(_ROW_OPEN)
-        matches = pattern.findall(text, start, stop)
-        opener, outcome, p, pay, profile, comma = (
-            list(map(operator.itemgetter(g), matches)) for g in range(6)
-        )
-        del matches
+        # the text between matches, then each match's six groups
+        parts = pattern.split(text[start:stop])
+        opener, outcome, p, pay, profile, comma = (parts[g::7] for g in range(1, 7))
+        tiled = not any(parts[::7])
+        del parts
         opens = np.fromiter(map(bool, opener), bool, len(opener))
         closes = np.fromiter(map(bool, profile), bool, len(profile))
-        chars = sum(
-            sum(map(len, col)) for col in (opener, outcome, p, pay, profile, comma)
-        ) + len(opener) * _ENTRY_CHARS + int(closes.sum()) * _CLOSER_CHARS
         if not (
-            opener and chars == stop - start
+            tiled and opener
             and opens[0] and closes[-1] and np.array_equal(opens[1:], closes[:-1])
             and all(comma[:-1]) and bool(comma[-1]) == (stop < end)
         ):

@@ -37,17 +37,22 @@ floats once, so identical priors produce identical matrices; the HiGHS solves
 and the row choice are deterministic, making the whole oracle a deterministic
 function of its input.
 
-Two extension rules lift a support-domain solution to the full grid:
+Two extension rules lift a support-domain solution to the full grid. Each
+picks one candidate row per full-grid profile, and the table is one gather
+of those rows:
 
 * ``extend_bic``: a bidder with any off-support coordinate is re-bid as the
   in-support type vector of highest interim expected utility (others drawn
   fresh from the prior) among the reports that are ex-post IR for the true
   type at every support profile of the others, or among all reports when
-  none is; ties go to the lexicographically smallest type.
+  none is; ties go to the lexicographically smallest type. The candidates
+  are the support rows.
 * ``extend_dsic``: with exactly one off-support bidder, her best in-support
   reply against the realized others is played through a downward-closure
-  witness that keeps her value and payment and zeroes everyone else; with
-  two or more off-support bidders everything is zeroed.
+  witness that keeps her value and payment and zeroes everyone else, unless
+  it leaves her below zero and she walks away to the zero outcome; with two
+  or more off-support bidders everything is zeroed. The candidates are the
+  support rows, the zero outcome at price 0, and each bidder's replies.
 """
 
 from __future__ import annotations
@@ -575,6 +580,13 @@ def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
         )
 
 
+def _profile_ranks(domain: ProfileDomain, maps: list[np.ndarray]) -> np.ndarray:
+    """Rank in ``domain`` of the profile that plays type ``maps[i][t]`` of
+    bidder i for grid type t, at every full-grid profile in rank order."""
+    parts = [rank * stride for rank, stride in zip(maps, domain.bidder_strides())]
+    return functools.reduce(np.add.outer, parts).reshape(-1)
+
+
 def extend_bic(
     mech: MechanismTable,
     prior: ProductPrior,
@@ -582,12 +594,9 @@ def extend_bic(
 ) -> MechanismTable:
     """Algorithm-level best-response extension of a support mechanism."""
     replace = [bic_replacement_map(mech, prior, model, k) for k in range(mech.n)]
-    strides = mech.domain.bidder_strides()
-    parts = [replace[i] * strides[i] for i in range(mech.n)]
-    src = functools.reduce(np.add.outer, parts).reshape(-1)
-    full_domain = ProfileDomain.full_grid(mech.domain.spec, mech.n, mech.m)
+    src = _profile_ranks(mech.domain, replace)
     return MechanismTable(
-        domain=full_domain,
+        domain=ProfileDomain.full_grid(mech.domain.spec, mech.n, mech.m),
         space=mech.space,
         probs=mech.probs[src],
         payments=mech.payments[src],
@@ -627,91 +636,81 @@ def extend_dsic(
 ) -> MechanismTable:
     """Algorithm-level zero-out extension of a support mechanism.
 
-    A lone off-support bidder's best reply and its utility, per (full-grid
-    type, rest profile), come from one pass over ``expost_slabs``, whose
-    ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp cells and
-    ``EXPOST_CHUNK_CELLS`` the cells held at once."""
+    Each full-grid profile plays one candidate row: a support row, the zero
+    outcome at price 0, or a lone off-support bidder k's best reply played
+    through k's witness with only k paying. Her best reply and its utility,
+    per (full-grid type, rest profile), come from one pass over
+    ``expost_slabs``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
+    cells and ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     if not closure.closed or closure.witness is None:
         raise UsageError(
             "outcome space is not weakly downward closed (or the closure "
             "check was not run); verify downward closure first"
         )
     domain = mech.domain
-    spec = domain.spec
-    n, m = mech.n, mech.m
+    n, r_supp, k_out = mech.n, domain.num_profiles, space.num_outcomes
     # before the full table: value_table raises CapacityError on a huge grid
-    values = [model.value_table(space, spec, k) for k in range(n)]
-    k_out = space.num_outcomes
+    values = [model.value_table(space, domain.spec, k) for k in range(n)]
+    full_domain = ProfileDomain.full_grid(domain.spec, n, mech.m)
 
-    full_domain = ProfileDomain.full_grid(spec, n, m)
-    r_full = full_domain.num_profiles
-    probs = np.zeros((r_full, k_out))
-    payments = np.zeros((r_full, n))
+    # per grid type, its support rank (-1 off the support); per profile, the
+    # support rank reading an off-support type as 0, and the off-support count
+    # (int indicators: on bools, add.outer is OR)
+    to_support = [domain.grid_to_domain(i) for i in range(n)]
+    src = _profile_ranks(domain, [np.maximum(t, 0) for t in to_support])
+    off = [(t < 0).astype(np.int64) for t in to_support]
+    off_counts = functools.reduce(np.add.outer, off).reshape(-1)
 
-    # bidder i's full-grid type and support type rank (-1 off-support) at
-    # each full profile rank, and off counts
-    digits = full_domain.type_ranks()  # (R_full, n)
-    supp = np.stack(
-        [domain.grid_to_domain(i)[digits[:, i]] for i in range(n)], axis=1
-    )
-    off = supp < 0
-    off_counts = off.sum(axis=1)
-    # support profile rank, reading an off-support bidder's rank as 0
-    src = np.maximum(supp, 0) @ domain.bidder_strides()
+    # candidate rows: the support table, then the zero outcome at price 0,
+    # then each bidder's lone off-support replies
+    probs, payments = [mech.probs], [mech.payments]
+    if closure.zero_outcome is not None:
+        probs.append(np.eye(k_out)[[closure.zero_outcome]])
+        payments.append(np.zeros((1, n)))
 
-    # all bidders on-support: copy the corresponding support row
-    on_all = off_counts == 0
-    probs[on_all] = mech.probs[src[on_all]]
-    payments[on_all] = mech.payments[src[on_all]]
-
-    # two or more off-support bidders: priceless zero outcome
+    # two or more off-support bidders: the priceless zero outcome
     many_off = off_counts >= 2
-    if np.any(many_off):
-        if closure.zero_outcome is None:
-            raise InvariantError(
-                "closed space provided no all-zero outcome for the zero-out rule"
-            )
-        probs[many_off, closure.zero_outcome] = 1.0
+    if closure.zero_outcome is None and many_off.any():
+        raise InvariantError(
+            "closed space provided no all-zero outcome for the zero-out rule"
+        )
+    src[many_off] = r_supp
 
-    # Exactly one off-support bidder: best reply, played via the witness.
-    # Her reply set includes walking away (zero outcome, zero payment) when
-    # the space offers one; without it, a type below the whole support could
-    # be forced to pay above her value, breaking the IR the oracle promises.
+    # Exactly one off-support bidder: best reply, played via the witness with
+    # only her paying. Her reply set includes walking away (zero outcome, zero
+    # payment) when the space offers one; without it, a type below the whole
+    # support could be forced to pay above her value, breaking the IR the
+    # oracle promises.
+    one_off = np.flatnonzero(off_counts == 1)
     for k in range(n):
-        group = (off_counts == 1) & off[:, k]
-        ranks = np.flatnonzero(group)
+        t, _ = full_domain.split_rank(k, one_off)
+        mine = to_support[k][t] < 0
+        ranks, t = one_off[mine], t[mine]
         if ranks.size == 0:
             continue
         # per (full-grid type, rest): the best reply, lex-smallest on ties,
         # and its utility
-        shape = (len(values[k]), domain.num_profiles // domain.bidder_type_count(k))
+        shape = (len(values[k]), r_supp // domain.bidder_type_count(k))
         best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
         slabs = expost_slabs(domain, k, mech.probs, mech.payments[:, k], values[k])
         for r0, u in slabs:  # (T_full, T_supp, rest)
             best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
-
-        _, rest_rank = domain.split_rank(k, src[ranks])
-        chosen = best[digits[ranks, k], rest_rank]
-        src_rank = domain.join_rank(k, chosen, rest_rank)
-
-        wit = closure.witness[:, k]
-        scatter = np.zeros((k_out, k_out))
-        scatter[np.arange(k_out), wit] = 1.0
-        probs[ranks] = mech.probs[src_rank] @ scatter
-        payments[ranks, k] = mech.payments[src_rank, k]
+        _, rest = domain.split_rank(k, src[ranks])
+        chosen = domain.join_rank(k, best[t, rest], rest)
+        src[ranks] = sum(map(len, probs)) + np.arange(ranks.size)
         if closure.zero_outcome is not None:
-            declines = top[digits[ranks, k], rest_rank] < 0.0
-            out_ranks = ranks[declines]
-            probs[out_ranks] = 0.0
-            probs[out_ranks, closure.zero_outcome] = 1.0
-            payments[out_ranks, k] = 0.0
+            src[ranks[top[t, rest] < 0.0]] = r_supp
+        # the witness scatters the gathered rows: a BLAS product's summation
+        # order can depend on its row count
+        probs.append(mech.probs[chosen] @ np.eye(k_out)[closure.witness[:, k]])
+        payments.append(np.where(np.arange(n) == k, mech.payments[chosen], 0.0))
 
     return MechanismTable(
         domain=full_domain,
         space=space,
-        probs=probs,
-        payments=payments,
+        probs=np.concatenate(probs)[src],
+        payments=np.concatenate(payments)[src],
         meta={**mech.meta, "extension": "dsic_zero_out"},
     )
 

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, UsageError
+from .errors import CapacityError, ConfigError, UsageError, config_int
 from .grid import GridSpec, round_down_indices
 
 __all__ = [
@@ -167,8 +168,10 @@ class ValuationModel:
     def __post_init__(self) -> None:
         if self.tag not in MODEL_TAGS:
             raise ConfigError(f"unknown valuation model {self.tag!r}")
-        if self.lipschitz_l <= 0:
-            raise UsageError("lipschitz_l must be positive")
+        if not 0 < self.lipschitz_l < math.inf:  # NaN fails it too
+            raise UsageError(
+                f"lipschitz_l must be positive and finite, got {self.lipschitz_l}"
+            )
         if self.tag == "additive_up_to_k" and (self.cap is None or self.cap < 1):
             raise UsageError("additive_up_to_k needs cap >= 1")
         if self.tag == "custom":
@@ -359,5 +362,5 @@ def model_from_config(
     return ValuationModel(
         tag=str(tag),
         lipschitz_l=float(obj.get("lipschitz_l", 1.0)),
-        cap=int(obj["k"]) if "k" in obj else None,
+        cap=config_int(obj["k"], "k") if "k" in obj else None,
     )

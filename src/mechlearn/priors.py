@@ -22,7 +22,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UsageError
+from .errors import CapacityError, ConfigError, DomainError, UsageError, config_int
 from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet, round_down
 
 __all__ = [
@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _FAMILIES = ("discrete_on_grid", "point_masses", "uniform", "trunc_exp")
+# Caps the n * m * s values sample_prior draws, 8 bytes each: 800 MB.
+SAMPLE_BUDGET = 10**8
 
 
 def _fraction(x: Any) -> Fraction:
@@ -196,6 +198,11 @@ def sample_prior(
         )
     if s < 1 or seed < 0:
         raise UsageError(f"need s >= 1 and seed >= 0, got s={s} and seed={seed}")
+    if n * m * s > SAMPLE_BUDGET:
+        raise CapacityError(
+            f"{n}x{m}x{s} samples are {n * m * s} values, over the "
+            f"{SAMPLE_BUDGET} budget"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     values = np.empty((n, m, s))
     for i in range(n):
@@ -211,7 +218,8 @@ def prior_from_config(obj: Mapping[str, Any]) -> PriorDescription:
     (broadcast to all n x m cells) or a full n x m nested list under "cells".
     """
     try:
-        n, m, h = int(obj["n"]), int(obj["m"]), float(obj["h"])
+        n, m = (config_int(obj[key], key) for key in ("n", "m"))
+        h = float(obj["h"])
     except KeyError as exc:
         raise ConfigError(f"prior config missing key {exc}") from exc
     if "cells" in obj:

@@ -519,6 +519,116 @@ class TestExitCodes:
         assert sorted(workdir.iterdir()) == files
         assert cli_dispatch(argv + ["--prior", str(workdir / "same.json")]) == 0
 
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            *[("concentrate", {**CONCENTRATE, key: value}, message)
+              for key, message in [("h_f", "h_f must be positive and finite"),
+                                   ("epsilon_dev", "need finite epsilon > 0")]
+              for value in [float("nan"), float("inf")]],
+            # a value of 100 where m*L*h is 4: a finite constant refuses the table
+            *[(command, {**INSTANCE, "model": {
+                "tag": "custom", "lipschitz_l": value,
+                "table": [[0.0, 0.0, 0.0, 100.0]] + [[0.0] * 4] * 80}}, message)
+              for command in ("learn-bic", "oracle")
+              for value, message in [
+                  (float("nan"), "lipschitz_l must be positive and finite, got nan"),
+                  (float("inf"), "lipschitz_l must be positive and finite, got inf"),
+                  (1.0, "custom table values leave [0, 4.0]")]],
+        ],
+    )
+    def test_non_finite_number_is_usage_error(
+        self, workdir, capsys, command, body, message
+    ):
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(body))
+        argv = {
+            "concentrate": ["--seed", "1", "--out", "{w}/c.csv"],
+            "learn-bic": ["--s", "5", "--seed", "1", "--out", "{w}/o.json"],
+            "oracle": ["--out", "{w}/o.json"],
+        }[command]
+        assert cli_dispatch(
+            [command, "--config", str(bad)] + [a.format(w=workdir) for a in argv]
+        ) == 1
+        assert message in capsys.readouterr().err
+        files = sorted(p.name for p in workdir.iterdir())
+        assert files == ["bad.json", "inst.json", "prior.json"]
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            ("learn-bic", INSTANCE, f"1x2x{10**30} samples are {2 * 10**30} values"),
+            ("sweep", {"instance": INSTANCE, "mode": "bic", "s_values": [10**30],
+                       "seeds": [0]}, f"1x2x{10**30} samples are {2 * 10**30} values"),
+            ("concentrate", {**CONCENTRATE, "trials": 10**20},
+             f"{10**20} trials over supports of sizes (1,) draw {10**20} counts"),
+        ],
+    )
+    def test_allocation_over_its_budget_is_exit_two(
+        self, workdir, capsys, command, body, message
+    ):
+        # each size is one numpy refuses at once, should the guard be missing
+        bad = workdir / "big.json"
+        bad.write_text(json.dumps(body))
+        argv = {
+            "learn-bic": ["--s", str(10**30), "--seed", "1", "--out", "{w}/o.json"],
+            "sweep": ["--out", "{w}/sweep"],
+            "concentrate": ["--seed", "1", "--out", "{w}/c.csv"],
+        }[command]
+        assert cli_dispatch(
+            [command, "--config", str(bad)] + [a.format(w=workdir) for a in argv]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and message in err
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            *[("learn-bic", {**INSTANCE, key: value}, f"{key}: {value!r} is not an integer")
+              for key, value in [("n", 1.5), ("n", True), ("m", 2.0), ("m", "2")]],
+            ("learn-bic", {**INSTANCE, "model": {"tag": "additive_up_to_k", "k": 1.9}},
+             "k: 1.9 is not an integer"),
+            *[("sweep", {"instance": INSTANCE, "mode": "bic", "s_values": [5],
+                         "seeds": [0], key: value}, message)
+              for key, value, message in [
+                  ("s_values", "12", "s_values: '12' is not a list"),
+                  ("s_values", [2.5], "s_values: 2.5 is not an integer"),
+                  ("s_values", [True], "s_values: True is not an integer"),
+                  ("seeds", [True], "seeds: True is not an integer"),
+                  ("seeds", "0", "seeds: '0' is not a list"),
+                  ("seeds", [0, 1.0], "seeds: 1.0 is not an integer")]],
+            ("sweep", {"instance": {**INSTANCE, "n": 1.0}, "mode": "bic",
+                       "s_values": [5], "seeds": [0]}, "n: 1.0 is not an integer"),
+            *[("concentrate", {**CONCENTRATE, key: value}, f"{key}: {value!r} is not an integer")
+              for key, value in [("s", 10.5), ("s", "10"), ("trials", True), ("trials", 5.0)]],
+            ("prior", {"n": 1.0, "m": 2, "h": 2.0, **INSTANCE["prior"]},
+             "n: 1.0 is not an integer"),
+        ],
+    )
+    def test_non_integer_config_field_is_usage_error(
+        self, workdir, capsys, command, body, message
+    ):
+        (workdir / "posted.json").write_text(
+            serialize_mechanism(posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2))
+        )
+        bad = workdir / "bad.json"
+        bad.write_text(json.dumps(body))
+        argv = {
+            "learn-bic": ["learn-bic", "--config", "{b}", "--s", "5", "--seed", "1",
+                          "--out", "{w}/o.json"],
+            "sweep": ["sweep", "--config", "{b}", "--out", "{w}/sweep"],
+            "concentrate": ["concentrate", "--config", "{b}", "--seed", "1",
+                            "--out", "{w}/c.csv"],
+            "prior": ["eval", "--mech", "{w}/posted.json", "--prior", "{b}"],
+        }[command]
+        assert cli_dispatch([a.format(w=workdir, b=bad) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in workdir.iterdir()) == [
+            "bad.json", "inst.json", "posted.json", "prior.json"
+        ]
+
     def test_oracle_eta_in_bic_mode_is_usage_error(self, workdir, capsys):
         out = workdir / "o.json"
         argv = ["oracle", "--config", str(workdir / "inst.json"), "--mode", "bic",
