@@ -23,6 +23,7 @@ from .errors import (
     UsageError,
     config_errors,
     config_int,
+    config_real,
     read_text,
     write_text,
 )
@@ -129,7 +130,7 @@ def _learn_common(args, pipeline: str) -> int:
         }
     )
     _write_text(args.out, serialize_mechanism(learned.inner))
-    print(f"wrote {args.out} (mode={learned.mode}, rows={learned.inner.probs.shape[0]})")
+    print(f"wrote {args.out} (mode={learned.mode}, rows={learned.inner.domain.num_profiles})")
     return 0
 
 
@@ -219,15 +220,17 @@ def _cmd_sweep(args) -> int:
 def _cmd_concentrate(args) -> int:
     cfg = _load_json(args.config)
     with config_errors(args.config):
-        spec = GridSpec(epsilon=float(cfg["epsilon"]), h=float(cfg["h"]))
+        spec = GridSpec(
+            epsilon=config_real(cfg["epsilon"], "epsilon"), h=config_real(cfg["h"], "h")
+        )
         marginals = [
             PriorCell("point_masses", cell).grid_pushforward(spec)
             for cell in cfg["marginals"]
         ]
         f_values, h_f = profile_function_from_config(cfg["f"], marginals)
-        h_f = float(cfg.get("h_f", h_f))
+        h_f = config_real(cfg.get("h_f", h_f), "h_f")
         s, trials = (config_int(cfg[key], key) for key in ("s", "trials"))
-        epsilon = float(cfg["epsilon_dev"])
+        epsilon = config_real(cfg["epsilon_dev"], "epsilon_dev")
     result = concentration_experiment(
         marginals,
         s=s,

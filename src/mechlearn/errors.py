@@ -71,6 +71,18 @@ def config_int(value, key: str) -> int:
     return value
 
 
+def config_real(value, key: str) -> float:
+    """The value of config key ``key``, which must be a JSON number: a bool,
+    a string or an integer too large for a float raises ConfigError naming
+    the key."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{key}: {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key}: {value!r} is too large") from None
+
+
 def config_ints(value, key: str) -> tuple[int, ...]:
     """The value of config key ``key``, which must be a list of integers."""
     if not isinstance(value, (list, tuple)):

@@ -33,6 +33,7 @@ from .errors import (
     UsageError,
     config_int,
     config_ints,
+    config_real,
     read_text,
     write_text,
 )
@@ -85,7 +86,10 @@ def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
     n, m = (config_int(instance[key], key) for key in ("n", "m"))
     if n < 1 or m < 1:
         raise ConfigError(f"instance needs n >= 1 and m >= 1, got n={n}, m={m}")
-    spec = GridSpec(epsilon=float(instance["epsilon"]), h=float(instance["h"]))
+    spec = GridSpec(
+        epsilon=config_real(instance["epsilon"], "epsilon"),
+        h=config_real(instance["h"], "h"),
+    )
     space = space_from_config(instance["space"], n, m)
     model = model_from_config(instance["model"], spec=spec, space=space)
     prior_obj = dict(instance["prior"])
@@ -431,7 +435,7 @@ def profile_function_from_config(
             raise ConfigError(
                 "mechanism_revenue needs one marginal per (bidder, parameter)"
             )
-        pay = mech.payments.sum(axis=1)
+        pay = mech.rows_pay.sum(axis=1)[mech.src]
         if pay.min() < 0:
             raise UsageError("mechanism payments are negative; f must be in [0, H_f]")
         f = np.zeros(sizes)

@@ -26,7 +26,8 @@ from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_d
 from .mechanism import (
     MechanismTable,
     ProfileDomain,
-    expost_slabs,
+    distinct_columns,
+    expost_columns,
     interim_utilities,
     max_gain,
     revenue,
@@ -241,12 +242,12 @@ def mechanism_to_menu(
     spec = mech.domain.spec
     entries: list[MenuEntry] = [_zero_entry(mech.space, model, spec)]
     seen = {(tuple(entries[0].probs.tolist()), 0.0)}
-    for rank in range(mech.domain.num_profiles):
-        key = (tuple(mech.probs[rank].tolist()), float(mech.payments[rank, 0]))
+    for c in dict.fromkeys(mech.src.tolist()):  # candidates in the order played
+        key = (tuple(mech.rows_probs[c].tolist()), float(mech.rows_pay[c, 0]))
         if key not in seen:
             seen.add(key)
             entries.append(
-                MenuEntry(probs=mech.probs[rank], payment=float(mech.payments[rank, 0]))
+                MenuEntry(probs=mech.rows_probs[c], payment=float(mech.rows_pay[c, 0]))
             )
     return Menu(space=mech.space, entries=tuple(entries))
 
@@ -283,9 +284,10 @@ def menu_mechanism(
     return MechanismTable(
         domain=domain,
         space=menu.space,
-        probs=np.stack([e.probs for e in menu.entries])[choice],
-        payments=np.array([[e.payment] for e in menu.entries])[choice],
+        probs=np.stack([e.probs for e in menu.entries]),
+        payments=np.array([[e.payment] for e in menu.entries]),
         meta={"pipeline": "menu_selection"},
+        src=choice,
     )
 
 
@@ -332,7 +334,8 @@ def real_lattice_dsic_regret(
     inner, worst = mech.inner, 0.0
     for k in range(mech.n):
         val = model.values_for(inner.space, k, pts)  # (T_real, K)
-        slabs = expost_slabs(inner.domain, k, inner.probs, inner.payments[:, k], val)
-        for _, u in slabs:  # (T_real, T_grid, rest)
+        columns, _ = distinct_columns(inner, k)
+        slabs = expost_columns(inner.rows_probs, inner.rows_pay[:, k], columns, val)
+        for _, u in slabs:  # (T_real, T_grid, distinct rest columns)
             worst = max(worst, max_gain(u, truth)[0])
     return worst

@@ -5,6 +5,14 @@ lottery over outcomes plus one expected payment per bidder. All revenue,
 interim-utility, and incentive-regret quantities are exact expectations over
 these finite objects; nothing is ever estimated by simulation here.
 
+The table is held factored: a few candidate rows and, per profile, the
+index of the candidate it plays. An extension to the full grid plays a
+handful of distinct outcomes, so the writer formats each candidate once
+per block, the reader parses each distinct row text once, and the ex-post
+audit visits each distinct column of a bidder's view of the index once,
+computing the utilities of each candidate a slab of columns plays once.
+The file lists every row in full, as it always has.
+
 Profile ranking is mixed-radix and bidder-major: bidder 0's type is the most
 significant super-digit. Within one bidder, parameter 0 is the most
 significant digit. All enumeration orders derive from this single convention.
@@ -15,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -30,12 +38,14 @@ __all__ = [
     "MechanismTable",
     "InterimForm",
     "RegretReport",
-    "axis_views",
     "type_axis_first",
     "type_weights",
     "rest_weights",
     "interim_utilities",
+    "expost_columns",
     "expost_slabs",
+    "rest_columns",
+    "distinct_columns",
     "max_gain",
     "revenue",
     "interim_form",
@@ -61,6 +71,12 @@ SERIALIZE_BLOCK_ROWS = 2**10
 # only the split block, several bytes a character. The full_grid_3x2 file
 # decoded fastest with blocks of 2**15 to 2**17, and about 20% slower at 2**20
 DECODE_BLOCK_CHARS = 2**16
+# characters of distinct row entries texts that deserialize_mechanism keeps,
+# so that a row repeating one of them is not parsed again; past them, a text
+# not kept is parsed as a candidate row of its own. Extended tables hold a
+# few hundred distinct texts of a few hundred characters; a table of
+# all-distinct rows would otherwise keep a copy of its whole text
+DECODE_DISTINCT_CHARS = 2**18
 
 
 @dataclass(frozen=True)
@@ -158,7 +174,7 @@ class ProfileDomain:
     def split_rank(self, k: int, rank):
         """Bidder k's type rank and the other bidders' rest rank at profile
         rank(s) ``rank``. The rest rank enumerates the others' types in
-        bidder order, bidder-major, as the rest axis of ``axis_views``."""
+        bidder order, bidder-major."""
         s, t = int(self.bidder_strides()[k]), self.bidder_type_count(k)
         return (rank // s) % t, (rank // (s * t)) * s + rank % s
 
@@ -201,39 +217,57 @@ class ProfileDomain:
         return None
 
 
-@dataclass
 class MechanismTable:
-    """One lottery row per domain profile, plus expected payments."""
+    """One lottery row per domain profile, plus expected payments, held
+    factored: profile rank r plays candidate row ``src[r]`` of the lotteries
+    ``rows_probs`` (C, K) and the payments ``rows_pay`` (C, n).
 
-    domain: ProfileDomain
-    space: OutcomeSpace
-    probs: np.ndarray  # (R, K)
-    payments: np.ndarray  # (R, n)
-    meta: dict = field(default_factory=dict)
+    ``probs`` and ``payments`` are the candidate rows. Without ``src`` there
+    is one per profile, in rank order (``src = arange(R)``), as in a support
+    table from the oracle; the extensions pass few candidates and an index.
+    The dense tables ``.probs`` (R, K) and ``.payments`` (R, n) are gathers,
+    for tests and small callers.
+    """
 
-    def __post_init__(self) -> None:
-        r, k = self.domain.num_profiles, self.space.num_outcomes
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        self.payments = np.asarray(self.payments, dtype=np.float64)
-        if self.probs.shape != (r, k):
-            raise UsageError(f"probs shape {self.probs.shape} != ({r}, {k})")
-        if self.payments.shape != (r, self.domain.n):
-            raise UsageError(
-                f"payments shape {self.payments.shape} != ({r}, {self.domain.n})"
-            )
-        if not np.all(np.isfinite(self.probs)):
+    def __init__(
+        self,
+        domain: ProfileDomain,
+        space: OutcomeSpace,
+        probs: np.ndarray,
+        payments: np.ndarray,
+        meta: dict | None = None,
+        src: np.ndarray | None = None,
+    ) -> None:
+        r, k, n = domain.num_profiles, space.num_outcomes, domain.n
+        self.domain, self.space = domain, space
+        self.meta = {} if meta is None else meta
+        self.rows_probs = np.asarray(probs, dtype=np.float64)
+        self.rows_pay = np.asarray(payments, dtype=np.float64)
+        self.src = np.arange(r) if src is None else np.asarray(src, dtype=np.int64)
+        c = r if src is None else len(self.rows_probs)
+        if self.rows_probs.shape != (c, k):
+            raise UsageError(f"probs shape {self.rows_probs.shape} != ({c}, {k})")
+        if self.rows_pay.shape != (c, n):
+            raise UsageError(f"payments shape {self.rows_pay.shape} != ({c}, {n})")
+        if self.src.shape != (r,):
+            raise UsageError(f"src shape {self.src.shape} != ({r},)")
+        if r and not (0 <= self.src.min() and self.src.max() < c):
+            raise UsageError(f"src must index the {c} candidate rows")
+        if not np.all(np.isfinite(self.rows_probs)):
             raise UsageError("lottery probabilities must be finite")
-        if self.probs.size and self.probs.min() < -1e-9:
+        if self.rows_probs.size and self.rows_probs.min() < -1e-9:
             raise UsageError("lottery probabilities must be nonnegative")
-        sums = self.probs.sum(axis=1)
-        if sums.size and np.max(np.abs(sums - 1.0)) > 1e-9:
-            bad = int(np.argmax(np.abs(sums - 1.0)))
+        sums = self.rows_probs.sum(axis=1)
+        off = np.abs(sums - 1.0)[self.src]
+        if off.size and np.max(off) > 1e-9:
+            bad = int(np.argmax(off))
             raise UsageError(
-                f"lottery at profile rank {bad} sums to {float(sums[bad])!r}, not 1"
+                f"lottery at profile rank {bad} sums to "
+                f"{float(sums[self.src[bad]])!r}, not 1"
             )
-        if not np.all(np.isfinite(self.payments)):
+        if not np.all(np.isfinite(self.rows_pay)):
             raise UsageError("payments must be finite")
-        if (self.domain.n, self.domain.m) != (self.space.n, self.space.m):
+        if (n, domain.m) != (space.n, space.m):
             raise UsageError("domain and outcome space disagree on (n, m)")
 
     @property
@@ -244,12 +278,27 @@ class MechanismTable:
     def m(self) -> int:
         return self.domain.m
 
+    @property
+    def probs(self) -> np.ndarray:
+        """(R, K) lotteries in profile-rank order."""
+        return self._gather(self.rows_probs)
+
+    @property
+    def payments(self) -> np.ndarray:
+        """(R, n) payments in profile-rank order."""
+        return self._gather(self.rows_pay)
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """``rows[src]``; the candidate array itself when each profile plays
+        its own row, so that a support table is not copied."""
+        if len(rows) == len(self.src) and np.array_equal(self.src, np.arange(len(rows))):
+            return rows
+        return rows[self.src]
+
     def lottery_entries(self, rank: int) -> list[tuple[float, int, np.ndarray]]:
         """Explicit (probability, outcome, payments) entries of one row."""
-        out = []
-        for o in np.flatnonzero(self.probs[rank] > 0.0):
-            out.append((float(self.probs[rank, o]), int(o), self.payments[rank]))
-        return out
+        row, pay = self.rows_probs[self.src[rank]], self.rows_pay[self.src[rank]]
+        return [(float(row[o]), int(o), pay) for o in np.flatnonzero(row > 0.0)]
 
 
 def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fraction]]:
@@ -278,7 +327,7 @@ def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fracti
 
 def rest_weights(weights: Sequence[Sequence], k: int) -> np.ndarray:
     """Prior probability of each rest profile of bidder k, in the order of
-    the rest axis of ``axis_views``.
+    ``ProfileDomain.split_rank``'s rest rank.
 
     Products are taken in the arithmetic of ``weights``: ``Fraction``
     weights give exact products rounded to float once, float weights give
@@ -303,31 +352,80 @@ def type_axis_first(domain: ProfileDomain, k: int, table: np.ndarray) -> np.ndar
     return np.moveaxis(table.reshape(*sizes, *tail), k, 0).reshape(sizes[k], -1, *tail)
 
 
-def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Lottery and payment tensors with bidder k's type axis first: probs as
-    (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by
-    ``type_axis_first``; for a middle bidder, copies of the table."""
-    return (
-        type_axis_first(mech.domain, k, mech.probs),
-        type_axis_first(mech.domain, k, mech.payments[:, k]),
-    )
-
-
 def interim_utilities(
     mech: MechanismTable, prior: ProductPrior, k: int, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interim utility ``u[t, r]`` of value row ``values[t]`` reporting
     bidder k's domain type r, the others' types drawn from the prior, and
-    the interim expected payment of each report r. The lotteries are
-    contracted over the (A, T_k, B, K) view of the table that
-    ``expost_slabs`` reads, so nothing of its size is copied."""
+    the interim expected payment of each report r.
+
+    The lotteries are contracted over the (A, T_k, B, K) table, where A and
+    B multiply the type counts of the bidders before and after k, gathered
+    from the candidate rows a run of reports at a time, about
+    ``EXPOST_CHUNK_CELLS`` cells. A run holds at least two reports (or all
+    of them), so that NumPy sums each (report, outcome) over (A, B) in the
+    order it sums the whole table: a run of one report lets it merge the A
+    and B axes into one and, with one outcome, sum them in another order."""
     weights = [[float(w) for w in ws] for ws in type_weights(mech.domain, prior)]
     w_rest = rest_weights(weights, k)
     t_k, b_n = mech.domain.bidder_type_count(k), int(mech.domain.bidder_strides()[k])
-    probs = mech.probs.reshape(-1, t_k, b_n, mech.probs.shape[1])
-    cp = np.einsum("asbo,ab->so", probs, w_rest.reshape(-1, b_n))  # (T_k, K)
-    cpay = type_axis_first(mech.domain, k, mech.payments[:, k]) @ w_rest  # (T_k,)
+    src = mech.src.reshape(-1, t_k, b_n)
+    runs = -(-src.size * mech.space.num_outcomes // EXPOST_CHUNK_CELLS)
+    runs = max(1, min(runs, t_k // 2))
+    w = w_rest.reshape(-1, b_n)
+    cp = np.concatenate([  # (T_k, K)
+        np.einsum("asbo,ab->so", mech.rows_probs[run], w)
+        for run in np.array_split(src, runs, axis=1)
+    ])
+    # a column of the gathered payments, strided as the table's would be:
+    # NumPy's matmul sums a strided matrix in its own loop and a contiguous
+    # one (a middle bidder's, whose rest axes are copied together) with BLAS,
+    # in another order
+    pay = mech.rows_pay[mech.src][:, k]
+    cpay = type_axis_first(mech.domain, k, pay) @ w_rest  # (T_k,)
     return values @ cp.T - cpay[None, :], cpay
+
+
+def expost_columns(
+    probs: np.ndarray, pay: np.ndarray, columns: np.ndarray, values: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The ex-post utility tensor ``u[t, s, j] = values[t] @ probs[c] -
+    pay[c]`` at ``c = columns[j, s]``, one slab of columns at a time:
+    value row ``values[t]`` reporting bidder k's domain type s against the
+    others' profile of column j, over the mechanism's randomness only.
+    ``columns`` (J, T_k) indexes the rows of ``probs`` (C, K) and ``pay``
+    (C,), bidder k's payments.
+
+    Yields ``(j0, u[:, :, j0:j1])`` in column order. Each slab holds whole
+    columns, as many as fit in ``EXPOST_CHUNK_CELLS`` cells and at least
+    one, and is a fresh array the caller may overwrite. It computes the
+    utility of each row it plays once, with the einsum that sums each
+    cell's products over outcomes in the order a per-cell einsum does, and
+    gathers the cells from those. Raises ``CapacityError`` when one column,
+    ``T_values * T_k`` cells, exceeds ``EXPOST_CELL_BUDGET``.
+    """
+    column = len(values) * columns.shape[1]
+    if column > EXPOST_CELL_BUDGET:
+        raise CapacityError(
+            f"ex-post utility tensor has {column} cells per rest profile, "
+            f"over the {EXPOST_CELL_BUDGET} budget"
+        )
+    step = max(1, EXPOST_CHUNK_CELLS // column)
+    for j in range(0, len(columns), step):
+        rows = columns[j : j + step].T  # (T_k, columns of the slab)
+        used, at = np.unique(rows, return_inverse=True)
+        w = np.einsum("co,to->tc", probs[used], values)  # (T_values, rows used)
+        w -= pay[used]
+        yield j, np.take(w, at.reshape(rows.shape), axis=1)
+
+
+def rest_columns(domain: ProfileDomain, k: int) -> np.ndarray:
+    """(R_rest, T_k) profile ranks: row ``rest`` holds bidder k's types, in
+    order, against the others' rest profile ``rest``, in the order of
+    ``ProfileDomain.split_rank``."""
+    t_k = domain.bidder_type_count(k)
+    rest = np.arange(domain.num_profiles // t_k)[:, None]
+    return domain.join_rank(k, np.arange(t_k), rest)
 
 
 def expost_slabs(
@@ -337,46 +435,25 @@ def expost_slabs(
     pay: np.ndarray,
     values: np.ndarray,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The ex-post utility tensor ``u[t, s, rest]`` of value row
-    ``values[t]`` reporting bidder k's domain type s against the others'
-    profile rest, over the mechanism's randomness only, one slab at a time.
-    ``probs`` (R, K) and ``pay`` (R,) are the lotteries and bidder k's
-    payments in profile-rank order: a table's ``probs`` and
-    ``payments[:, k]``, or the blocks of an LP point.
+    """``expost_columns`` over every rest column of a dense table:
+    ``u[t, s, rest]``, where ``probs`` (R, K) and ``pay`` (R,) are the
+    lotteries and bidder k's payments in profile-rank order, a support
+    table's or the blocks of an LP point. Yields ``(r0, u[:, :, r0:r1])``
+    in rest order."""
+    yield from expost_columns(probs, pay, rest_columns(domain, k), values)
 
-    The rest axis enumerates the other bidders' types in bidder order, as
-    ``ProfileDomain.split_rank`` does. Slabs are cut from the (A, T_k, B, K)
-    view of ``probs``, where A and B multiply the type counts of the bidders
-    before and after k, so that rest rank is ``a * B + b``: whole runs of
-    ``a`` when a slab holds B rest columns, else a run of ``b`` within one
-    ``a``. So a slab copies at most its own lotteries, even for a middle
-    bidder, whose rest columns are not adjacent in the table.
 
-    Yields ``(r0, u[:, :, r0:r1])`` in rest order. Each slab holds whole
-    rest columns, as many as fit in ``EXPOST_CHUNK_CELLS`` cells and at
-    least one, and is a fresh array the caller may overwrite. Raises
-    ``CapacityError`` when one rest column, ``T_values * T_k`` cells,
-    exceeds ``EXPOST_CELL_BUDGET``.
-    """
-    t_k, b_n = domain.bidder_type_count(k), int(domain.bidder_strides()[k])
-    column = len(values) * t_k
-    if column > EXPOST_CELL_BUDGET:
-        raise CapacityError(
-            f"ex-post utility tensor has {column} cells per rest profile, "
-            f"over the {EXPOST_CELL_BUDGET} budget"
-        )
-    step = max(1, EXPOST_CHUNK_CELLS // column)
-    probs = probs.reshape(-1, t_k, b_n, probs.shape[1])
-    pay = pay.reshape(-1, t_k, b_n)
-    a_step, b_step = max(1, step // b_n), min(step, b_n)
-    for a in range(0, len(pay), a_step):
-        for b in range(0, b_n, b_step):
-            cut = np.s_[a : a + a_step, :, b : b + b_step]
-            # (T_k, rest columns, K); a copy only when it spans several a
-            lots = probs[cut].swapaxes(0, 1).reshape(t_k, -1, probs.shape[3])
-            u = np.einsum("sro,to->tsr", lots, values)
-            u -= pay[cut].swapaxes(0, 1).reshape(t_k, -1)
-            yield a * b_n + b, u
+def distinct_columns(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rest columns of bidder k's view of ``mech.src``, (J,
+    T_k) candidate rows, each once, in the order of its smallest rest rank,
+    and those ranks. A rest profile plays the same rows as the first of its
+    column, so its ex-post utilities are the same floats."""
+    columns = mech.src[rest_columns(mech.domain, k)]
+    keys = columns.view(np.dtype((np.void, columns[0].nbytes))).ravel().tolist()
+    firsts: dict[bytes, int] = {}  # a column's bytes: its first rest rank
+    at = np.fromiter(map(firsts.setdefault, keys, itertools.count()), np.int64, len(keys))
+    first = np.flatnonzero(at == np.arange(len(keys)))
+    return columns[first], first
 
 
 def max_gain(u: np.ndarray, truth: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -410,14 +487,13 @@ def revenue(
     sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
     if exact:
         live = [[t for t, w in enumerate(ws) if w] for ws in weights]
-        pays = mech.payments.reshape(*sizes, mech.n)[np.ix_(*live)]
-        rows = pays.reshape(-1, mech.n).tolist()
-        acc = np.array(
-            [sum(map(Fraction, row), Fraction(0)) for row in rows], dtype=object
-        ).reshape(pays.shape[:-1])
+        src = mech.src.reshape(sizes)[np.ix_(*live)]
+        used, at = np.unique(src.ravel(), return_inverse=True)
+        sums = [sum(map(Fraction, row), Fraction(0)) for row in mech.rows_pay[used].tolist()]
+        acc = np.array(sums, dtype=object)[at].reshape(src.shape)
         weights = [[ws[t] for t in ts] for ts, ws in zip(live, weights)]
     else:
-        acc = mech.payments.sum(axis=1).reshape(sizes)
+        acc = mech.rows_pay.sum(axis=1)[mech.src].reshape(sizes)
         weights = [[float(x) for x in ws] for ws in weights]
     for w in reversed(weights):
         acc = acc @ np.array(w, dtype=acc.dtype)
@@ -503,17 +579,20 @@ def audit_over_domain(
             bic = gain
             bic_wit = {"bidder": k, "true_type": types[t], "report": types[r]}
 
-        # per slab, the smallest truthful utility and the largest gain (kept
-        # negated), each with its first C-order index; the smallest
-        # (value, index) over the slabs is the whole tensor's first extreme
+        # per slab of distinct rest columns, the smallest truthful utility
+        # and the largest gain (kept negated), each with its first C-order
+        # index and the column's smallest rest rank; the smallest (value,
+        # index) over the slabs is the whole tensor's first extreme, since a
+        # column's first rest rank comes first among those that repeat it
         lows, highs = [], []
-        slabs = expost_slabs(mech.domain, k, mech.probs, mech.payments[:, k], val)
-        for r0, u in slabs:
-            truthful = u[own, own]  # (T_k, rest columns)
-            t, rest = np.unravel_index(np.argmin(truthful), truthful.shape)
-            lows.append((float(truthful[t, rest]), int(t), r0 + int(rest)))
-            gain, (t, s, rest) = max_gain(u, own)
-            highs.append((-gain, t, s, r0 + rest))
+        columns, rests = distinct_columns(mech, k)
+        slabs = expost_columns(mech.rows_probs, mech.rows_pay[:, k], columns, val)
+        for j0, u in slabs:
+            truthful = u[own, own]  # (T_k, columns)
+            t, j = np.unravel_index(np.argmin(truthful), truthful.shape)
+            lows.append((float(truthful[t, j]), int(t), int(rests[j0 + j])))
+            gain, (t, s, j) = max_gain(u, own)
+            highs.append((-gain, t, s, int(rests[j0 + j])))
         low, t, rest = min(lows)
         if low < ir:
             ir = low
@@ -580,9 +659,9 @@ def _profile_texts(dom: ProfileDomain) -> Iterator[str]:
     return map(",".join, itertools.product(*types))
 
 
-def _rows_text(probs: np.ndarray, payments: np.ndarray, profiles: Iterator[str]) -> str:
-    """The rows of one block of a table, comma-separated, each taking its
-    profile text from ``profiles``."""
+def _row_heads(probs: np.ndarray, payments: np.ndarray) -> list[str]:
+    """The text of each row of ``probs`` and ``payments`` up to its profile:
+    ``{"entries":[...],"profile":[``."""
     pay_texts = map(repr, payments.ravel().tolist())
     # one shared iterator, so zip yields each row's n payments in turn
     pays = [
@@ -594,21 +673,21 @@ def _rows_text(probs: np.ndarray, payments: np.ndarray, profiles: Iterator[str])
         for r, o, p in zip(rank.tolist(), outcome.tolist(), probs[rank, outcome].tolist())
     ]
     bounds = np.searchsorted(rank, np.arange(len(probs) + 1)).tolist()
-    # profiles last: zip stops at the end of bounds before taking a profile
-    return ",".join(
-        f'{{"entries":[{",".join(entries[a:b])}],"profile":[{profile}]}}'
-        for a, b, profile in zip(bounds, bounds[1:], profiles)
-    )
+    return [
+        f'{{"entries":[{",".join(entries[a:b])}],"profile":['
+        for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def serialize_mechanism(mech: MechanismTable) -> str:
     """Canonical text of a mechanism file: compact JSON with sorted keys.
 
-    The rows are written piece by piece from the arrays, ``SERIALIZE_BLOCK_ROWS``
-    rows at a time, and the block texts are joined once; their key order is
-    fixed by hand (``entries`` < ``profile``; ``outcome`` < ``p`` < ``pay``),
-    so the text equals ``json.dumps`` of the same document with
-    ``sort_keys=True`` byte for byte.
+    The rows are written ``SERIALIZE_BLOCK_ROWS`` at a time, and the block
+    texts are joined once. A block formats the entries of each candidate row
+    it plays once, and each of its rows is that text followed by the row's
+    profile. Key order is fixed by hand (``entries`` < ``profile``;
+    ``outcome`` < ``p`` < ``pay``), so the text equals ``json.dumps`` of the
+    same document with ``sort_keys=True`` byte for byte.
     """
     dom = mech.domain
     header = {
@@ -628,9 +707,12 @@ def serialize_mechanism(mech: MechanismTable) -> str:
     parts = [f'{{"header":{head},"rows":[']
     profiles = _profile_texts(dom)
     for a in range(0, dom.num_profiles, SERIALIZE_BLOCK_ROWS):
-        b = a + SERIALIZE_BLOCK_ROWS
-        parts += (_rows_text(mech.probs[a:b], mech.payments[a:b], profiles), ",")
-    parts[-1] = "]}"  # in place of the last block's comma
+        used, at = np.unique(mech.src[a : a + SERIALIZE_BLOCK_ROWS], return_inverse=True)
+        heads = _row_heads(mech.rows_probs[used], mech.rows_pay[used])
+        # the block's rows first: map stops at their end before taking a profile
+        rows = map(str.__add__, map(heads.__getitem__, at.tolist()), profiles)
+        parts += ("]},".join(rows), "]},")
+    parts[-1] = "]}]}"  # in place of the last block's comma
     return "".join(parts)
 
 
@@ -651,17 +733,20 @@ _LOOSE = re.compile(
 )
 _ROW_OPEN = '{"entries":[{"outcome":'  # a row and its first entry
 _ROW_BREAK = "]}," + _ROW_OPEN  # the end of one row and the start of the next
+_ENTRIES = '{"entries":['  # the start of a row
+# the end of a row's entries: its profile, then the next row's start or the
+# end of the text
+_ROW_END = re.compile(r'\],"profile":\[([^\]]*)\]\}(?:,\{"entries":\[|\Z)')
 _STR = r'"[^"\\\x00-\x1f]*"'  # a string with no escapes or control characters
 
 
 def _entry_pattern(n: int) -> re.Pattern:
-    """One entry with n payments. Groups: the row opener if the entry starts
-    a row, the outcome, p, the payment strings, the profile if the entry
-    ends a row, and the comma that follows."""
+    """One entry with n payments. Groups: the outcome, p, the payment
+    strings, and what follows: a comma before the next entry of the same
+    entries text, NUL before the next text's, nothing at the end."""
     return re.compile(
-        r'(\{"entries":\[)?\{"outcome":(-?(?:0|[1-9][0-9]*)),"p":"([^"\\\x00-\x1f]*)",'
-        r'"pay":\[(' + _STR + r'(?:,' + _STR + r'){' + str(n - 1) + r'})\]\}'
-        r'(?:\],"profile":\[([^\]]*)\]\})?(,?)'
+        r'\{"outcome":(-?(?:0|[1-9][0-9]*)),"p":"([^"\\\x00-\x1f]*)",'
+        r'"pay":\[(' + _STR + r'(?:,' + _STR + r'){' + str(n - 1) + r'})\]\}([,\x00]?)'
     )
 
 
@@ -745,16 +830,21 @@ def _decode_mechanism(text: str) -> MechanismTable:
         )
     r, k = domain.num_profiles, space.num_outcomes
     _check_row_count(r, count)
-    # the outputs before the parse, so its temporaries are freed above them
-    probs = np.zeros((r, k))
-    payments = np.zeros((r, n))
-    _decode_rows(text, start, end, domain, probs, payments)
+    # room for a candidate per profile, before the parse so that its
+    # temporaries are freed above it; np.zeros maps a large array lazily, so
+    # the rows no candidate fills are never touched
+    probs, payments = np.zeros((r, k)), np.zeros((r, n))
+    src = np.empty(r, dtype=np.int64)
+    c = _decode_rows(text, start, end, domain, probs, payments, src)
+    if c < r:
+        probs, payments = probs[:c].copy(), payments[:c].copy()
     return MechanismTable(
         domain=domain,
         space=space,
         probs=probs,
         payments=payments,
         meta=dict(header.get("meta", {})),
+        src=src,
     )
 
 
@@ -765,49 +855,75 @@ def _decode_rows(
     domain: ProfileDomain,
     probs: np.ndarray,
     payments: np.ndarray,
-) -> None:
-    """Decode the rows text ``text[start:end]`` into ``probs`` and
-    ``payments``, one block of about ``DECODE_BLOCK_CHARS`` characters at a
-    time.
+    src: np.ndarray,
+) -> int:
+    """Decode the rows text ``text[start:end]`` into candidate rows of
+    ``probs`` and ``payments`` and each profile's candidate ``src``, one
+    block of about ``DECODE_BLOCK_CHARS`` characters at a time; returns the
+    number of candidates.
 
-    A block runs on to the next ``_ROW_BREAK``, and is checked as the whole
-    text would be: its entries tile it, so ``split`` leaves no text between
-    them, it opens and ends a row, and every entry but its last ends with a
-    comma, the last one too unless the block ends the rows. In a text that
-    passes these checks ``_ROW_BREAK`` occurs only between rows, since no
-    string or profile can hold it. So blocks accept and refuse what one
-    block would, and an error names the same global row and entry numbers.
+    A block runs on to the next ``_ROW_BREAK``, without the comma after it,
+    and is split at ``_ROW_END`` into each row's entries text and profile,
+    which must tile it. Rows that repeat an entries text play its candidate
+    (see ``DECODE_DISTINCT_CHARS``). The texts a block sees first are joined
+    with NUL, which no entry holds, and split with the entry pattern; they
+    are checked as the whole text would be: their entries tile them, every
+    entry but a text's last ends with a comma, and each text is one run of
+    entries. In a text that passes these checks ``_ROW_BREAK`` occurs only
+    between rows, since no string or profile can hold it. So blocks accept
+    and refuse what one block would, in the same order of checks, and an
+    error names the same global row and entry numbers: the first row of a
+    text is the first row that can fail with it.
     """
     n = payments.shape[1]
     pattern = _entry_pattern(n)
     codes = {str(o): o for o in range(probs.shape[1])}
     expected_profiles = _profile_texts(domain)  # runs on across blocks
-    row0 = 0  # rank of the block's first row
+    first_rows: dict[str, int] = {}  # a kept entries text: its first row's rank
+    kept = 0  # characters of the kept texts
+    row0 = c0 = 0  # ranks of the block's first row and first new candidate
     while start < end:
         stop = text.find(_ROW_BREAK, start + DECODE_BLOCK_CHARS, end)
         stop = end if stop < 0 else stop + len(_ROW_BREAK) - len(_ROW_OPEN)
-        # the text between matches, then each match's six groups
-        parts = pattern.split(text[start:stop])
-        opener, outcome, p, pay, profile, comma = (parts[g::7] for g in range(1, 7))
-        tiled = not any(parts[::7])
-        del parts
-        opens = np.fromiter(map(bool, opener), bool, len(opener))
-        closes = np.fromiter(map(bool, profile), bool, len(profile))
+        # each row's entries text and profile, then what follows the last row
+        parts = _ROW_END.split(text[start + len(_ENTRIES) : stop - (stop < end)])
+        entries, profiles = parts[:-1:2], parts[1::2]
         if not (
-            tiled and opener
-            and opens[0] and closes[-1] and np.array_equal(opens[1:], closes[:-1])
-            and all(comma[:-1]) and bool(comma[-1]) == (stop < end)
+            text.startswith(_ENTRIES, start) and entries and all(profiles) and not parts[-1]
+        ):
+            raise _layout_error("the rows text is not a list of such rows")
+        del parts
+
+        # each row's first row with its entries text, or its own rank
+        keep = kept < DECODE_DISTINCT_CHARS
+        remember = first_rows.setdefault if keep else first_rows.get
+        ranks = itertools.count(row0)
+        firsts = np.fromiter(map(remember, entries, ranks), np.int64, len(entries))
+        src[row0 : row0 + len(entries)] = firsts
+        new = np.flatnonzero(firsts == np.arange(row0, row0 + len(entries)))
+        texts = [entries[i] for i in new.tolist()]
+        del entries
+        if keep:
+            kept += sum(map(len, texts))
+
+        # the text between matches, then each match's four groups
+        parts = pattern.split("\x00".join(texts))
+        outcome, p, pay, sep = (parts[g::5] for g in range(1, 5))
+        tiled = not any(parts[::5])
+        del parts
+        if texts and not (
+            tiled and outcome and all(sep[:-1]) and not sep[-1]
+            and sep.count("\x00") == len(texts) - 1
         ):
             raise _layout_error("the rows text is not a list of such rows")
 
-        row = np.cumsum(opens) - 1  # each entry's row rank in the block
-        first = np.flatnonzero(opens)  # each row's entry 0
+        ends = np.fromiter(map(",".__ne__, sep), bool, len(sep))  # a text's last entry
+        owner = np.cumsum(ends) - ends  # each entry's text, by its order in texts
+        first = np.flatnonzero(np.concatenate([[True], ends[:-1]]))  # each text's entry 0
 
         def where(j: int) -> str:
-            return f"row {row0 + row[j]} entry {j - first[row[j]]}"
+            return f"row {row0 + new[owner[j]]} entry {j - first[owner[j]]}"
 
-        profiles = list(filter(None, profile))
-        del profile
         expected = list(itertools.islice(expected_profiles, len(profiles)))
         bad = next(itertools.compress(
             itertools.count(), map(str.__ne__, profiles, expected)
@@ -817,7 +933,7 @@ def _decode_rows(
                 f"row {row0 + bad}: profile [{profiles[bad]}] out of order;"
                 f" expected [{expected[bad]}]"
             )
-        del profiles, expected
+        del expected
 
         outs = np.fromiter(
             map(codes.get, outcome, itertools.repeat(-1)), np.int64, len(outcome)
@@ -826,27 +942,31 @@ def _decode_rows(
             j = int(np.argmax(outs < 0))
             raise ParseError(f"{where(j)}: outcome {outcome[j]} outside the space")
         p = _numbers(p, where)
-        pay = _numbers(",".join(pay)[1:-1].split('","'), lambda i: where(i // n))
-        pay = pay.reshape(-1, n)
-        disagree = (pay != pay[first[row]]).any(axis=1)
+        pay = ",".join(pay)[1:-1].split('","') if pay else []
+        pay = _numbers(pay, lambda i: where(i // n)).reshape(-1, n)
+        disagree = (pay != pay[first[owner]]).any(axis=1)
         if disagree.any():
             j = int(np.argmax(disagree))
             raise ParseError(
                 f"{where(j)}: payments {pay[j].tolist()} disagree with entry 0"
             )
-        # each row's last entry, as a sequential read keeps
-        payments[row0 : row0 + len(first)] = pay[closes]
-        np.add.at(probs, (row0 + row, outs), p)
-        total = np.zeros(len(first))
-        np.add.at(total, row, p)  # in entry order, as a running sum
+        # each text's last entry, as a sequential read keeps
+        payments[c0 : c0 + len(texts)] = pay[ends]
+        np.add.at(probs, (c0 + owner, outs), p)
+        total = np.zeros(len(texts))
+        np.add.at(total, owner, p)  # in entry order, as a running sum
         off = ~(np.abs(total - 1.0) <= 1e-9)
         if off.any():
             bad = int(np.argmax(off))
             raise ParseError(
-                f"row {row0 + bad}: lottery probabilities sum to {float(total[bad])!r}"
+                f"row {row0 + new[bad]}: lottery probabilities sum to {float(total[bad])!r}"
             )
-        row0 += len(first)
+        row0 += len(profiles)
+        c0 += len(texts)
         start = stop
+    # each row's candidate: candidates are the rows that first play them
+    src[:] = np.searchsorted(np.flatnonzero(src == np.arange(len(src))), src)
+    return c0
 
 
 def _header_int(header: dict, key: str) -> int:

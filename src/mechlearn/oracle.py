@@ -38,8 +38,8 @@ and the row choice are deterministic, making the whole oracle a deterministic
 function of its input.
 
 Two extension rules lift a support-domain solution to the full grid. Each
-picks one candidate row per full-grid profile, and the table is one gather
-of those rows:
+picks one candidate row per full-grid profile, and the table is those
+candidates and that index, ``MechanismTable``'s factored form:
 
 * ``extend_bic``: a bidder with any off-support coordinate is re-bid as the
   in-support type vector of highest interim expected utility (others drawn
@@ -73,8 +73,10 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
+    expost_columns,
     expost_slabs,
     interim_utilities,
+    rest_columns,
     rest_weights,
     revenue,
     type_weights,
@@ -594,13 +596,13 @@ def extend_bic(
 ) -> MechanismTable:
     """Algorithm-level best-response extension of a support mechanism."""
     replace = [bic_replacement_map(mech, prior, model, k) for k in range(mech.n)]
-    src = _profile_ranks(mech.domain, replace)
     return MechanismTable(
         domain=ProfileDomain.full_grid(mech.domain.spec, mech.n, mech.m),
         space=mech.space,
-        probs=mech.probs[src],
-        payments=mech.payments[src],
+        probs=mech.rows_probs,
+        payments=mech.rows_pay,
         meta={**mech.meta, "extension": "bic_best_response"},
+        src=mech.src[_profile_ranks(mech.domain, replace)],
     )
 
 
@@ -613,11 +615,12 @@ def bic_replacement_map(
     reports when none is. Ties go to the lexicographically smallest type.
 
     The worst ex-post utility over rest profiles is a running minimum over
-    ``expost_slabs``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
+    ``expost_columns``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
     cells and ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     val_full = model.value_table(mech.space, mech.domain.spec, k)
     utilities, _ = interim_utilities(mech, prior, k, val_full)  # (T_full, T_supp)
-    slabs = expost_slabs(mech.domain, k, mech.probs, mech.payments[:, k], val_full)
+    columns = mech.src[rest_columns(mech.domain, k)]
+    slabs = expost_columns(mech.rows_probs, mech.rows_pay[:, k], columns, val_full)
     low = functools.reduce(  # (T_full, T_supp): the worst ex-post utility
         np.minimum, (u.min(axis=2) for _, u in slabs)
     )
@@ -640,7 +643,7 @@ def extend_dsic(
     outcome at price 0, or a lone off-support bidder k's best reply played
     through k's witness with only k paying. Her best reply and its utility,
     per (full-grid type, rest profile), come from one pass over
-    ``expost_slabs``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
+    ``expost_columns``, whose ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp
     cells and ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     if not closure.closed or closure.witness is None:
         raise UsageError(
@@ -657,13 +660,15 @@ def extend_dsic(
     # support rank reading an off-support type as 0, and the off-support count
     # (int indicators: on bools, add.outer is OR)
     to_support = [domain.grid_to_domain(i) for i in range(n)]
-    src = _profile_ranks(domain, [np.maximum(t, 0) for t in to_support])
+    supp = _profile_ranks(domain, [np.maximum(t, 0) for t in to_support])
     off = [(t < 0).astype(np.int64) for t in to_support]
     off_counts = functools.reduce(np.add.outer, off).reshape(-1)
+    src = mech.src[supp]  # each profile's candidate row
 
-    # candidate rows: the support table, then the zero outcome at price 0,
+    # candidate rows: the support table's, then the zero outcome at price 0,
     # then each bidder's lone off-support replies
-    probs, payments = [mech.probs], [mech.payments]
+    probs, payments = [mech.rows_probs], [mech.rows_pay]
+    zero = len(mech.rows_probs)
     if closure.zero_outcome is not None:
         probs.append(np.eye(k_out)[[closure.zero_outcome]])
         payments.append(np.zeros((1, n)))
@@ -674,7 +679,7 @@ def extend_dsic(
         raise InvariantError(
             "closed space provided no all-zero outcome for the zero-out rule"
         )
-    src[many_off] = r_supp
+    src[many_off] = zero
 
     # Exactly one off-support bidder: best reply, played via the witness with
     # only her paying. Her reply set includes walking away (zero outcome, zero
@@ -692,26 +697,32 @@ def extend_dsic(
         # and its utility
         shape = (len(values[k]), r_supp // domain.bidder_type_count(k))
         best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
-        slabs = expost_slabs(domain, k, mech.probs, mech.payments[:, k], values[k])
+        columns = mech.src[rest_columns(domain, k)]
+        slabs = expost_columns(mech.rows_probs, mech.rows_pay[:, k], columns, values[k])
         for r0, u in slabs:  # (T_full, T_supp, rest)
             best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
-        _, rest = domain.split_rank(k, src[ranks])
-        chosen = domain.join_rank(k, best[t, rest], rest)
-        src[ranks] = sum(map(len, probs)) + np.arange(ranks.size)
+        _, rest = domain.split_rank(k, supp[ranks])
+        chosen = mech.src[domain.join_rank(k, best[t, rest], rest)]
+        # the witness scatters a row per profile: a BLAS product's summation
+        # order can depend on its row count (gemv for one row, gemm for more)
+        scattered = mech.rows_probs[chosen] @ np.eye(k_out)[closure.witness[:, k]]
+        # one reply row per support row played, so that rows whose payments
+        # differ only in the sign of a zero stay apart
+        rows, first, reply = np.unique(chosen, return_index=True, return_inverse=True)
+        src[ranks] = sum(map(len, probs)) + reply
         if closure.zero_outcome is not None:
-            src[ranks[top[t, rest] < 0.0]] = r_supp
-        # the witness scatters the gathered rows: a BLAS product's summation
-        # order can depend on its row count
-        probs.append(mech.probs[chosen] @ np.eye(k_out)[closure.witness[:, k]])
-        payments.append(np.where(np.arange(n) == k, mech.payments[chosen], 0.0))
+            src[ranks[top[t, rest] < 0.0]] = zero
+        probs.append(scattered[first])
+        payments.append(np.where(np.arange(n) == k, mech.rows_pay[rows], 0.0))
 
     return MechanismTable(
         domain=full_domain,
         space=space,
-        probs=np.concatenate(probs)[src],
-        payments=np.concatenate(payments)[src],
+        probs=np.concatenate(probs),
+        payments=np.concatenate(payments),
         meta={**mech.meta, "extension": "dsic_zero_out"},
+        src=src,
     )
 
 

@@ -22,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, UsageError, config_int
+from .errors import CapacityError, ConfigError, UsageError, config_int, config_real
 from .grid import GridSpec, round_down_indices
 
 __all__ = [
@@ -353,7 +353,7 @@ def model_from_config(
             raise ConfigError("custom models need the grid and space context")
         model = ValuationModel(
             tag="custom",
-            lipschitz_l=float(obj.get("lipschitz_l", 1.0)),
+            lipschitz_l=config_real(obj.get("lipschitz_l", 1.0), "lipschitz_l"),
             table=np.asarray(obj["table"], dtype=np.float64),
             table_spec=spec,
         )
@@ -361,6 +361,6 @@ def model_from_config(
         return model
     return ValuationModel(
         tag=str(tag),
-        lipschitz_l=float(obj.get("lipschitz_l", 1.0)),
+        lipschitz_l=config_real(obj.get("lipschitz_l", 1.0), "lipschitz_l"),
         cap=config_int(obj["k"], "k") if "k" in obj else None,
     )

@@ -22,7 +22,14 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError, DomainError, UsageError, config_int
+from .errors import (
+    CapacityError,
+    ConfigError,
+    DomainError,
+    UsageError,
+    config_int,
+    config_real,
+)
 from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet, round_down
 
 __all__ = [
@@ -219,7 +226,7 @@ def prior_from_config(obj: Mapping[str, Any]) -> PriorDescription:
     """
     try:
         n, m = (config_int(obj[key], key) for key in ("n", "m"))
-        h = float(obj["h"])
+        h = config_real(obj["h"], "h")
     except KeyError as exc:
         raise ConfigError(f"prior config missing key {exc}") from exc
     if "cells" in obj:

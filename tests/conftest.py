@@ -12,6 +12,7 @@ from mechlearn import (
     ValuationModel,
     enumerate_multi_item,
 )
+from mechlearn.mechanism import type_axis_first
 
 
 def marginal(spec: GridSpec, mass: dict) -> DiscreteMarginal:
@@ -41,6 +42,16 @@ def posted_price_table(spec: GridSpec, price: float, m: int = 1) -> MechanismTab
         else:
             probs[rank, 0] = 1.0
     return MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
+
+
+def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lottery and payment tensors with bidder k's type axis first: probs as
+    (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by
+    ``type_axis_first`` of the table's dense gathers."""
+    return (
+        type_axis_first(mech.domain, k, mech.probs),
+        type_axis_first(mech.domain, k, mech.payments[:, k]),
+    )
 
 
 @pytest.fixture

@@ -47,7 +47,6 @@ from mechlearn.learner import (
 from mechlearn.mechanism import (
     RegretReport,
     audit_over_domain,
-    axis_views,
     interim_form,
     interim_utilities,
     serialize_mechanism,
@@ -55,7 +54,7 @@ from mechlearn.mechanism import (
 from mechlearn.oracle import FEASIBILITY_TOL, bic_replacement_map
 from mechlearn.outcomes import check_weakly_downward_closed, grid_type_ranks
 
-from conftest import posted_price_table, product_prior
+from conftest import axis_views, posted_price_table, product_prior
 
 
 def _old_expost(probs_view, pay_view, values):

@@ -690,3 +690,42 @@ class TestExitCodes:
         monkeypatch.setattr(oracle, "NNZ_BUDGET", 100)
         assert cli_dispatch(argv) == 2
         assert "capacity error: the oracle LP has up to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, body, key, value",
+    [
+        ("learn-bic", {**INSTANCE, "model": {"tag": "additive", "lipschitz_l": "2"}},
+         "lipschitz_l", "2"),
+        ("learn-bic", {**INSTANCE, "model": {"tag": "additive", "lipschitz_l": True}},
+         "lipschitz_l", True),
+        ("learn-bic", {**INSTANCE, "epsilon": "0.25"}, "epsilon", "0.25"),
+        ("learn-bic", {**INSTANCE, "h": True}, "h", True),
+        ("learn-bic", {**INSTANCE, "h": 10**400}, "h", 10**400),
+        ("prior", {"n": 1, "m": 2, "h": "2.0", **INSTANCE["prior"]}, "h", "2.0"),
+        ("concentrate", {**CONCENTRATE, "epsilon": False}, "epsilon", False),
+        ("concentrate", {**CONCENTRATE, "h": "1.0"}, "h", "1.0"),
+        ("concentrate", {**CONCENTRATE, "epsilon_dev": "0.1"}, "epsilon_dev", "0.1"),
+        ("concentrate", {**CONCENTRATE, "h_f": True}, "h_f", True),
+    ],
+    ids=["lipschitz_l_string", "lipschitz_l_bool", "instance_epsilon", "instance_h",
+         "instance_h_too_large", "prior_h", "concentrate_epsilon", "concentrate_h",
+         "concentrate_epsilon_dev", "concentrate_h_f"],
+)
+def test_real_config_field_must_be_a_number(workdir, capsys, command, body, key, value):
+    (workdir / "posted.json").write_text(
+        serialize_mechanism(posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2))
+    )
+    bad = workdir / "bad.json"
+    bad.write_text(json.dumps(body))
+    argv = {
+        "learn-bic": ["learn-bic", "--config", "{b}", "--s", "5", "--seed", "1",
+                      "--out", "{w}/o.json"],
+        "prior": ["eval", "--mech", "{w}/posted.json", "--prior", "{b}"],
+        "concentrate": ["concentrate", "--config", "{b}", "--seed", "1",
+                        "--out", "{w}/c.csv"],
+    }[command]
+    assert cli_dispatch([a.format(w=workdir, b=bad) for a in argv]) == 1
+    reason = "is too large" if value == 10**400 else "is not a number"
+    assert capsys.readouterr().err == f"error: {key}: {value!r} {reason}\n"
+    assert not (workdir / "o.json").exists() and not (workdir / "c.csv").exists()

@@ -30,8 +30,7 @@ from mechlearn import (
     solve_optimal,
 )
 from mechlearn import mechanism
-from mechlearn.mechanism import axis_views
-from conftest import posted_price_table, product_prior
+from conftest import axis_views, posted_price_table, product_prior
 
 
 def two_bidder_posted_price(spec, price):
