@@ -20,7 +20,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -41,7 +40,7 @@ from .grid import DiscreteMarginal, GridSpec
 from .learner import learn_bic, learn_dsic
 from .mechanism import deserialize_mechanism, regret_report
 from .myerson import learn_single_parameter
-from .oracle import OracleProblem, solve_optimal
+from .oracle import OracleProblem, load_lp_layer, solve_optimal
 from .outcomes import OutcomeSpace, ValuationModel, model_from_config, space_from_config
 from .priors import PriorDescription, prior_from_config, sample_prior
 
@@ -212,7 +211,23 @@ class SweepResult:
     timings: list[dict]
 
 
+def sweep_workers(value: str | None, cells: int) -> int:
+    """Processes a sweep of ``cells`` cells runs on: the ``MECHLEARN_WORKERS``
+    value ``value`` (1 when unset), at most one per cell, since a process
+    pool starts all of its workers at the first submit. A value that is not
+    an integer raises ConfigError naming the variable."""
+    if value is None:
+        return 1
+    try:
+        workers = int(value)
+    except ValueError:
+        raise ConfigError(f"MECHLEARN_WORKERS: {value!r} is not an integer") from None
+    return max(1, min(workers, cells))
+
+
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
+    cells = [(s, seed) for s in config.s_values for seed in config.seeds]
+    workers = sweep_workers(os.environ.get("MECHLEARN_WORKERS"), len(cells))
     bundle = build_instance(config.instance)
     if not bundle.prior.grid_supported(bundle.spec):
         raise ConfigError(
@@ -222,10 +237,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
     benchmark = exact_benchmark(bundle, config.mode)
     soft_bound = 2.0 * bundle.m * bundle.spec.epsilon
 
-    cells = [(s, seed) for s in config.s_values for seed in config.seeds]
-    workers = int(os.environ.get("MECHLEARN_WORKERS", "1"))
     results: list[tuple[dict, float]] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        load_lp_layer()  # once, here: forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_run_cell, config.instance, config.mode, s, seed)

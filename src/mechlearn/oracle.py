@@ -32,6 +32,12 @@ row's left side is an ex-post utility gain, which ``expost_slabs`` yields
 slab by slab as it does for the audit, and a BIC row's is an interim one,
 one small product of the point's interim columns.
 
+SciPy, its sparse matrices and its private HiGHS binding, is imported only
+inside the functions that build or solve an LP (``solve_optimal``, ``_base``,
+``_inequality_rows``, ``_entries`` and ``_interim_rows``), so importing this
+module, or running a command that solves no LP, loads no SciPy. Call
+``load_lp_layer`` to import it ahead of the first solve.
+
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
 and the row choice are deterministic, making the whole oracle a deterministic
@@ -61,11 +67,9 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Literal, NamedTuple
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import CapacityError, InvariantError, UsageError, write_text
 from .grid import ProductPrior
@@ -86,6 +90,10 @@ from .outcomes import (
     OutcomeSpace,
     ValuationModel,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+    from scipy.optimize._highspy._core import _Highs
 
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
@@ -174,8 +182,17 @@ class _Lp(NamedTuple):
     interim: np.ndarray
 
 
+def load_lp_layer() -> None:
+    """Import the SciPy modules that LP building and solving use. Processes
+    forked after this call inherit them instead of importing them again."""
+    import scipy.sparse  # noqa: F401
+    import scipy.optimize._highspy._core  # noqa: F401
+
+
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+
     start = time.perf_counter()
     domain = problem.domain()
     if lp_dump is not None:
@@ -292,6 +309,8 @@ def _assemble(
 def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     """The LP without its inequality rows. Raises ``CapacityError`` first
     when the LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
+    import scipy.sparse as sp
+
     problem.check_budget()
     space = problem.space
     n = domain.n
@@ -464,6 +483,8 @@ def _inequality_rows(
     bidder's payment at the profile. A BIC row reads only the interim
     variables: ``v . (pi(report) - pi(true)) - P(report) + P(true) <= 0``.
     """
+    import scipy.sparse as sp
+
     n, r_profiles = domain.n, domain.num_profiles
     vals, interim = base.vals, base.interim
     k_out = vals[0].shape[1]
@@ -509,6 +530,8 @@ def _entries(
     A function of its own so that its temporaries are freed before the
     caller builds the matrix: a batch of rows then peaks near 65 bytes per
     entry, where building them all in one scope took about 100."""
+    import scipy.sparse as sp
+
     k_out = vals[0].shape[1]
     row, prof, bidder, t, coef = (
         np.concatenate(col)
@@ -534,6 +557,8 @@ def _interim_rows(
     """One equality row per interim variable, in column order, with right
     side 0: ``pi_i(t, o) - sum_rest w(rest) x(join(i, t, rest), o)`` and
     ``P_i(t) - sum_rest w(rest) p(join(i, t, rest), i)``."""
+    import scipy.sparse as sp
+
     n, r_profiles = domain.n, domain.num_profiles
     n_x = r_profiles * k_out
     entries = []  # (row, column, coef)
