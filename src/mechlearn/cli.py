@@ -32,19 +32,14 @@ from .experiments import (
     build_instance,
     concentration_experiment,
     config_hash,
+    grid_problem,
+    learn,
     profile_function_from_config,
     run_sweep,
     write_rows_csv,
 )
 from .grid import GridSpec, SampleSet
-from .learner import (
-    LearnedMechanism,
-    learn_bic,
-    learn_dsic,
-    mechanism_to_menu,
-    menu_mechanism,
-    nudge_to_ic,
-)
+from .learner import mechanism_to_menu, menu_mechanism, nudge_to_ic
 from .mechanism import (
     audit_over_domain,
     deserialize_mechanism,
@@ -52,8 +47,8 @@ from .mechanism import (
     revenue,
     serialize_mechanism,
 )
-from .myerson import iron, ironed_curve_rows, learn_single_parameter
-from .oracle import OracleProblem, solve_optimal
+from .myerson import iron, ironed_curve_rows
+from .oracle import FEASIBILITY_TOL, solve_optimal
 from .outcomes import model_from_config
 from .priors import PriorCell, prior_from_config, sample_prior
 
@@ -113,50 +108,33 @@ def _get_samples(args, bundle) -> SampleSet:
     return sample_prior(bundle.prior, bundle.n, bundle.m, args.s, args.seed)
 
 
-def _learn_common(args, pipeline: str) -> int:
+def _write_mechanism(path: str, mech, **meta) -> None:
+    """Write ``mech`` to ``path``, its meta extended by ``meta`` and the
+    tool version."""
+    mech.meta.update(meta, tool_version=TOOL_VERSION)
+    _write_text(path, serialize_mechanism(mech))
+
+
+def _cmd_learn(args) -> int:
     instance, bundle = _load_instance(args.config)
-    samples = _get_samples(args, bundle)
-    if pipeline == "bic":
-        learned = learn_bic(samples, bundle.spec.epsilon, bundle.space, bundle.model)
-    elif pipeline == "dsic":
-        learned = learn_dsic(samples, bundle.spec.epsilon, bundle.space, bundle.model)
-    else:
-        learned = learn_single_parameter(samples, bundle.spec.epsilon, bundle.space)
-    learned.inner.meta.update(
-        {
-            "config_hash": config_hash(instance),
-            "tool_version": TOOL_VERSION,
-            "model": instance["model"],
-        }
-    )
-    _write_text(args.out, serialize_mechanism(learned.inner))
+    learned = learn(args.mode, _get_samples(args, bundle), bundle)
+    meta = {"config_hash": config_hash(instance), "model": instance["model"]}
+    _write_mechanism(args.out, learned.inner, **meta)
     print(f"wrote {args.out} (mode={learned.mode}, rows={learned.inner.domain.num_profiles})")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     instance, bundle = _load_instance(args.config)
-    prior = bundle.prior.to_grid_prior(bundle.spec)
-    eta = args.eta
-    if args.mode == "dsic" and eta is None:
-        eta = 2.0 * bundle.m * bundle.spec.epsilon
-    problem = OracleProblem(
-        prior=prior,
-        space=bundle.space,
-        model=bundle.model,
-        ic_mode=args.mode,
-        eta=eta or 0.0,
-    )
+    problem = grid_problem(bundle, args.mode, args.eta)
     solution = solve_optimal(problem, lp_dump=args.lp_dump)
-    solution.mechanism.meta.update(
-        {
-            "config_hash": config_hash(instance),
-            "tool_version": TOOL_VERSION,
-            "model": instance["model"],
-            "objective": repr(solution.objective_value),
-        }
+    _write_mechanism(
+        args.out,
+        solution.mechanism,
+        config_hash=config_hash(instance),
+        model=instance["model"],
+        objective=repr(solution.objective_value),
     )
-    _write_text(args.out, serialize_mechanism(solution.mechanism))
     print(f"objective {solution.objective_value!r}")
     print(f"wrote {args.out}")
     return 0
@@ -189,16 +167,13 @@ def _cmd_nudge(args) -> int:
     model_cfg, model = _load_model(args, mech)
     menu = mechanism_to_menu(mech, model)
     nudged = nudge_to_ic(menu, model, args.epsilon)
-    out = menu_mechanism(nudged, model, mech.domain.spec)
-    out.meta.update(
-        {
-            "tool_version": TOOL_VERSION,
-            "model": model_cfg,
-            "nudge_epsilon": repr(args.epsilon),
-            "source": args.mech,
-        }
+    _write_mechanism(
+        args.out,
+        menu_mechanism(nudged, model, mech.domain.spec),
+        model=model_cfg,
+        nudge_epsilon=repr(args.epsilon),
+        source=args.mech,
     )
-    _write_text(args.out, serialize_mechanism(out))
     print(f"wrote {args.out}")
     return 0
 
@@ -272,16 +247,8 @@ def _load_mech_and_prior(args):
 
 def _cmd_eval(args) -> int:
     mech, prior = _load_mech_and_prior(args)
-    spec = mech.domain.spec
-    if mech.domain.is_full_grid and prior.finite:
-        wrapper = LearnedMechanism(
-            inner=mech, mode=str(mech.meta.get("mode", "bic"))
-        )
-        value = wrapper.exact_revenue_on_atoms(prior)
-        print(repr(float(value)))
-        return 0
-    grid_prior = prior.to_grid_prior(spec)
-    print(repr(float(revenue(mech, grid_prior))))
+    grid_prior = prior.to_grid_prior(mech.domain.spec)
+    print(repr(float(revenue(mech, grid_prior, exact=mech.domain.is_full_grid))))
     return 0
 
 
@@ -315,11 +282,11 @@ def _cmd_verify(args) -> int:
         report = audit_over_domain(mech, prior, model)
     print(report)
     failures = []
-    if report.ir_slack < -1e-8:
+    if report.ir_slack < -FEASIBILITY_TOL:
         failures.append(f"ir_slack {report.ir_slack} < -1e-8")
     for name, regret in (("bic", report.bic_regret), ("dsic", report.dsic_regret)):
         key = f"{name}_regret_bound"
-        if key in bounds and regret > bounds[key] + 1e-8:
+        if key in bounds and regret > bounds[key] + FEASIBILITY_TOL:
             failures.append(f"{name}_regret {regret} > declared {mech.meta[key]}")
     if failures:
         raise InvariantError("; ".join(failures))
@@ -332,8 +299,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_learn(name: str, help_text: str):
+    def add_learn(name: str, mode: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(mode=mode)  # one of experiments.MODES
         p.add_argument("--config", required=True, help="instance JSON")
         p.add_argument("--s", type=int, help="samples per (bidder, parameter)")
         p.add_argument("--seed", type=int, help="sampling seed (required unless --samples)")
@@ -341,9 +309,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output mechanism JSON")
         return p
 
-    add_learn("learn-bic", "learn an interim-truthful mechanism from samples")
-    add_learn("learn-dsic", "learn an ex-post-truthful mechanism from samples")
-    add_learn("learn-single", "learn a single-parameter Myersonian auction")
+    add_learn("learn-bic", "bic", "learn an interim-truthful mechanism from samples")
+    add_learn("learn-dsic", "dsic", "learn an ex-post-truthful mechanism from samples")
+    add_learn(
+        "learn-single", "single_parameter", "learn a single-parameter Myersonian auction"
+    )
 
     p = sub.add_parser("oracle", help="solve the LP on an explicit grid prior")
     p.add_argument("--config", required=True)
@@ -385,9 +355,9 @@ def _build_parser() -> _Parser:
 
 
 _COMMANDS = {
-    "learn-bic": lambda args: _learn_common(args, "bic"),
-    "learn-dsic": lambda args: _learn_common(args, "dsic"),
-    "learn-single": lambda args: _learn_common(args, "single"),
+    "learn-bic": _cmd_learn,
+    "learn-dsic": _cmd_learn,
+    "learn-single": _cmd_learn,
     "oracle": _cmd_oracle,
     "myerson": _cmd_myerson,
     "nudge": _cmd_nudge,

@@ -14,7 +14,6 @@ contract.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -36,11 +35,11 @@ from .errors import (
     read_text,
     write_text,
 )
-from .grid import DiscreteMarginal, GridSpec
-from .learner import learn_bic, learn_dsic
+from .grid import DiscreteMarginal, GridSpec, SampleSet
+from .learner import LearnedMechanism, learn_bic, learn_dsic, regret_slack
 from .mechanism import deserialize_mechanism, regret_report
 from .myerson import learn_single_parameter
-from .oracle import OracleProblem, load_lp_layer, solve_optimal
+from .oracle import FEASIBILITY_TOL, OracleProblem, load_lp_layer, solve_optimal
 from .outcomes import OutcomeSpace, ValuationModel, model_from_config, space_from_config
 from .priors import PriorDescription, prior_from_config, sample_prior
 
@@ -48,12 +47,16 @@ __all__ = [
     "ExperimentConfig",
     "SweepResult",
     "ConcentrationResult",
+    "learn",
+    "grid_problem",
     "run_sweep",
     "concentration_experiment",
     "config_hash",
     "write_rows_csv",
 ]
 
+# The learning pipelines, each run by ``learn``; README "Modes" lists each
+# one's oracle, declared bound, benchmark and sweep regret column.
 MODES = ("bic", "dsic", "single_parameter")
 # Caps trials * (support sizes summed over marginals), the sample counts a
 # concentration experiment draws at once: each takes 16 bytes, as a count and
@@ -148,27 +151,49 @@ class ExperimentConfig:
         return config_hash(self.raw)
 
 
-def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
-    """Optimal objective on the grid-supported true prior, exactly when the
-    brute-force guard allows, by the float LP otherwise."""
-    grid_prior = bundle.prior.to_grid_prior(bundle.spec)
-    ic_mode = "dsic" if mode == "dsic" else "bic"
-    eta = 2.0 * bundle.m * bundle.spec.epsilon if mode == "dsic" else 0.0
-    from .exactlp import OUTCOME_GUARD, PROFILE_GUARD, brute_force_optimal
+def learn(mode: str, samples: SampleSet, bundle: InstanceBundle) -> LearnedMechanism:
+    """The table pipeline ``mode``, one of ``MODES``, learns from
+    ``samples`` on the instance's grid, outcome space and model."""
+    eps = bundle.spec.epsilon
+    if mode == "bic":
+        return learn_bic(samples, eps, bundle.space, bundle.model)
+    if mode == "dsic":
+        return learn_dsic(samples, eps, bundle.space, bundle.model)
+    if mode == "single_parameter":
+        return learn_single_parameter(samples, eps, bundle.space)
+    raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
 
-    problem = OracleProblem(
-        prior=grid_prior,
+
+def grid_problem(
+    bundle: InstanceBundle, ic_mode: str, eta: float | None = None
+) -> OracleProblem:
+    """The oracle problem on the grid pushforward of the instance's true
+    prior. A DSIC ``eta`` defaults to the learner's ``regret_slack``."""
+    if ic_mode == "dsic" and eta is None:
+        eta = regret_slack(bundle.m, bundle.spec.epsilon)
+    return OracleProblem(
+        prior=bundle.prior.to_grid_prior(bundle.spec),
         space=bundle.space,
         model=bundle.model,
         ic_mode=ic_mode,
-        eta=eta,
+        eta=eta or 0.0,
     )
+
+
+def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
+    """Optimal objective on the grid-supported true prior, exactly when the
+    brute-force guard allows, by the float LP otherwise."""
+    problem = grid_problem(bundle, "dsic" if mode == "dsic" else "bic")
+    from .exactlp import OUTCOME_GUARD, PROFILE_GUARD, brute_force_optimal
+
     if (
         problem.domain().num_profiles <= PROFILE_GUARD
         and bundle.space.num_outcomes <= OUTCOME_GUARD
     ):
         return float(
-            brute_force_optimal(grid_prior, bundle.space, bundle.model, ic_mode, eta)
+            brute_force_optimal(
+                problem.prior, bundle.space, bundle.model, problem.ic_mode, problem.eta
+            )
         )
     return solve_optimal(problem).objective_value
 
@@ -179,12 +204,7 @@ def _run_cell(
     bundle = build_instance(instance)
     t0 = time.perf_counter()
     samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
-    if mode == "bic":
-        learned = learn_bic(samples, bundle.spec.epsilon, bundle.space, bundle.model)
-    elif mode == "dsic":
-        learned = learn_dsic(samples, bundle.spec.epsilon, bundle.space, bundle.model)
-    else:
-        learned = learn_single_parameter(samples, bundle.spec.epsilon, bundle.space)
+    learned = learn(mode, samples, bundle)
     learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior))
     grid_prior = bundle.prior.to_grid_prior(bundle.spec)
     report = regret_report(learned.inner, grid_prior, bundle.model)
@@ -235,7 +255,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
             "exact; use Monte-Carlo evaluation for off-grid priors"
         )
     benchmark = exact_benchmark(bundle, config.mode)
-    soft_bound = 2.0 * bundle.m * bundle.spec.epsilon
+    soft_bound = regret_slack(bundle.m, bundle.spec.epsilon)
 
     results: list[tuple[dict, float]] = []
     if workers > 1:
@@ -259,7 +279,7 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
         row = dict(row)
         row["benchmark_revenue"] = benchmark
         row["gap"] = benchmark - row["learned_revenue"]
-        if config.mode == "bic" and row["regret"] > soft_bound + 1e-8:
+        if config.mode == "bic" and row["regret"] > soft_bound + FEASIBILITY_TOL:
             warnings.warn(
                 f"single-run regret {row['regret']} above the {soft_bound} "
                 f"bound at (s={s}, seed={seed}); the guarantee is only "
@@ -454,16 +474,17 @@ def profile_function_from_config(
         pay = mech.rows_pay.sum(axis=1)[mech.src]
         if pay.min() < 0:
             raise UsageError("mechanism payments are negative; f must be in [0, H_f]")
-        f = np.zeros(sizes)
-        supports = [m.support for m in marginals]
-        for combo in itertools.product(*(range(len(s)) for s in supports)):
-            profile = [
-                [
-                    supports[i * mech.m + j][combo[i * mech.m + j]]
-                    for j in range(mech.m)
-                ]
-                for i in range(mech.n)
-            ]
-            f[combo] = pay[mech.domain.profile_rank(profile)]
+        # profile ranks run over the (bidder, parameter) cells in lex order
+        cells = [cell for row in mech.domain.supports for cell in row]
+        positions = []
+        for q, (cell, marginal) in enumerate(zip(cells, marginals)):
+            missing = sorted(set(marginal.support) - set(cell))
+            if missing:
+                raise UsageError(
+                    f"grid index {missing[0]} not in bidder {q // mech.m} "
+                    f"parameter {q % mech.m} support {cell}"
+                )
+            positions.append([cell.index(k) for k in marginal.support])
+        f = pay.reshape([len(cell) for cell in cells])[np.ix_(*positions)]
         return f, float(pay.max()) if pay.max() > 0 else 1.0
     raise ConfigError(f"unknown profile function kind {kind!r}")

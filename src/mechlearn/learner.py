@@ -47,6 +47,7 @@ __all__ = [
     "MenuEntry",
     "learn_bic",
     "learn_dsic",
+    "regret_slack",
     "evaluate_on_reals",
     "mechanism_to_menu",
     "nudge_to_ic",
@@ -120,63 +121,65 @@ def _empirical_prior(samples: SampleSet, spec: GridSpec) -> ProductPrior:
     return ProductPrior(n=samples.n, m=samples.m, marginals=marginals)
 
 
-def learn_bic(
+def regret_slack(m: int, epsilon: float) -> float:
+    """The slack 2*m*epsilon of the learning guarantees: the DSIC oracle's
+    eta, a learned BIC table's declared regret bound, and half a learned
+    DSIC table's."""
+    return 2.0 * m * epsilon
+
+
+def _learn(
     samples: SampleSet,
     epsilon: float,
     space: OutcomeSpace,
     model: ValuationModel,
+    ic_mode: str,
+) -> LearnedMechanism:
+    """Round the samples, solve the ``ic_mode`` oracle over their empirical
+    prior and extend its table to the full grid by the matching rule."""
+    spec = GridSpec(epsilon=epsilon, h=samples.h)
+    slack = regret_slack(samples.m, epsilon)
+    if ic_mode == "dsic":
+        closure = check_weakly_downward_closed(space, model, spec)
+        if not closure.closed:
+            raise UsageError(
+                f"outcome space is not weakly downward closed: no witness for "
+                f"outcome {closure.counterexample[0]} and bidder "
+                f"{closure.counterexample[1]}"
+            )
+    prior = _empirical_prior(samples, spec)
+    eta = slack if ic_mode == "dsic" else 0.0
+    problem = OracleProblem(prior=prior, space=space, model=model, ic_mode=ic_mode, eta=eta)
+    solution = solve_optimal(problem)
+    if ic_mode == "bic":
+        inner = extend_bic(solution.mechanism, prior, model)
+        bound = {"bic_regret_bound": slack}
+    else:
+        inner = extend_dsic(solution.mechanism, space, model, closure)
+        bound = {"dsic_regret_bound": 2.0 * slack}
+    inner.meta.update(
+        mode=ic_mode,
+        samples=samples.s,
+        seed=samples.rng_seed,
+        oracle_objective=solution.objective_value,
+        **bound,
+    )
+    return LearnedMechanism(inner=inner, mode=ic_mode)
+
+
+def learn_bic(
+    samples: SampleSet, epsilon: float, space: OutcomeSpace, model: ValuationModel
 ) -> LearnedMechanism:
     """Empirical revenue maximization with the interim-truthfulness oracle."""
-    spec = GridSpec(epsilon=epsilon, h=samples.h)
-    prior = _empirical_prior(samples, spec)
-    problem = OracleProblem(prior=prior, space=space, model=model, ic_mode="bic")
-    solution = solve_optimal(problem)
-    inner = extend_bic(solution.mechanism, prior, model)
-    inner.meta.update(
-        {
-            "mode": "bic",
-            "samples": samples.s,
-            "seed": samples.rng_seed,
-            "oracle_objective": solution.objective_value,
-            "bic_regret_bound": 2.0 * samples.m * epsilon,
-        }
-    )
-    return LearnedMechanism(inner=inner, mode="bic")
+    return _learn(samples, epsilon, space, model, "bic")
 
 
 def learn_dsic(
-    samples: SampleSet,
-    epsilon: float,
-    space: OutcomeSpace,
-    model: ValuationModel,
+    samples: SampleSet, epsilon: float, space: OutcomeSpace, model: ValuationModel
 ) -> LearnedMechanism:
     """Empirical revenue maximization with the ex-post oracle and zero-out
     extension; requires a weakly downward closed outcome space."""
-    spec = GridSpec(epsilon=epsilon, h=samples.h)
-    closure = check_weakly_downward_closed(space, model, spec)
-    if not closure.closed:
-        raise UsageError(
-            f"outcome space is not weakly downward closed: no witness for "
-            f"outcome {closure.counterexample[0]} and bidder "
-            f"{closure.counterexample[1]}"
-        )
-    prior = _empirical_prior(samples, spec)
-    eta = 2.0 * samples.m * epsilon
-    problem = OracleProblem(
-        prior=prior, space=space, model=model, ic_mode="dsic", eta=eta
-    )
-    solution = solve_optimal(problem)
-    inner = extend_dsic(solution.mechanism, space, model, closure)
-    inner.meta.update(
-        {
-            "mode": "dsic",
-            "samples": samples.s,
-            "seed": samples.rng_seed,
-            "oracle_objective": solution.objective_value,
-            "dsic_regret_bound": 4.0 * samples.m * epsilon,
-        }
-    )
-    return LearnedMechanism(inner=inner, mode="dsic")
+    return _learn(samples, epsilon, space, model, "dsic")
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +256,10 @@ def mechanism_to_menu(
 
 
 def nudge_to_ic(menu: Menu, model: ValuationModel, epsilon: float) -> Menu:
-    """Scale every entry's payment by (1 - sqrt(epsilon))."""
-    if epsilon < 0:
-        raise UsageError(f"epsilon must be nonnegative, got {epsilon}")
+    """Scale every entry's payment by (1 - sqrt(epsilon)), which is in [0, 1]
+    for epsilon in [0, 1]: a larger epsilon would make the seller pay."""
+    if not 0.0 <= epsilon <= 1.0:  # NaN fails it too
+        raise UsageError(f"epsilon must be in [0, 1], got {epsilon}")
     factor = 1.0 - np.sqrt(epsilon)
     return Menu(
         space=menu.space,

@@ -47,6 +47,7 @@ __all__ = [
     "rest_columns",
     "distinct_columns",
     "max_gain",
+    "domain_values",
     "revenue",
     "interim_form",
     "regret_report",
@@ -465,11 +466,11 @@ def max_gain(u: np.ndarray, truth: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(u.flat[i]), tuple(int(x) for x in np.unravel_index(i, u.shape))
 
 
-def _domain_value_table(
-    mech: MechanismTable, model: ValuationModel, k: int
+def domain_values(
+    domain: ProfileDomain, space: OutcomeSpace, model: ValuationModel, k: int
 ) -> np.ndarray:
-    types = mech.domain.bidder_types(k)
-    return model.values_for(mech.space, k, types * mech.domain.spec.epsilon)
+    """Bidder k's (T_k, K) value table over her domain types."""
+    return model.values_for(space, k, domain.bidder_types(k) * domain.spec.epsilon)
 
 
 def revenue(
@@ -530,7 +531,7 @@ def interim_form(
     k: int,
 ) -> InterimForm:
     utilities, cpay = interim_utilities(
-        mech, prior, k, _domain_value_table(mech, model, k)
+        mech, prior, k, domain_values(mech.domain, mech.space, model, k)
     )
     return InterimForm(
         bidder=k,
@@ -572,7 +573,7 @@ def audit_over_domain(
     for k in range(mech.n):
         types = mech.domain.bidder_types(k).tolist()
         own = np.arange(len(types))
-        val = _domain_value_table(mech, model, k)
+        val = domain_values(mech.domain, mech.space, model, k)
         u, _ = interim_utilities(mech, prior, k, val)
         gain, (t, r) = max_gain(u, own)
         if gain > bic:

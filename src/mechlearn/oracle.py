@@ -77,6 +77,7 @@ from .mechanism import (
     MechanismTable,
     ProfileDomain,
     audit_over_domain,
+    domain_values,
     expost_columns,
     expost_slabs,
     interim_utilities,
@@ -340,7 +341,7 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     for i in range(n):
         profile_w *= weights[i][type_ranks[:, i]]
 
-    vals = _values(problem, domain)
+    vals = [domain_values(domain, problem.space, problem.model, i) for i in range(n)]
 
     c = np.zeros(n_vars)
     for i in range(n):
@@ -372,16 +373,6 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     seed[n_x : interim[0]] = np.stack(paid, axis=1).ravel()
     seed[interim[0] :] -= a_eq[r_profiles:] @ seed
     return _Lp(c, None, None, a_eq, b_eq, bounds, seed, vals, interim)
-
-
-def _values(problem: OracleProblem, domain: ProfileDomain) -> list[np.ndarray]:
-    """Each bidder's (T_i, K) value table over its support types."""
-    return [
-        problem.model.values_for(
-            problem.space, i, domain.bidder_types(i) * domain.spec.epsilon
-        )
-        for i in range(domain.n)
-    ]
 
 
 def _ic_shape(problem: OracleProblem, domain: ProfileDomain, i: int) -> tuple:
@@ -454,7 +445,8 @@ def _ub_nnz(
 def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
     """Nonzeros the full LP can have at most: exact but for the BIC interim
     definitions, which skip rest profiles of zero weight."""
-    total = _ub_nnz(problem, domain, _values(problem, domain))
+    vals = [domain_values(domain, problem.space, problem.model, i) for i in range(domain.n)]
+    total = _ub_nnz(problem, domain, vals)
     total += domain.num_profiles * k_out  # lotteries
     if problem.ic_mode == "bic":  # the interim definitions
         for i in range(domain.n):

@@ -11,6 +11,7 @@ from mechlearn import (
     serialize_mechanism,
 )
 from mechlearn.cli import cli_dispatch
+from mechlearn.experiments import MODES, ExperimentConfig, run_sweep
 
 from conftest import posted_price_table
 
@@ -729,3 +730,72 @@ def test_real_config_field_must_be_a_number(workdir, capsys, command, body, key,
     reason = "is too large" if value == 10**400 else "is not a number"
     assert capsys.readouterr().err == f"error: {key}: {value!r} {reason}\n"
     assert not (workdir / "o.json").exists() and not (workdir / "c.csv").exists()
+
+
+def test_eval_is_exact_on_a_full_grid_table_whatever_its_mode_meta(workdir, capsys):
+    mech, renamed = workdir / "m.json", workdir / "x.json"
+    prior = ["--prior", str(workdir / "prior.json")]
+    assert cli_dispatch(
+        ["learn-bic", "--config", str(workdir / "inst.json"), "--s", "50", "--seed", "3",
+         "--out", str(mech)]
+    ) == 0
+    text = mech.read_text()
+    assert '"mode":"bic"' in text
+    renamed.write_text(text.replace('"mode":"bic"', '"mode":"x"'))
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--mech", str(mech)] + prior) == 0
+    expected = capsys.readouterr().out
+    assert cli_dispatch(["eval", "--mech", str(renamed)] + prior) == 0
+    assert capsys.readouterr().out == expected
+    assert cli_dispatch(["verify", "--mech", str(renamed)] + prior) == 0
+
+
+@pytest.mark.parametrize("epsilon", ["4", "inf", "nan"])
+def test_nudge_epsilon_outside_the_unit_interval_is_usage_error(workdir, capsys, epsilon):
+    mech, out = workdir / "m.json", workdir / "nudged.json"
+    assert cli_dispatch(
+        ["learn-bic", "--config", str(workdir / "inst.json"), "--s", "50", "--seed", "3",
+         "--out", str(mech)]
+    ) == 0
+    capsys.readouterr()
+    argv = ["nudge", "--mech", str(mech), "--epsilon", epsilon, "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    assert capsys.readouterr().err.startswith("error: epsilon must be in [0, 1], got ")
+    assert not out.exists()
+
+
+def test_nudge_epsilon_one_zeroes_every_payment(workdir, capsys):
+    mech, out = workdir / "m.json", workdir / "nudged.json"
+    assert cli_dispatch(
+        ["learn-bic", "--config", str(workdir / "inst.json"), "--s", "50", "--seed", "3",
+         "--out", str(mech)]
+    ) == 0
+    assert cli_dispatch(["nudge", "--mech", str(mech), "--epsilon", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--mech", str(out), "--prior", str(workdir / "prior.json")]) == 0
+    assert capsys.readouterr().out == "0.0\n"
+
+
+SINGLE_INSTANCE = {**INSTANCE, "n": 2, "m": 1, "space": {"kind": "single_parameter"}}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cli_and_sweep_run_one_pipeline(tmp_path, capsys, mode):
+    """The eval of a learn-* file is the sweep's learned revenue for the
+    same (s, seed)."""
+    instance = SINGLE_INSTANCE if mode == "single_parameter" else INSTANCE
+    command = {"bic": "learn-bic", "dsic": "learn-dsic", "single_parameter": "learn-single"}
+    (tmp_path / "inst.json").write_text(json.dumps(instance))
+    prior = {"n": instance["n"], "m": instance["m"], "h": 2.0, **instance["prior"]}
+    (tmp_path / "prior.json").write_text(json.dumps(prior))
+    mech = tmp_path / "m.json"
+    assert cli_dispatch(
+        [command[mode], "--config", str(tmp_path / "inst.json"), "--s", "30", "--seed", "2",
+         "--out", str(mech)]
+    ) == 0
+    capsys.readouterr()
+    assert cli_dispatch(["eval", "--mech", str(mech), "--prior", str(tmp_path / "prior.json")]) == 0
+    learned = float(capsys.readouterr().out)
+    config = {"instance": instance, "mode": mode, "s_values": [30], "seeds": [2]}
+    (row,) = run_sweep(ExperimentConfig.from_json(config)).rows
+    assert repr(learned) == repr(row["learned_revenue"])

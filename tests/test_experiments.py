@@ -1,10 +1,20 @@
+import itertools
 import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mechlearn import ConfigError, GridSpec, UsageError
+from mechlearn import (
+    ConfigError,
+    GridSpec,
+    MechanismTable,
+    ProfileDomain,
+    UsageError,
+    enumerate_multi_item,
+    serialize_mechanism,
+)
+from mechlearn.mechanism import deserialize_mechanism
 from mechlearn.experiments import (
     ExperimentConfig,
     concentration_bound,
@@ -244,3 +254,62 @@ class TestSweep:
         assert (tmp_path / "seq" / "rows.csv").read_bytes() == (
             tmp_path / "par" / "rows.csv"
         ).read_bytes()
+
+
+def _revenue_by_profile_loop(mech, marginals):
+    """Reference for the ``mechanism_revenue`` profile function: one
+    ``profile_rank`` per support profile."""
+    pay = mech.rows_pay.sum(axis=1)[mech.src]
+    supports = [m.support for m in marginals]
+    f = np.zeros(tuple(len(s) for s in supports))
+    for combo in itertools.product(*(range(len(s)) for s in supports)):
+        profile = [
+            [supports[i * mech.m + j][combo[i * mech.m + j]] for j in range(mech.m)]
+            for i in range(mech.n)
+        ]
+        f[combo] = pay[mech.domain.profile_rank(profile)]
+    return f
+
+
+class TestMechanismRevenueFunction:
+    def _table(self, domain, seed):
+        space = enumerate_multi_item(domain.n, domain.m)
+        rng = np.random.default_rng(seed)
+        rows = domain.num_profiles
+        probs = rng.dirichlet(np.ones(space.num_outcomes), size=rows)
+        payments = rng.uniform(0.0, 2.0, size=(rows, domain.n))
+        return MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
+
+    def _f(self, tmp_path, mech, marginals):
+        path = tmp_path / "mech.json"
+        path.write_text(serialize_mechanism(mech))
+        obj = {"kind": "mechanism_revenue", "mechanism": str(path)}
+        return profile_function_from_config(obj, marginals)
+
+    def test_full_grid_table_matches_the_loop(self, tmp_path):
+        spec = GridSpec(epsilon=0.5, h=2.0)
+        mech = self._table(ProfileDomain.full_grid(spec, 2, 2), seed=1)
+        masses = [{0: 1, 3: 1}, {1: 1, 2: 1, 4: 1}, {4: 1}, {0: 1, 1: 1, 2: 1}]
+        marginals = [marginal(spec, {k: Fraction(1, len(d)) for k in d}) for d in masses]
+        mech = deserialize_mechanism(serialize_mechanism(mech))
+        f, _ = self._f(tmp_path, mech, marginals)
+        assert np.array_equal(f, _revenue_by_profile_loop(mech, marginals))
+        assert f.shape == (2, 3, 1, 3)
+
+    def test_support_table_matches_the_loop(self, tmp_path):
+        spec = GridSpec(epsilon=0.25, h=2.0)
+        supports = (((1, 3, 4), (0, 2)), ((2, 5, 8), (1, 6)))
+        mech = self._table(ProfileDomain(spec=spec, supports=supports), seed=2)
+        masses = [{1: 1, 4: 1}, {0: 1, 2: 1}, {2: 1, 5: 1, 8: 1}, {6: 1}]
+        marginals = [marginal(spec, {k: Fraction(1, len(d)) for k in d}) for d in masses]
+        mech = deserialize_mechanism(serialize_mechanism(mech))
+        f, _ = self._f(tmp_path, mech, marginals)
+        assert np.array_equal(f, _revenue_by_profile_loop(mech, marginals))
+
+    def test_support_index_outside_the_domain_is_usage_error(self, tmp_path):
+        spec = GridSpec(epsilon=0.25, h=2.0)
+        supports = (((1, 3), (0, 2)),)
+        mech = self._table(ProfileDomain(spec=spec, supports=supports), seed=3)
+        marginals = [marginal(spec, {1: 1}), marginal(spec, {0: 0.5, 5: 0.5})]
+        with pytest.raises(UsageError, match="grid index 5 not in bidder 0 parameter 1"):
+            self._f(tmp_path, mech, marginals)

@@ -22,7 +22,7 @@ from mechlearn.learner import (
     real_lattice_bic_regret,
     real_lattice_dsic_regret,
 )
-from mechlearn.mechanism import regret_report, revenue
+from mechlearn.mechanism import deserialize_mechanism, regret_report, revenue
 from mechlearn.outcomes import OutcomeSpace
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
@@ -290,3 +290,20 @@ class TestNudge:
         rev0 = revenue(base, emp)
         rev1 = revenue(mech, emp)
         assert rev1 >= (1 - np.sqrt(eps_ic)) * (rev0 - np.sqrt(eps_ic)) - 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("epsilon", [0.1, 0.3, 1 / 3])
+def test_declared_regret_bounds_are_2m_and_4m_epsilon_bit_for_bit(additive, m, epsilon):
+    cell = PriorCell("point_masses", {"values": [0.5, 1.0], "probs": ["1/2", "1/2"]})
+    prior = PriorDescription(n=1, m=m, h=1.0, cells=((cell,) * m,))
+    samples = sample_prior(prior, 1, m, 20, seed=1)
+    space = enumerate_multi_item(1, m)
+    bic = learn_bic(samples, epsilon, space, additive).inner
+    dsic = learn_dsic(samples, epsilon, space, additive).inner
+    for mech, key, bound in (
+        (bic, "bic_regret_bound", 2.0 * m * epsilon),
+        (dsic, "dsic_regret_bound", 4.0 * m * epsilon),
+    ):
+        for meta in (mech.meta, deserialize_mechanism(serialize_mechanism(mech)).meta):
+            assert meta[key].hex() == bound.hex()
