@@ -33,6 +33,7 @@ from .learner import (
     evaluate_on_reals,
     learn_bic,
     learn_dsic,
+    learn_single_parameter,
     mechanism_to_menu,
     menu_mechanism,
     nudge_to_ic,
@@ -52,7 +53,6 @@ from .myerson import (
     IronedVirtuals,
     MyersonAuction,
     iron,
-    learn_single_parameter,
     run_myerson,
     snap_to_support,
 )

@@ -100,6 +100,8 @@ def _load_model(args, mech):
 
 def _get_samples(args, bundle) -> SampleSet:
     if args.samples:
+        if args.seed is not None:
+            raise UsageError("--seed does not apply to --samples, which were drawn already")
         return SampleSet.from_csv(args.samples, h=bundle.spec.h)
     if args.seed is None:
         raise UsageError("--seed is required when sampling from the prior")
@@ -167,9 +169,10 @@ def _cmd_nudge(args) -> int:
     model_cfg, model = _load_model(args, mech)
     menu = mechanism_to_menu(mech, model)
     nudged = nudge_to_ic(menu, model, args.epsilon)
-    _write_mechanism(
+    _write_mechanism(  # every type picks its best entry: exactly DSIC and IR
         args.out,
         menu_mechanism(nudged, model, mech.domain.spec),
+        dsic_regret_bound=0.0,
         model=model_cfg,
         nudge_epsilon=repr(args.epsilon),
         source=args.mech,

@@ -36,14 +36,14 @@ from .errors import (
     write_text,
 )
 from .grid import DiscreteMarginal, GridSpec, SampleSet
-from .learner import LearnedMechanism, learn_bic, learn_dsic, regret_slack
+from .learner import MODES, LearnedMechanism, _learn, regret_slack
 from .mechanism import deserialize_mechanism, regret_report
-from .myerson import learn_single_parameter
 from .oracle import FEASIBILITY_TOL, OracleProblem, load_lp_layer, solve_optimal
 from .outcomes import OutcomeSpace, ValuationModel, model_from_config, space_from_config
 from .priors import PriorDescription, prior_from_config, sample_prior
 
 __all__ = [
+    "MODES",
     "ExperimentConfig",
     "SweepResult",
     "ConcentrationResult",
@@ -55,9 +55,6 @@ __all__ = [
     "write_rows_csv",
 ]
 
-# The learning pipelines, each run by ``learn``; README "Modes" lists each
-# one's oracle, declared bound, benchmark and sweep regret column.
-MODES = ("bic", "dsic", "single_parameter")
 # Caps trials * (support sizes summed over marginals), the sample counts a
 # concentration experiment draws at once: each takes 16 bytes, as a count and
 # as a frequency, so the cap holds it near 1.6 GB.
@@ -154,14 +151,7 @@ class ExperimentConfig:
 def learn(mode: str, samples: SampleSet, bundle: InstanceBundle) -> LearnedMechanism:
     """The table pipeline ``mode``, one of ``MODES``, learns from
     ``samples`` on the instance's grid, outcome space and model."""
-    eps = bundle.spec.epsilon
-    if mode == "bic":
-        return learn_bic(samples, eps, bundle.space, bundle.model)
-    if mode == "dsic":
-        return learn_dsic(samples, eps, bundle.space, bundle.model)
-    if mode == "single_parameter":
-        return learn_single_parameter(samples, eps, bundle.space)
-    raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    return _learn(samples, bundle.spec.epsilon, bundle.space, bundle.model, mode)
 
 
 def grid_problem(

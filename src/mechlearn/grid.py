@@ -221,14 +221,14 @@ class ProductPrior:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """n x m x s raw sample values in [0, h], reproducible from the seed."""
+    """n x m x s raw sample values in [0, h]; ``rng_seed``, if known, redraws them."""
 
     n: int
     m: int
     s: int
     h: float
     values: np.ndarray = field(repr=False)
-    rng_seed: int = 0
+    rng_seed: int | None = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -255,7 +255,7 @@ class SampleSet:
         write_text(path, "".join(lines))
 
     @classmethod
-    def from_csv(cls, path: str, h: float, rng_seed: int = 0) -> "SampleSet":
+    def from_csv(cls, path: str, h: float) -> "SampleSet":
         cells: dict[tuple[int, int], dict[int, float]] = {}
         reader = csv.DictReader(read_text(path).splitlines(keepends=True))
         expected = ["bidder", "parameter", "sample_index", "value"]
@@ -290,7 +290,7 @@ class SampleSet:
         for (i, j), d in cells.items():
             for k, v in d.items():
                 values[i, j, k] = v
-        return cls(n=n, m=m, s=s, h=h, values=values, rng_seed=rng_seed)
+        return cls(n=n, m=m, s=s, h=h, values=values)
 
 
 def recommended_sample_count(

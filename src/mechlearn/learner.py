@@ -1,10 +1,10 @@
 """End-to-end learning pipelines and the single-bidder exact-IC nudge.
 
-``learn_bic`` and ``learn_dsic`` run the whole chain: round the samples,
-build the empirical product prior, solve the oracle LP over its support,
-extend to the full grid with the matching extension rule, and wrap the grid
-table so it accepts arbitrary real bids by rounding them down first. Both
-pipelines are deterministic functions of their inputs.
+Every learning mode runs one chain: round the samples, build the empirical
+product prior, optimize over it (the oracle LP, or ironing for a
+single-parameter auction), extend to the full grid, and wrap the grid table
+so it accepts arbitrary real bids by rounding them down first. Every
+pipeline is a deterministic function of its inputs.
 
 The nudge turns a single-bidder IR + eps-IC menu into an exactly IC and IR
 one by scaling every payment by (1 - sqrt(eps)): more expensive entries keep
@@ -32,6 +32,7 @@ from .mechanism import (
     max_gain,
     revenue,
 )
+from .myerson import MyersonAuction, iron, single_parameter_table
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
     OutcomeSpace,
@@ -42,11 +43,13 @@ from .outcomes import (
 from .priors import PriorDescription
 
 __all__ = [
+    "MODES",
     "LearnedMechanism",
     "Menu",
     "MenuEntry",
     "learn_bic",
     "learn_dsic",
+    "learn_single_parameter",
     "regret_slack",
     "evaluate_on_reals",
     "mechanism_to_menu",
@@ -62,12 +65,12 @@ class LearnedMechanism:
     """A full-grid mechanism table plus the round-bids-down wrapper."""
 
     inner: MechanismTable
-    mode: str  # "bic" | "dsic" | "single_bidder_ic"
+    mode: str  # "bic" | "dsic": the truthfulness the table is learned for
 
     def __post_init__(self) -> None:
         if not self.inner.domain.is_full_grid:
             raise UsageError("learned mechanisms must cover the full grid")
-        if self.mode not in ("bic", "dsic", "single_bidder_ic"):
+        if self.mode not in ("bic", "dsic"):
             raise UsageError(f"unknown mode {self.mode!r}")
 
     @property
@@ -128,18 +131,31 @@ def regret_slack(m: int, epsilon: float) -> float:
     return 2.0 * m * epsilon
 
 
+# The learning pipelines, each run by ``_learn``; README "Modes" lists each
+# one's oracle, declared bound, benchmark and sweep regret column.
+MODES = ("bic", "dsic", "single_parameter")
+
+
 def _learn(
     samples: SampleSet,
     epsilon: float,
     space: OutcomeSpace,
     model: ValuationModel,
-    ic_mode: str,
+    mode: str,
 ) -> LearnedMechanism:
-    """Round the samples, solve the ``ic_mode`` oracle over their empirical
-    prior and extend its table to the full grid by the matching rule."""
+    """Learn a full-grid table from the empirical prior of the rounded
+    samples by the pipeline ``mode``, one of ``MODES``; its meta records the
+    truthfulness, sample count, seed (None if unknown) and declared bound."""
+    if mode not in MODES:
+        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+    if mode == "single_parameter":
+        if samples.m != 1:
+            raise UsageError("single-parameter learning requires m = 1 samples")
+        if space.m != 1:
+            raise UsageError("single-parameter learning requires an m = 1 space")
     spec = GridSpec(epsilon=epsilon, h=samples.h)
     slack = regret_slack(samples.m, epsilon)
-    if ic_mode == "dsic":
+    if mode == "dsic":
         closure = check_weakly_downward_closed(space, model, spec)
         if not closure.closed:
             raise UsageError(
@@ -148,22 +164,23 @@ def _learn(
                 f"{closure.counterexample[1]}"
             )
     prior = _empirical_prior(samples, spec)
-    eta = slack if ic_mode == "dsic" else 0.0
-    problem = OracleProblem(prior=prior, space=space, model=model, ic_mode=ic_mode, eta=eta)
-    solution = solve_optimal(problem)
-    if ic_mode == "bic":
-        inner = extend_bic(solution.mechanism, prior, model)
-        bound = {"bic_regret_bound": slack}
+    if mode == "single_parameter":  # exactly IR and DSIC
+        auction = MyersonAuction(tuple(iron(row[0]) for row in prior.marginals), space)
+        inner = single_parameter_table(auction, spec)
+        declared = {"pipeline": "single_parameter", "dsic_regret_bound": 0.0}
     else:
-        inner = extend_dsic(solution.mechanism, space, model, closure)
-        bound = {"dsic_regret_bound": 2.0 * slack}
-    inner.meta.update(
-        mode=ic_mode,
-        samples=samples.s,
-        seed=samples.rng_seed,
-        oracle_objective=solution.objective_value,
-        **bound,
-    )
+        eta = slack if mode == "dsic" else 0.0
+        problem = OracleProblem(prior=prior, space=space, model=model, ic_mode=mode, eta=eta)
+        solution = solve_optimal(problem)
+        if mode == "bic":
+            inner = extend_bic(solution.mechanism, prior, model)
+            declared = {"bic_regret_bound": slack}
+        else:
+            inner = extend_dsic(solution.mechanism, space, model, closure)
+            declared = {"dsic_regret_bound": 2.0 * slack}
+        declared["oracle_objective"] = solution.objective_value
+    ic_mode = "bic" if mode == "bic" else "dsic"
+    inner.meta.update(mode=ic_mode, samples=samples.s, seed=samples.rng_seed, **declared)
     return LearnedMechanism(inner=inner, mode=ic_mode)
 
 
@@ -180,6 +197,14 @@ def learn_dsic(
     """Empirical revenue maximization with the ex-post oracle and zero-out
     extension; requires a weakly downward closed outcome space."""
     return _learn(samples, epsilon, space, model, "dsic")
+
+
+def learn_single_parameter(
+    samples: SampleSet, epsilon: float, space: OutcomeSpace
+) -> LearnedMechanism:
+    """The Myersonian auction of the ironed empirical marginals of m = 1
+    samples, whose values are additive; exactly IR and DSIC."""
+    return _learn(samples, epsilon, space, ValuationModel(tag="additive"), "single_parameter")
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import UsageError
-from .grid import DiscreteMarginal, GridSpec, SampleSet, empirical_marginal
-from .learner import LearnedMechanism
+from .grid import DiscreteMarginal, GridSpec
 from .mechanism import MechanismTable, ProfileDomain
 from .outcomes import OutcomeSpace, PricedOutcome
 
@@ -282,24 +281,3 @@ def single_parameter_table(
         payments=payments,
         meta={"pipeline": "myerson"},
     )
-
-
-def learn_single_parameter(
-    samples: SampleSet, epsilon: float, space: OutcomeSpace
-) -> LearnedMechanism:
-    """Rounding, empirical marginals, ironing, and the snapped Myersonian
-    auction, wrapped for real bids; exactly IR and DSIC."""
-    if samples.m != 1:
-        raise UsageError("single-parameter learning requires m = 1 samples")
-    if space.m != 1:
-        raise UsageError("single-parameter learning requires an m = 1 space")
-    spec = GridSpec(epsilon=epsilon, h=samples.h)
-    marginals = tuple(
-        (empirical_marginal(samples.cell(i, 0), spec),) for i in range(samples.n)
-    )
-    auction = MyersonAuction(
-        virtuals=tuple(iron(row[0]) for row in marginals), space=space
-    )
-    inner = single_parameter_table(auction, spec)
-    inner.meta.update({"mode": "dsic", "pipeline": "single_parameter"})
-    return LearnedMechanism(inner=inner, mode="dsic")

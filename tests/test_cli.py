@@ -7,6 +7,7 @@ from mechlearn import (
     GridSpec,
     MechanismTable,
     ProfileDomain,
+    deserialize_mechanism,
     enumerate_multi_item,
     serialize_mechanism,
 )
@@ -43,6 +44,18 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def _lower_top_payment(src, dst):
+    """Copy the mechanism file ``src`` to ``dst`` with its largest payment
+    halved at that one profile: a type whose value lies above the new price
+    gains by reporting that profile's type."""
+    mech = deserialize_mechanism(src.read_text())
+    pay = mech.payments
+    pay[np.unravel_index(np.argmax(pay), pay.shape)] /= 2
+    dst.write_text(serialize_mechanism(MechanismTable(
+        domain=mech.domain, space=mech.space, probs=mech.probs, payments=pay, meta=mech.meta
+    )))
+
+
 def test_oracle_eval_verify_round_trip(workdir, capsys):
     mech = workdir / "mech.json"
     assert cli_dispatch(
@@ -65,18 +78,25 @@ def test_learn_bic_writes_reproducible_mechanism(workdir):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_learn_from_samples_csv(workdir):
+def test_learn_from_samples_csv(workdir, capsys):
     from mechlearn.priors import prior_from_config, sample_prior
 
     prior = prior_from_config(json.loads((workdir / "prior.json").read_text()))
     samples = sample_prior(prior, 1, 2, 40, seed=11)
     samples.to_csv(str(workdir / "samples.csv"))
     out = workdir / "m.json"
-    assert cli_dispatch(
-        ["learn-bic", "--config", str(workdir / "inst.json"),
-         "--samples", str(workdir / "samples.csv"), "--out", str(out)]
-    ) == 0
-    assert out.exists()
+    argv = ["learn-bic", "--config", str(workdir / "inst.json"),
+            "--samples", str(workdir / "samples.csv"), "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    meta = deserialize_mechanism(out.read_text()).meta
+    assert (meta["samples"], meta["seed"]) == (40, None)  # the file records no seed
+    out.unlink()
+    capsys.readouterr()
+    assert cli_dispatch(argv + ["--seed", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: --seed does not apply to --samples, which were drawn already\n"
+    )
+    assert not out.exists()
 
 
 def test_learn_single_and_myerson_csv(workdir, tmp_path):
@@ -100,7 +120,7 @@ def test_learn_single_and_myerson_csv(workdir, tmp_path):
     assert len(lines) == 2 + 4  # two bidders, two support points each
 
 
-def test_nudge_subcommand(workdir):
+def test_nudge_subcommand(workdir, capsys):
     mech = workdir / "learned.json"
     assert cli_dispatch(
         ["learn-bic", "--config", str(workdir / "inst.json"), "--s", "60",
@@ -110,9 +130,14 @@ def test_nudge_subcommand(workdir):
     assert cli_dispatch(
         ["nudge", "--mech", str(mech), "--epsilon", "0.04", "--out", str(out)]
     ) == 0
-    assert cli_dispatch(
-        ["verify", "--mech", str(out), "--prior", str(workdir / "prior.json")]
-    ) == 0
+    assert deserialize_mechanism(out.read_text()).meta["dsic_regret_bound"] == 0.0
+    verify = ["verify", "--prior", str(workdir / "prior.json"), "--mech"]
+    capsys.readouterr()
+    assert cli_dispatch(verify + [str(out)]) == 0
+    assert capsys.readouterr().out.endswith("declared invariants hold\n")
+    _lower_top_payment(out, workdir / "tampered.json")
+    assert cli_dispatch(verify + [str(workdir / "tampered.json")]) == 3
+    assert "dsic_regret" in capsys.readouterr().err
 
 
 def test_sweep_golden_reproduction(workdir, tmp_path):
@@ -799,3 +824,31 @@ def test_cli_and_sweep_run_one_pipeline(tmp_path, capsys, mode):
     config = {"instance": instance, "mode": mode, "s_values": [30], "seeds": [2]}
     (row,) = run_sweep(ExperimentConfig.from_json(config)).rows
     assert repr(learned) == repr(row["learned_revenue"])
+
+
+def test_learn_single_declares_exact_dsic(tmp_path, capsys):
+    import hashlib
+
+    (tmp_path / "inst.json").write_text(json.dumps(SINGLE_INSTANCE))
+    prior = {"n": 2, "m": 1, "h": 2.0, **SINGLE_INSTANCE["prior"]}
+    (tmp_path / "prior.json").write_text(json.dumps(prior))
+    mech, tampered = tmp_path / "sp.json", tmp_path / "tampered.json"
+    assert cli_dispatch(
+        ["learn-single", "--config", str(tmp_path / "inst.json"), "--s", "200", "--seed", "7",
+         "--out", str(mech)]
+    ) == 0
+    text = mech.read_text().rstrip("\n")
+    rows = text[text.index('"rows":'):]
+    assert hashlib.sha256(rows.encode()).hexdigest() == (
+        "da7780f452bf06b878feea909076f2789e589e634b2e2430c989e5bc491b981a"
+    )
+    meta = deserialize_mechanism(text).meta
+    assert (meta["samples"], meta["seed"], meta["dsic_regret_bound"]) == (200, 7, 0.0)
+    assert (meta["mode"], meta["pipeline"]) == ("dsic", "single_parameter")
+    verify = ["verify", "--prior", str(tmp_path / "prior.json"), "--mech"]
+    capsys.readouterr()
+    assert cli_dispatch(verify + [str(mech)]) == 0
+    assert capsys.readouterr().out.endswith("declared invariants hold\n")
+    _lower_top_payment(mech, tampered)
+    assert cli_dispatch(verify + [str(tampered)]) == 3
+    assert "dsic_regret" in capsys.readouterr().err

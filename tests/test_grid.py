@@ -234,6 +234,7 @@ class TestSampleSetCsv:
         out.to_csv(str(path))
         back = SampleSet.from_csv(str(path), h=2.0)
         assert np.array_equal(back.values, out.values)
+        assert (out.rng_seed, back.rng_seed) == (3, None)  # a file records no seed
 
     def test_missing_directory_is_config_error(self, tmp_path):
         out = SampleSet(n=1, m=1, s=1, h=1.0, values=np.zeros((1, 1, 1)))
