@@ -100,8 +100,11 @@ def _load_model(args, mech):
 
 def _get_samples(args, bundle) -> SampleSet:
     if args.samples:
-        if args.seed is not None:
-            raise UsageError("--seed does not apply to --samples, which were drawn already")
+        for flag, value in (("--seed", args.seed), ("--s", args.s)):
+            if value is not None:
+                raise UsageError(
+                    f"{flag} does not apply to --samples, which were drawn already"
+                )
         return SampleSet.from_csv(args.samples, h=bundle.spec.h)
     if args.seed is None:
         raise UsageError("--seed is required when sampling from the prior")
@@ -130,12 +133,13 @@ def _cmd_oracle(args) -> int:
     instance, bundle = _load_instance(args.config)
     problem = grid_problem(bundle, args.mode, args.eta)
     solution = solve_optimal(problem, lp_dump=args.lp_dump)
-    _write_mechanism(
+    _write_mechanism(  # the oracle audits its own table against this bound
         args.out,
         solution.mechanism,
         config_hash=config_hash(instance),
         model=instance["model"],
         objective=repr(solution.objective_value),
+        **{f"{problem.ic_mode}_regret_bound": problem.eta},
     )
     print(f"objective {solution.objective_value!r}")
     print(f"wrote {args.out}")

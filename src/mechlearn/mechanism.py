@@ -738,32 +738,13 @@ _ENTRIES = '{"entries":['  # the start of a row
 # the end of a row's entries: its profile, then the next row's start or the
 # end of the text
 _ROW_END = re.compile(r'\],"profile":\[([^\]]*)\]\}(?:,\{"entries":\[|\Z)')
-_STR = r'"[^"\\\x00-\x1f]*"'  # a string with no escapes or control characters
-
-
-def _entry_pattern(n: int) -> re.Pattern:
-    """One entry with n payments. Groups: the outcome, p, the payment
-    strings, and what follows: a comma before the next entry of the same
-    entries text, NUL before the next text's, nothing at the end."""
-    return re.compile(
-        r'\{"outcome":(-?(?:0|[1-9][0-9]*)),"p":"([^"\\\x00-\x1f]*)",'
-        r'"pay":\[(' + _STR + r'(?:,' + _STR + r'){' + str(n - 1) + r'})\]\}([,\x00]?)'
-    )
+_ENTRY_KEYS = ("outcome", "p", "pay")
+# objects as tuples of their (key, value) pairs, so that a repeated key shows
+_ENTRIES_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def _layout_error(what: str) -> ParseError:
     return ParseError(f"mechanism file does not follow the layout {_LAYOUT}: {what}")
-
-
-def _numbers(texts: Sequence[str], where) -> np.ndarray:
-    """float() of each text; when one fails, every text goes through
-    ``_num_from_str``, so ``a/b`` parses and a bad number names ``where(i)``."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        return np.array(
-            [_num_from_str(s, where(i)) for i, s in enumerate(texts)], dtype=np.float64
-        )
 
 
 def deserialize_mechanism(text: str) -> MechanismTable:
@@ -772,14 +753,15 @@ def deserialize_mechanism(text: str) -> MechanismTable:
     The rows are read straight into arrays, a block of about
     ``DECODE_BLOCK_CHARS`` characters at a time, so they must follow the
     writer's layout and key order (``_LAYOUT``), with any JSON whitespace
-    between tokens and numbers as ``float()`` text or ``a/b``.
+    between tokens and numbers as JSON strings of ``float()`` text or ``a/b``.
     """
     try:
         return _decode_mechanism(text)
     except ParseError:
         raise
     except (
-        UsageError, KeyError, TypeError, ValueError, AttributeError, OverflowError
+        UsageError, KeyError, TypeError, ValueError, AttributeError, OverflowError,
+        RecursionError,  # JSON nested too deeply
     ) as exc:
         raise ParseError(f"mechanism file is not valid: {exc}") from exc
 
@@ -866,19 +848,13 @@ def _decode_rows(
     A block runs on to the next ``_ROW_BREAK``, without the comma after it,
     and is split at ``_ROW_END`` into each row's entries text and profile,
     which must tile it. Rows that repeat an entries text play its candidate
-    (see ``DECODE_DISTINCT_CHARS``). The texts a block sees first are joined
-    with NUL, which no entry holds, and split with the entry pattern; they
-    are checked as the whole text would be: their entries tile them, every
-    entry but a text's last ends with a comma, and each text is one run of
-    entries. In a text that passes these checks ``_ROW_BREAK`` occurs only
-    between rows, since no string or profile can hold it. So blocks accept
-    and refuse what one block would, in the same order of checks, and an
-    error names the same global row and entry numbers: the first row of a
-    text is the first row that can fail with it.
+    (see ``DECODE_DISTINCT_CHARS``); a text met for the first time is parsed
+    by ``_decode_entries``. Every entries text must be valid JSON on its own
+    and every profile the expected one, so text that passes is the JSON of
+    those rows, and an error names the first row that has the failing text,
+    whatever the block size.
     """
-    n = payments.shape[1]
-    pattern = _entry_pattern(n)
-    codes = {str(o): o for o in range(probs.shape[1])}
+    k, n = probs.shape[1], payments.shape[1]
     expected_profiles = _profile_texts(domain)  # runs on across blocks
     first_rows: dict[str, int] = {}  # a kept entries text: its first row's rank
     kept = 0  # characters of the kept texts
@@ -907,24 +883,6 @@ def _decode_rows(
         if keep:
             kept += sum(map(len, texts))
 
-        # the text between matches, then each match's four groups
-        parts = pattern.split("\x00".join(texts))
-        outcome, p, pay, sep = (parts[g::5] for g in range(1, 5))
-        tiled = not any(parts[::5])
-        del parts
-        if texts and not (
-            tiled and outcome and all(sep[:-1]) and not sep[-1]
-            and sep.count("\x00") == len(texts) - 1
-        ):
-            raise _layout_error("the rows text is not a list of such rows")
-
-        ends = np.fromiter(map(",".__ne__, sep), bool, len(sep))  # a text's last entry
-        owner = np.cumsum(ends) - ends  # each entry's text, by its order in texts
-        first = np.flatnonzero(np.concatenate([[True], ends[:-1]]))  # each text's entry 0
-
-        def where(j: int) -> str:
-            return f"row {row0 + new[owner[j]]} entry {j - first[owner[j]]}"
-
         expected = list(itertools.islice(expected_profiles, len(profiles)))
         bad = next(itertools.compress(
             itertools.count(), map(str.__ne__, profiles, expected)
@@ -936,38 +894,54 @@ def _decode_rows(
             )
         del expected
 
-        outs = np.fromiter(
-            map(codes.get, outcome, itertools.repeat(-1)), np.int64, len(outcome)
-        )
-        if (outs < 0).any():
-            j = int(np.argmax(outs < 0))
-            raise ParseError(f"{where(j)}: outcome {outcome[j]} outside the space")
-        p = _numbers(p, where)
-        pay = ",".join(pay)[1:-1].split('","') if pay else []
-        pay = _numbers(pay, lambda i: where(i // n)).reshape(-1, n)
-        disagree = (pay != pay[first[owner]]).any(axis=1)
-        if disagree.any():
-            j = int(np.argmax(disagree))
-            raise ParseError(
-                f"{where(j)}: payments {pay[j].tolist()} disagree with entry 0"
-            )
-        # each text's last entry, as a sequential read keeps
-        payments[c0 : c0 + len(texts)] = pay[ends]
-        np.add.at(probs, (c0 + owner, outs), p)
-        total = np.zeros(len(texts))
-        np.add.at(total, owner, p)  # in entry order, as a running sum
-        off = ~(np.abs(total - 1.0) <= 1e-9)
-        if off.any():
-            bad = int(np.argmax(off))
-            raise ParseError(
-                f"row {row0 + new[bad]}: lottery probabilities sum to {float(total[bad])!r}"
-            )
+        for c, (i, entries_text) in enumerate(zip(new.tolist(), texts), c0):
+            probs[c], payments[c] = _decode_entries(entries_text, row0 + i, k, n)
         row0 += len(profiles)
         c0 += len(texts)
         start = stop
     # each row's candidate: candidates are the rows that first play them
     src[:] = np.searchsorted(np.flatnonzero(src == np.arange(len(src))), src)
     return c0
+
+
+def _decode_entries(
+    text: str, rank: int, k: int, n: int
+) -> tuple[list[float], list[float]]:
+    """The lottery over ``k`` outcomes and the ``n`` payments of row
+    ``rank``'s entries text, the inside of its ``entries`` list, parsed with
+    one ``json.loads`` and read entry by entry as a ``json.loads`` of the
+    whole file would be: probabilities summed in entry order, every entry's
+    payments equal to entry 0's, and the last entry's kept."""
+    try:
+        entries = _ENTRIES_DECODER.decode(f"[{text}]")
+    except ValueError as exc:
+        raise _layout_error(f"row {rank}: the entries are not JSON: {exc}") from exc
+    lottery, total = [0.0] * k, 0.0
+    for e, entry in enumerate(entries):
+        where = f"row {rank} entry {e}"
+        if type(entry) is not tuple or len(entry) != 3:
+            raise _layout_error(f"{where} does not hold outcome, p and pay alone")
+        (ko, o), (kp, p), (kq, pay) = entry
+        if (ko, kp, kq) != _ENTRY_KEYS:
+            raise _layout_error(f"{where} does not hold outcome, p and pay alone")
+        if not (
+            type(o) is int and type(p) is str and type(pay) is list
+            and len(pay) == n and all(type(x) is str for x in pay)
+        ):
+            raise _layout_error(f"{where}: need an integer outcome, a string p, {n} payments")
+        if not 0 <= o < k:
+            raise ParseError(f"{where}: outcome {o} outside the space")
+        p = _num_from_str(p, where)
+        lottery[o] += p
+        total += p
+        pay = [_num_from_str(x, where) for x in pay]
+        if not e:
+            pay0 = pay
+        elif pay != pay0:
+            raise ParseError(f"{where}: payments {pay} disagree with entry 0")
+    if not abs(total - 1.0) <= 1e-9:
+        raise ParseError(f"row {rank}: lottery probabilities sum to {total!r}")
+    return lottery, pay
 
 
 def _header_int(header: dict, key: str) -> int:

@@ -102,13 +102,9 @@ def enumerate_multi_item(n: int, m: int) -> OutcomeSpace:
         raise CapacityError(
             f"multi-item space has {size} outcomes, over the {ENUMERATION_BUDGET} budget"
         )
-    alloc = np.zeros((size, n, m))
-    for o in range(size):
-        rem = o
-        for j in range(m):
-            digit = (rem // (n + 1) ** (m - 1 - j)) % (n + 1)
-            if digit > 0:
-                alloc[o, digit - 1, j] = 1.0
+    digits = np.indices((n + 1,) * m).reshape(m, size).T  # (size, m), item 0 first
+    bidders = np.arange(1, n + 1)[:, None]  # bidder i gets the items of digit i + 1
+    alloc = (digits[:, None, :] == bidders).astype(np.float64, order="C")
     return OutcomeSpace(kind="multi_item", n=n, m=m, alloc=alloc)
 
 

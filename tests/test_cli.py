@@ -852,3 +852,57 @@ def test_learn_single_declares_exact_dsic(tmp_path, capsys):
     _lower_top_payment(mech, tampered)
     assert cli_dispatch(verify + [str(tampered)]) == 3
     assert "dsic_regret" in capsys.readouterr().err
+
+
+def test_learn_from_samples_csv_refuses_a_sample_count(workdir, capsys):
+    from mechlearn.priors import prior_from_config, sample_prior
+
+    prior = prior_from_config(json.loads((workdir / "prior.json").read_text()))
+    sample_prior(prior, 1, 2, 40, seed=11).to_csv(str(workdir / "samples.csv"))
+    out = workdir / "m.json"
+    argv = ["learn-bic", "--config", str(workdir / "inst.json"),
+            "--samples", str(workdir / "samples.csv"), "--out", str(out)]
+    assert cli_dispatch(argv + ["--s", "500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --s does not apply to --samples, which were drawn already\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode_args, key, bound",
+    [(["--mode", "bic"], "bic_regret_bound", 0.0),
+     (["--mode", "dsic", "--eta", "0.5"], "dsic_regret_bound", 0.5)],
+    ids=["bic", "dsic"],
+)
+def test_verify_checks_an_oracle_file_against_its_eta(workdir, capsys, mode_args, key, bound):
+    mech, tampered = workdir / "o.json", workdir / "tampered.json"
+    assert cli_dispatch(
+        ["oracle", "--config", str(workdir / "inst.json"), "--out", str(mech)] + mode_args
+    ) == 0
+    assert deserialize_mechanism(mech.read_text()).meta[key] == bound
+    verify = ["verify", "--prior", str(workdir / "prior.json"), "--mech"]
+    capsys.readouterr()
+    assert cli_dispatch(verify + [str(mech)]) == 0
+    assert capsys.readouterr().out.endswith("declared invariants hold\n")
+    _lower_top_payment(mech, tampered)
+    assert cli_dispatch(verify + [str(tampered)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("invariant failure: ") and f"> declared {bound}" in err
+    assert key.replace("_bound", "") in err
+
+
+@pytest.mark.parametrize("where", ["meta", "entry"])
+def test_mechanism_json_nested_too_deeply_is_exit_one(workdir, capsys, where):
+    deep = "[" * 100_000 + "]" * 100_000
+    text = serialize_mechanism(posted_price_table(GridSpec(epsilon=0.25, h=2.0), 1.0, m=2))
+    if where == "meta":
+        text = text.replace('"meta":{}', '"meta":{"a":' + deep + "}", 1)
+    else:
+        text = text.replace('"p":"1.0"', '"p":' + deep, 1)
+    assert deep in text
+    (workdir / "m.json").write_text(text)
+    argv = ["verify", "--mech", str(workdir / "m.json"), "--prior", str(workdir / "prior.json")]
+    assert cli_dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: mechanism file is not valid: maximum recursion")

@@ -561,3 +561,54 @@ def test_decode_peak_memory_stays_under_one_and_a_half_arrays():
     assert peak < 1.5 * (probs.nbytes + payments.nbytes)
     assert back.probs.tobytes() == probs.tobytes()
     assert back.payments.tobytes() == payments.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Entries: each distinct entries text is read with json.loads, so JSON
+# escapes in its strings read as the reference reads them, while an entry
+# must still hold exactly the writer's keys.
+# ---------------------------------------------------------------------------
+
+
+def _one_item_text() -> str:
+    """Two rows: the point mass {"outcome":0,"p":"1.0","pay":["0.0"]} and a
+    two-entry lottery paying 1/3."""
+    return serialize_mechanism(MechanismTable(
+        domain=ProfileDomain.full_grid(GridSpec(epsilon=1.0, h=1.0), 1, 1),
+        space=enumerate_multi_item(1, 1),
+        probs=np.array([[1.0, 0.0], [0.25, 0.75]]),
+        payments=np.array([[0.0], [1 / 3]]),
+    ))
+
+
+@pytest.mark.parametrize("block", [10**9, SMALL_BLOCK])
+def test_json_escapes_in_number_strings_decode_as_the_reference(monkeypatch, block):
+    monkeypatch.setattr(mechanism, "DECODE_BLOCK_CHARS", block)
+    text = _one_item_text()
+    escaped = text.replace('"p":"1.0"', '"p":"\\u0031.0"').replace(
+        '"0.3333333333333333"', '"0.\\u0033333333333333333"'
+    ).replace('"0.75"', '"0\\u002e75"')
+    assert escaped.count("\\u") == 4
+    back = deserialize_mechanism(escaped)
+    assert_same_table(back, reference_deserialize(escaped))
+    assert serialize_mechanism(back) == text
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        '{"outcome":0,"p":"1.0","pay":["0.0"],"p":"1.0"}',
+        '{"outcome":0,"outcome":0,"p":"1.0","pay":["0.0"]}',
+        '{"outcome":0,"p":"1.0","pay":["0.0"],"note":1}',
+    ],
+    ids=["repeated_p", "repeated_outcome", "extra_key"],
+)
+def test_entries_with_repeated_or_extra_keys_are_refused(entry):
+    text = _one_item_text().replace('{"outcome":0,"p":"1.0","pay":["0.0"]}', entry, 1)
+    reference_deserialize(text)  # valid JSON of a document the reference reads
+    with pytest.raises(ParseError) as err:
+        deserialize_mechanism(text)
+    assert str(err.value).startswith(
+        'mechanism file does not follow the layout {"header":{...},"rows":['
+    )
+    assert "row 0 entry 0" in str(err.value)

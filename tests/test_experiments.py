@@ -1,5 +1,6 @@
 import itertools
 import os
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from mechlearn import (
 )
 from mechlearn.mechanism import deserialize_mechanism
 from mechlearn.experiments import (
+    MODES,
     ExperimentConfig,
     concentration_bound,
     concentration_experiment,
@@ -242,6 +244,30 @@ class TestSweep:
             gap = benchmark - float(learned.exact_revenue_on_atoms(prior))
             hits += gap <= bound
         assert hits / len(seeds) >= 0.9
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_regret_above_the_declared_bound_warns_in_every_mode(self, monkeypatch, mode):
+        from dataclasses import replace
+
+        from mechlearn import experiments
+
+        cfg = sweep_config(mode=mode, s_values=(20,), seeds=(0,))
+        if mode == "single_parameter":
+            cfg["instance"].update(n=2, m=1, space={"kind": "single_parameter"})
+        config = ExperimentConfig.from_json(cfg)
+        monkeypatch.delenv("MECHLEARN_WORKERS", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # within the declared bound: silent
+            run_sweep(config)
+        report = experiments.regret_report
+        monkeypatch.setattr(experiments, "regret_report", lambda *args: replace(
+            report(*args), bic_regret=10.0, dsic_regret=10.0
+        ))
+        # 2*m*eps for BIC, 4*m*eps for DSIC, exact for single-parameter
+        bound = {"bic": 1.0, "dsic": 2.0, "single_parameter": 0.0}[mode]
+        with pytest.warns(UserWarning, match=rf"regret 10.0 above the declared {bound} bound"):
+            (row,) = run_sweep(config).rows
+        assert row["regret"] == 10.0
 
     def test_worker_pool_matches_sequential(self, tmp_path):
         config = ExperimentConfig.from_json(sweep_config(s_values=(20,), seeds=(0, 1)))
