@@ -67,7 +67,7 @@ def _load_json(path: str) -> dict:
     text = read_text(path)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deeply
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
 
 

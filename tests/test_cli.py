@@ -289,6 +289,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["learn-bic", "--config", "{w}/deep.json", "--s", "5", "--seed", "1",
+             "--out", "{w}/o.json"],
+            ["eval", "--mech", "{w}/posted.json", "--prior", "{w}/deep.json"],
+            ["sweep", "--config", "{w}/deep.json", "--out", "{w}/sweep"],
+        ],
+        ids=["config", "prior", "sweep"],
+    )
+    def test_json_nested_too_deeply_is_usage_error(self, workdir, capsys, argv):
+        deep = '{"n":' + "[" * 100_000 + "]" * 100_000 + "}"
+        (workdir / "deep.json").write_text(deep)
+        mech = posted_price_table(GridSpec(0.25, 2.0), 1.0, m=2)
+        (workdir / "posted.json").write_text(serialize_mechanism(mech))
+        assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workdir / 'deep.json'}: invalid JSON: maximum recursion")
+        assert not (workdir / "o.json").exists() and not (workdir / "sweep").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["learn-bic", "--config", "{w}/inst.json", "--s", "20", "--seed", "1",
              "--out", "{w}/nodir/o.json"],
             ["concentrate", "--config", "{w}/conc.json", "--seed", "1",
