@@ -219,9 +219,6 @@ class MyersonAuction:
             )
         return chosen
 
-    def outcome_for_positions(self, positions: Sequence[int]) -> int:
-        return int(self._outcomes_at(tuple(p + 1 for p in positions)))
-
     def priced_outcome(self, positions: Sequence[int]) -> PricedOutcome:
         """Allocation plus ladder-threshold payments for support positions."""
         index = tuple(p + 1 for p in positions)

@@ -167,7 +167,7 @@ class TestRunMyerson:
                     for mine in range(t_i):
                         pos = [0, 0]
                         pos[i], pos[1 - i] = mine, other
-                        levels.append(alloc[auction.outcome_for_positions(pos), i])
+                        levels.append(alloc[auction.priced_outcome(pos).outcome, i])
                     assert all(a <= b + 1e-12 for a, b in zip(levels, levels[1:]))
 
     def test_payment_is_threshold_bid(self):
@@ -200,9 +200,9 @@ class TestRunMyerson:
                             vals[t]
                             for t in range(len(vals))
                             if alloc[
-                                auction.outcome_for_positions(
+                                auction.priced_outcome(
                                     [t if j == i else pos[j] for j in range(2)]
-                                ),
+                                ).outcome,
                                 i,
                             ]
                             == 1.0
