@@ -721,16 +721,17 @@ def extend_dsic(
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
         _, rest = domain.split_rank(k, supp[ranks])
         chosen = mech.src[domain.join_rank(k, best[t, rest], rest)]
-        # the witness scatters a row per profile: a BLAS product's summation
-        # order can depend on its row count (gemv for one row, gemm for more)
-        scattered = mech.rows_probs[chosen] @ np.eye(k_out)[closure.witness[:, k]]
         # one reply row per support row played, so that rows whose payments
         # differ only in the sign of a zero stay apart
-        rows, first, reply = np.unique(chosen, return_index=True, return_inverse=True)
+        rows, reply = np.unique(chosen, return_inverse=True)
         src[ranks] = sum(map(len, probs)) + reply
         if closure.zero_outcome is not None:
             src[ranks[top[t, rest] < 0.0]] = zero
-        probs.append(scattered[first])
+        # the witness moves each outcome's probability to its own, summed in
+        # outcome order whatever the number of rows
+        scattered = np.zeros((len(rows), k_out))
+        np.add.at(scattered.T, closure.witness[:, k], mech.rows_probs[rows].T)
+        probs.append(scattered)
         payments.append(np.where(np.arange(n) == k, mech.rows_pay[rows], 0.0))
 
     return MechanismTable(
