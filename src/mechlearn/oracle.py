@@ -1,31 +1,51 @@
 """Optimal mechanisms over explicit finite product priors, by LP.
 
-The decision variables are, per support profile, a lottery over outcomes and
-one payment per bidder. Feasibility means: lotteries sum to one, the
-mechanism is IR at every profile, and either exact interim (BIC) truthfulness
-or ex-post truthfulness up to a slack eta (DSIC mode) holds for deviations
-within the support. The objective is expected revenue under the prior.
+The decision variables are, per support profile, C nonnegative components
+and one payment per bidder. A component is a linear function of the
+profile's lottery on which every bidder's value is linear, and a per-profile
+feasibility block says which component vectors some lottery plays:
+
+* in general the K outcomes' probabilities, which sum to one;
+* for additive bidders on the ``multi_item`` space, each bidder's expected
+  share y[i, j] of each item j, n*m components with ``sum_i y[i, j] <= 1``
+  (the per-profile reduced form of Cai, Daskalakis and Weinberg, "An
+  algorithmic characterization of multi-dimensional mechanisms", STOC 2012).
+
+Bidder i's values per unit of each component, ``vals[i]``, are 0 off her own
+components, so every row below reads the components through ``vals`` alone.
+Feasibility further means: the mechanism is IR at every profile, and either
+exact interim (BIC) truthfulness or ex-post truthfulness up to a slack eta
+(DSIC mode) holds for deviations within the support. The objective is
+expected revenue under the prior.
+
+The optimum's components become lotteries again: outcome probabilities are
+normalized, and item shares are coupled comonotonically, one uniform draw u
+giving item j to the bidder whose interval of ``cumsum_i y[i, j]`` holds u
+and to nobody past the last. Between consecutive interval ends every item
+has one owner, so a row plays at most n*m + 1 outcomes, and each bidder's
+expected share of each item is y.
 
 In BIC mode each bidder's support type also gets interim variables, its
-expected lottery and payment over the others' profiles, each defined by one
-equality row; the BIC rows read only these, so a row has at most 2K + 2
-nonzeros (the reduced form of Cai, Daskalakis and Weinberg, without Border
-constraints).
+expected own components and payment over the others' profiles, each defined
+by one equality row; the BIC rows read only these, so a row has at most
+2 C_i + 2 nonzeros for bidder i's C_i own components (the reduced form of
+Cai, Daskalakis and Weinberg, without Border constraints).
 
 HiGHS solves the LP by row generation, since few IC rows bind, and only
 the rows HiGHS sees are ever built: ``--lp-dump`` is the one path that
 builds every row. One HiGHS model is built once and rows are only ever
 appended to it. The first rows are the IR rows and the IC rows violated by
-the IR-only optimum, in which each profile plays its welfare-maximizing
-outcome and every bidder pays their value for it; the equality rows come
-after them (with the equality rows first, HiGHS lands on a vertex that
-needs a second round on some sweep priors). Each later round appends every
-inactive row the last optimum violates by more than ``ROW_TOL`` and
-re-solves from the last basis, which the new rows leave valid, so HiGHS
-continues with the dual simplex instead of starting over. Rows are only
-added, so the loop ends; when no inactive row is violated, the last
-relaxation's optimum is feasible for the full LP and therefore optimal for
-it, and its duals on the added rows certify the objective.
+the IR-only optimum, in which each profile plays the components of its
+welfare-maximizing outcome and every bidder pays their value for it; the
+feasibility rows and then the interim rows come after them (with those
+first, HiGHS lands on a vertex that needs a second round on some sweep
+priors). Each later round appends every inactive row the last optimum
+violates by more than ``ROW_TOL`` and re-solves from the last basis, which
+the new rows leave valid, so HiGHS continues with the dual simplex instead
+of starting over. Rows are only added, so the loop ends; when no inactive
+row is violated, the last relaxation's optimum is feasible for the full LP
+and therefore optimal for it, and its duals on the added rows certify the
+objective.
 
 The violated rows are read off the point itself, not off a matrix: a DSIC
 row's left side is an ex-post utility gain, which ``expost_slabs`` yields
@@ -33,10 +53,11 @@ slab by slab as it does for the audit, and a BIC row's is an interim one,
 one small product of the point's interim columns.
 
 SciPy, its sparse matrices and its private HiGHS binding, is imported only
-inside the functions that build or solve an LP (``solve_optimal``, ``_base``,
-``_inequality_rows``, ``_entries`` and ``_interim_rows``), so importing this
-module, or running a command that solves no LP, loads no SciPy. Call
-``load_lp_layer`` to import it ahead of the first solve.
+inside the functions that build or solve an LP (``solve_optimal``,
+``_assemble``, ``_base``, ``_inequality_rows``, ``_entries`` and
+``_interim_rows``), so importing this module, or running a command that
+solves no LP, loads no SciPy. Call ``load_lp_layer`` to import it ahead of
+the first solve.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -67,7 +88,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Literal, NamedTuple
+from typing import TYPE_CHECKING, Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -134,6 +155,9 @@ class OracleProblem:
         return ProfileDomain(spec=self.prior.spec, supports=self.prior.supports())
 
     def check_budget(self) -> None:
+        """Raises ``CapacityError`` when the support table's R * K lottery
+        cells exceed ``VARIABLE_BUDGET``; they bound the LP's R * C
+        component columns, since C <= K."""
         lottery_vars = self.domain().num_profiles * self.space.num_outcomes
         if lottery_vars > VARIABLE_BUDGET:
             raise CapacityError(
@@ -164,22 +188,47 @@ class LpSolution:
             )
 
 
+class _Layout(NamedTuple):
+    """The C components of one profile (see the module docstring).
+
+    ``vals[i]`` (T_i, C) is bidder i's value per unit of each component, 0
+    off ``own[i]``, her own components, and ``values[i]`` (T_i, K) her
+    value for each outcome. The feasibility rows of a profile are ``feas
+    @ y == 1`` when ``equal`` and ``feas @ y <= 1`` otherwise, for the
+    (f, C) array ``feas``. ``comps`` maps an array of outcome indices to
+    their components, one more axis of length C, and ``lottery`` the (R,
+    C) components of an LP point to (R, K) lotteries."""
+
+    vals: list[np.ndarray]
+    own: list[np.ndarray]
+    values: list[np.ndarray]
+    feas: np.ndarray
+    equal: bool
+    comps: Callable[[np.ndarray], np.ndarray]
+    lottery: Callable[[np.ndarray], np.ndarray]
+
+
 class _Lp(NamedTuple):
     """The LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @
-    x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``; ``seed`` is
-    its IR-only optimum, ``vals[i]`` bidder i's (T_i, K) value table and
-    ``interim`` the interim column offsets. The solve path leaves ``a_ub``
-    and ``b_ub`` unset and builds their rows on demand with
-    ``_inequality_rows``; ``_assemble`` builds them all."""
+    x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``. The columns
+    are the ``layout`` components of every profile, then the payments, then
+    from ``interim[0]`` the interim columns, bidder i's from ``interim[i]``;
+    ``seed`` is the IR-only optimum.
+
+    ``a_ub`` ends with the feasibility rows that are inequalities and
+    ``a_eq`` starts with those that are equalities; its last rows define
+    the interim columns, one row each, in column order. The IR and IC rows
+    come first in ``a_ub``: the solve path leaves them out and builds them
+    on demand with ``_inequality_rows``; ``_assemble`` builds them all."""
 
     c: np.ndarray
-    a_ub: sp.csr_matrix | None
-    b_ub: np.ndarray | None
+    a_ub: sp.csr_matrix
+    b_ub: np.ndarray
     a_eq: sp.csr_matrix
     b_eq: np.ndarray
     bounds: np.ndarray
     seed: np.ndarray
-    vals: list[np.ndarray]
+    layout: _Layout
     interim: np.ndarray
 
 
@@ -199,13 +248,14 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     if lp_dump is not None:
         _dump_lp(lp_dump, problem, domain)
     base = _base(problem, domain)
-    r_profiles, k_out, n = domain.num_profiles, problem.space.num_outcomes, domain.n
-    n_x = r_profiles * k_out
+    r_profiles, n = domain.num_profiles, domain.n
+    n_x = r_profiles * base.layout.feas.shape[1]
 
     # Row generation (see the module docstring) on one live HiGHS model: the
     # IR rows, which come first, and the IC rows the IR-only optimum
-    # violates, then the equality rows, then each round's violated rows.
-    # active[i] marks bidder i's IC rows the model holds, one cell per row.
+    # violates, then the feasibility rows and the interim rows, then each
+    # round's violated rows. active[i] marks bidder i's IC rows the model
+    # holds, one cell per row.
     active = [np.zeros(_ic_shape(problem, domain, i), dtype=bool) for i in range(n)]
 
     def new_rows(x: np.ndarray, ir: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -222,11 +272,13 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     highs.changeColsCost(base.c.size, np.arange(base.c.size, dtype=np.int32), base.c)
     a_ub, b_ub = new_rows(base.seed, np.arange(r_profiles))
     _add_rows(highs, a_ub, -np.inf, b_ub)
+    _add_rows(highs, base.a_ub, -np.inf, base.b_ub)
     _add_rows(highs, base.a_eq, base.b_eq, base.b_eq)
-    b_rows = [b_ub, base.b_eq]  # the right sides of the model's rows, in order
+    b_rows = [b_ub, base.b_ub, base.b_eq]  # the right sides of the model's rows
     assembled = time.perf_counter()
-    nit = 0
+    nit = rounds = 0
     while True:
+        rounds += 1
         highs.run()
         status = highs.getModelStatus()
         if status == HighsModelStatus.kInfeasible:
@@ -248,17 +300,11 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         _add_rows(highs, a_ub, -np.inf, b_ub)
     solved = time.perf_counter()
 
-    probs = np.clip(x[:n_x].reshape(r_profiles, k_out), 0.0, None)
-    sums = probs.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
-        raise InvariantError("solver returned lotteries far from stochastic")
-    probs = probs / sums[:, None]
-    payments = x[n_x : base.interim[0]].reshape(r_profiles, n)
     mech = MechanismTable(
         domain=domain,
         space=problem.space,
-        probs=probs,
-        payments=payments,
+        probs=base.layout.lottery(x[:n_x].reshape(r_profiles, -1)),
+        payments=x[n_x : base.interim[0]].reshape(r_profiles, n),
         meta={"ic_mode": problem.ic_mode, "eta": problem.eta},
     )
 
@@ -266,19 +312,20 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     dual = float(np.asarray(result.row_dual) @ np.concatenate(b_rows))
     ir_rows = r_profiles * n
     ic_rows = sum(a.size - a.size // len(a) for a in active)  # off the diagonal
+    fixed_rows = base.a_ub.shape[0] + base.a_eq.shape[0]
     solution = LpSolution(
         mechanism=mech,
         objective_value=objective,
         solver_status="optimal",
         certificate=-dual,
         stats={
-            "rows": ir_rows + ic_rows + base.a_eq.shape[0],
+            "rows": ir_rows + ic_rows + fixed_rows,
             "cols": base.c.size,
-            "nnz": _ub_nnz(problem, domain, base.vals) + base.a_eq.nnz,
+            "nnz": _ub_nnz(problem, domain, base.layout.vals)
+            + base.a_ub.nnz + base.a_eq.nnz,
             "nit": nit,
-            "rounds": len(b_rows) - 1,
-            "active_rows": ir_rows + sum(int(a.sum()) for a in active)
-            + base.a_eq.shape[0],
+            "rounds": rounds,
+            "active_rows": ir_rows + sum(int(a.sum()) for a in active) + fixed_rows,
             "assemble_s": assembled - start,
             "solve_s": solved - assembled,
         },
@@ -291,8 +338,10 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
 def _assemble(
     problem: OracleProblem, domain: ProfileDomain
 ) -> tuple[_Lp, int, np.ndarray]:
-    """The full LP with every row built, the lottery column count and the
+    """The full LP with every row built, the component column count and the
     interim column offsets."""
+    import scipy.sparse as sp
+
     base = _base(problem, domain)
     every = []
     for i in range(domain.n):
@@ -303,32 +352,104 @@ def _assemble(
     a_ub, b_ub = _inequality_rows(
         problem, domain, base, np.arange(domain.num_profiles), every
     )
-    lp = base._replace(a_ub=a_ub, b_ub=b_ub)
-    return lp, domain.num_profiles * problem.space.num_outcomes, base.interim
+    lp = base._replace(
+        a_ub=sp.vstack([a_ub, base.a_ub], format="csr"),
+        b_ub=np.concatenate([b_ub, base.b_ub]),
+    )
+    return lp, domain.num_profiles * base.layout.feas.shape[1], base.interim
+
+
+def _layout(problem: OracleProblem, domain: ProfileDomain) -> _Layout:
+    """The components of ``problem``: additive bidders' item shares on the
+    ``multi_item`` space, else the outcomes."""
+    space, n = problem.space, domain.n
+    values = [domain_values(domain, space, problem.model, i) for i in range(n)]
+    if space.kind == "multi_item" and problem.model.tag == "additive":
+        m = space.m
+        shares = space.alloc.reshape(-1, n * m)  # each outcome's item shares
+        own = [np.arange(i * m, (i + 1) * m) for i in range(n)]
+        vals = [np.zeros((len(v), n * m)) for v in values]
+        for i, v in enumerate(vals):
+            v[:, own[i]] = domain.bidder_types(i) * domain.spec.epsilon
+        return _Layout(
+            vals=vals,
+            own=own,
+            values=values,
+            feas=np.tile(np.eye(m), n),  # row j: item j's shares
+            equal=False,
+            comps=lambda o: shares[o],
+            lottery=functools.partial(_coupled, n=n, m=m),
+        )
+    k_out = space.num_outcomes
+    return _Layout(
+        vals=values,
+        own=[np.arange(k_out)] * n,
+        values=values,
+        feas=np.ones((1, k_out)),
+        equal=True,
+        comps=lambda o: (np.asarray(o)[..., None] == np.arange(k_out)).astype(np.float64),
+        lottery=_normalized,
+    )
+
+
+def _normalized(probs: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of an LP point, clipped at 0 and normalized."""
+    probs = np.clip(probs, 0.0, None)
+    sums = probs.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > 1e-6:
+        raise InvariantError("solver returned lotteries far from stochastic")
+    return probs / sums[:, None]
+
+
+def _coupled(shares: np.ndarray, n: int, m: int) -> np.ndarray:
+    """(R, (n+1)^m) lotteries over the ``multi_item`` outcomes that give
+    each bidder i an expected share ``shares[r, i * m + j]`` of each item
+    j, by the comonotone coupling (see the module docstring). Shares are
+    clipped at 0, and an item's are scaled down if they sum past 1."""
+    r_profiles = len(shares)
+    y = np.clip(shares.reshape(r_profiles, n, m), 0.0, None)
+    total = y.sum(axis=1)  # (R, m)
+    if total.max() > 1.0 + 1e-6:
+        raise InvariantError("solver returned item shares far from feasible")
+    y /= np.maximum(total, 1.0)[:, None, :]
+    ends = np.cumsum(y, axis=1)  # (R, n, m): the right ends of the owners' intervals
+    cuts = np.minimum(np.sort(ends.reshape(r_profiles, -1), axis=1), 1.0)
+    zero, one = np.zeros((r_profiles, 1)), np.ones((r_profiles, 1))
+    starts = np.hstack([zero, cuts])  # (R, S): each segment's left end
+    widths = np.diff(np.hstack([starts, one]), axis=1)
+    # item j's owner on a segment: the number of ends at or before its left
+    # end, n for nobody, whose outcome digit is 0
+    owner = (ends[:, :, None, :] <= starts[:, None, :, None]).sum(axis=1)  # (R, S, m)
+    outcome = np.ravel_multi_index(
+        np.moveaxis((owner + 1) % (n + 1), 2, 0), (n + 1,) * m
+    )
+    probs = np.zeros((r_profiles, (n + 1) ** m))
+    np.add.at(probs, (np.arange(r_profiles)[:, None], outcome), widths)
+    return probs
 
 
 def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
-    """The LP without its inequality rows. Raises ``CapacityError`` first
+    """The LP without its IR and IC rows. Raises ``CapacityError`` first
     when the LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
     import scipy.sparse as sp
 
     problem.check_budget()
-    space = problem.space
+    layout = _layout(problem, domain)
     n = domain.n
     r_profiles = domain.num_profiles
-    k_out = space.num_outcomes
-    bound = _nnz_bound(problem, domain, k_out)
+    bound = _nnz_bound(problem, domain, layout)
     if bound > NNZ_BUDGET:
         raise CapacityError(
             f"the oracle LP has up to {bound} nonzeros, over the {NNZ_BUDGET} budget"
         )
-    n_x = r_profiles * k_out
+    n_f, n_comp = layout.feas.shape
+    n_x = r_profiles * n_comp
     # BIC mode adds, per bidder i and support type t, the interim columns
-    # pi_i(t, o) of every outcome o, then P_i(t); interim[i] is bidder i's
-    # first one and interim[n] the column count
+    # of her own components, then P_i(t); interim[i] is bidder i's first
+    # one and interim[n] the column count
     sizes = [
-        domain.bidder_type_count(i) * (k_out + 1) if problem.ic_mode == "bic" else 0
-        for i in range(n)
+        domain.bidder_type_count(i) * (len(own) + 1) if problem.ic_mode == "bic" else 0
+        for i, own in enumerate(layout.own)
     ]
     interim = n_x + r_profiles * n + np.cumsum([0] + sizes)
     n_vars = int(interim[-1])
@@ -341,38 +462,45 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     for i in range(n):
         profile_w *= weights[i][type_ranks[:, i]]
 
-    vals = [domain_values(domain, problem.space, problem.model, i) for i in range(n)]
-
     c = np.zeros(n_vars)
     for i in range(n):
         c[n_x + np.arange(r_profiles) * n + i] = -profile_w  # maximize revenue
 
-    # One equality row per profile: its lottery sums to one; then, in BIC
-    # mode, one per interim variable, defining it.
-    a_eq = [
-        sp.csr_matrix(
-            (np.ones(n_x), np.arange(n_x), np.arange(0, n_x + 1, k_out)),
-            shape=(r_profiles, n_vars),
-        )
-    ]
+    # The feasibility rows of every profile, with right side 1, as
+    # equalities or inequalities; then, in BIC mode, one equality row per
+    # interim variable, defining it, with right side 0.
+    n_defs = n_vars - int(interim[0])
+    row, col = np.nonzero(layout.feas)
+    feas = sp.csr_matrix(
+        (
+            np.tile(layout.feas[row, col], r_profiles),
+            (np.arange(r_profiles)[:, None] * n_comp + col).ravel(),
+            np.append(0, np.cumsum(np.tile(np.bincount(row, minlength=n_f), r_profiles))),
+        ),
+        shape=(r_profiles * n_f, n_vars),
+    )
+    empty = sp.csr_matrix((0, n_vars))
+    a_ub, eq = (empty, [feas]) if layout.equal else (feas, [])
     if problem.ic_mode == "bic":
-        a_eq.append(_interim_rows(domain, weights_frac, k_out, interim))
-    a_eq = sp.vstack(a_eq, format="csr")
-    b_eq = np.concatenate([np.ones(r_profiles), np.zeros(a_eq.shape[0] - r_profiles)])
+        eq.append(_interim_rows(domain, weights_frac, layout, interim))
+    a_eq = sp.vstack(eq, format="csr") if eq else empty
+    b_ub = np.ones(a_ub.shape[0])
+    b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
     bounds = np.tile([-np.inf, np.inf], (n_vars, 1))
     bounds[:n_x, 0] = 0.0
 
-    # IR-only optimum: each profile plays its welfare-maximizing outcome and
-    # every bidder pays their value for it; the interim columns then follow
-    # from their defining rows, which read them with coefficient 1.
-    own = [vals[i][type_ranks[:, i]] for i in range(n)]  # (R, K) per bidder
+    # IR-only optimum: each profile plays the components of its
+    # welfare-maximizing outcome and every bidder pays their value for it;
+    # the interim columns then follow from their defining rows, which read
+    # them with coefficient 1.
+    own = [v[type_ranks[:, i]] for i, v in enumerate(layout.values)]  # (R, K)
     best = np.argmax(sum(own), axis=1)
     seed = np.zeros(n_vars)
-    seed[np.arange(r_profiles) * k_out + best] = 1.0
+    seed[:n_x] = layout.comps(best).ravel()
     paid = [v[np.arange(r_profiles), best] for v in own]
     seed[n_x : interim[0]] = np.stack(paid, axis=1).ravel()
-    seed[interim[0] :] -= a_eq[r_profiles:] @ seed
-    return _Lp(c, None, None, a_eq, b_eq, bounds, seed, vals, interim)
+    seed[interim[0] :] -= a_eq[a_eq.shape[0] - n_defs :] @ seed
+    return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed, layout, interim)
 
 
 def _ic_shape(problem: OracleProblem, domain: ProfileDomain, i: int) -> tuple:
@@ -394,19 +522,20 @@ def _violated_rows(
     row's left side is the ex-post gain ``u[t, s, rest] - u[t, t, rest]``
     over ``expost_slabs``; a BIC row's is the interim gain, from one
     product of bidder i's interim columns: ``v_t . pi_s - P_s`` less its
-    truthful value."""
+    truthful value, where ``pi_s`` is the report's interim own components."""
     n, r_profiles = domain.n, domain.num_profiles
-    k_out = base.vals[0].shape[1]
+    n_x = r_profiles * base.layout.feas.shape[1]
     out = []
-    for i, vals in enumerate(base.vals):
+    for i, vals in enumerate(base.layout.vals):
         own = np.arange(len(vals))
         if problem.ic_mode == "bic":
-            block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, k_out + 1)
-            u = np.hstack([vals, -np.ones((len(vals), 1))]) @ block.T  # (T_i, T_i)
+            coef = _interim_coefs(base.layout, i)
+            block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, coef.shape[1])
+            u = coef @ block.T  # (T_i, T_i)
             out.append(u - u[own, own][:, None] > ROW_TOL)
             continue
-        probs = x[: r_profiles * k_out].reshape(-1, k_out)
-        pay = x[r_profiles * k_out : base.interim[0]].reshape(-1, n)[:, i]
+        probs = x[:n_x].reshape(r_profiles, -1)
+        pay = x[n_x : base.interim[0]].reshape(-1, n)[:, i]
         mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
         for r0, u in expost_slabs(domain, i, probs, pay, vals):  # (T_i, T_i, rest)
             u -= u[own, own][:, None]
@@ -442,17 +571,27 @@ def _ub_nnz(
     return int(total)
 
 
-def _nnz_bound(problem: OracleProblem, domain: ProfileDomain, k_out: int) -> int:
+def _nnz_bound(
+    problem: OracleProblem, domain: ProfileDomain, layout: _Layout | None = None
+) -> int:
     """Nonzeros the full LP can have at most: exact but for the BIC interim
     definitions, which skip rest profiles of zero weight."""
-    vals = [domain_values(domain, problem.space, problem.model, i) for i in range(domain.n)]
-    total = _ub_nnz(problem, domain, vals)
-    total += domain.num_profiles * k_out  # lotteries
+    if layout is None:
+        layout = _layout(problem, domain)
+    total = _ub_nnz(problem, domain, layout.vals)
+    total += domain.num_profiles * np.count_nonzero(layout.feas)  # feasibility
     if problem.ic_mode == "bic":  # the interim definitions
-        for i in range(domain.n):
+        for i, own in enumerate(layout.own):
             t_i = domain.bidder_type_count(i)
-            total += t_i * (k_out + 1) * (domain.num_profiles // t_i + 1)
+            total += t_i * (len(own) + 1) * (domain.num_profiles // t_i + 1)
     return int(total)
+
+
+def _interim_coefs(layout: _Layout, i: int) -> np.ndarray:
+    """(T_i, C_i + 1): bidder i's values of her own components, then -1,
+    the coefficients of an interim utility on her interim columns."""
+    vals = layout.vals[i][:, layout.own[i]]
+    return np.hstack([vals, -np.ones((len(vals), 1))])
 
 
 def _inequality_rows(
@@ -470,17 +609,16 @@ def _inequality_rows(
     the full LP as they are; ``_assemble`` picks every row.
 
     IR and DSIC rows are sums of terms (row, profile, bidder, true type,
-    coef). A term puts ``coef * v[o]`` on lottery variable (profile, o) for
-    every nonzero value ``v[o]`` of the true type, and ``-coef`` on the
+    coef). A term puts ``coef * v[c]`` on component variable (profile, c)
+    for every nonzero value ``v[c]`` of the true type, and ``-coef`` on the
     bidder's payment at the profile. A BIC row reads only the interim
     variables: ``v . (pi(report) - pi(true)) - P(report) + P(true) <= 0``.
     """
     import scipy.sparse as sp
 
     n, r_profiles = domain.n, domain.num_profiles
-    vals, interim = base.vals, base.interim
-    k_out = vals[0].shape[1]
-    n_x = r_profiles * k_out
+    vals, interim = base.layout.vals, base.interim
+    n_x = r_profiles * base.layout.feas.shape[1]
     bidders = np.arange(n)
     # IR: payment can never exceed the expected lottery value.
     ir_types = np.stack([domain.split_rank(i, ir)[0] for i in range(n)], axis=1)
@@ -493,13 +631,14 @@ def _inequality_rows(
         rows = row0 + np.arange(true.size)
         if problem.ic_mode == "bic":
             # interim utility of the report minus truthful, <= 0
-            coef = np.hstack([vals[i], -np.ones((len(vals[i]), 1))])[true]
-            col = interim[i] + np.arange(k_out + 1)
+            coef = _interim_coefs(base.layout, i)[true]
+            width = coef.shape[1]
+            col = interim[i] + np.arange(width)
             rows = np.broadcast_to(rows[:, None], coef.shape)
             nz = coef != 0.0
             interim_entries += [
-                (rows[nz], (report[:, None] * (k_out + 1) + col)[nz], coef[nz]),
-                (rows[nz], (true[:, None] * (k_out + 1) + col)[nz], -coef[nz]),
+                (rows[nz], (report[:, None] * width + col)[nz], coef[nz]),
+                (rows[nz], (true[:, None] * width + col)[nz], -coef[nz]),
             ]
             b_ub.append(np.zeros(true.size))
         else:
@@ -524,52 +663,54 @@ def _entries(
     entry, where building them all in one scope took about 100."""
     import scipy.sparse as sp
 
-    k_out = vals[0].shape[1]
+    n_comp = vals[0].shape[1]
     row, prof, bidder, t, coef = (
         np.concatenate(col)
         for col in zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms))
     )
     offsets = np.cumsum([0] + [len(v) for v in vals])
-    # each term's nonzero values, in outcome order
+    # each term's nonzero values, in component order
     v = sp.csr_matrix(np.concatenate(vals))[offsets[bidder] + t]
     per_term = np.diff(v.indptr)
     extra_rows, extra_cols, extra_data = zip(*extra) if extra else ((), (), ())
     data = np.concatenate([np.repeat(coef, per_term) * v.data, -coef, *extra_data])
     rows = np.concatenate([np.repeat(row, per_term), row, *extra_rows])
-    cols = [np.repeat(prof, per_term) * k_out + v.indices, n_x + prof * n + bidder]
+    cols = [np.repeat(prof, per_term) * n_comp + v.indices, n_x + prof * n + bidder]
     return data, (rows, np.concatenate(cols + list(extra_cols)))
 
 
 def _interim_rows(
     domain: ProfileDomain,
     weights_frac: list[list],
-    k_out: int,
+    layout: _Layout,
     interim: np.ndarray,
 ) -> sp.csr_matrix:
     """One equality row per interim variable, in column order, with right
-    side 0: ``pi_i(t, o) - sum_rest w(rest) x(join(i, t, rest), o)`` and
-    ``P_i(t) - sum_rest w(rest) p(join(i, t, rest), i)``."""
+    side 0: ``pi_i(t, c) - sum_rest w(rest) x(join(i, t, rest), c)`` for
+    each of bidder i's own components c, and ``P_i(t) - sum_rest w(rest)
+    p(join(i, t, rest), i)``."""
     import scipy.sparse as sp
 
     n, r_profiles = domain.n, domain.num_profiles
-    n_x = r_profiles * k_out
+    n_comp = layout.feas.shape[1]
+    n_x = r_profiles * n_comp
     entries = []  # (row, column, coef)
-    for i in range(n):
+    for i, own in enumerate(layout.own):
         t_i = domain.bidder_type_count(i)
         w = rest_weights(weights_frac, i)
         prof = domain.join_rank(i, np.arange(t_i)[:, None], np.arange(w.size))
-        # (T_i, R_rest, K + 1): x(prof, o) for each outcome o, then p(prof, i)
+        # (T_i, R_rest, C_i + 1): x(prof, c) for each own component c, then
+        # p(prof, i)
         cols = np.concatenate(
-            [prof[..., None] * k_out + np.arange(k_out), (n_x + prof * n + i)[..., None]],
-            axis=2,
+            [prof[..., None] * n_comp + own, (n_x + prof * n + i)[..., None]], axis=2
         )
-        own = np.arange(interim[i], interim[i + 1]).reshape(t_i, 1, k_out + 1)
+        defined = np.arange(interim[i], interim[i + 1]).reshape(t_i, 1, len(own) + 1)
         # a rest profile whose weight rounds to zero adds no entries
         keep = np.flatnonzero(w)
-        rows, cols = np.broadcast_arrays(own - interim[0], cols[:, keep])
+        rows, cols = np.broadcast_arrays(defined - interim[0], cols[:, keep])
         coef = np.broadcast_to(-w[keep][:, None], cols.shape)
         entries += [
-            (own.ravel() - interim[0], own.ravel(), np.ones(own.size)),
+            (defined.ravel() - interim[0], defined.ravel(), np.ones(defined.size)),
             (rows.ravel(), cols.ravel(), coef.ravel()),
         ]
     rows, cols, data = (np.concatenate(a) for a in zip(*entries))
@@ -749,14 +890,14 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
     format for external checking."""
     lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
-    k_out = problem.space.num_outcomes
 
     def var(j: int) -> str:
         if j < interim[0]:
             return f"x{j}" if j < n_x else f"p{j - n_x}"
         i = int(np.searchsorted(interim, j, side="right")) - 1
-        t, o = divmod(j - int(interim[i]), k_out + 1)
-        return f"ix{i}_{t}_{o}" if o < k_out else f"ip{i}_{t}"
+        width = len(lp.layout.own[i])
+        t, k = divmod(j - int(interim[i]), width + 1)
+        return f"ix{i}_{t}_{k}" if k < width else f"ip{i}_{t}"
 
     def expr(row: sp.csr_matrix) -> str:
         terms = []

@@ -732,8 +732,8 @@ class TestExitCodes:
                 "--out", str(workdir / "o.json")]
         assert cli_dispatch(argv) == 0
         capsys.readouterr()
-        # 4 profiles, 4 outcomes: the LP's nnz bound is in the hundreds
-        monkeypatch.setattr(oracle, "NNZ_BUDGET", 100)
+        # 4 profiles, 2 items: the LP's nnz bound is about a hundred
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", 50)
         assert cli_dispatch(argv) == 2
         assert "capacity error: the oracle LP has up to" in capsys.readouterr().err
 

@@ -490,7 +490,7 @@ def _pinned_mechanism(name: str) -> MechanismTable:
     "name, digest",
     [
         ("learned_dsic", "8cc16aa6ce993301be249c72c7f00e7665522dfb04d27f881b44f65e39bd9d45"),
-        ("learned_bic", "9eb4e859382c689251d7a95a38a2a8bbde8b8ae9c3bec6dc4bd930c3cc416698"),
+        ("learned_bic", "490ce72287084cfee5d738562b93fcee17aa7eabd2dd99cf5ba6dc54dd55c7b6"),
         ("support_n3", "63eea77a97575cc33f9a6e8b027ad8a6751a0b0321bee12baf4f4c699b375d38"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
     ],

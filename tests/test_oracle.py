@@ -245,10 +245,10 @@ class TestSolveOptimal:
     @pytest.mark.parametrize(
         "name, mode, digest",
         [
-            ("n2m2", "bic", "bad04ac03f871951d85975d61be9ef0f825e55ad47110ec9d03ec3874eb99a55"),
-            ("n2m2", "dsic", "8d2f0fe1af40c6bcb2f4cf500c19cb5ad2da3d5666112df88626b4819e2d5510"),
-            ("n3m1", "bic", "259945ca7e8ba971afbc3e5a125554d4d4645ee0ab1b063c4a2ce51bf18282eb"),
-            ("n3m1", "dsic", "42eccb12e74ba4c926ce45891fda41c9812f8d247d7f65e8174c252535a31ad6"),
+            ("n2m2", "bic", "f5882e3862aeda48ad4253ae4f23edf076a175cf63daa301dcdb26b31c7b8cd4"),
+            ("n2m2", "dsic", "2f1ce5bc998ca93c788473204759d4e074adc35161b16c6dfc0133584cf9aa7d"),
+            ("n3m1", "bic", "43d124b5e494da191f7aea5a4e26fd122c7d562802e276b27ce784020a6f69e1"),
+            ("n3m1", "dsic", "86e054a51e789b9f76111f0fea5dc444af709480d1905f86676f39b22afdc7da"),
         ],
     )
     def test_lp_dump_is_pinned(self, additive, tmp_path, name, mode, digest):
@@ -282,7 +282,8 @@ class TestSolveOptimal:
 
 
 def _lp_dump_instance(name, mode):
-    # the instances of test_lp_dump_is_pinned
+    # the instances of test_lp_dump_is_pinned; a name ending in
+    # "_unit_demand" takes that model, whose LP has outcome components
     spec = GridSpec(epsilon=1.0, h=2.0)
     cells = {
         "n2m2": [
@@ -294,12 +295,12 @@ def _lp_dump_instance(name, mode):
             [{0: Fraction(1, 2), 2: Fraction(1, 2)}],
             [{1: Fraction(1, 5), 2: Fraction(4, 5)}],
         ],
-    }[name]
+    }[name[:4]]
     n, m = len(cells), len(cells[0])
     return OracleProblem(
         prior=product_prior(spec, cells),
         space=enumerate_multi_item(n, m),
-        model=ValuationModel(tag="additive"),
+        model=ValuationModel(tag="unit_demand" if name.endswith("unit_demand") else "additive"),
         ic_mode=mode,
         eta=0.5 if mode == "dsic" else 0.0,
     )
@@ -316,28 +317,53 @@ def _dump_rows(path):
     return rows
 
 
+def _components(problem):
+    """Components per profile and each bidder's own ones: for additive
+    bidders on the multi-item space the n * m item shares, bidder i's m
+    being hers; otherwise the K outcomes, every one each bidder's."""
+    n, m, k_out = problem.space.n, problem.space.m, problem.space.num_outcomes
+    if problem.model.tag == "additive":
+        return n * m, [m] * n
+    return k_out, [k_out] * n
+
+
 class TestInterimLp:
-    @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
+    @pytest.mark.parametrize("name", ["n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"])
     def test_bic_rows_read_only_interim_variables(self, tmp_path, name):
         problem = _lp_dump_instance(name, "bic")
-        domain, k_out = problem.domain(), problem.space.num_outcomes
+        domain = problem.domain()
+        n_comp, own = _components(problem)
         path = tmp_path / "dump.lp"
         sol = solve_optimal(problem, lp_dump=str(path))
         rows = _dump_rows(path)
         ir_rows = domain.num_profiles * domain.n
-        ic = [rows[f"ub{r}"] for r in range(ir_rows, sum(k.startswith("ub") for k in rows))]
-        assert len(ic) == sum(
+        ic_rows = sum(
             domain.bidder_type_count(i) * (domain.bidder_type_count(i) - 1)
             for i in range(domain.n)
         )
+        ic = [rows[f"ub{r}"] for r in range(ir_rows, ir_rows + ic_rows)]
         for names in ic:
-            assert len(names) <= 2 * k_out + 2
+            assert len(names) <= 2 * max(own) + 2
             assert all(v.startswith(("ix", "ip")) for v in names)
-        # one defining row per interim variable, after the lottery rows
-        interim = sum(domain.bidder_type_count(i) for i in range(domain.n)) * (k_out + 1)
-        eq = [rows[f"eq{r}"] for r in range(domain.num_profiles, domain.num_profiles + interim)]
-        assert [names[-1] for names in eq[: k_out + 2]] == [
-            *(f"ix0_0_{o}" for o in range(k_out)), "ip0_0", "ix0_1_0"
+        # the feasibility rows, one per profile and item, <= 1, after the IC
+        # rows; or one per profile, = 1, before the interim definitions
+        additive = problem.model.tag == "additive"
+        n_ub, n_eq = (sum(k.startswith(kind) for k in rows) for kind in ("ub", "eq"))
+        feas = (
+            [rows[f"ub{r}"] for r in range(ir_rows + ic_rows, n_ub)]
+            if additive
+            else [rows[f"eq{r}"] for r in range(domain.num_profiles)]
+        )
+        assert len(feas) == domain.num_profiles * (domain.m if additive else 1)
+        for names in feas:
+            assert len(names) == (domain.n if additive else n_comp)
+            assert all(v.startswith("x") for v in names)
+        # one defining row per interim variable, in column order, the last rows
+        interim = sum(domain.bidder_type_count(i) * (c + 1) for i, c in enumerate(own))
+        eq = [rows[f"eq{r}"] for r in range(n_eq - interim, n_eq)]
+        assert ir_rows + ic_rows + len(feas) + len(eq) == len(rows)  # and no others
+        assert [names[-1] for names in eq[: own[0] + 2]] == [
+            *(f"ix0_0_{c}" for c in range(own[0])), "ip0_0", "ix0_1_0"
         ]
         assert sol.stats["rows"] == len(rows)
         assert sol.stats["nnz"] == sum(len(names) for names in rows.values())
@@ -346,25 +372,27 @@ class TestInterimLp:
     def test_stats_describe_the_lp(self, tmp_path, mode):
         from mechlearn.oracle import _nnz_bound
 
-        problem = _lp_dump_instance("n2m2", mode)
-        domain, k_out = problem.domain(), problem.space.num_outcomes
-        path = tmp_path / "dump.lp"
-        stats = solve_optimal(problem, lp_dump=str(path)).stats
-        assert set(stats) == {
-            "rows", "cols", "nnz", "nit", "rounds", "active_rows",
-            "assemble_s", "solve_s", "audit_s",
-        }
-        interim = sum(domain.bidder_type_count(i) for i in range(domain.n)) * (k_out + 1)
-        base = domain.num_profiles * (k_out + domain.n)
-        assert stats["cols"] == base + (interim if mode == "bic" else 0)
-        assert 0 < stats["nnz"] <= _nnz_bound(problem, domain, k_out)
-        # rows and nnz describe the full LP, as dumped, not the generated subset
-        rows = _dump_rows(path)
-        assert stats["rows"] == len(rows)
-        assert stats["nnz"] == sum(len(names) for names in rows.values())
-        assert 1 <= stats["rounds"] and stats["active_rows"] <= stats["rows"]
-        assert stats["nit"] > 0
-        assert min(stats["assemble_s"], stats["solve_s"], stats["audit_s"]) >= 0
+        for name in ("n2m2", "n2m2_unit_demand"):
+            problem = _lp_dump_instance(name, mode)
+            domain = problem.domain()
+            n_comp, own = _components(problem)
+            path = tmp_path / "dump.lp"
+            stats = solve_optimal(problem, lp_dump=str(path)).stats
+            assert set(stats) == {
+                "rows", "cols", "nnz", "nit", "rounds", "active_rows",
+                "assemble_s", "solve_s", "audit_s",
+            }
+            interim = sum(domain.bidder_type_count(i) * (c + 1) for i, c in enumerate(own))
+            base = domain.num_profiles * (n_comp + domain.n)
+            assert stats["cols"] == base + (interim if mode == "bic" else 0)
+            assert 0 < stats["nnz"] <= _nnz_bound(problem, domain)
+            # rows and nnz describe the full LP, as dumped, not the generated subset
+            rows = _dump_rows(path)
+            assert stats["rows"] == len(rows)
+            assert stats["nnz"] == sum(len(names) for names in rows.values())
+            assert 1 <= stats["rounds"] and stats["active_rows"] <= stats["rows"]
+            assert stats["nit"] > 0
+            assert min(stats["assemble_s"], stats["solve_s"], stats["audit_s"]) >= 0
 
     def test_stats_stay_out_of_the_mechanism_file(self):
         from mechlearn import LpSolution, serialize_mechanism
@@ -385,21 +413,21 @@ class TestInterimLp:
         from mechlearn import oracle
 
         problem = _lp_dump_instance("n2m2", mode)
-        bound = oracle._nnz_bound(problem, problem.domain(), problem.space.num_outcomes)
+        bound = oracle._nnz_bound(problem, problem.domain())
         monkeypatch.setattr(oracle, "NNZ_BUDGET", bound - 1)
         with pytest.raises(CapacityError, match="nonzeros"):
             solve_optimal(problem)
         monkeypatch.setattr(oracle, "NNZ_BUDGET", bound)
         solve_optimal(problem)
 
-    @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
+    @pytest.mark.parametrize("name", ["n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"])
     def test_nnz_bound_is_exact_in_dsic_mode(self, name):
         # IR, DSIC and lottery entries never share a (row, column), so the
         # bound counts each true type's nonzero values and payment exactly
         from mechlearn.oracle import _nnz_bound
 
         problem = _lp_dump_instance(name, "dsic")
-        bound = _nnz_bound(problem, problem.domain(), problem.space.num_outcomes)
+        bound = _nnz_bound(problem, problem.domain())
         assert bound == solve_optimal(problem).stats["nnz"]
 
     def test_nnz_budget_admits_the_shipped_configs(self):
@@ -423,9 +451,7 @@ class TestInterimLp:
                 problem = OracleProblem(
                     prior=prior, space=bundle.space, model=bundle.model, ic_mode=mode
                 )
-                bound = oracle._nnz_bound(
-                    problem, problem.domain(), bundle.space.num_outcomes
-                )
+                bound = oracle._nnz_bound(problem, problem.domain())
                 assert bound <= oracle.NNZ_BUDGET, (path.name, mode, bound)
                 checked += 1
         assert checked >= 14
@@ -545,13 +571,14 @@ class TestExtendBic:
 
 
 def _full_x(problem, sol, lp):
-    """The LP point of a solution: its lotteries and payments, then the
-    interim columns their defining rows give."""
-    r_profiles = problem.domain().num_profiles
+    """The LP point of a solution: the components its lotteries play and
+    its payments, then the interim columns their defining rows, the last
+    equality rows, give."""
     x = np.zeros(lp.c.size)
-    base = np.concatenate([sol.mechanism.probs.ravel(), sol.mechanism.payments.ravel()])
+    comps = sol.mechanism.probs @ lp.layout.comps(np.arange(problem.space.num_outcomes))
+    base = np.concatenate([comps.ravel(), sol.mechanism.payments.ravel()])
     x[: base.size] = base
-    x[base.size :] -= lp.a_eq[r_profiles:] @ x
+    x[base.size :] -= lp.a_eq[lp.a_eq.shape[0] - (x.size - base.size) :] @ x
     return x
 
 
@@ -674,9 +701,9 @@ class TestRowGeneration:
             assert np.array_equal(b_ub, lp.b_ub[ref])
 
     def test_solve_builds_no_full_inequality_matrix(self, additive):
-        # n = 2, m = 2, 36 types a bidder: the DSIC LP's full a_ub has 93 312
-        # rows and 1.1 M nonzeros; the solve path builds only the rows HiGHS
-        # sees, about 11 000 here
+        # n = 2, m = 2, 36 types a bidder: the DSIC LP's full a_ub has 95 904
+        # rows and 557 280 nonzeros; the solve path builds only the rows HiGHS
+        # sees, about 14 000 here
         import tracemalloc
 
         from mechlearn import oracle
@@ -717,6 +744,74 @@ class TestRowGeneration:
             prior = _empirical_prior(samples, bundle.spec)
             problem = OracleProblem(prior=prior, space=bundle.space, model=bundle.model)
             assert solve_optimal(problem).stats["rounds"] == 1
+
+
+class TestItemLayout:
+    """Additive bidders on the multi-item space: the LP's components are
+    the bidders' item shares, coupled back into lotteries."""
+
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        cells=st.lists(
+            st.dictionaries(st.integers(0, 2), st.integers(1, 4), min_size=1, max_size=3),
+            min_size=6,
+            max_size=6,
+        ),
+        mode=st.sampled_from(["bic", "dsic"]),
+        eta=st.sampled_from([0.0, 0.5]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_objective_equals_the_exact_simplex(self, n, m, cells, mode, eta):
+        from mechlearn.exactlp import OUTCOME_GUARD, PROFILE_GUARD
+
+        additive = ValuationModel(tag="additive")
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        cells = [
+            [{k: Fraction(w, sum(c.values())) for k, w in c.items()} for c in cells[i::n][:m]]
+            for i in range(n)
+        ]
+        prior = product_prior(spec, cells)
+        space = enumerate_multi_item(n, m)
+        eta = eta if mode == "dsic" else 0.0
+        problem = OracleProblem(prior=prior, space=space, model=additive, ic_mode=mode, eta=eta)
+        assume(problem.domain().num_profiles <= PROFILE_GUARD)
+        assert space.num_outcomes <= OUTCOME_GUARD
+        sol = solve_optimal(problem)
+        assert sol.stats["cols"] == problem.domain().num_profiles * (n * m + n) + (
+            sum(problem.domain().bidder_type_count(i) for i in range(n)) * (m + 1)
+            if mode == "bic" else 0
+        )
+        exact = brute_force_optimal(prior, space, additive, mode, eta)
+        assert sol.objective_value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+        rows = sol.mechanism.rows_probs
+        assert np.count_nonzero(rows, axis=1).max() <= n * m + 1
+
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        weights=st.lists(
+            st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0)),
+            min_size=4 * 3 * 5,
+            max_size=4 * 3 * 5,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_coupled_lotteries_play_the_shares(self, n, m, weights):
+        # Five profiles of shares y[i, j], each item's with what nobody gets:
+        # exact ties, zeros and whole items come up as well as floats.
+        from mechlearn.oracle import _coupled
+
+        w = np.array(weights).reshape(5, 4, 3)[:, : n + 1, :m]
+        total = w.sum(axis=1, keepdims=True)
+        y = np.divide(w, total, out=np.zeros_like(w), where=total > 0)[:, :n]
+        probs = _coupled(y.reshape(5, n * m), n, m)
+        space = enumerate_multi_item(n, m)
+        assert probs.shape == (5, space.num_outcomes) and probs.min() >= 0.0
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        shares = probs @ space.alloc.reshape(-1, n * m)
+        np.testing.assert_allclose(shares, y.reshape(5, n * m), rtol=0, atol=1e-12)
+        assert np.count_nonzero(probs, axis=1).max() <= n * m + 1
 
 
 class TestExtendDsic:
