@@ -326,7 +326,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--mode", choices=("bic", "dsic"), default="bic")
     p.add_argument(
-        "--eta", type=float, help="DSIC slack (default 2*m*epsilon; bic mode takes only 0)"
+        "--eta", type=float, help="IC slack, the right side of every IC row "
+        "(default 0 in bic mode, 2*m*epsilon in dsic mode)"
     )
     p.add_argument("--lp-dump", help="write the LP in text form")
     p.add_argument("--out", required=True)

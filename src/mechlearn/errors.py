@@ -93,12 +93,12 @@ def config_ints(value, key: str) -> tuple[int, ...]:
 @contextmanager
 def config_errors(path: str):
     """Interpret a config read from ``path``: a missing key, a value of the
-    wrong type or shape, or an unparsable number raises ConfigError naming
-    the file. Wrap only the interpretation, so that internal faults keep
-    their own exit code."""
+    wrong type or shape, or a number that cannot be parsed or is beyond
+    float range raises ConfigError naming the file. Wrap only the
+    interpretation, so that internal faults keep their own exit code."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
         raise ConfigError(
             f"{path}: malformed config: {type(exc).__name__}: {exc}"
         ) from exc

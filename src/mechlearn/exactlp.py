@@ -133,7 +133,9 @@ def brute_force_optimal(
     ic_mode: str = "bic",
     eta: float = 0.0,
 ) -> Fraction:
-    """Exact optimal objective of the oracle LP on a tiny instance."""
+    """Exact optimal objective of the oracle LP on a tiny instance: IR at
+    every profile, and every interim (BIC) or ex-post (DSIC) IC row with
+    right side ``eta``."""
     if ic_mode not in ("bic", "dsic"):
         raise UsageError(f"ic_mode must be 'bic' or 'dsic', got {ic_mode!r}")
     n, m = prior.n, prior.m
@@ -217,23 +219,21 @@ def brute_force_optimal(
         others = [x for x in range(n) if x != i]
         rests = list(itertools.product(*(bidder_types[x] for x in others)))
         for t, t_rep in itertools.permutations(bidder_types[i], 2):
-            if ic_mode == "bic":
-                row = {}
+            if ic_mode == "bic":  # one interim row
+                rows = [{}]
                 for rest in rests:
                     w = math.prod(
                         (type_prob(x, tx) for x, tx in zip(others, rest)),
                         start=Fraction(1),
                     )
                     if w:
-                        add_gain(row, i, t, t_rep, rest, w)
-                a_ub.append(row)
-                b_ub.append(Fraction(0))
-            else:
-                for rest in rests:
-                    row = {}
+                        add_gain(rows[0], i, t, t_rep, rest, w)
+            else:  # one ex-post row per rest
+                rows = [{} for _ in rests]
+                for row, rest in zip(rows, rests):
                     add_gain(row, i, t, t_rep, rest, Fraction(1))
-                    a_ub.append(row)
-                    b_ub.append(slack)
+            a_ub += rows
+            b_ub += [slack] * len(rows)
 
     nonneg = set(range(n_x))
     obj = simplex_maximize(c, a_eq, b_eq, a_ub, b_ub, nonneg)

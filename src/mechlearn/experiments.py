@@ -28,6 +28,7 @@ from ._version import TOOL_VERSION
 from .errors import (
     CapacityError,
     ConfigError,
+    DomainError,
     UsageError,
     config_int,
     config_ints,
@@ -392,13 +393,19 @@ def concentration_experiment(
         raise UsageError(f"f_values shape {f.shape} != support sizes {sizes}")
     if not 0 < h_f < math.inf:  # NaN fails it too
         raise UsageError(f"h_f must be positive and finite, got {h_f}")
-    if f.min() < -1e-12 or f.max() > h_f + 1e-12:
+    if not (f.min() >= -1e-12 and f.max() <= h_f + 1e-12):  # NaN fails it too
         raise UsageError(
             f"f must map into the declared range [0, {h_f}]; "
             f"observed [{f.min()}, {f.max()}]"
         )
-    if not 0 < epsilon < math.inf or s < 1 or trials < 1 or seed < 0:
-        raise UsageError("need finite epsilon > 0, s >= 1, trials >= 1, seed >= 0")
+    if not 0 < epsilon < math.inf or not 1 <= s < 2**63 or trials < 1 or seed < 0:
+        raise UsageError("need finite epsilon > 0, 1 <= s < 2**63, trials >= 1, seed >= 0")
+    if not marginals:
+        raise UsageError("need at least one marginal")
+    try:
+        bound = concentration_bound(h_f, epsilon, s)
+    except OverflowError:  # epsilon**2 or h_f**2
+        raise DomainError(f"the bound overflows at h_f {h_f} and epsilon {epsilon}") from None
     if trials * sum(sizes) > CONCENTRATION_BUDGET:
         raise CapacityError(
             f"{trials} trials over supports of sizes {sizes} draw "
@@ -431,7 +438,7 @@ def concentration_experiment(
         trials=trials,
         violations=violations,
         frequency=freq,
-        bound=concentration_bound(h_f, epsilon, s),
+        bound=bound,
         binomial_se=se,
     )
 
@@ -443,7 +450,7 @@ def profile_function_from_config(
     kind = obj.get("kind")
     sizes = tuple(len(m.support) for m in marginals)
     if kind == "constant":
-        c = float(obj.get("value", 0.0))
+        c = config_real(obj.get("value", 0.0), "value")
         if c < 0:
             raise ConfigError("constant f must be nonnegative")
         return np.full(sizes, c), max(c, 1.0)

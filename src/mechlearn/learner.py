@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_down_indices
 from .mechanism import (
     MechanismTable,
@@ -35,6 +35,7 @@ from .mechanism import (
 from .myerson import MyersonAuction, iron, single_parameter_table
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
+    ENUMERATION_BUDGET,
     OutcomeSpace,
     ValuationModel,
     check_weakly_downward_closed,
@@ -154,6 +155,12 @@ def _learn(
         if space.m != 1:
             raise UsageError("single-parameter learning requires an m = 1 space")
     spec = GridSpec(epsilon=epsilon, h=samples.h)
+    cells = samples.n * samples.m
+    if spec.levels**cells > ENUMERATION_BUDGET:  # the full grid's profiles
+        raise CapacityError(
+            f"the full grid has {spec.levels}^{cells} profiles, over the "
+            f"{ENUMERATION_BUDGET} budget"
+        )
     slack = regret_slack(samples.m, epsilon)
     if mode == "dsic":
         closure = check_weakly_downward_closed(space, model, spec)

@@ -122,8 +122,9 @@ class ProfileDomain:
 
     @property
     def is_full_grid(self) -> bool:
-        cell = tuple(range(self.spec.levels))
-        return all(c == cell for row in self.supports for c in row)
+        # a support cell is sorted, duplicate-free and on the grid, so it is
+        # the whole grid when it has as many points
+        return all(len(c) == self.spec.levels for row in self.supports for c in row)
 
     def bidder_type_count(self, i: int) -> int:
         out = 1

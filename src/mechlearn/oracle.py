@@ -13,10 +13,10 @@ feasibility block says which component vectors some lottery plays:
 
 Bidder i's values per unit of each component, ``vals[i]``, are 0 off her own
 components, so every row below reads the components through ``vals`` alone.
-Feasibility further means: the mechanism is IR at every profile, and either
-exact interim (BIC) truthfulness or ex-post truthfulness up to a slack eta
-(DSIC mode) holds for deviations within the support. The objective is
-expected revenue under the prior.
+Feasibility further means: the mechanism is IR at every profile, and
+interim (BIC mode) or ex-post (DSIC mode) truthfulness holds up to a slack
+eta for deviations within the support: eta is the right side of every IC
+row, in either mode. The objective is expected revenue under the prior.
 
 The optimum's components become lotteries again: outcome probabilities are
 normalized, and item shares are coupled comonotonically, one uniform draw u
@@ -146,8 +146,6 @@ class OracleProblem:
             raise UsageError(f"ic_mode must be 'bic' or 'dsic', got {self.ic_mode!r}")
         if not (math.isfinite(self.eta) and self.eta >= 0):
             raise UsageError(f"eta must be finite and nonnegative, got {self.eta}")
-        if self.ic_mode == "bic" and self.eta != 0:
-            raise UsageError(f"eta is a DSIC slack; BIC mode is exact, got eta {self.eta}")
         if (self.prior.n, self.prior.m) != (self.space.n, self.space.m):
             raise UsageError("prior and outcome space disagree on (n, m)")
 
@@ -240,7 +238,7 @@ def load_lp_layer() -> None:
 
 
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
-    """Revenue-maximal IR + (exact-BIC | eta-DSIC) mechanism on the support."""
+    """Revenue-maximal IR + (eta-BIC | eta-DSIC) mechanism on the support."""
     from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
     start = time.perf_counter()
@@ -515,8 +513,9 @@ def _ic_shape(problem: OracleProblem, domain: ProfileDomain, i: int) -> tuple:
 def _violated_rows(
     problem: OracleProblem, domain: ProfileDomain, base: _Lp, x: np.ndarray
 ) -> list[np.ndarray]:
-    """Per bidder, the cells (see ``_ic_shape``) of the IC rows that the LP
-    point ``x`` violates by more than ``ROW_TOL``.
+    """Per bidder, the cells (see ``_ic_shape``) of the IC rows whose gain
+    at the LP point ``x`` exceeds their right side ``problem.eta`` by more
+    than ``ROW_TOL``.
 
     ``x`` is read as the rows read it, unclipped and unnormalized. A DSIC
     row's left side is the ex-post gain ``u[t, s, rest] - u[t, t, rest]``
@@ -528,19 +527,20 @@ def _violated_rows(
     out = []
     for i, vals in enumerate(base.layout.vals):
         own = np.arange(len(vals))
+        mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
+        cells = mask.reshape(mask.shape[:2] + (-1,))  # (T_i, T_i, 1) in BIC mode
         if problem.ic_mode == "bic":
             coef = _interim_coefs(base.layout, i)
             block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, coef.shape[1])
-            u = coef @ block.T  # (T_i, T_i)
-            out.append(u - u[own, own][:, None] > ROW_TOL)
-            continue
-        probs = x[:n_x].reshape(r_profiles, -1)
-        pay = x[n_x : base.interim[0]].reshape(-1, n)[:, i]
-        mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
-        for r0, u in expost_slabs(domain, i, probs, pay, vals):  # (T_i, T_i, rest)
+            slabs = [(0, (coef @ block.T)[:, :, None])]  # (T_i, T_i, 1)
+        else:
+            probs = x[:n_x].reshape(r_profiles, -1)
+            pay = x[n_x : base.interim[0]].reshape(-1, n)[:, i]
+            slabs = expost_slabs(domain, i, probs, pay, vals)  # (T_i, T_i, rest)
+        for r0, u in slabs:
             u -= u[own, own][:, None]
             u -= problem.eta
-            np.greater(u, ROW_TOL, out=mask[:, :, r0 : r0 + u.shape[2]])
+            np.greater(u, ROW_TOL, out=cells[:, :, r0 : r0 + u.shape[2]])
         out.append(mask)
     return out
 
@@ -612,7 +612,8 @@ def _inequality_rows(
     coef). A term puts ``coef * v[c]`` on component variable (profile, c)
     for every nonzero value ``v[c]`` of the true type, and ``-coef`` on the
     bidder's payment at the profile. A BIC row reads only the interim
-    variables: ``v . (pi(report) - pi(true)) - P(report) + P(true) <= 0``.
+    variables: ``v . (pi(report) - pi(true)) - P(report) + P(true)``. Every
+    IC row has right side ``problem.eta``.
     """
     import scipy.sparse as sp
 
@@ -629,8 +630,9 @@ def _inequality_rows(
     row0 = ir.size * n
     for i, (true, report, *rest) in enumerate(picks):
         rows = row0 + np.arange(true.size)
+        b_ub.append(np.full(true.size, problem.eta))
         if problem.ic_mode == "bic":
-            # interim utility of the report minus truthful, <= 0
+            # interim utility of the report minus truthful, <= eta
             coef = _interim_coefs(base.layout, i)[true]
             width = coef.shape[1]
             col = interim[i] + np.arange(width)
@@ -640,9 +642,7 @@ def _inequality_rows(
                 (rows[nz], (report[:, None] * width + col)[nz], coef[nz]),
                 (rows[nz], (true[:, None] * width + col)[nz], -coef[nz]),
             ]
-            b_ub.append(np.zeros(true.size))
         else:
-            b_ub.append(np.full(true.size, problem.eta, dtype=np.float64))
             terms.append((rows, domain.join_rank(i, report, rest[0]), i, true, 1.0))
             terms.append((rows, domain.join_rank(i, true, rest[0]), i, true, -1.0))
         row0 += true.size
@@ -723,13 +723,10 @@ def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
     report = audit_over_domain(mech, problem.prior, problem.model)
     if report.ir_slack < -FEASIBILITY_TOL:
         raise InvariantError(f"oracle output violates IR: slack {report.ir_slack}")
-    if problem.ic_mode == "bic" and report.bic_regret > FEASIBILITY_TOL:
+    regret = getattr(report, f"{problem.ic_mode}_regret")
+    if regret > problem.eta + FEASIBILITY_TOL:
         raise InvariantError(
-            f"oracle output violates BIC: regret {report.bic_regret}"
-        )
-    if problem.ic_mode == "dsic" and report.dsic_regret > problem.eta + FEASIBILITY_TOL:
-        raise InvariantError(
-            f"oracle output violates {problem.eta}-DSIC: regret {report.dsic_regret}"
+            f"oracle output violates {problem.eta}-{problem.ic_mode.upper()}: regret {regret}"
         )
     recomputed = revenue(mech, problem.prior)
     if abs(recomputed - solution.objective_value) > 1e-8 * (

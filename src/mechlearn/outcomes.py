@@ -97,6 +97,10 @@ def enumerate_multi_item(n: int, m: int) -> OutcomeSpace:
     Ordering is mixed-radix: item 0 is the most significant digit and digit
     value 0 means unassigned, so outcome 0 is the empty allocation.
     """
+    if m >= ENUMERATION_BUDGET.bit_length():  # (n+1)^m >= 2^m: over without the power
+        raise CapacityError(
+            f"multi-item space has {n + 1}^{m} outcomes, over the {ENUMERATION_BUDGET} budget"
+        )
     size = (n + 1) ** m
     if size > ENUMERATION_BUDGET:
         raise CapacityError(
@@ -331,7 +335,12 @@ def space_from_config(obj: Mapping[str, Any], n: int, m: int) -> OutcomeSpace:
             raise ConfigError("single_parameter spaces require m = 1")
         if "allocations" in obj:
             return single_parameter_space(obj["allocations"])
-        # default: one indivisible item
+        # default: one indivisible item, n + 1 outcomes of n allocations
+        if (n + 1) * n > ENUMERATION_BUDGET:
+            raise CapacityError(
+                f"a single-item space for {n} bidders has {(n + 1) * n} "
+                f"allocations, over the {ENUMERATION_BUDGET} budget"
+            )
         alloc = np.vstack([np.zeros(n), np.eye(n)])
         return single_parameter_space(alloc)
     if kind == "custom":

@@ -31,6 +31,7 @@ from .errors import (
     config_real,
 )
 from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet, round_down
+from .outcomes import ENUMERATION_BUDGET
 
 __all__ = [
     "PriorCell",
@@ -229,6 +230,10 @@ def prior_from_config(obj: Mapping[str, Any]) -> PriorDescription:
         h = config_real(obj["h"], "h")
     except KeyError as exc:
         raise ConfigError(f"prior config missing key {exc}") from exc
+    if n * m > ENUMERATION_BUDGET:
+        raise CapacityError(
+            f"a {n}x{m} prior has {n * m} cells, over the {ENUMERATION_BUDGET} budget"
+        )
     if "cells" in obj:
         rows = obj["cells"]
         if len(rows) != n or any(len(r) != m for r in rows):

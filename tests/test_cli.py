@@ -675,14 +675,75 @@ class TestExitCodes:
             "bad.json", "inst.json", "posted.json", "prior.json"
         ]
 
-    def test_oracle_eta_in_bic_mode_is_usage_error(self, workdir, capsys):
+    def test_oracle_eta_in_bic_mode_runs_and_declares_its_bound(self, workdir, capsys):
+        # eta is the right side of the BIC rows as of the DSIC ones; with one
+        # bidder the two modes are the same LP
         out = workdir / "o.json"
-        argv = ["oracle", "--config", str(workdir / "inst.json"), "--mode", "bic",
-                "--out", str(out)]
-        assert cli_dispatch(argv + ["--eta", "0.5"]) == 1
-        assert "eta" in capsys.readouterr().err
+        argv = ["oracle", "--config", str(workdir / "inst.json"), "--out", str(out)]
+        verify = ["verify", "--mech", str(out), "--prior", str(workdir / "prior.json")]
+        for eta, objective in (("0.25", "2.4375"), ("0", "2.25")):
+            assert cli_dispatch(argv + ["--mode", "bic", "--eta", eta]) == 0
+            assert capsys.readouterr().out.startswith(f"objective {objective}\n")
+            assert deserialize_mechanism(out.read_text()).meta["bic_regret_bound"] == float(eta)
+            assert cli_dispatch(verify) == 0
+            assert capsys.readouterr().out.endswith("declared invariants hold\n")
+            assert cli_dispatch(argv + ["--mode", "dsic", "--eta", eta]) == 0
+            assert capsys.readouterr().out.startswith(f"objective {objective}\n")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(float("nan"), "f must map into the declared range [0, 1.0]; observed [nan, nan]"),
+         ("0.5", "value: '0.5' is not a number"),
+         (True, "value: True is not a number")],
+        ids=["nan", "string", "bool"],
+    )
+    def test_concentrate_bad_constant_f_is_usage_error(self, workdir, capsys, value, message):
+        conc = workdir / "conc.json"
+        conc.write_text(json.dumps(
+            {**CONCENTRATE, "f": {"kind": "constant", "value": value}, "h_f": 1.0}
+        ))
+        out = workdir / "c.csv"
+        argv = ["concentrate", "--config", str(conc), "--seed", "1", "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, body, message",
+        [
+            # 201^6 profiles: 513 TB of int64 ranks
+            *[(command, {**INSTANCE, "n": 3, "epsilon": 0.01, "prior": {
+                "family": "point_masses", "params": {"values": [1.0], "probs": ["1"]}}},
+               "the full grid has 201^6 profiles, over the 1000000 budget")
+              for command in ("learn-bic", "learn-dsic")],
+            # 9^12 profiles: a 2 TB Myerson table
+            ("learn-single", {**INSTANCE, "n": 12, "m": 1, "space": {"kind": "single_parameter"}},
+             "the full grid has 9^12 profiles, over the 1000000 budget"),
+            # an 8 TB identity matrix of allocations
+            ("learn-single", {**INSTANCE, "n": 10**6, "m": 1,
+                              "space": {"kind": "single_parameter"}},
+             "a single-item space for 1000000 bidders has 1000001000000 allocations"),
+        ],
+        ids=["learn_bic", "learn_dsic", "learn_single_n12", "learn_single_space"],
+    )
+    def test_full_grid_over_the_enumeration_budget_is_exit_two(
+        self, workdir, capsys, monkeypatch, command, body, message
+    ):
+        from mechlearn import learner
+
+        def no_lp(*args):
+            pytest.fail("a table over the budget must be refused before the LP")
+
+        monkeypatch.setattr(learner, "solve_optimal", no_lp)
+        big = workdir / "big.json"
+        big.write_text(json.dumps(body))
+        out = workdir / "o.json"
+        argv = [command, "--config", str(big), "--s", "5", "--seed", "1", "--out", str(out)]
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("capacity error: ") and message in err
         assert not out.exists()
-        assert cli_dispatch(argv + ["--eta", "0"]) == 0
 
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_oracle_non_finite_eta_is_usage_error(self, workdir, capsys, eta):

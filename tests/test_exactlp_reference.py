@@ -3,7 +3,8 @@
 ``_reference_simplex_maximize`` is the previous dense-tableau simplex and
 ``_reference_brute_force_optimal`` the previous oracle-LP assembly, with one
 coefficient loop for BIC rows and another for DSIC rows. Both are kept here
-verbatim. ``brute_force_optimal`` and ``simplex_maximize`` must return the
+verbatim, but for the right side of the BIC rows, which is eta as in the
+DSIC rows. ``brute_force_optimal`` and ``simplex_maximize`` must return the
 same rational, not an approximately equal one.
 """
 
@@ -255,7 +256,7 @@ def _reference_brute_force_optimal(
                         row[pvar(rd, i)] = row.get(pvar(rd, i), Fraction(0)) - w
                         row[pvar(rt, i)] = row.get(pvar(rt, i), Fraction(0)) + w
                     a_ub.append(row)
-                    b_ub.append(Fraction(0))
+                    b_ub.append(Fraction(eta))
     else:
         slack = Fraction(eta)
         for i in range(n):
@@ -313,10 +314,12 @@ def _random_cells(rng, n, m):
 
 INSTANCE_CASES = [
     (n, m, tag, mode, eta)
+    # the eta-BIC rows come last, so that each earlier case keeps its seed
+    for modes in ([("bic", 0.0, 4), ("dsic", 0.0, 2), ("dsic", 0.25, 2)], [("bic", 0.25, 2)])
     for n, m in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
     for tag in ("additive", "unit_demand")
     if not (m == 1 and tag == "unit_demand")
-    for mode, eta, repeats in [("bic", 0.0, 4), ("dsic", 0.0, 2), ("dsic", 0.25, 2)]
+    for mode, eta, repeats in modes
     for _ in range(repeats)
 ]
 

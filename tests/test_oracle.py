@@ -814,6 +814,64 @@ class TestItemLayout:
         assert np.count_nonzero(probs, axis=1).max() <= n * m + 1
 
 
+class TestEtaBic:
+    """eta is the right side of every IC row in both modes."""
+
+    def test_shipped_instance_matches_its_dsic_optima(self):
+        # one bidder: her interim and ex-post rows are the same rows
+        from mechlearn.experiments import build_instance, grid_problem
+
+        root = Path(__file__).resolve().parent.parent
+        bundle = build_instance(json.loads((root / "configs" / "instance.json").read_text()))
+        for eta, exact in [(0.0, Fraction(9, 4)), (0.25, Fraction(39, 16)), (1.0, Fraction(11, 4))]:
+            for mode in ("bic", "dsic"):
+                problem = grid_problem(bundle, mode, eta)
+                assert brute_force_optimal(
+                    problem.prior, bundle.space, bundle.model, mode, eta
+                ) == exact
+                assert solve_optimal(problem).objective_value == pytest.approx(float(exact), rel=1e-9)
+
+    @given(
+        n=st.integers(1, 2),
+        m=st.integers(1, 2),
+        cells=st.lists(
+            st.dictionaries(st.integers(0, 2), st.integers(1, 4), min_size=1, max_size=3),
+            min_size=4,
+            max_size=4,
+        ),
+        slack=st.sampled_from(["0", "epsilon", "2m epsilon"]),
+        unit_demand=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_objective_equals_the_exact_simplex(self, n, m, cells, slack, unit_demand):
+        from mechlearn.exactlp import OUTCOME_GUARD, PROFILE_GUARD
+
+        spec = GridSpec(epsilon=0.5, h=1.0)
+        eta = {"0": 0.0, "epsilon": spec.epsilon, "2m epsilon": 2 * m * spec.epsilon}[slack]
+        kept = 4 // (n * m) + 1  # two types a cell when n * m = 4: 16 profiles
+        rows = [[dict(list(c.items())[:kept]) for c in cells[i * m : (i + 1) * m]] for i in range(n)]
+        cells = [[{k: Fraction(w, sum(c.values())) for k, w in c.items()} for c in row]
+                 for row in rows]
+        prior = product_prior(spec, cells)
+        space = enumerate_multi_item(n, m)
+        model = ValuationModel(tag="unit_demand" if unit_demand else "additive")
+        problems = {
+            mode: OracleProblem(prior=prior, space=space, model=model, ic_mode=mode, eta=eta)
+            for mode in ("bic", "dsic")
+        }
+        assert problems["bic"].domain().num_profiles <= PROFILE_GUARD
+        assert space.num_outcomes <= OUTCOME_GUARD
+        bic, dsic = (solve_optimal(problems[mode]) for mode in ("bic", "dsic"))
+        exact = brute_force_optimal(prior, space, model, "bic", eta)
+        assert bic.objective_value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+        report = audit_over_domain(bic.mechanism, prior, model)
+        assert report.bic_regret <= eta + 1e-8
+        # every eta-DSIC mechanism is eta-BIC, and with one bidder the rows agree
+        assert bic.objective_value >= dsic.objective_value * (1 - 1e-9) - 1e-12
+        if n == 1:
+            assert bic.objective_value == pytest.approx(dsic.objective_value, rel=1e-9, abs=1e-12)
+
+
 class TestExtendDsic:
     def _two_bidder_solution(self, additive):
         spec = GridSpec(epsilon=1.0, h=2.0)
