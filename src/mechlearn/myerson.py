@@ -16,6 +16,7 @@ auction exactly IR and DSIC.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .grid import DiscreteMarginal, GridSpec
 from .mechanism import MechanismTable, ProfileDomain
 from .outcomes import OutcomeSpace, PricedOutcome
@@ -37,6 +38,10 @@ __all__ = [
     "single_parameter_table",
     "ironed_curve_rows",
 ]
+
+# Caps the cells of the position table, (support + 1)^n position profiles
+# times the larger of K and n; 10^8 float cells are 800 MB.
+POSITION_CELL_BUDGET = 10**8
 
 
 @dataclass(frozen=True)
@@ -180,10 +185,18 @@ class MyersonAuction:
         The chosen outcome is the first of the lexicographic maxima of
         (virtual welfare, total allocation) among the outcomes that give
         no non-participant any allocation; the total is negated when zero
-        ties do not allocate. Welfare is summed in bidder order.
+        ties do not allocate. Welfare is summed in bidder order. Raises
+        ``CapacityError`` first when the table is over
+        ``POSITION_CELL_BUDGET``.
         """
         alloc = self.space.alloc[:, :, 0]  # (K, n)
         shape = tuple(len(iv.support) + 1 for iv in self.virtuals)
+        cells = math.prod(shape) * max(alloc.shape)
+        if cells > POSITION_CELL_BUDGET:
+            raise CapacityError(
+                f"the Myerson position table has {cells} cells, over the "
+                f"{POSITION_CELL_BUDGET} budget"
+            )
         welfare = np.zeros(shape + alloc.shape[:1])
         feasible = np.ones(welfare.shape, dtype=bool)
         total = np.zeros(alloc.shape[0])

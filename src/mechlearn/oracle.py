@@ -1,9 +1,10 @@
 """Optimal mechanisms over explicit finite product priors, by LP.
 
 The decision variables are, per support profile, C nonnegative components
-and one payment per bidder. A component is a linear function of the
-profile's lottery on which every bidder's value is linear, and a per-profile
-feasibility block says which component vectors some lottery plays:
+and one nonnegative ex-post utility u per bidder. A component is a linear
+function of the profile's lottery on which every bidder's value is linear,
+and a per-profile feasibility block says which component vectors some
+lottery plays:
 
 * in general the K outcomes' probabilities, which sum to one;
 * for additive bidders on the ``multi_item`` space, each bidder's expected
@@ -13,33 +14,37 @@ feasibility block says which component vectors some lottery plays:
 
 Bidder i's values per unit of each component, ``vals[i]``, are 0 off her own
 components, so every row below reads the components through ``vals`` alone.
-Feasibility further means: the mechanism is IR at every profile, and
-interim (BIC mode) or ex-post (DSIC mode) truthfulness holds up to a slack
-eta for deviations within the support: eta is the right side of every IC
-row, in either mode. The objective is expected revenue under the prior.
+Bidder i pays her value for the profile's components less u(r, i), so the
+bound u >= 0 is IR at every profile and the LP has no IR rows. Interim (BIC
+mode) or ex-post (DSIC mode) truthfulness holds up to a slack eta for
+deviations within the support: eta is the right side of every IC row, in
+either mode. The objective is expected revenue under the prior, expected
+welfare less expected utility.
 
 The optimum's components become lotteries again: outcome probabilities are
 normalized, and item shares are coupled comonotonically, one uniform draw u
 giving item j to the bidder whose interval of ``cumsum_i y[i, j]`` holds u
 and to nobody past the last. Between consecutive interval ends every item
 has one owner, so a row plays at most n*m + 1 outcomes, and each bidder's
-expected share of each item is y.
+expected share of each item is y. Each payment is the bidder's value for the
+lottery the row plays less her utility, so the table is IR up to rounding.
 
 In BIC mode each bidder's support type also gets interim variables, its
-expected own components and payment over the others' profiles, each defined
-by one equality row; the BIC rows read only these, so a row has at most
-2 C_i + 2 nonzeros for bidder i's C_i own components (the reduced form of
-Cai, Daskalakis and Weinberg, without Border constraints).
+expected own components and utility over the others' profiles, each defined
+by one equality row; the BIC rows read only these (the reduced form of Cai,
+Daskalakis and Weinberg, without Border constraints). Truthful type t of
+bidder i reporting s gains ``(v_t - v_s) . y(s) + u(s) - u(t)``, on the
+report's components and utility at each profile in DSIC mode and on the
+interim ones in BIC mode, so an IC row has at most C_i + 2 nonzeros for
+bidder i's C_i own components.
 
 HiGHS solves the LP by row generation, since few IC rows bind, and only
 the rows HiGHS sees are ever built: ``--lp-dump`` is the one path that
 builds every row. One HiGHS model is built once and rows are only ever
-appended to it. The first rows are the IR rows and the IC rows violated by
-the IR-only optimum, in which each profile plays the components of its
-welfare-maximizing outcome and every bidder pays their value for it; the
-feasibility rows and then the interim rows come after them (with those
-first, HiGHS lands on a vertex that needs a second round on some sweep
-priors). Each later round appends every inactive row the last optimum
+appended to it. The first rows are the IC rows violated by the seed, in
+which each profile plays the components of its welfare-maximizing outcome
+at zero utility; the feasibility rows and then the interim rows come after
+them. Each later round appends every inactive row the last optimum
 violates by more than ``ROW_TOL`` and re-solves from the last basis, which
 the new rows leave valid, so HiGHS continues with the dual simplex instead
 of starting over. Rows are only added, so the loop ends; when no inactive
@@ -54,10 +59,9 @@ one small product of the point's interim columns.
 
 SciPy, its sparse matrices and its private HiGHS binding, is imported only
 inside the functions that build or solve an LP (``solve_optimal``,
-``_assemble``, ``_base``, ``_inequality_rows``, ``_entries`` and
-``_interim_rows``), so importing this module, or running a command that
-solves no LP, loads no SciPy. Call ``load_lp_layer`` to import it ahead of
-the first solve.
+``_assemble``, ``_base``, ``_inequality_rows`` and ``_interim_rows``), so
+importing this module, or running a command that solves no LP, loads no
+SciPy. Call ``load_lp_layer`` to import it ahead of the first solve.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -120,11 +124,12 @@ if TYPE_CHECKING:
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
 VARIABLE_BUDGET = 500_000
-# Caps the nonzeros of the full LP. Building all of them peaks about 100
-# bytes per nonzero above the interpreter (5.74 M nonzeros lifted the
-# process from 79 to 653 MB on a DSIC LP), so the cap holds ``--lp-dump``
-# near 1 GB. The solve path builds only the rows HiGHS sees, but row
-# generation may hand HiGHS every row, so the cap is checked before it too.
+# Caps the nonzeros of the full LP. Building all of them peaks about 50
+# bytes per nonzero above the interpreter (1.97 M nonzeros lifted the
+# process from 81 to 179 MB on a DSIC LP), so the cap holds the matrix of
+# ``--lp-dump`` near 500 MB. The solve path builds only the rows HiGHS sees,
+# but row generation may hand HiGHS every row, so the cap is checked before
+# it too.
 NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
 # An inactive row joins the LP once the last optimum violates it by more.
@@ -209,15 +214,16 @@ class _Layout(NamedTuple):
 class _Lp(NamedTuple):
     """The LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @
     x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``. The columns
-    are the ``layout`` components of every profile, then the payments, then
-    from ``interim[0]`` the interim columns, bidder i's from ``interim[i]``;
-    ``seed`` is the IR-only optimum.
+    are the ``layout`` components of every profile and the utilities, u(r,
+    i) at ``n_x + r * n + i``, all nonnegative, then from ``interim[0]``
+    the free interim columns, bidder i's from ``interim[i]``; ``seed`` is
+    the welfare-maximizing point at zero utility.
 
     ``a_ub`` ends with the feasibility rows that are inequalities and
     ``a_eq`` starts with those that are equalities; its last rows define
-    the interim columns, one row each, in column order. The IR and IC rows
-    come first in ``a_ub``: the solve path leaves them out and builds them
-    on demand with ``_inequality_rows``; ``_assemble`` builds them all."""
+    the interim columns, one row each, in column order. The IC rows come
+    first in ``a_ub``: the solve path leaves them out and builds them on
+    demand with ``_inequality_rows``; ``_assemble`` builds them all."""
 
     c: np.ndarray
     a_ub: sp.csr_matrix
@@ -250,25 +256,24 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     n_x = r_profiles * base.layout.feas.shape[1]
 
     # Row generation (see the module docstring) on one live HiGHS model: the
-    # IR rows, which come first, and the IC rows the IR-only optimum
-    # violates, then the feasibility rows and the interim rows, then each
-    # round's violated rows. active[i] marks bidder i's IC rows the model
-    # holds, one cell per row.
+    # IC rows the seed violates, then the feasibility rows and the interim
+    # rows, then each round's violated rows. active[i] marks bidder i's IC
+    # rows the model holds, one cell per row.
     active = [np.zeros(_ic_shape(problem, domain, i), dtype=bool) for i in range(n)]
 
-    def new_rows(x: np.ndarray, ir: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    def new_rows(x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
         picks = []
         for a, violated in zip(active, _violated_rows(problem, domain, base, x)):
             violated &= ~a
             a |= violated
             picks.append(np.nonzero(violated))
-        return _inequality_rows(problem, domain, base, ir, picks)
+        return _inequality_rows(problem, domain, base, picks)
 
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.addVars(base.c.size, base.bounds[:, 0], base.bounds[:, 1])
     highs.changeColsCost(base.c.size, np.arange(base.c.size, dtype=np.int32), base.c)
-    a_ub, b_ub = new_rows(base.seed, np.arange(r_profiles))
+    a_ub, b_ub = new_rows(base.seed)
     _add_rows(highs, a_ub, -np.inf, b_ub)
     _add_rows(highs, base.a_ub, -np.inf, base.b_ub)
     _add_rows(highs, base.a_eq, base.b_eq, base.b_eq)
@@ -291,24 +296,29 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         info, result = highs.getInfo(), highs.getSolution()
         nit += info.simplex_iteration_count
         x = np.asarray(result.col_value)
-        a_ub, b_ub = new_rows(x, np.arange(0))
+        a_ub, b_ub = new_rows(x)
         if not b_ub.size:
             break
         b_rows.append(b_ub)
         _add_rows(highs, a_ub, -np.inf, b_ub)
     solved = time.perf_counter()
 
+    # each bidder pays her value for the lottery played less her utility
+    probs = base.layout.lottery(x[:n_x].reshape(r_profiles, -1))
+    ranks = domain.type_ranks()
+    payments = -x[n_x : base.interim[0]].reshape(r_profiles, n)
+    for i, v in enumerate(base.layout.values):
+        payments[:, i] += np.einsum("rk,rk->r", probs, v[ranks[:, i]])
     mech = MechanismTable(
         domain=domain,
         space=problem.space,
-        probs=base.layout.lottery(x[:n_x].reshape(r_profiles, -1)),
-        payments=x[n_x : base.interim[0]].reshape(r_profiles, n),
+        probs=probs,
+        payments=payments,
         meta={"ic_mode": problem.ic_mode, "eta": problem.eta},
     )
 
     objective = -info.objective_function_value
     dual = float(np.asarray(result.row_dual) @ np.concatenate(b_rows))
-    ir_rows = r_profiles * n
     ic_rows = sum(a.size - a.size // len(a) for a in active)  # off the diagonal
     fixed_rows = base.a_ub.shape[0] + base.a_eq.shape[0]
     solution = LpSolution(
@@ -317,13 +327,12 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         solver_status="optimal",
         certificate=-dual,
         stats={
-            "rows": ir_rows + ic_rows + fixed_rows,
+            "rows": ic_rows + fixed_rows,
             "cols": base.c.size,
-            "nnz": _ub_nnz(problem, domain, base.layout.vals)
-            + base.a_ub.nnz + base.a_eq.nnz,
+            "nnz": _ub_nnz(problem, domain, base.layout) + base.a_ub.nnz + base.a_eq.nnz,
             "nit": nit,
             "rounds": rounds,
-            "active_rows": ir_rows + sum(int(a.sum()) for a in active) + fixed_rows,
+            "active_rows": sum(int(a.sum()) for a in active) + fixed_rows,
             "assemble_s": assembled - start,
             "solve_s": solved - assembled,
         },
@@ -347,9 +356,7 @@ def _assemble(
         own = np.arange(len(rows))
         rows[own, own] = False
         every.append(np.nonzero(rows))
-    a_ub, b_ub = _inequality_rows(
-        problem, domain, base, np.arange(domain.num_profiles), every
-    )
+    a_ub, b_ub = _inequality_rows(problem, domain, base, every)
     lp = base._replace(
         a_ub=sp.vstack([a_ub, base.a_ub], format="csr"),
         b_ub=np.concatenate([b_ub, base.b_ub]),
@@ -427,8 +434,8 @@ def _coupled(shares: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
-    """The LP without its IR and IC rows. Raises ``CapacityError`` first
-    when the LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
+    """The LP without its IC rows. Raises ``CapacityError`` first when the
+    LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
     import scipy.sparse as sp
 
     problem.check_budget()
@@ -443,7 +450,7 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     n_f, n_comp = layout.feas.shape
     n_x = r_profiles * n_comp
     # BIC mode adds, per bidder i and support type t, the interim columns
-    # of her own components, then P_i(t); interim[i] is bidder i's first
+    # of her own components, then U_i(t); interim[i] is bidder i's first
     # one and interim[n] the column count
     sizes = [
         domain.bidder_type_count(i) * (len(own) + 1) if problem.ic_mode == "bic" else 0
@@ -460,9 +467,11 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     for i in range(n):
         profile_w *= weights[i][type_ranks[:, i]]
 
+    # maximize revenue: expected welfare less expected utility
+    welfare = sum(v[type_ranks[:, i]] for i, v in enumerate(layout.vals))  # (R, C)
     c = np.zeros(n_vars)
-    for i in range(n):
-        c[n_x + np.arange(r_profiles) * n + i] = -profile_w  # maximize revenue
+    c[:n_x] = -(profile_w[:, None] * welfare).ravel()
+    c[n_x : interim[0]] = np.repeat(profile_w, n)
 
     # The feasibility rows of every profile, with right side 1, as
     # equalities or inequalities; then, in BIC mode, one equality row per
@@ -484,19 +493,17 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     a_eq = sp.vstack(eq, format="csr") if eq else empty
     b_ub = np.ones(a_ub.shape[0])
     b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
-    bounds = np.tile([-np.inf, np.inf], (n_vars, 1))
-    bounds[:n_x, 0] = 0.0
+    # the interim columns are free: bounded at 0, which their definitions
+    # imply, HiGHS takes more iterations
+    bounds = np.tile([0.0, np.inf], (n_vars, 1))
+    bounds[interim[0] :, 0] = -np.inf
 
-    # IR-only optimum: each profile plays the components of its
-    # welfare-maximizing outcome and every bidder pays their value for it;
-    # the interim columns then follow from their defining rows, which read
-    # them with coefficient 1.
-    own = [v[type_ranks[:, i]] for i, v in enumerate(layout.values)]  # (R, K)
-    best = np.argmax(sum(own), axis=1)
+    # The seed: each profile plays the components of its welfare-maximizing
+    # outcome at zero utility; the interim columns then follow from their
+    # defining rows, which read them with coefficient 1.
+    best = np.argmax(sum(v[type_ranks[:, i]] for i, v in enumerate(layout.values)), axis=1)
     seed = np.zeros(n_vars)
     seed[:n_x] = layout.comps(best).ravel()
-    paid = [v[np.arange(r_profiles), best] for v in own]
-    seed[n_x : interim[0]] = np.stack(paid, axis=1).ravel()
     seed[interim[0] :] -= a_eq[a_eq.shape[0] - n_defs :] @ seed
     return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed, layout, interim)
 
@@ -519,9 +526,11 @@ def _violated_rows(
 
     ``x`` is read as the rows read it, unclipped and unnormalized. A DSIC
     row's left side is the ex-post gain ``u[t, s, rest] - u[t, t, rest]``
-    over ``expost_slabs``; a BIC row's is the interim gain, from one
-    product of bidder i's interim columns: ``v_t . pi_s - P_s`` less its
-    truthful value, where ``pi_s`` is the report's interim own components."""
+    over ``expost_slabs``, whose payments are each profile's value for its
+    components less its utility; a BIC row's is the interim gain, from one
+    product of bidder i's interim columns: ``v_t . pi_s - v_s . pi_s + U_s``
+    less its truthful value ``U_t``, where ``pi_s`` is the report's interim
+    own components and ``U_s`` its interim utility."""
     n, r_profiles = domain.n, domain.num_profiles
     n_x = r_profiles * base.layout.feas.shape[1]
     out = []
@@ -530,12 +539,16 @@ def _violated_rows(
         mask = np.empty(_ic_shape(problem, domain, i), dtype=bool)
         cells = mask.reshape(mask.shape[:2] + (-1,))  # (T_i, T_i, 1) in BIC mode
         if problem.ic_mode == "bic":
-            coef = _interim_coefs(base.layout, i)
-            block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, coef.shape[1])
-            slabs = [(0, (coef @ block.T)[:, :, None])]  # (T_i, T_i, 1)
+            width = len(base.layout.own[i]) + 1
+            block = x[base.interim[i] : base.interim[i + 1]].reshape(-1, width)
+            u = vals[:, base.layout.own[i]] @ block[:, :-1].T  # v_t . pi_s
+            u += (block[:, -1] - np.diagonal(u))[None, :]
+            slabs = [(0, u[:, :, None])]  # (T_i, T_i, 1)
         else:
             probs = x[:n_x].reshape(r_profiles, -1)
-            pay = x[n_x : base.interim[0]].reshape(-1, n)[:, i]
+            t, _ = domain.split_rank(i, np.arange(r_profiles))
+            pay = np.einsum("rc,rc->r", probs, vals[t])
+            pay -= x[n_x : base.interim[0]].reshape(-1, n)[:, i]
             slabs = expost_slabs(domain, i, probs, pay, vals)  # (T_i, T_i, rest)
         for r0, u in slabs:
             u -= u[own, own][:, None]
@@ -554,21 +567,22 @@ def _add_rows(highs: _Highs, a: sp.csr_matrix, lower, upper: np.ndarray) -> None
     )
 
 
-def _ub_nnz(
-    problem: OracleProblem, domain: ProfileDomain, vals: list[np.ndarray]
-) -> int:
-    """Nonzeros of the full LP's inequality rows, exactly: IR, IC and
-    lottery entries never share a (row, column), and a row holds one term
-    per true type, its nonzero values and its payment, at each profile it
-    reads."""
+def _ub_nnz(problem: OracleProblem, domain: ProfileDomain, layout: _Layout) -> int:
+    """Nonzeros of the full LP's IC rows, exactly: row (t, s) of bidder i
+    holds ``v_t - v_s`` on each own component where the two values differ,
+    and two utilities, once per rest profile in DSIC mode."""
     total = 0
-    for i, v in enumerate(vals):
-        t_i = len(v)
-        rest = domain.num_profiles // t_i
-        terms = np.count_nonzero(v) + t_i
-        total += rest * terms  # IR
-        total += 2 * (t_i - 1) * terms * (1 if problem.ic_mode == "bic" else rest)
-    return int(total)
+    for i, own in enumerate(layout.own):
+        t_i = len(layout.vals[i])
+        # ordered pairs of types whose values of a component differ: all
+        # pairs but those within a group of equal values
+        differ = sum(
+            t_i * t_i - int(np.sum(np.unique(v, return_counts=True)[1] ** 2))
+            for v in layout.vals[i][:, own].T
+        )
+        rows = 1 if problem.ic_mode == "bic" else domain.num_profiles // t_i
+        total += rows * (differ + 2 * t_i * (t_i - 1))
+    return total
 
 
 def _nnz_bound(
@@ -578,7 +592,7 @@ def _nnz_bound(
     definitions, which skip rest profiles of zero weight."""
     if layout is None:
         layout = _layout(problem, domain)
-    total = _ub_nnz(problem, domain, layout.vals)
+    total = _ub_nnz(problem, domain, layout)
     total += domain.num_profiles * np.count_nonzero(layout.feas)  # feasibility
     if problem.ic_mode == "bic":  # the interim definitions
         for i, own in enumerate(layout.own):
@@ -587,96 +601,51 @@ def _nnz_bound(
     return int(total)
 
 
-def _interim_coefs(layout: _Layout, i: int) -> np.ndarray:
-    """(T_i, C_i + 1): bidder i's values of her own components, then -1,
-    the coefficients of an interim utility on her interim columns."""
-    vals = layout.vals[i][:, layout.own[i]]
-    return np.hstack([vals, -np.ones((len(vals), 1))])
-
-
 def _inequality_rows(
     problem: OracleProblem,
     domain: ProfileDomain,
     base: _Lp,
-    ir: np.ndarray,
     picks: list[tuple[np.ndarray, ...]],
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The IR rows of the profile ranks ``ir``, profile-major, then bidder
-    by bidder the IC rows ``picks[i]`` selects: index arrays of (true type,
-    report) in BIC mode or (true type, report, rest) in DSIC mode, as
-    ``np.nonzero`` gives them from a mask of ``_ic_shape``. Rows come in
-    the order of the full LP's, so every batch HiGHS gets holds the rows of
-    the full LP as they are; ``_assemble`` picks every row.
+    """Bidder by bidder, the IC rows ``picks[i]`` selects: index arrays of
+    (true type, report) in BIC mode or (true type, report, rest) in DSIC
+    mode, as ``np.nonzero`` gives them from a mask of ``_ic_shape``. Rows
+    come in the order of the full LP's, so every batch HiGHS gets holds the
+    rows of the full LP as they are; ``_assemble`` picks every row.
 
-    IR and DSIC rows are sums of terms (row, profile, bidder, true type,
-    coef). A term puts ``coef * v[c]`` on component variable (profile, c)
-    for every nonzero value ``v[c]`` of the true type, and ``-coef`` on the
-    bidder's payment at the profile. A BIC row reads only the interim
-    variables: ``v . (pi(report) - pi(true)) - P(report) + P(true)``. Every
-    IC row has right side ``problem.eta``.
-    """
+    Row (t, s) reads ``(v_t - v_s) . y(s) + u(s) - u(t) <= problem.eta``:
+    the nonzero value differences on the report's own components, +1 on
+    its utility and -1 on the truthful one, in column order. Those are the
+    columns of the profiles (s, rest) and (t, rest) in DSIC mode and the
+    interim columns of s and t in BIC mode."""
     import scipy.sparse as sp
 
-    n, r_profiles = domain.n, domain.num_profiles
-    vals, interim = base.layout.vals, base.interim
-    n_x = r_profiles * base.layout.feas.shape[1]
-    bidders = np.arange(n)
-    # IR: payment can never exceed the expected lottery value.
-    ir_types = np.stack([domain.split_rank(i, ir)[0] for i in range(n)], axis=1)
-    rows = np.arange(ir.size)[:, None] * n + bidders
-    terms = [(rows, ir[:, None], bidders, ir_types, -1.0)]
-    interim_entries = []  # (row, column, coef) of the BIC rows
-    b_ub = [np.zeros(ir.size * n)]
-    row0 = ir.size * n
+    n, layout, interim = domain.n, base.layout, base.interim
+    n_comp = layout.feas.shape[1]
+    n_x = domain.num_profiles * n_comp
+    blocks = []
     for i, (true, report, *rest) in enumerate(picks):
-        rows = row0 + np.arange(true.size)
-        b_ub.append(np.full(true.size, problem.eta))
+        own = layout.own[i]
+        vals = layout.vals[i][:, own]
         if problem.ic_mode == "bic":
-            # interim utility of the report minus truthful, <= eta
-            coef = _interim_coefs(base.layout, i)[true]
-            width = coef.shape[1]
-            col = interim[i] + np.arange(width)
-            rows = np.broadcast_to(rows[:, None], coef.shape)
-            nz = coef != 0.0
-            interim_entries += [
-                (rows[nz], (report[:, None] * width + col)[nz], coef[nz]),
-                (rows[nz], (true[:, None] * width + col)[nz], -coef[nz]),
-            ]
+            # bidder i's interim columns of type t start at interim[i] + t * width
+            width = len(own) + 1
+            comps = (interim[i] + report * width)[:, None] + np.arange(len(own))
+            u_report, u_true = (interim[i] + t * width + len(own) for t in (report, true))
         else:
-            terms.append((rows, domain.join_rank(i, report, rest[0]), i, true, 1.0))
-            terms.append((rows, domain.join_rank(i, true, rest[0]), i, true, -1.0))
-        row0 += true.size
-
-    a_ub = sp.coo_matrix(
-        _entries(terms, interim_entries, vals, n_x, n), shape=(row0, int(interim[-1]))
-    )
-    return a_ub.tocsr(), np.concatenate(b_ub)
-
-
-def _entries(
-    terms: list[tuple], extra: list[tuple], vals: list[np.ndarray], n_x: int, n: int
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """``(data, (rows, cols))`` of the terms' entries (see
-    ``_inequality_rows``), then of ``extra``, (row, column, coef) arrays.
-    A function of its own so that its temporaries are freed before the
-    caller builds the matrix: a batch of rows then peaks near 65 bytes per
-    entry, where building them all in one scope took about 100."""
-    import scipy.sparse as sp
-
-    n_comp = vals[0].shape[1]
-    row, prof, bidder, t, coef = (
-        np.concatenate(col)
-        for col in zip(*(map(np.ravel, np.broadcast_arrays(*term)) for term in terms))
-    )
-    offsets = np.cumsum([0] + [len(v) for v in vals])
-    # each term's nonzero values, in component order
-    v = sp.csr_matrix(np.concatenate(vals))[offsets[bidder] + t]
-    per_term = np.diff(v.indptr)
-    extra_rows, extra_cols, extra_data = zip(*extra) if extra else ((), (), ())
-    data = np.concatenate([np.repeat(coef, per_term) * v.data, -coef, *extra_data])
-    rows = np.concatenate([np.repeat(row, per_term), row, *extra_rows])
-    cols = [np.repeat(prof, per_term) * n_comp + v.indices, n_x + prof * n + bidder]
-    return data, (rows, np.concatenate(cols + list(extra_cols)))
+            prof = [domain.join_rank(i, t, rest[0]) for t in (report, true)]
+            comps = prof[0][:, None] * n_comp + own
+            u_report, u_true = (n_x + p * n + i for p in prof)
+        ones = np.ones((true.size, 1))
+        data = np.hstack([vals[true] - vals[report], ones, -ones])
+        cols = np.hstack([comps, u_report[:, None], u_true[:, None]])
+        keep = data != 0.0
+        indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=1)))
+        shape = (true.size, int(interim[-1]))
+        blocks.append(sp.csr_matrix((data[keep], cols[keep], indptr), shape=shape))
+    a_ub = sp.vstack(blocks, format="csr")
+    a_ub.sort_indices()  # each row's terms in column order
+    return a_ub, np.full(a_ub.shape[0], problem.eta)
 
 
 def _interim_rows(
@@ -687,8 +656,8 @@ def _interim_rows(
 ) -> sp.csr_matrix:
     """One equality row per interim variable, in column order, with right
     side 0: ``pi_i(t, c) - sum_rest w(rest) x(join(i, t, rest), c)`` for
-    each of bidder i's own components c, and ``P_i(t) - sum_rest w(rest)
-    p(join(i, t, rest), i)``."""
+    each of bidder i's own components c, and ``U_i(t) - sum_rest w(rest)
+    u(join(i, t, rest), i)``."""
     import scipy.sparse as sp
 
     n, r_profiles = domain.n, domain.num_profiles
@@ -700,7 +669,7 @@ def _interim_rows(
         w = rest_weights(weights_frac, i)
         prof = domain.join_rank(i, np.arange(t_i)[:, None], np.arange(w.size))
         # (T_i, R_rest, C_i + 1): x(prof, c) for each own component c, then
-        # p(prof, i)
+        # u(prof, i)
         cols = np.concatenate(
             [prof[..., None] * n_comp + own, (n_x + prof * n + i)[..., None]], axis=2
         )
@@ -884,17 +853,18 @@ def extend_dsic(
 
 def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
     """Build the full LP, every row of it, and write it in CPLEX LP text
-    format for external checking."""
+    format for external checking. The components and utilities have the
+    format's default bounds, ``>= 0``; the interim columns are free."""
     lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
 
     def var(j: int) -> str:
         if j < interim[0]:
-            return f"x{j}" if j < n_x else f"p{j - n_x}"
+            return f"x{j}" if j < n_x else f"u{j - n_x}"
         i = int(np.searchsorted(interim, j, side="right")) - 1
         width = len(lp.layout.own[i])
         t, k = divmod(j - int(interim[i]), width + 1)
-        return f"ix{i}_{t}_{k}" if k < width else f"ip{i}_{t}"
+        return f"ix{i}_{t}_{k}" if k < width else f"iu{i}_{t}"
 
     def expr(row: sp.csr_matrix) -> str:
         terms = []
@@ -918,6 +888,6 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
         for r in range(a_eq.shape[0])
     ]
     lines.append("Bounds")
-    lines += [f" {var(j)} free" for j in range(n_x, len(c))]
+    lines += [f" {var(j)} free" for j in range(int(interim[0]), len(c))]
     lines.append("End")
     write_text(path, "\n".join(lines) + "\n")

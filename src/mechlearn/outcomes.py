@@ -106,6 +106,11 @@ def enumerate_multi_item(n: int, m: int) -> OutcomeSpace:
         raise CapacityError(
             f"multi-item space has {size} outcomes, over the {ENUMERATION_BUDGET} budget"
         )
+    if size * n * m > ENUMERATION_BUDGET:
+        raise CapacityError(
+            f"multi-item space has {size} outcomes of {n * m} allocation cells, "
+            f"{size * n * m} in all, over the {ENUMERATION_BUDGET} budget"
+        )
     digits = np.indices((n + 1,) * m).reshape(m, size).T  # (size, m), item 0 first
     bidders = np.arange(1, n + 1)[:, None]  # bidder i gets the items of digit i + 1
     alloc = (digits[:, None, :] == bidders).astype(np.float64, order="C")

@@ -745,6 +745,35 @@ class TestExitCodes:
         assert err.startswith("capacity error: ") and message in err
         assert not out.exists()
 
+    def test_myerson_position_table_over_its_budget_is_exit_two(self, workdir, capsys):
+        # 2^19 grid profiles pass the full-grid budget, but 19 bidders with
+        # two support values each have 3^19 position profiles: 173 GiB of
+        # welfare over 20 outcomes
+        import tracemalloc
+
+        big = workdir / "big.json"
+        big.write_text(json.dumps({
+            **INSTANCE, "n": 19, "m": 1, "epsilon": 1.0, "h": 1.0,
+            "space": {"kind": "single_parameter"},
+            "prior": {"family": "discrete_on_grid",
+                      "params": {"values": [0.0, 1.0], "probs": ["1/2", "1/2"]}},
+        }))
+        out = workdir / "o.json"
+        argv = ["learn-single", "--config", str(big), "--s", "50", "--seed", "1",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert cli_dispatch(argv) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err == (
+            f"capacity error: the Myerson position table has {3**19 * 20} cells, "
+            "over the 100000000 budget\n"
+        )
+        assert peak < 64 << 20 and not out.exists()
+
     @pytest.mark.parametrize("eta", ["nan", "inf"])
     def test_oracle_non_finite_eta_is_usage_error(self, workdir, capsys, eta):
         out = workdir / "o.json"
@@ -793,8 +822,8 @@ class TestExitCodes:
                 "--out", str(workdir / "o.json")]
         assert cli_dispatch(argv) == 0
         capsys.readouterr()
-        # 4 profiles, 2 items: the LP's nnz bound is about a hundred
-        monkeypatch.setattr(oracle, "NNZ_BUDGET", 50)
+        # 4 profiles, 2 items: the LP's nnz bound is 72 (bic) or 48 (dsic)
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", 40)
         assert cli_dispatch(argv) == 2
         assert "capacity error: the oracle LP has up to" in capsys.readouterr().err
 

@@ -489,9 +489,9 @@ def _pinned_mechanism(name: str) -> MechanismTable:
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("learned_dsic", "8cc16aa6ce993301be249c72c7f00e7665522dfb04d27f881b44f65e39bd9d45"),
-        ("learned_bic", "490ce72287084cfee5d738562b93fcee17aa7eabd2dd99cf5ba6dc54dd55c7b6"),
-        ("support_n3", "63eea77a97575cc33f9a6e8b027ad8a6751a0b0321bee12baf4f4c699b375d38"),
+        ("learned_dsic", "5777a925bb18b9ed11f5b45e79e0f0ac7144c07a7729ccc004f7232a40811c17"),
+        ("learned_bic", "ec502ed6a6d2b85b5eaf9d8c96a26af6a1c04188b2bb0ba2369ea07064b5d6c6"),
+        ("support_n3", "834b524ef1975c052bf18e25cbe35f54fd12f17eb168dbfde904895720257128"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
     ],
 )

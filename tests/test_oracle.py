@@ -245,10 +245,10 @@ class TestSolveOptimal:
     @pytest.mark.parametrize(
         "name, mode, digest",
         [
-            ("n2m2", "bic", "f5882e3862aeda48ad4253ae4f23edf076a175cf63daa301dcdb26b31c7b8cd4"),
-            ("n2m2", "dsic", "2f1ce5bc998ca93c788473204759d4e074adc35161b16c6dfc0133584cf9aa7d"),
-            ("n3m1", "bic", "43d124b5e494da191f7aea5a4e26fd122c7d562802e276b27ce784020a6f69e1"),
-            ("n3m1", "dsic", "86e054a51e789b9f76111f0fea5dc444af709480d1905f86676f39b22afdc7da"),
+            ("n2m2", "bic", "6ac9fbccf9225031193dede439e5b5af555f3d1a92149a1483e10b4831049505"),
+            ("n2m2", "dsic", "52cdef0c47f30c9ee0ccc893d05025f96030ca62a8c6cb78e7095529a0b80f8c"),
+            ("n3m1", "bic", "280bb721108b90ec192cfd7f6f705d415eab17ea52236cc5b83dbf8b8061c5fe"),
+            ("n3m1", "dsic", "991ee09906805527c807217b80fd1a3df261f07fbecbe5d45273e878d3bbd02f"),
         ],
     )
     def test_lp_dump_is_pinned(self, additive, tmp_path, name, mode, digest):
@@ -279,6 +279,27 @@ class TestSolveOptimal:
             lp_dump=str(path),
         )
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("n2m2", "bic"), ("n2m2", "dsic"), ("n3m1", "bic"), ("n3m1", "dsic"),
+         ("n2m2_unit_demand", "bic")],
+    )
+    def test_lp_dump_round_trips_through_highs(self, tmp_path, name, mode):
+        # HiGHS reads the dump back as the LP the oracle solved: as many rows
+        # and columns and the same optimum, so a pinned digest pins that LP.
+        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+
+        path = tmp_path / "dump.lp"
+        sol = solve_optimal(_lp_dump_instance(name, mode), lp_dump=str(path))
+        highs = _Highs()
+        highs.setOptionValue("output_flag", False)
+        assert highs.readModel(str(path)) == HighsStatus.kOk
+        assert (highs.getNumRow(), highs.getNumCol()) == (sol.stats["rows"], sol.stats["cols"])
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        objective = -highs.getInfo().objective_function_value
+        assert objective == pytest.approx(sol.objective_value, rel=1e-9, abs=0.0)
 
 
 def _lp_dump_instance(name, mode):
@@ -317,6 +338,15 @@ def _dump_rows(path):
     return rows
 
 
+def _dump_free(path):
+    """The variables an ``--lp-dump`` file declares free; every other one
+    has the format's default bounds, ``>= 0``."""
+    lines = path.read_text().splitlines()
+    bounds = lines[lines.index("Bounds") + 1 : lines.index("End")]
+    assert all(line.endswith(" free") for line in bounds)
+    return [line.split()[0] for line in bounds]
+
+
 def _components(problem):
     """Components per profile and each bidder's own ones: for additive
     bidders on the multi-item space the n * m item shares, bidder i's m
@@ -336,21 +366,23 @@ class TestInterimLp:
         path = tmp_path / "dump.lp"
         sol = solve_optimal(problem, lp_dump=str(path))
         rows = _dump_rows(path)
-        ir_rows = domain.num_profiles * domain.n
+        # no IR rows: the IC rows come first, each reading the report's
+        # interim components and utility and the truthful utility
         ic_rows = sum(
             domain.bidder_type_count(i) * (domain.bidder_type_count(i) - 1)
             for i in range(domain.n)
         )
-        ic = [rows[f"ub{r}"] for r in range(ir_rows, ir_rows + ic_rows)]
+        ic = [rows[f"ub{r}"] for r in range(ic_rows)]
         for names in ic:
-            assert len(names) <= 2 * max(own) + 2
-            assert all(v.startswith(("ix", "ip")) for v in names)
+            assert len(names) <= max(own) + 2
+            assert sum(v.startswith("iu") for v in names) == 2
+            assert all(v.startswith(("ix", "iu")) for v in names)
         # the feasibility rows, one per profile and item, <= 1, after the IC
         # rows; or one per profile, = 1, before the interim definitions
         additive = problem.model.tag == "additive"
         n_ub, n_eq = (sum(k.startswith(kind) for k in rows) for kind in ("ub", "eq"))
         feas = (
-            [rows[f"ub{r}"] for r in range(ir_rows + ic_rows, n_ub)]
+            [rows[f"ub{r}"] for r in range(ic_rows, n_ub)]
             if additive
             else [rows[f"eq{r}"] for r in range(domain.num_profiles)]
         )
@@ -361,10 +393,13 @@ class TestInterimLp:
         # one defining row per interim variable, in column order, the last rows
         interim = sum(domain.bidder_type_count(i) * (c + 1) for i, c in enumerate(own))
         eq = [rows[f"eq{r}"] for r in range(n_eq - interim, n_eq)]
-        assert ir_rows + ic_rows + len(feas) + len(eq) == len(rows)  # and no others
+        assert ic_rows + len(feas) + len(eq) == len(rows)  # and no others
         assert [names[-1] for names in eq[: own[0] + 2]] == [
-            *(f"ix0_0_{c}" for c in range(own[0])), "ip0_0", "ix0_1_0"
+            *(f"ix0_0_{c}" for c in range(own[0])), "iu0_0", "ix0_1_0"
         ]
+        # the interim variables are free; the components x and utilities u
+        # are >= 0
+        assert _dump_free(path) == [names[-1] for names in eq]
         assert sol.stats["rows"] == len(rows)
         assert sol.stats["nnz"] == sum(len(names) for names in rows.values())
 
@@ -422,8 +457,9 @@ class TestInterimLp:
 
     @pytest.mark.parametrize("name", ["n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"])
     def test_nnz_bound_is_exact_in_dsic_mode(self, name):
-        # IR, DSIC and lottery entries never share a (row, column), so the
-        # bound counts each true type's nonzero values and payment exactly
+        # DSIC and feasibility entries never share a (row, column), so the
+        # bound counts each row's nonzero value differences and its two
+        # utilities exactly
         from mechlearn.oracle import _nnz_bound
 
         problem = _lp_dump_instance(name, "dsic")
@@ -572,11 +608,17 @@ class TestExtendBic:
 
 def _full_x(problem, sol, lp):
     """The LP point of a solution: the components its lotteries play and
-    its payments, then the interim columns their defining rows, the last
-    equality rows, give."""
+    each bidder's value for the lottery less her payment, then the interim
+    columns their defining rows, the last equality rows, give."""
+    mech = sol.mechanism
     x = np.zeros(lp.c.size)
-    comps = sol.mechanism.probs @ lp.layout.comps(np.arange(problem.space.num_outcomes))
-    base = np.concatenate([comps.ravel(), sol.mechanism.payments.ravel()])
+    comps = mech.probs @ lp.layout.comps(np.arange(problem.space.num_outcomes))
+    ranks = mech.domain.type_ranks()
+    value = np.stack(
+        [np.sum(mech.probs * v[ranks[:, i]], axis=1) for i, v in enumerate(lp.layout.values)],
+        axis=1,
+    )
+    base = np.concatenate([comps.ravel(), (value - mech.payments).ravel()])
     x[: base.size] = base
     x[base.size :] -= lp.a_eq[lp.a_eq.shape[0] - (x.size - base.size) :] @ x
     return x
@@ -625,7 +667,8 @@ class TestRowGeneration:
         assert sol.objective_value == pytest.approx(-full.fun, rel=1e-9, abs=1e-12)
         assert 1 <= sol.stats["rounds"] and sol.stats["active_rows"] <= sol.stats["rows"]
         x = _full_x(problem, sol, lp)
-        assert np.max(lp.a_ub @ x - lp.b_ub) <= oracle.FEASIBILITY_TOL
+        assert np.max(lp.a_ub @ x - lp.b_ub, initial=0.0) <= oracle.FEASIBILITY_TOL
+        assert np.min(x - lp.bounds[:, 0]) >= -oracle.FEASIBILITY_TOL  # u >= 0 is IR
         if problem.domain().num_profiles <= 8 and space.num_outcomes <= OUTCOME_GUARD:
             exact = brute_force_optimal(prior, space, model, mode, eta)
             assert sol.objective_value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
@@ -684,14 +727,12 @@ class TestRowGeneration:
         domain = problem.domain()
         lp, _, _ = oracle._assemble(problem, domain)
         base = oracle._base(problem, domain)
-        ir_rows = domain.num_profiles * domain.n
+        ic_rows = lp.a_ub.shape[0] - base.a_ub.shape[0]  # the feasibility rows follow
         for x, masks in seen:
             # the reference: every IC row of the full matrix, by matvec
-            ref = ir_rows + np.flatnonzero(
-                lp.a_ub[ir_rows:] @ x - lp.b_ub[ir_rows:] > oracle.ROW_TOL
-            )
+            ref = np.flatnonzero(lp.a_ub[:ic_rows] @ x - lp.b_ub[:ic_rows] > oracle.ROW_TOL)
             a_ub, b_ub = oracle._inequality_rows(
-                problem, domain, base, np.arange(0), [np.nonzero(mask) for mask in masks]
+                problem, domain, base, [np.nonzero(mask) for mask in masks]
             )
             want = lp.a_ub[ref]
             assert a_ub.shape == want.shape
@@ -729,9 +770,12 @@ class TestRowGeneration:
         assert peak < full / 2, (peak, full)
 
     def test_sweep_instances_solve_in_one_round(self):
-        # The IR-only seed is enough here: the first optimum violates no
-        # other row, so the many short solves of a sweep pay no second
-        # run() of the HiGHS model.
+        # The seed is enough on 23 of the 24 priors: the first optimum
+        # violates no other row, so the many short solves of a sweep pay no
+        # second run() of the HiGHS model. On s = 50, seed 0 the first
+        # optimum sells both items to type (0.5, 2) at 2.5 and to type
+        # (2, 1) at 2, and the seed holds no row for the first reporting
+        # the second, since it values the bundle less: one more round.
         from mechlearn.experiments import build_instance
         from mechlearn.learner import _empirical_prior
         from mechlearn.priors import sample_prior
@@ -743,7 +787,8 @@ class TestRowGeneration:
             samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
             prior = _empirical_prior(samples, bundle.spec)
             problem = OracleProblem(prior=prior, space=bundle.space, model=bundle.model)
-            assert solve_optimal(problem).stats["rounds"] == 1
+            want = 2 if (s, seed) == (50, 0) else 1
+            assert solve_optimal(problem).stats["rounds"] == want, (s, seed)
 
 
 class TestItemLayout:

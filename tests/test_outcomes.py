@@ -46,6 +46,21 @@ class TestEnumeration:
         with pytest.raises(CapacityError, match="10000000"):
             enumerate_multi_item(9, 7)
 
+    def test_allocation_cells_are_guarded_before_allocating(self):
+        # 10^6 outcomes pass the outcome budget, but their allocation table
+        # would hold 10^6 * 999 999 cells: 931 GiB for the comparison alone
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="allocation cells"):
+                enumerate_multi_item(999_999, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert enumerate_multi_item(999, 1).alloc.size == 1000 * 999  # at the budget
+
 
 class TestValues:
     def test_additive_sum(self):
