@@ -8,6 +8,7 @@ invariant failure (including a mechanism failing its declared bounds under
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -301,6 +302,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache  # no argument has a mutable default, so one parser serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mechlearn", description=__doc__)
     parser.add_argument("--version", action="version", version=TOOL_VERSION)

@@ -169,15 +169,18 @@ class DiscreteMarginal:
 
 def empirical_marginal(samples: Iterable[float], spec: GridSpec) -> DiscreteMarginal:
     """Uniform distribution over the rounded samples, with exact k/S masses."""
-    arr = np.asarray(list(samples), dtype=np.float64)
+    if not isinstance(samples, np.ndarray):
+        samples = list(samples)
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.size == 0:
         raise UsageError("empirical_marginal requires at least one sample")
-    idx = round_down_indices(arr, spec)
-    counts: dict[int, int] = {}
-    for k in idx.tolist():
-        counts[k] = counts.get(k, 0) + 1
+    keys, first, counts = np.unique(
+        round_down_indices(arr, spec), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)  # grid points in order of first appearance
     s = arr.size
-    return DiscreteMarginal(spec, {k: Fraction(c, s) for k, c in counts.items()})
+    pairs = zip(keys[order].tolist(), counts[order].tolist())
+    return DiscreteMarginal(spec, {k: Fraction(c, s) for k, c in pairs})
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -303,9 +304,13 @@ class MechanismTable:
         return [(float(row[o]), int(o), pay) for o in np.flatnonzero(row > 0.0)]
 
 
-def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fraction]]:
-    """Exact prior probability of each of every bidder's domain types, in
-    ``bidder_types`` order. Raises if prior mass leaves the domain."""
+def _weight_numerators(
+    domain: ProfileDomain, prior: ProductPrior
+) -> list[tuple[list[int], int]]:
+    """Each bidder's type weights as integer numerators, in ``bidder_types``
+    order, over one common denominator: the product over parameters of the
+    least common denominator of that parameter's masses. Raises if prior
+    mass leaves the domain."""
     missing = domain.covers(prior)
     if missing is not None:
         i, j, k = missing
@@ -317,14 +322,25 @@ def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fracti
         )
     out = []
     for i in range(domain.n):
-        weights = []
-        for t in domain.bidder_types(i):
-            w = Fraction(1)
-            for j in range(domain.m):
-                w *= prior.marginals[i][j].mass.get(int(t[j]), Fraction(0))
-            weights.append(w)
-        out.append(weights)
+        den = 1
+        cells = []
+        for j, cell in enumerate(domain.supports[i]):
+            mass = prior.marginals[i][j].mass
+            d = math.lcm(*(q.denominator for q in mass.values()))
+            qs = (mass.get(k, 0) for k in cell)
+            cells.append([q.numerator * (d // q.denominator) for q in qs])
+            den *= d
+        out.append(([math.prod(t) for t in itertools.product(*cells)], den))
     return out
+
+
+def type_weights(domain: ProfileDomain, prior: ProductPrior) -> list[list[Fraction]]:
+    """Exact prior probability of each of every bidder's domain types, in
+    ``bidder_types`` order. Raises if prior mass leaves the domain."""
+    return [
+        [Fraction(x, den) for x in nums]
+        for nums, den in _weight_numerators(domain, prior)
+    ]
 
 
 def rest_weights(weights: Sequence[Sequence], k: int) -> np.ndarray:
@@ -368,7 +384,9 @@ def interim_utilities(
     of them), so that NumPy sums each (report, outcome) over (A, B) in the
     order it sums the whole table: a run of one report lets it merge the A
     and B axes into one and, with one outcome, sum them in another order."""
-    weights = [[float(w) for w in ws] for ws in type_weights(mech.domain, prior)]
+    weights = [
+        [x / den for x in nums] for nums, den in _weight_numerators(mech.domain, prior)
+    ]
     w_rest = rest_weights(weights, k)
     t_k, b_n = mech.domain.bidder_type_count(k), int(mech.domain.bidder_strides()[k])
     src = mech.src.reshape(-1, t_k, b_n)
@@ -481,25 +499,31 @@ def revenue(
     payment sums contracted along each bidder's type axis with that bidder's
     type weights, last bidder first.
 
-    With ``exact=True`` the contraction runs in rationals (float payments
-    embedded exactly) over the types of nonzero weight, so regrouping the
-    sum cannot change the result.
+    With ``exact=True`` the contraction runs in Python integers over the
+    types of nonzero weight: the payments it reads scaled to one
+    power-of-two denominator (each float is embedded exactly), each
+    bidder's weights to one denominator, and one ``Fraction`` built at the
+    end, so regrouping the sum cannot change the result.
     """
-    weights = type_weights(mech.domain, prior)  # raises if mass leaves the domain
-    sizes = [mech.domain.bidder_type_count(i) for i in range(mech.n)]
-    if exact:
-        live = [[t for t, w in enumerate(ws) if w] for ws in weights]
-        src = mech.src.reshape(sizes)[np.ix_(*live)]
-        used, at = np.unique(src.ravel(), return_inverse=True)
-        sums = [sum(map(Fraction, row), Fraction(0)) for row in mech.rows_pay[used].tolist()]
-        acc = np.array(sums, dtype=object)[at].reshape(src.shape)
-        weights = [[ws[t] for t in ts] for ts, ws in zip(live, weights)]
-    else:
+    weights = _weight_numerators(mech.domain, prior)  # raises if mass leaves the domain
+    sizes = [len(nums) for nums, _ in weights]
+    if not exact:
         acc = mech.rows_pay.sum(axis=1)[mech.src].reshape(sizes)
-        weights = [[float(x) for x in ws] for ws in weights]
-    for w in reversed(weights):
-        acc = acc @ np.array(w, dtype=acc.dtype)
-    return acc if exact else float(acc)
+        for nums, den in reversed(weights):
+            acc = acc @ np.array([x / den for x in nums])
+        return float(acc)
+    live = [[t for t, x in enumerate(nums) if x] for nums, _ in weights]
+    src = mech.src.reshape(sizes)[np.ix_(*live)]
+    used, at = np.unique(src.ravel(), return_inverse=True)
+    # payments as integers over one power-of-two denominator
+    ratios = [[x.as_integer_ratio() for x in row] for row in mech.rows_pay[used].tolist()]
+    den = max(d for row in ratios for _, d in row)
+    sums = [sum(p * (den // d) for p, d in row) for row in ratios]
+    acc = np.array(sums, dtype=object)[at].reshape(src.shape)
+    for ts, (nums, d) in zip(reversed(live), reversed(weights)):
+        acc = acc @ np.array([nums[t] for t in ts], dtype=object)
+        den *= d
+    return Fraction(acc, den)
 
 
 @dataclass(frozen=True)

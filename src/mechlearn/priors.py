@@ -30,7 +30,14 @@ from .errors import (
     config_int,
     config_real,
 )
-from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet, round_down
+from .grid import (
+    DiscreteMarginal,
+    GridSpec,
+    ProductPrior,
+    SampleSet,
+    round_down,
+    round_down_indices,
+)
 from .outcomes import ENUMERATION_BUDGET
 
 __all__ = [
@@ -106,15 +113,27 @@ class PriorCell:
         return list(self._atoms)
 
     def grid_pushforward(self, spec: GridSpec) -> DiscreteMarginal:
-        """Distribution of the epsilon-rounded value, exactly."""
+        """Distribution of the epsilon-rounded value, exactly. The first bad
+        atom, in atom order, raises: one outside [0, h], or, for
+        ``discrete_on_grid``, one off the grid."""
+        atoms = self.atoms()
+        values = np.array([v for v, _ in atoms])
+        inside = (values >= 0.0) & (values <= spec.h)  # False for NaN
+        idx = round_down_indices(np.where(inside, values, 0.0), spec)
+        bad = ~inside
+        if self.family == "discrete_on_grid":
+            bad |= idx * spec.epsilon != values
+        if bad.any():
+            at = int(np.argmax(bad))
+            v = atoms[at][0]
+            if not inside[at]:
+                raise DomainError(f"value {v!r} outside [0, {spec.h}]")
+            raise ConfigError(
+                f"discrete_on_grid atom {v!r} is not a grid point of "
+                f"epsilon={spec.epsilon}"
+            )
         mass: dict[int, Fraction] = {}
-        for v, q in self.atoms():
-            k = round_down(v, spec).index
-            if self.family == "discrete_on_grid" and spec.value(k) != v:
-                raise ConfigError(
-                    f"discrete_on_grid atom {v!r} is not a grid point of "
-                    f"epsilon={spec.epsilon}"
-                )
+        for k, (_, q) in zip(idx.tolist(), atoms):
             mass[k] = mass.get(k, Fraction(0)) + q
         return DiscreteMarginal(spec, mass)
 

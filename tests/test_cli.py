@@ -11,6 +11,7 @@ from mechlearn import (
     enumerate_multi_item,
     serialize_mechanism,
 )
+from mechlearn._version import TOOL_VERSION
 from mechlearn.cli import cli_dispatch
 from mechlearn.experiments import MODES, ExperimentConfig, run_sweep
 
@@ -222,6 +223,24 @@ def test_exact_eval_matches_monte_carlo(workdir, capsys):
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert cli_dispatch(["oracle", "--bogus"]) == 1
+
+    def test_repeated_calls_report_usage_and_version_alike(self, capsys):
+        """One parser serves every in-process call: each usage error prints
+        the same usage line and message, and ``--version`` prints and exits
+        the same way, every time, whatever ran before."""
+        seen = []
+        for _ in range(2):
+            for argv in (["oracle", "--bogus"], ["eval", "--mech", "x"], []):
+                assert cli_dispatch(argv) == 1
+                seen.append(capsys.readouterr())
+            with pytest.raises(SystemExit) as exc:
+                cli_dispatch(["--version"])
+            assert exc.value.code == 0
+            seen.append(capsys.readouterr())
+        assert seen[:4] == seen[4:]
+        assert seen[0].err.startswith("usage: mechlearn oracle ")
+        assert "required: --prior" in seen[1].err
+        assert seen[3].out == f"{TOOL_VERSION}\n" and seen[3].err == ""
 
     def test_missing_seed_is_usage_error(self, workdir):
         assert cli_dispatch(

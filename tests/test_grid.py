@@ -225,6 +225,59 @@ class TestSamplePrior:
         assert stat < chi2.ppf(1 - 0.001, df=len(target.support) - 1)
 
 
+def _reference_pushforward(cell, spec):
+    """The per-atom loop ``grid_pushforward`` replaced: one scalar
+    ``round_down`` an atom, so the first bad atom raises."""
+    mass = {}
+    for v, q in cell.atoms():
+        k = round_down(v, spec).index
+        if cell.family == "discrete_on_grid" and spec.value(k) != v:
+            raise ConfigError(
+                f"discrete_on_grid atom {v!r} is not a grid point of "
+                f"epsilon={spec.epsilon}"
+            )
+        mass[k] = mass.get(k, Fraction(0)) + q
+    return DiscreteMarginal(spec, mass)
+
+
+def _outcome(f, *args):
+    try:
+        marg = f(*args)
+    except (ConfigError, DomainError) as exc:
+        return type(exc), str(exc)
+    return list(marg.mass.items())
+
+
+class TestGridPushforward:
+    # atoms on and off each grid on [0, 2], -0.0, NaN and two out of range
+    ATOMS = [0.0, 0.25, 0.3, 0.5, 0.55, 1.0, 1.9, 2.0, -0.0, -0.5, 2.5, math.nan, 0.1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        family=st.sampled_from(["discrete_on_grid", "point_masses"]),
+        picks=st.lists(st.integers(0, len(ATOMS) - 1), min_size=1, max_size=6),
+        epsilon=st.sampled_from([0.25, 0.1, 0.3]),
+    )
+    def test_matches_the_per_atom_loop(self, family, picks, epsilon):
+        spec = GridSpec(epsilon=epsilon, h=2.0)
+        values = [self.ATOMS[i] for i in picks]
+        probs = [f"1/{len(values)}"] * len(values)
+        cell = PriorCell(family, {"values": values, "probs": probs})
+        assert _outcome(cell.grid_pushforward, spec) == _outcome(
+            _reference_pushforward, cell, spec
+        )
+
+    def test_the_first_bad_atom_raises(self):
+        spec = GridSpec(epsilon=0.25, h=2.0)
+        probs = ["1/3"] * 3
+        off_first = PriorCell("discrete_on_grid", {"values": [0.5, 0.3, 3.0], "probs": probs})
+        with pytest.raises(ConfigError, match="0.3 is not a grid point"):
+            off_first.grid_pushforward(spec)
+        out_first = PriorCell("discrete_on_grid", {"values": [0.5, 3.0, 0.3], "probs": probs})
+        with pytest.raises(DomainError, match=r"value 3\.0 outside \[0, 2\.0\]"):
+            out_first.grid_pushforward(spec)
+
+
 class TestSampleSetCsv:
     def test_round_trip(self, tmp_path):
         cell = PriorCell("uniform", {"low": 0.0, "high": 2.0})

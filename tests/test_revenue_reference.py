@@ -23,12 +23,14 @@ from mechlearn import (
     enumerate_multi_item,
     revenue,
 )
+from mechlearn.errors import UsageError
 from mechlearn.learner import LearnedMechanism
 
 SPEC = GridSpec(epsilon=0.25, h=1.0)
 # off-grid atoms, several rounding to one grid index (0.5, 0.55, 0.6 -> 2)
 ATOM_VALUES = [0.0, 0.1, 0.25, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1.0]
-PAYMENTS = [0.0, -0.0, 1 / 3, 2 / 3, 0.25, 0.7, 1.1]
+# negative, subnormal and huge payments stretch the power-of-two scaling
+PAYMENTS = [0.0, -0.0, 1 / 3, 2 / 3, 0.25, 0.7, 1.1, -0.7, 5e-324, 1e300]
 
 
 def _reference_revenue(mech, prior) -> Fraction:
@@ -126,3 +128,26 @@ def test_exact_revenue_matches_the_profile_loops(n, m, seed):
     exact = revenue(table, grid_prior, exact=True)
     assert type(exact) is Fraction
     assert exact == _reference_revenue(table, grid_prior)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_payment_raises_what_fraction_raises(bad):
+    """The constructor refuses a non-finite payment; one written in after
+    construction makes exact revenue raise the exception ``Fraction``
+    raises for it, as the rational contraction did."""
+    rng = np.random.default_rng(7)
+    prior = _random_prior(rng, 2, 1)
+    grid_prior = prior.to_grid_prior(SPEC)
+    table = _random_table(rng, ProfileDomain.full_grid(SPEC, 2, 1))
+    with pytest.raises(UsageError):
+        MechanismTable(
+            domain=table.domain,
+            space=table.space,
+            probs=table.probs,
+            payments=np.full_like(table.payments, bad),
+        )
+    with pytest.raises(Exception) as expected:
+        Fraction(bad)
+    table.rows_pay[:, 0] = bad
+    with pytest.raises(expected.type):
+        revenue(table, grid_prior, exact=True)
