@@ -198,8 +198,8 @@ def _run_cell(
     t0 = time.perf_counter()
     samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
     learned = learn(mode, samples, bundle)
-    learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior))
     grid_prior = bundle.prior.to_grid_prior(bundle.spec)
+    learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior, grid_prior))
     report = regret_report(learned.inner, grid_prior, bundle.model)
     wall = time.perf_counter() - t0
     ic_mode = learned.inner.meta["mode"]

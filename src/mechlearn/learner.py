@@ -92,16 +92,22 @@ class LearnedMechanism:
         )
         return self.inner.domain.profile_rank(idx)
 
-    def exact_revenue_on_atoms(self, prior: PriorDescription) -> Fraction:
+    def exact_revenue_on_atoms(
+        self, prior: PriorDescription, grid_prior: ProductPrior | None = None
+    ) -> Fraction:
         """Exact expected revenue under a finite-support true prior, with
         real bids rounded through the wrapper.
 
         The wrapper and the grid pushforward both round with
         ``round_down_indices`` on this grid, so this is the exact revenue of
-        the inner table under the prior's pushforward."""
+        the inner table under the prior's pushforward; a caller that holds
+        it, ``prior.to_grid_prior(self.spec)``, may pass it as
+        ``grid_prior``."""
         if (prior.n, prior.m) != (self.n, self.m):
             raise UsageError("prior and mechanism disagree on (n, m)")
-        return revenue(self.inner, prior.to_grid_prior(self.spec), exact=True)
+        if grid_prior is None:
+            grid_prior = prior.to_grid_prior(self.spec)
+        return revenue(self.inner, grid_prior, exact=True)
 
 
 def evaluate_on_reals(

@@ -65,14 +65,16 @@ EXPOST_CELL_BUDGET = 10**8
 # to 2**21 cells, and about 15% slower at 2**22
 EXPOST_CHUNK_CELLS = 2**20
 # rows of a table that serialize_mechanism formats at once; besides the text
-# it holds only their per-entry strings, a few hundred bytes a row. The
-# full_grid_3x2 table serialized as fast with blocks of 2**8 to 2**14 rows
-SERIALIZE_BLOCK_ROWS = 2**10
+# it holds only their per-entry strings and the block's row-text array, a
+# few hundred bytes a row. The full_grid_3x2 table serialized fastest with
+# blocks of 2**12 to 2**14 rows, and about 25% slower at 2**10
+SERIALIZE_BLOCK_ROWS = 2**12
 # characters of a mechanism file's rows that deserialize_mechanism parses at
 # once, running on to the next row; besides the text and the arrays it holds
-# only the split block, several bytes a character. The full_grid_3x2 file
-# decoded fastest with blocks of 2**15 to 2**17, and about 20% slower at 2**20
-DECODE_BLOCK_CHARS = 2**16
+# only the split block and the writer's text of its rows, several bytes a
+# character. The full_grid_3x2 file decoded fastest with blocks of 2**16 to
+# 2**18 (each block has a fixed numpy cost), and about 25% slower at 2**14
+DECODE_BLOCK_CHARS = 2**17
 # characters of distinct row entries texts that deserialize_mechanism keeps,
 # so that a row repeating one of them is not parsed again; past them, a text
 # not kept is parsed as a candidate row of its own. Extended tables hold a
@@ -676,13 +678,35 @@ def _num_from_str(s: str, where: str) -> float:
         raise ParseError(f"{where}: bad number {s!r}") from exc
 
 
-def _profile_texts(dom: ProfileDomain) -> Iterator[str]:
-    """Each profile's flat grid indices as ``"i,j,..."`` text, in rank order."""
-    types = [
-        [",".join(map(str, t)) for t in dom.bidder_types(i).tolist()]
-        for i in range(dom.n)
+def _type_columns(dom: ProfileDomain) -> list[tuple[np.ndarray, int]]:
+    """Each bidder's type texts in rank order, as ``"i,j,"``: its flat grid
+    indices and the separator that follows them in a row, ``]},`` after the
+    last bidder's; and the bidder's rank stride."""
+    seps = [","] * (dom.n - 1) + ["]},"]
+    return [
+        (
+            np.array(
+                [",".join(map(str, t)) + sep for t in dom.bidder_types(i).tolist()],
+                dtype=object,
+            ),
+            stride,
+        )
+        for i, (sep, stride) in enumerate(zip(seps, dom.bidder_strides().tolist()))
     ]
-    return map(",".join, itertools.product(*types))
+
+
+def _rows_text(lead: Sequence, types: list[tuple[np.ndarray, int]], a: int, b: int) -> str:
+    """The text of rows ``a`` to ``b - 1``, each with the comma after it: a
+    ``(rows, len(lead) + n)`` array of the ``lead`` text columns (one string
+    for every row, or one a row), then each bidder's type text at each rank
+    (``_type_columns``), joined once."""
+    cols = np.empty((b - a, len(lead) + len(types)), dtype=object)
+    for j, col in enumerate(lead):
+        cols[:, j] = col
+    ranks = np.arange(a, b)
+    for j, (texts, stride) in enumerate(types, len(lead)):
+        cols[:, j] = texts[ranks // stride % len(texts)]
+    return "".join(cols.ravel().tolist())
 
 
 def _row_heads(probs: np.ndarray, payments: np.ndarray) -> list[str]:
@@ -710,8 +734,9 @@ def serialize_mechanism(mech: MechanismTable) -> str:
 
     The rows are written ``SERIALIZE_BLOCK_ROWS`` at a time, and the block
     texts are joined once. A block formats the entries of each candidate row
-    it plays once, and each of its rows is that text followed by the row's
-    profile. Key order is fixed by hand (``entries`` < ``profile``;
+    it plays once, up to the row's profile (``_row_heads``), and its text is
+    one ``_rows_text`` join of each row's candidate text and its bidders'
+    type texts. Key order is fixed by hand (``entries`` < ``profile``;
     ``outcome`` < ``p`` < ``pay``), so the text equals ``json.dumps`` of the
     same document with ``sort_keys=True`` byte for byte.
     """
@@ -731,14 +756,17 @@ def serialize_mechanism(mech: MechanismTable) -> str:
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":"))
     parts = [f'{{"header":{head},"rows":[']
-    profiles = _profile_texts(dom)
-    for a in range(0, dom.num_profiles, SERIALIZE_BLOCK_ROWS):
-        used, at = np.unique(mech.src[a : a + SERIALIZE_BLOCK_ROWS], return_inverse=True)
-        heads = _row_heads(mech.rows_probs[used], mech.rows_pay[used])
-        # the block's rows first: map stops at their end before taking a profile
-        rows = map(str.__add__, map(heads.__getitem__, at.tolist()), profiles)
-        parts += ("]},".join(rows), "]},")
-    parts[-1] = "]}]}"  # in place of the last block's comma
+    types, r = _type_columns(dom), dom.num_profiles
+    for a in range(0, r, SERIALIZE_BLOCK_ROWS):
+        b = min(a + SERIALIZE_BLOCK_ROWS, r)
+        src = mech.src[a:b]
+        # the candidates the block plays, sorted; np.unique takes several
+        # times as long on a block of a few thousand rows
+        used = np.sort(src)
+        used = used[np.append(True, used[1:] != used[:-1])]
+        heads = np.array(_row_heads(mech.rows_probs[used], mech.rows_pay[used]), dtype=object)
+        parts.append(_rows_text([heads[np.searchsorted(used, src)]], types, a, b))
+    parts[-1] = parts[-1][:-1] + "]}"  # the last row has no comma after it
     return "".join(parts)
 
 
@@ -758,11 +786,14 @@ _LOOSE = re.compile(
     r'[ \t\n\r](?:(?<=[{}\[\]:,][ \t\n\r])[ \t\n\r]*|[ \t\n\r]*(?=[{}\[\]:,]))'
 )
 _ROW_OPEN = '{"entries":[{"outcome":'  # a row and its first entry
-_ROW_BREAK = "]}," + _ROW_OPEN  # the end of one row and the start of the next
 _ENTRIES = '{"entries":['  # the start of a row
+_PROFILE = '],"profile":['  # the end of a row's entries and the start of its profile
 # the end of a row's entries: its profile, then the next row's start or the
-# end of the text
-_ROW_END = re.compile(r'\],"profile":\[([^\]]*)\]\}(?:,\{"entries":\[|\Z)')
+# end of the text. No two matches can overlap, so a search from any point
+# finds the next match that a split of the whole text finds
+_ROW_END = re.compile(r'\],"profile":\[[^\]]*\]\}(?:,\{"entries":\[|\Z)')
+# a row's end that another row follows: where a decode block may end
+_ROW_BREAK = re.compile(r'\],"profile":\[[^\]]*\]\},\{"entries":\[')
 _ENTRY_KEYS = ("outcome", "p", "pay")
 # objects as tuples of their (key, value) pairs, so that a repeated key shows
 _ENTRIES_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
@@ -870,63 +901,92 @@ def _decode_rows(
     block of about ``DECODE_BLOCK_CHARS`` characters at a time; returns the
     number of candidates.
 
-    A block runs on to the next ``_ROW_BREAK``, without the comma after it,
-    and is split at ``_ROW_END`` into each row's entries text and profile,
-    which must tile it. Rows that repeat an entries text play its candidate
-    (see ``DECODE_DISTINCT_CHARS``); a text met for the first time is parsed
-    by ``_decode_entries``. Every entries text must be valid JSON on its own
-    and every profile the expected one, so text that passes is the JSON of
-    those rows, and an error names the first row that has the failing text,
-    whatever the block size.
+    A block runs on to the end of the next row, at a ``_ROW_BREAK``,
+    without the comma after it, and is split at ``_ROW_END`` into each row's
+    entries text, just as a split of the whole rows text would be. The whole
+    block must then equal the writer's text of those rows (``_rows_text``)
+    with those entries texts, which fixes every profile. Rows that repeat
+    an entries text play its candidate (see ``DECODE_DISTINCT_CHARS``); a
+    text met for the first time is parsed by ``_decode_entries``. Every
+    entries text must be valid JSON on its own, so text that passes is the
+    JSON of those rows. An error is for the first row, in row order, whose
+    profile is not the expected one (checked before its entries), whose new
+    entries text fails, or that does not end as a row, so it does not
+    depend on the block size.
     """
-    k, n = probs.shape[1], payments.shape[1]
-    expected_profiles = _profile_texts(domain)  # runs on across blocks
+    k, n, r = probs.shape[1], payments.shape[1], len(src)
+    types = _type_columns(domain)
     first_rows: dict[str, int] = {}  # a kept entries text: its first row's rank
     kept = 0  # characters of the kept texts
     row0 = c0 = 0  # ranks of the block's first row and first new candidate
     while start < end:
-        stop = text.find(_ROW_BREAK, start + DECODE_BLOCK_CHARS, end)
-        stop = end if stop < 0 else stop + len(_ROW_BREAK) - len(_ROW_OPEN)
-        # each row's entries text and profile, then what follows the last row
-        parts = _ROW_END.split(text[start + len(_ENTRIES) : stop - (stop < end)])
-        entries, profiles = parts[:-1:2], parts[1::2]
-        if not (
-            text.startswith(_ENTRIES, start) and entries and all(profiles) and not parts[-1]
-        ):
+        row_break = _ROW_BREAK.search(text, start + DECODE_BLOCK_CHARS, end)
+        stop = end if row_break is None else row_break.end() - len(_ENTRIES)
+        if not text.startswith(_ENTRIES, start):
             raise _layout_error("the rows text is not a list of such rows")
-        del parts
+        # each row's entries text, then what follows the last row, which is
+        # empty when the rows tile the block
+        entries = _ROW_END.split(text[start + len(_ENTRIES) : stop - (stop < end)])
+        tail = entries.pop()
+        rows = len(entries)
+
+        # the writer's text of these rows, but for the comma after the file's last
+        if row0 + rows <= r and text.startswith(
+            _rows_text([_ENTRIES, entries, _PROFILE], types, row0, row0 + rows)[: stop - start],
+            start,
+            stop,
+        ):
+            good, error = rows, None
+        else:
+            good, error = _first_bad_row(text, start, entries, types, row0, r)
+        if tail and error is None:  # the row after the last one the split found
+            error = _layout_error("the rows text is not a list of such rows")
 
         # each row's first row with its entries text, or its own rank
         keep = kept < DECODE_DISTINCT_CHARS
         remember = first_rows.setdefault if keep else first_rows.get
         ranks = itertools.count(row0)
-        firsts = np.fromiter(map(remember, entries, ranks), np.int64, len(entries))
-        src[row0 : row0 + len(entries)] = firsts
-        new = np.flatnonzero(firsts == np.arange(row0, row0 + len(entries)))
-        texts = [entries[i] for i in new.tolist()]
-        del entries
+        firsts = np.fromiter(map(remember, entries, ranks), np.int64, rows)
+        new = np.flatnonzero(firsts == np.arange(row0, row0 + rows)).tolist()
+        # the rows before the first bad one, whose error comes after theirs
+        for c, i in enumerate(itertools.takewhile(good.__gt__, new), c0):
+            probs[c], payments[c] = _decode_entries(entries[i], row0 + i, k, n)
+        if error is not None:
+            raise error
         if keep:
-            kept += sum(map(len, texts))
-
-        expected = list(itertools.islice(expected_profiles, len(profiles)))
-        bad = next(itertools.compress(
-            itertools.count(), map(str.__ne__, profiles, expected)
-        ), None)
-        if bad is not None:
-            raise ParseError(
-                f"row {row0 + bad}: profile [{profiles[bad]}] out of order;"
-                f" expected [{expected[bad]}]"
-            )
-        del expected
-
-        for c, (i, entries_text) in enumerate(zip(new.tolist(), texts), c0):
-            probs[c], payments[c] = _decode_entries(entries_text, row0 + i, k, n)
-        row0 += len(profiles)
-        c0 += len(texts)
+            kept += sum(len(entries[i]) for i in new)
+        src[row0 : row0 + rows] = firsts
+        row0 += rows
+        c0 += len(new)
         start = stop
     # each row's candidate: candidates are the rows that first play them
     src[:] = np.searchsorted(np.flatnonzero(src == np.arange(len(src))), src)
     return c0
+
+
+def _first_bad_row(
+    text: str,
+    start: int,
+    entries: list[str],
+    types: list[tuple[np.ndarray, int]],
+    row0: int,
+    r: int,
+) -> tuple[int, ParseError]:
+    """The first of the rows from ``text[start]`` on, with entries texts
+    ``entries`` and ranks from ``row0``, whose profile is not the expected
+    one, or that lies past the domain's ``r`` rows; and its error."""
+    rows = min(len(entries), r - row0)
+    expected = _rows_text([], types, row0, row0 + rows).split("]},")
+    at = start
+    for i, (entries_text, want) in enumerate(zip(entries, expected[:rows])):
+        at += len(_ENTRIES) + len(entries_text) + len(_PROFILE)
+        got = text[at : text.index("]", at)]
+        if got != want:
+            return i, ParseError(
+                f"row {row0 + i}: profile [{got}] out of order; expected [{want}]"
+            )
+        at += len(got) + len("]},")
+    return rows, ParseError(f"row {r}: the declared domain has only {r} rows")
 
 
 def _decode_entries(
