@@ -39,12 +39,10 @@ from .learner import (
     nudge_to_ic,
 )
 from .mechanism import (
-    InterimForm,
     MechanismTable,
     ProfileDomain,
     RegretReport,
     deserialize_mechanism,
-    interim_form,
     regret_report,
     revenue,
     serialize_mechanism,

@@ -36,7 +36,7 @@ from .errors import (
     read_text,
     write_text,
 )
-from .grid import DiscreteMarginal, GridSpec, SampleSet
+from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet
 from .learner import MODES, LearnedMechanism, _learn, regret_slack
 from .mechanism import deserialize_mechanism, regret_report
 from .oracle import FEASIBILITY_TOL, OracleProblem, load_lp_layer, solve_optimal
@@ -113,9 +113,9 @@ def build_instance(instance: Mapping[str, Any]) -> InstanceBundle:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated sweep description."""
+    """A validated sweep description and the instance it describes."""
 
-    instance: dict
+    bundle: InstanceBundle
     mode: str
     s_values: tuple[int, ...]
     seeds: tuple[int, ...]
@@ -136,9 +136,8 @@ class ExperimentConfig:
             raise ConfigError("sample counts must be positive")
         if any(seed < 0 for seed in seeds):
             raise ConfigError("seeds must be nonnegative")
-        build_instance(obj["instance"])  # validate eagerly
         return cls(
-            instance=dict(obj["instance"]),
+            bundle=build_instance(obj["instance"]),
             mode=mode,
             s_values=s_values,
             seeds=seeds,
@@ -190,15 +189,13 @@ def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
 
 
 def _run_cell(
-    instance: dict, mode: str, s: int, seed: int
+    bundle: InstanceBundle, grid_prior: ProductPrior, mode: str, s: int, seed: int
 ) -> tuple[dict, float, float]:
     """The cell's row, the regret bound its learned table declares, and its
-    wall time."""
-    bundle = build_instance(instance)
+    wall time; ``grid_prior`` is the grid pushforward of the true prior."""
     t0 = time.perf_counter()
     samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
     learned = learn(mode, samples, bundle)
-    grid_prior = bundle.prior.to_grid_prior(bundle.spec)
     learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior, grid_prior))
     report = regret_report(learned.inner, grid_prior, bundle.model)
     wall = time.perf_counter() - t0
@@ -242,13 +239,15 @@ def sweep_workers(value: str | None, cells: int) -> int:
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
     cells = [(s, seed) for s in config.s_values for seed in config.seeds]
     workers = sweep_workers(os.environ.get("MECHLEARN_WORKERS"), len(cells))
-    bundle = build_instance(config.instance)
+    bundle = config.bundle
     if not bundle.prior.grid_supported(bundle.spec):
         raise ConfigError(
             "sweeps need a grid-supported true prior so the benchmark is "
             "exact; use Monte-Carlo evaluation for off-grid priors"
         )
     benchmark = exact_benchmark(bundle, config.mode)
+    grid_prior = bundle.prior.to_grid_prior(bundle.spec)
+    args = (bundle, grid_prior, config.mode)
 
     results: list[tuple[dict, float, float]] = []
     if workers > 1:
@@ -257,14 +256,11 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
         load_lp_layer()  # once, here: forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_run_cell, config.instance, config.mode, s, seed)
-                for s, seed in cells
+                pool.submit(_run_cell, *args, s, seed) for s, seed in cells
             ]
             results = [f.result() for f in futures]
     else:
-        results = [
-            _run_cell(config.instance, config.mode, s, seed) for s, seed in cells
-        ]
+        results = [_run_cell(*args, s, seed) for s, seed in cells]
 
     rows = []
     timings = []

@@ -217,10 +217,6 @@ class ProductPrior:
             tuple(marg.support for marg in row) for row in self.marginals
         )
 
-    @property
-    def exact(self) -> bool:
-        return all(m.exact for row in self.marginals for m in row)
-
 
 @dataclass(frozen=True)
 class SampleSet:

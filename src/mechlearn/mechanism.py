@@ -30,27 +30,24 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InvariantError, ParseError, UsageError
+from .errors import CapacityError, ParseError, UsageError
 from .grid import GridSpec, ProductPrior
 from .outcomes import OutcomeSpace, ValuationModel, grid_type_ranks
 
 __all__ = [
     "ProfileDomain",
     "MechanismTable",
-    "InterimForm",
     "RegretReport",
     "type_axis_first",
     "type_weights",
     "rest_weights",
     "interim_utilities",
     "expost_columns",
-    "expost_slabs",
     "rest_columns",
     "distinct_columns",
     "max_gain",
     "domain_values",
     "revenue",
-    "interim_form",
     "regret_report",
     "audit_over_domain",
     "serialize_mechanism",
@@ -202,14 +199,6 @@ class ProfileDomain:
         out[grid_type_ranks(types, self.spec.levels)] = np.arange(len(types))
         return out
 
-    def profiles(self) -> Iterator[tuple[tuple[int, ...], ...]]:
-        """All profiles in rank order, as n-tuples of m-tuples of indices."""
-        per_bidder = [
-            list(itertools.product(*self.supports[i])) for i in range(self.n)
-        ]
-        for combo in itertools.product(*per_bidder):
-            yield combo
-
     def covers(self, prior: ProductPrior) -> tuple[int, int, int] | None:
         """First (bidder, parameter, grid index) of prior mass outside the
         domain, or None if fully covered."""
@@ -230,8 +219,6 @@ class MechanismTable:
     ``probs`` and ``payments`` are the candidate rows. Without ``src`` there
     is one per profile, in rank order (``src = arange(R)``), as in a support
     table from the oracle; the extensions pass few candidates and an index.
-    The dense tables ``.probs`` (R, K) and ``.payments`` (R, n) are gathers,
-    for tests and small callers.
     """
 
     def __init__(
@@ -282,23 +269,6 @@ class MechanismTable:
     @property
     def m(self) -> int:
         return self.domain.m
-
-    @property
-    def probs(self) -> np.ndarray:
-        """(R, K) lotteries in profile-rank order."""
-        return self._gather(self.rows_probs)
-
-    @property
-    def payments(self) -> np.ndarray:
-        """(R, n) payments in profile-rank order."""
-        return self._gather(self.rows_pay)
-
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
-        """``rows[src]``; the candidate array itself when each profile plays
-        its own row, so that a support table is not copied."""
-        if len(rows) == len(self.src) and np.array_equal(self.src, np.arange(len(rows))):
-            return rows
-        return rows[self.src]
 
     def lottery_entries(self, rank: int) -> list[tuple[float, int, np.ndarray]]:
         """Explicit (probability, outcome, payments) entries of one row."""
@@ -450,21 +420,6 @@ def rest_columns(domain: ProfileDomain, k: int) -> np.ndarray:
     return domain.join_rank(k, np.arange(t_k), rest)
 
 
-def expost_slabs(
-    domain: ProfileDomain,
-    k: int,
-    probs: np.ndarray,
-    pay: np.ndarray,
-    values: np.ndarray,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """``expost_columns`` over every rest column of a dense table:
-    ``u[t, s, rest]``, where ``probs`` (R, K) and ``pay`` (R,) are the
-    lotteries and bidder k's payments in profile-rank order, a support
-    table's or the blocks of an LP point. Yields ``(r0, u[:, :, r0:r1])``
-    in rest order."""
-    yield from expost_columns(probs, pay, rest_columns(domain, k), values)
-
-
 def distinct_columns(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rest columns of bidder k's view of ``mech.src``, (J,
     T_k) candidate rows, each once, in the order of its smallest rest rank,
@@ -526,46 +481,6 @@ def revenue(
         acc = acc @ np.array([nums[t] for t in ts], dtype=object)
         den *= d
     return Fraction(acc, den)
-
-
-@dataclass(frozen=True)
-class InterimForm:
-    """Interim utilities and expected payments of one bidder.
-
-    ``utilities[t, r]`` is the expected utility of true type t reporting
-    type r, in expectation over the other bidders' prior and the mechanism's
-    randomness. ``expected_payment[r]`` is the interim expected payment of a
-    report r.
-    """
-
-    bidder: int
-    types: np.ndarray  # (T, m) grid indices
-    utilities: np.ndarray  # (T, T)
-    expected_payment: np.ndarray  # (T,)
-
-    def __post_init__(self) -> None:
-        if not (
-            np.all(np.isfinite(self.utilities))
-            and np.all(np.isfinite(self.expected_payment))
-        ):
-            raise InvariantError("interim quantities must be finite")
-
-
-def interim_form(
-    mech: MechanismTable,
-    prior: ProductPrior,
-    model: ValuationModel,
-    k: int,
-) -> InterimForm:
-    utilities, cpay = interim_utilities(
-        mech, prior, k, domain_values(mech.domain, mech.space, model, k)
-    )
-    return InterimForm(
-        bidder=k,
-        types=mech.domain.bidder_types(k),
-        utilities=utilities,
-        expected_payment=cpay,
-    )
 
 
 @dataclass(frozen=True)

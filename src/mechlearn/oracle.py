@@ -53,7 +53,7 @@ and therefore optimal for it, and its duals on the added rows certify the
 objective.
 
 The violated rows are read off the point itself, not off a matrix: a DSIC
-row's left side is an ex-post utility gain, which ``expost_slabs`` yields
+row's left side is an ex-post utility gain, which ``expost_columns`` yields
 slab by slab as it does for the audit, and a BIC row's is an interim one,
 one small product of the point's interim columns.
 
@@ -104,7 +104,6 @@ from .mechanism import (
     audit_over_domain,
     domain_values,
     expost_columns,
-    expost_slabs,
     interim_utilities,
     rest_columns,
     rest_weights,
@@ -526,11 +525,12 @@ def _violated_rows(
 
     ``x`` is read as the rows read it, unclipped and unnormalized. A DSIC
     row's left side is the ex-post gain ``u[t, s, rest] - u[t, t, rest]``
-    over ``expost_slabs``, whose payments are each profile's value for its
-    components less its utility; a BIC row's is the interim gain, from one
-    product of bidder i's interim columns: ``v_t . pi_s - v_s . pi_s + U_s``
-    less its truthful value ``U_t``, where ``pi_s`` is the report's interim
-    own components and ``U_s`` its interim utility."""
+    over ``expost_columns`` of every rest column, whose payments are each
+    profile's value for its components less its utility; a BIC row's is
+    the interim gain, from one product of bidder i's interim columns:
+    ``v_t . pi_s - v_s . pi_s + U_s`` less its truthful value ``U_t``,
+    where ``pi_s`` is the report's interim own components and ``U_s`` its
+    interim utility."""
     n, r_profiles = domain.n, domain.num_profiles
     n_x = r_profiles * base.layout.feas.shape[1]
     out = []
@@ -549,7 +549,7 @@ def _violated_rows(
             t, _ = domain.split_rank(i, np.arange(r_profiles))
             pay = np.einsum("rc,rc->r", probs, vals[t])
             pay -= x[n_x : base.interim[0]].reshape(-1, n)[:, i]
-            slabs = expost_slabs(domain, i, probs, pay, vals)  # (T_i, T_i, rest)
+            slabs = expost_columns(probs, pay, rest_columns(domain, i), vals)  # (T_i, T_i, rest)
         for r0, u in slabs:
             u -= u[own, own][:, None]
             u -= problem.eta

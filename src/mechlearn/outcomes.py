@@ -322,10 +322,6 @@ def check_weakly_downward_closed(
                     zero_outcome=zero_outcome,
                 )
             witness[x, k] = hit
-    if zero_outcome is None and space.n >= 2:
-        # compose two witnesses: zero out everyone but bidder 0, then zero her
-        y = int(witness[0, 0])
-        zero_outcome = int(witness[y, 1])
     return ClosureResult(
         closed=True, witness=witness, counterexample=None, zero_outcome=zero_outcome
     )

@@ -60,6 +60,14 @@ def _fraction(x: Any) -> Fraction:
     raise ConfigError(f"cannot interpret probability {x!r}")
 
 
+def _finite(x: Any, key: str) -> float:
+    """Continuous-family parameter ``key``: a finite JSON number."""
+    out = config_real(x, key)
+    if not math.isfinite(out):
+        raise ConfigError(f"{key}: {x!r} is not finite")
+    return out
+
+
 @dataclass(frozen=True)
 class PriorCell:
     """One (bidder, parameter) marginal description."""
@@ -94,13 +102,18 @@ class PriorCell:
                 raise ConfigError(f"probs sum to {float(total)}, not 1")
             object.__setattr__(self, "_atoms", atoms)
         elif self.family == "uniform":
-            if not {"low", "high"} <= p.keys() or not p["low"] < p["high"]:
+            if not {"low", "high"} <= p.keys():
                 raise ConfigError("uniform needs low < high")
+            lo, hi = _finite(p["low"], "low"), _finite(p["high"], "high")
+            if not lo < hi or not math.isfinite(hi - lo):
+                raise ConfigError("uniform needs low < high, a finite range apart")
         elif self.family == "trunc_exp":
-            if p.get("scale", 0) <= 0:
+            if _finite(p.get("scale", 0), "scale") <= 0:
                 raise ConfigError("trunc_exp needs a positive 'scale'")
-            lo, hi = p.get("low", 0.0), p.get("high")
-            if hi is None or not lo < hi:
+            if "high" not in p:
+                raise ConfigError("trunc_exp needs low < high")
+            lo, hi = _finite(p.get("low", 0.0), "low"), _finite(p["high"], "high")
+            if not lo < hi:
                 raise ConfigError("trunc_exp needs low < high")
 
     @property
@@ -136,20 +149,6 @@ class PriorCell:
         for k, (_, q) in zip(idx.tolist(), atoms):
             mass[k] = mass.get(k, Fraction(0)) + q
         return DiscreteMarginal(spec, mass)
-
-    def mean(self) -> float:
-        if self.finite:
-            return float(sum(v * float(q) for v, q in self.atoms()))
-        if self.family == "uniform":
-            return 0.5 * (self.params["low"] + self.params["high"])
-        lo, hi, scale = (
-            self.params.get("low", 0.0),
-            self.params["high"],
-            self.params["scale"],
-        )
-        z = 1.0 - math.exp(-(hi - lo) / scale)
-        # mean of lo + Exp(scale) conditioned on being below hi
-        return lo + scale - (hi - lo) * math.exp(-(hi - lo) / scale) / z
 
     def draw(self, rng: np.random.Generator, size: int, h: float) -> np.ndarray:
         if self.finite:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,19 @@ def product_prior(spec: GridSpec, cells) -> ProductPrior:
     return ProductPrior(n=len(cells), m=len(cells[0]), marginals=margs)
 
 
+def dense(mech: MechanismTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's (R, K) lotteries and (R, n) payments in profile-rank
+    order: each profile's candidate row, gathered by ``src``."""
+    return mech.rows_probs[mech.src], mech.rows_pay[mech.src]
+
+
+def enumerate_profiles(domain: ProfileDomain):
+    """All profiles of ``domain`` in rank order, as n-tuples of m-tuples of
+    grid indices: the reference the rank code is checked against."""
+    per_bidder = [itertools.product(*cells) for cells in domain.supports]
+    return itertools.product(*per_bidder)
+
+
 def posted_price_table(spec: GridSpec, price: float, m: int = 1) -> MechanismTable:
     """Single bidder, additive items, take-it-or-leave-it bundle at `price`:
     the bidder buys everything iff her total grid value covers the price."""
@@ -34,7 +48,7 @@ def posted_price_table(spec: GridSpec, price: float, m: int = 1) -> MechanismTab
     r = domain.num_profiles
     probs = np.zeros((r, space.num_outcomes))
     payments = np.zeros((r, 1))
-    for rank, profile in enumerate(domain.profiles()):
+    for rank, profile in enumerate(enumerate_profiles(domain)):
         total = sum(spec.value(k) for k in profile[0])
         if total >= price:
             probs[rank, bundle] = 1.0
@@ -48,9 +62,10 @@ def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lottery and payment tensors with bidder k's type axis first: probs as
     (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by
     ``type_axis_first`` of the table's dense gathers."""
+    probs, pay = dense(mech)
     return (
-        type_axis_first(mech.domain, k, mech.probs),
-        type_axis_first(mech.domain, k, mech.payments[:, k]),
+        type_axis_first(mech.domain, k, probs),
+        type_axis_first(mech.domain, k, pay[:, k]),
     )
 
 

@@ -34,7 +34,7 @@ from mechlearn.oracle import OracleProblem
 from mechlearn.outcomes import single_parameter_space
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
-from conftest import product_prior
+from conftest import dense, product_prior
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -287,12 +287,13 @@ def test_criterion_6_concentration():
         OracleProblem(prior=grid_prior, space=space, model=model, ic_mode="bic")
     )
     mech = sol.mechanism
+    pay = dense(mech)[1]
     marg = grid_prior.marginals[0]
     supports = [marg[0].support, marg[1].support]
     f_mech = np.zeros((len(supports[0]), len(supports[1])))
     for a, ka in enumerate(supports[0]):
         for b, kb in enumerate(supports[1]):
-            f_mech[a, b] = mech.payments[mech.domain.profile_rank([[ka, kb]])].sum()
+            f_mech[a, b] = pay[mech.domain.profile_rank([[ka, kb]])].sum()
     h_f = float(f_mech.max())
     results.append(
         concentration_experiment(

@@ -6,7 +6,7 @@ ex-post utility from its own ``"tro,to->tr"`` contraction, a separate gain
 tensor, and one lattice per bidder. Every report field, every witness and
 both lattice regrets must come out equal, not approximately equal.
 
-``expost_utilities`` is the whole-tensor kernel that ``expost_slabs``
+``expost_utilities`` is the whole-tensor kernel that ``expost_columns``
 replaced; the streamed reductions are checked against it with one rest
 column per slab, so that ties span slabs.
 """
@@ -47,14 +47,16 @@ from mechlearn.learner import (
 from mechlearn.mechanism import (
     RegretReport,
     audit_over_domain,
-    interim_form,
+    domain_values,
+    expost_columns,
     interim_utilities,
+    rest_columns,
     serialize_mechanism,
 )
 from mechlearn.oracle import FEASIBILITY_TOL, bic_replacement_map
 from mechlearn.outcomes import check_weakly_downward_closed, grid_type_ranks
 
-from conftest import axis_views, posted_price_table, product_prior
+from conftest import axis_views, dense, posted_price_table, product_prior
 
 
 def _old_expost(probs_view, pay_view, values):
@@ -84,7 +86,9 @@ def _reference_audit(mech, prior, model) -> RegretReport:
     ir_best, ir_wit = np.inf, {}
     for k in range(mech.n):
         types = mech.domain.bidder_types(k)
-        u = interim_form(mech, prior, model, k).utilities
+        u = interim_utilities(
+            mech, prior, k, domain_values(mech.domain, mech.space, model, k)
+        )[0]
         gain = u - np.diag(u)[:, None]
         t, r = np.unravel_index(np.argmax(gain), gain.shape)
         if gain[t, r] > bic_best:
@@ -415,17 +419,16 @@ def test_middle_bidder_kernels_allocate_nothing_the_size_of_the_table(
     values = additive.value_table(space, spec, 1)
     monkeypatch.setattr(mechanism, "EXPOST_CHUNK_CELLS", 2 * 25 * 25 * 25)
     whole = expost_utilities(mech, 1, values)
+    probs, pay = dense(mech)
     tracemalloc.start()
     try:
-        for r0, u in mechanism.expost_slabs(
-            domain, 1, mech.probs, mech.payments[:, 1], values
-        ):
+        for r0, u in expost_columns(probs, pay[:, 1], rest_columns(domain, 1), values):
             assert np.array_equal(u, whole[:, :, r0 : r0 + u.shape[2]])
             del u
         interim = interim_utilities(mech, prior, 1, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < mech.probs.nbytes / 2
+    assert peak < probs.nbytes / 2
     assert r0 > 0  # more than one slab
     assert interim[0].shape == (25, 25)

@@ -15,7 +15,7 @@ from mechlearn._version import TOOL_VERSION
 from mechlearn.cli import cli_dispatch
 from mechlearn.experiments import MODES, ExperimentConfig, run_sweep
 
-from conftest import posted_price_table
+from conftest import dense, posted_price_table
 
 
 INSTANCE = {
@@ -50,10 +50,10 @@ def _lower_top_payment(src, dst):
     halved at that one profile: a type whose value lies above the new price
     gains by reporting that profile's type."""
     mech = deserialize_mechanism(src.read_text())
-    pay = mech.payments
+    probs, pay = dense(mech)
     pay[np.unravel_index(np.argmax(pay), pay.shape)] /= 2
     dst.write_text(serialize_mechanism(MechanismTable(
-        domain=mech.domain, space=mech.space, probs=mech.probs, payments=pay, meta=mech.meta
+        domain=mech.domain, space=mech.space, probs=probs, payments=pay, meta=mech.meta
     )))
 
 
@@ -215,7 +215,7 @@ def test_exact_eval_matches_monte_carlo(workdir, capsys):
     picks = rng.integers(0, 2, size=(n_draws, 2))  # uniform over {1.0, 2.0}
     idx = 4 + 4 * picks  # grid indices of 1.0 and 2.0 at eps 0.25
     ranks = idx[:, 0] * mech.domain.spec.levels + idx[:, 1]
-    draws = mech.payments[:, 0][ranks]
+    draws = dense(mech)[1][:, 0][ranks]
     se = draws.std(ddof=1) / np.sqrt(n_draws)
     assert abs(draws.mean() - exact) <= 4 * se
 
@@ -503,7 +503,7 @@ class TestExitCodes:
         mech = deserialize_mechanism(mech_path.read_text())
         # tamper: declare an impossible regret bound
         mech.meta["bic_regret_bound"] = -1.0
-        mech.payments[:, :] = mech.payments - 0.7  # also break nothing else
+        mech.rows_pay -= 0.7  # also break nothing else
         mech.meta["dsic_regret_bound"] = 0.0
         tampered = workdir / "tampered.json"
         tampered.write_text(serialize_mechanism(mech))
@@ -1035,3 +1035,27 @@ def test_mechanism_json_nested_too_deeply_is_exit_one(workdir, capsys, where):
     assert cli_dispatch(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: mechanism file is not valid: maximum recursion")
+
+
+@pytest.mark.parametrize(
+    "n, m, space",
+    [
+        (1, 2, {"kind": "custom", "allocations": [[[0, 0]], [[1, 0]], [[0, 1]], [[1, 1]]]}),
+        (2, 1, {"kind": "single_parameter", "allocations": [[0, 0], [1, 0], [0, 1]]}),
+    ],
+    ids=["custom", "single_parameter_allocations"],
+)
+def test_oracle_on_a_listed_outcome_space_verifies(tmp_path, capsys, n, m, space):
+    (tmp_path / "inst.json").write_text(json.dumps({**INSTANCE, "n": n, "m": m, "space": space}))
+    prior = {"n": n, "m": m, "h": 2.0, **INSTANCE["prior"]}
+    (tmp_path / "prior.json").write_text(json.dumps(prior))
+    mech = tmp_path / "o.json"
+    assert cli_dispatch(
+        ["oracle", "--config", str(tmp_path / "inst.json"), "--mode", "bic", "--out", str(mech)]
+    ) == 0
+    assert deserialize_mechanism(mech.read_text()).space.kind == space["kind"]
+    capsys.readouterr()
+    assert cli_dispatch(
+        ["verify", "--prior", str(tmp_path / "prior.json"), "--mech", str(mech)]
+    ) == 0
+    assert capsys.readouterr().out.endswith("declared invariants hold\n")

@@ -21,6 +21,7 @@ from mechlearn import (
 )
 from mechlearn import mechanism
 
+from conftest import dense
 from test_decode_reference import (
     SMALL_BLOCK,
     TWO_ENTRY_TEXT,
@@ -100,6 +101,11 @@ ORDER_CASES = {
         'mechanism file does not follow the layout {"header":{...},"rows":['
         '{"entries":[{"outcome":O,"p":"P","pay":["X",...]},...],"profile":[I,...]},...]}:'
         " the rows text is not a list of such rows",
+    ),
+    # a row past the 25 of the domain
+    "a_row_past_the_domain": (
+        lambda t: t[:-2] + ',{"entries":[],"profile":[0,0]}' + t[-2:],
+        "row 25: the declared domain has only 25 rows",
     ),
 }
 
@@ -233,5 +239,6 @@ def test_a_learned_three_bidder_table_round_trips_in_every_block(monkeypatch, ad
         monkeypatch.setattr(mechanism, "DECODE_BLOCK_CHARS", block)
         back = deserialize_mechanism(text)
         assert serialize_mechanism(back) == text
-        assert back.probs.tobytes() == inner.probs.tobytes()
-        assert back.payments.tobytes() == inner.payments.tobytes()
+        (back_probs, back_pay), (probs, pay) = dense(back), dense(inner)
+        assert back_probs.tobytes() == probs.tobytes()
+        assert back_pay.tobytes() == pay.tobytes()

@@ -12,6 +12,7 @@ import io
 import json
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +27,11 @@ INSTANCE = {
     "model": {"tag": "additive"}, "prior": PRIOR,
 }
 SINGLE = {**INSTANCE, "n": 2, "m": 1, "space": {"kind": "single_parameter"}}
+# a prior given cell by cell, one continuous family a cell
+CELLS = {**INSTANCE, "prior": {"cells": [[
+    {"family": "uniform", "params": {"low": 0.5, "high": 2.0}},
+    {"family": "trunc_exp", "params": {"scale": 0.7, "low": 0.0, "high": 2.0}},
+]]}}
 CONCENTRATE = {
     "epsilon": 0.5, "h": 1.0, "s": 10, "epsilon_dev": 0.1, "trials": 5,
     "marginals": [{"values": [0.5], "probs": ["1"]}], "f": {"kind": "constant", "value": 0.5},
@@ -37,6 +43,10 @@ FILES = {
         ["learn-dsic", "--config", "{f}", "--s", "5", "--seed", "1", "--out", "{w}/o.json"],
         ["oracle", "--config", "{f}", "--mode", "bic", "--eta", "0.5", "--out", "{w}/o.json"],
         ["oracle", "--config", "{f}", "--mode", "dsic", "--out", "{w}/o.json"],
+    ]),
+    "cells": (CELLS, [
+        ["learn-bic", "--config", "{f}", "--s", "5", "--seed", "1", "--out", "{w}/o.json"],
+        ["learn-dsic", "--config", "{f}", "--s", "5", "--seed", "1", "--out", "{w}/o.json"],
     ]),
     "single": (SINGLE, [
         ["learn-single", "--config", "{f}", "--s", "5", "--seed", "1", "--out", "{w}/o.json"],
@@ -144,3 +154,29 @@ def test_one_malformed_value_never_ends_in_a_traceback(tmp_path, case):
     code, _, err = run(tmp_path, *case)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [
+        {"family": "uniform", "params": {"low": 0, "high": math.inf}},
+        {"family": "uniform", "params": {"low": -math.inf, "high": 1}},
+        {"family": "uniform", "params": {"low": -1e308, "high": 1e308}},
+        {"family": "uniform", "params": {"low": 0, "high": 10**400}},
+        {"family": "trunc_exp", "params": {"scale": 1, "high": 10**400}},
+        {"family": "uniform", "params": {"low": [0], "high": [1]}},
+        {"family": "uniform", "params": {"low": False, "high": True}},
+    ],
+    ids=[
+        "inf_high", "inf_low", "infinite_range", "huge_int_high", "trunc_exp_huge_int_high",
+        "lists", "bools",
+    ],
+)
+def test_a_malformed_continuous_prior_parameter_is_exit_one(tmp_path, prior):
+    # an infinite or huge bound, or a range wider than the largest float,
+    # once ended in an OverflowError while drawing, and lists or booleans
+    # were drawn from
+    command = FILES["instance"][1][0]
+    code, _, err = run(tmp_path, json.dumps({**INSTANCE, "prior": prior}), command)
+    assert (code, "Traceback" in err) == (1, False)
+    assert err.startswith("error: ") and ("low" in err or "high" in err)

@@ -281,6 +281,26 @@ class TestSweep:
             tmp_path / "par" / "rows.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_benchmark_past_the_brute_force_guard_is_the_float_lp(self, monkeypatch, mode):
+        from mechlearn import exactlp, experiments
+
+        bundle = ExperimentConfig.from_json(sweep_config(mode=mode)).bundle
+        problem = experiments.grid_problem(bundle, mode)
+        exact = exactlp.brute_force_optimal(
+            problem.prior, bundle.space, bundle.model, problem.ic_mode, problem.eta
+        )
+        assert experiments.exact_benchmark(bundle, mode) == float(exact)
+
+        def no_brute_force(*args):
+            pytest.fail("past the guard the benchmark is the float LP")
+
+        monkeypatch.setattr(exactlp, "PROFILE_GUARD", 0)
+        monkeypatch.setattr(exactlp, "brute_force_optimal", no_brute_force)
+        assert experiments.exact_benchmark(bundle, mode) == pytest.approx(
+            float(exact), rel=1e-9
+        )
+
 
 def _revenue_by_profile_loop(mech, marginals):
     """Reference for the ``mechanism_revenue`` profile function: one

@@ -34,7 +34,7 @@ from mechlearn import mechanism
 from mechlearn.errors import InvariantError, UsageError
 from mechlearn.grid import ProductPrior
 from mechlearn.learner import Menu, MenuEntry, menu_mechanism, menu_selection
-from mechlearn.mechanism import expost_slabs
+from mechlearn.mechanism import expost_columns, rest_columns
 from mechlearn.oracle import bic_replacement_map
 from mechlearn.outcomes import (
     ClosureResult,
@@ -43,7 +43,7 @@ from mechlearn.outcomes import (
     single_parameter_space,
 )
 
-from conftest import product_prior
+from conftest import dense, product_prior
 
 
 def _reference_extend_bic(
@@ -57,11 +57,12 @@ def _reference_extend_bic(
     parts = [replace[i] * strides[i] for i in range(mech.n)]
     src = functools.reduce(np.add.outer, parts).reshape(-1)
     full_domain = ProfileDomain.full_grid(mech.domain.spec, mech.n, mech.m)
+    sup_probs, sup_pay = dense(mech)
     return MechanismTable(
         domain=full_domain,
         space=mech.space,
-        probs=mech.probs[src],
-        payments=mech.payments[src],
+        probs=sup_probs[src],
+        payments=sup_pay[src],
         meta={**mech.meta, "extension": "bic_best_response"},
     )
 
@@ -75,7 +76,7 @@ def _reference_extend_dsic(
     """Algorithm-level zero-out extension of a support mechanism.
 
     A lone off-support bidder's best reply and its utility, per (full-grid
-    type, rest profile), come from one pass over ``expost_slabs``, whose
+    type, rest profile), come from one pass over ``expost_columns``, whose
     ``EXPOST_CELL_BUDGET`` bounds T_full * T_supp cells and
     ``EXPOST_CHUNK_CELLS`` the cells held at once."""
     if not closure.closed or closure.witness is None:
@@ -89,6 +90,7 @@ def _reference_extend_dsic(
     # before the full table: value_table raises CapacityError on a huge grid
     values = [model.value_table(space, spec, k) for k in range(n)]
     k_out = space.num_outcomes
+    sup_probs, sup_pay = dense(mech)
 
     full_domain = ProfileDomain.full_grid(spec, n, m)
     r_full = full_domain.num_profiles
@@ -108,8 +110,8 @@ def _reference_extend_dsic(
 
     # all bidders on-support: copy the corresponding support row
     on_all = off_counts == 0
-    probs[on_all] = mech.probs[src[on_all]]
-    payments[on_all] = mech.payments[src[on_all]]
+    probs[on_all] = sup_probs[src[on_all]]
+    payments[on_all] = sup_pay[src[on_all]]
 
     # two or more off-support bidders: priceless zero outcome
     many_off = off_counts >= 2
@@ -133,7 +135,8 @@ def _reference_extend_dsic(
         # and its utility
         shape = (len(values[k]), domain.num_profiles // domain.bidder_type_count(k))
         best, top = np.empty(shape, dtype=np.int64), np.empty(shape)
-        slabs = expost_slabs(domain, k, mech.probs, mech.payments[:, k], values[k])
+        columns = rest_columns(domain, k)
+        slabs = expost_columns(sup_probs, sup_pay[:, k], columns, values[k])
         for r0, u in slabs:  # (T_full, T_supp, rest)
             best[:, r0 : r0 + u.shape[2]] = np.argmax(u, axis=1)
             top[:, r0 : r0 + u.shape[2]] = np.max(u, axis=1)
@@ -145,8 +148,8 @@ def _reference_extend_dsic(
         wit = closure.witness[:, k]
         scatter = np.zeros((k_out, k_out))
         scatter[np.arange(k_out), wit] = 1.0
-        probs[ranks] = mech.probs[src_rank] @ scatter
-        payments[ranks, k] = mech.payments[src_rank, k]
+        probs[ranks] = sup_probs[src_rank] @ scatter
+        payments[ranks, k] = sup_pay[src_rank, k]
         if closure.zero_outcome is not None:
             declines = top[digits[ranks, k], rest_rank] < 0.0
             out_ranks = ranks[declines]
@@ -210,8 +213,7 @@ def _assert_same_table(new, old) -> None:
     assert isinstance(new, MechanismTable)
     assert new.domain == old.domain and new.space is old.space
     assert new.meta == old.meta
-    for name in ("probs", "payments"):
-        a, b = getattr(new, name), getattr(old, name)
+    for a, b in zip(dense(new), dense(old)):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
 
@@ -304,11 +306,12 @@ def test_lone_off_support_types_that_decline_equal_the_reference(n, additive):
     new = extend_dsic(mech, space, additive, closure)
     _assert_same_table(new, _reference_extend_dsic(mech, space, additive, closure))
     full = new.domain
+    new_probs, new_pay = dense(new)
     for t in range(3):  # bidder 0 at type t, the others on the support
         rank = full.profile_rank([[t]] + [[3]] * (n - 1))
-        assert new.probs[rank, closure.zero_outcome] == 1.0
-        assert not new.payments[rank].any()
-    assert new.payments[full.profile_rank([[3]] * n), 0] == 1.5
+        assert new_probs[rank, closure.zero_outcome] == 1.0
+        assert not new_pay[rank].any()
+    assert new_pay[full.profile_rank([[3]] * n), 0] == 1.5
 
 
 @st.composite
@@ -367,5 +370,6 @@ def test_extend_dsic_peak_stays_under_twice_its_table(additive):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.0 * (table.probs.nbytes + table.payments.nbytes)
+    probs, pay = dense(table)
+    assert peak < 2.0 * (probs.nbytes + pay.nbytes)
     _assert_same_table(table, _reference_extend_dsic(mech, space, additive, closure))

@@ -37,7 +37,7 @@ from mechlearn.mechanism import (
     type_weights,
 )
 
-from conftest import product_prior
+from conftest import dense, product_prior
 from test_audit_reference import _reference_audit
 
 
@@ -47,16 +47,17 @@ def _reference_interim_utilities(mech, prior, k, values):
     weights = [[float(w) for w in ws] for ws in type_weights(mech.domain, prior)]
     w_rest = rest_weights(weights, k)
     t_k, b_n = mech.domain.bidder_type_count(k), int(mech.domain.bidder_strides()[k])
-    probs = mech.probs.reshape(-1, t_k, b_n, mech.probs.shape[1])
+    probs, pay = dense(mech)
+    probs = probs.reshape(-1, t_k, b_n, probs.shape[1])
     cp = np.einsum("asbo,ab->so", probs, w_rest.reshape(-1, b_n))
-    cpay = type_axis_first(mech.domain, k, mech.payments[:, k]) @ w_rest
+    cpay = type_axis_first(mech.domain, k, pay[:, k]) @ w_rest
     return values @ cp.T - cpay[None, :], cpay
 
 
 def _dense(mech: MechanismTable) -> MechanismTable:
+    probs, pay = dense(mech)
     return MechanismTable(
-        domain=mech.domain, space=mech.space, probs=mech.probs, payments=mech.payments,
-        meta=mech.meta,
+        domain=mech.domain, space=mech.space, probs=probs, payments=pay, meta=mech.meta
     )
 
 
@@ -140,8 +141,9 @@ def test_factored_tables_round_trip(case, block, kept):
             patch.setattr(mechanism, "DECODE_DISTINCT_CHARS", kept)
         back = deserialize_mechanism(text)
     assert serialize_mechanism(back) == text
-    assert back.probs.tobytes() == mech.probs.tobytes()
-    assert back.payments.tobytes() == mech.payments.tobytes()
+    (back_probs, back_pay), (probs, pay) = dense(back), dense(mech)
+    assert back_probs.tobytes() == probs.tobytes()
+    assert back_pay.tobytes() == pay.tobytes()
     if kept is None:
         # each distinct entries text is one candidate, -0.0 apart from 0.0
         assert len(back.rows_probs) == _distinct_entries(text)

@@ -195,7 +195,9 @@ class TestSamplePrior:
         prior = PriorDescription(n=1, m=1, h=2.0, cells=((cell,),))
         out = sample_prior(prior, 1, 1, 20_000, seed=4)
         assert out.values.min() >= 0.0 and out.values.max() <= 2.0
-        assert abs(out.values.mean() - cell.mean()) < 0.05
+        # mean of Exp(0.7) conditioned on being below 2
+        mean = 0.7 - 2.0 * math.exp(-2.0 / 0.7) / (1.0 - math.exp(-2.0 / 0.7))
+        assert abs(out.values.mean() - mean) < 0.05
 
     def test_unsupported_family(self):
         from mechlearn import ConfigError

@@ -26,7 +26,7 @@ from mechlearn.mechanism import deserialize_mechanism, regret_report, revenue
 from mechlearn.outcomes import OutcomeSpace
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
-from conftest import posted_price_table, product_prior
+from conftest import dense, posted_price_table, product_prior
 
 
 def u12_description(n, m):
@@ -185,10 +185,9 @@ class TestMenus:
         menu = mechanism_to_menu(learned.inner, additive)
         rebuilt = menu_mechanism(menu, additive, learned.spec)
         val = additive.value_table(learned.inner.space, learned.spec, 0)
-        u_src = np.einsum(
-            "to,ro->tr", val, learned.inner.probs
-        ) - learned.inner.payments[:, 0][None, :]
-        u_new = np.einsum("to,ro->tr", val, rebuilt.probs) - rebuilt.payments[:, 0][None, :]
+        (src_probs, src_pay), (new_probs, new_pay) = dense(learned.inner), dense(rebuilt)
+        u_src = np.einsum("to,ro->tr", val, src_probs) - src_pay[:, 0][None, :]
+        u_new = np.einsum("to,ro->tr", val, new_probs) - new_pay[:, 0][None, :]
         assert np.allclose(np.diag(u_new), np.diag(u_src), atol=1e-9)
 
     def test_menu_requires_entries(self):

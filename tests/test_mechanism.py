@@ -20,7 +20,6 @@ from mechlearn import (
     ValuationModel,
     deserialize_mechanism,
     enumerate_multi_item,
-    interim_form,
     learn_bic,
     learn_dsic,
     regret_report,
@@ -30,7 +29,8 @@ from mechlearn import (
     solve_optimal,
 )
 from mechlearn import mechanism
-from conftest import axis_views, posted_price_table, product_prior
+from mechlearn.mechanism import domain_values, interim_utilities
+from conftest import axis_views, dense, enumerate_profiles, posted_price_table, product_prior
 
 
 def two_bidder_posted_price(spec, price):
@@ -41,7 +41,7 @@ def two_bidder_posted_price(spec, price):
     probs = np.zeros((r, space.num_outcomes))
     payments = np.zeros((r, 2))
     # outcome index: item j digit is (i+1) when bidder i takes item j
-    for rank, profile in enumerate(domain.profiles()):
+    for rank, profile in enumerate(enumerate_profiles(domain)):
         digits = []
         for j in range(2):
             took = 0
@@ -59,7 +59,7 @@ def two_bidder_posted_price(spec, price):
 
 class TestProfileIndex:
     def test_rank_helpers_agree_with_enumeration(self):
-        # uneven supports, three bidders: every helper matches profiles()
+        # uneven supports, three bidders: every helper matches the enumeration
         spec = GridSpec(epsilon=0.5, h=2.0)
         domain = ProfileDomain(
             spec=spec, supports=(((0, 3),), ((1, 2, 4),), ((0, 1, 2, 3),))
@@ -70,9 +70,10 @@ class TestProfileIndex:
             probs=np.eye(4)[np.arange(domain.num_profiles) % 4],
             payments=np.arange(domain.num_profiles * 3.0).reshape(-1, 3),
         )
-        profiles = list(domain.profiles())
+        profiles = list(enumerate_profiles(domain))
         ranks = np.arange(len(profiles))
         types = domain.type_ranks()
+        probs, pay = dense(mech)
         for i in range(3):
             expected = [domain.bidder_type_rank(i, p[i]) for p in profiles]
             assert types[:, i].tolist() == expected
@@ -80,8 +81,8 @@ class TestProfileIndex:
             assert t.tolist() == expected
             assert np.array_equal(domain.join_rank(i, t, rest), ranks)
             probs_view, pay_view = axis_views(mech, i)
-            assert np.array_equal(probs_view[t, rest], mech.probs)
-            assert np.array_equal(pay_view[t, rest], mech.payments[:, i])
+            assert np.array_equal(probs_view[t, rest], probs)
+            assert np.array_equal(pay_view[t, rest], pay[:, i])
             to_domain = domain.grid_to_domain(i)
             for k in range(spec.levels):
                 on = k in domain.supports[i][0]
@@ -136,17 +137,22 @@ class TestInterimForm:
         prior = product_prior(
             quarter_grid, [[{0: Fraction(1, 4), 4: Fraction(1, 2), 8: Fraction(1, 4)}]]
         )
-        form = interim_form(mech, prior, additive, 0)
+        utilities, _ = interim_utilities(
+            mech, prior, 0, domain_values(mech.domain, mech.space, additive, 0)
+        )
         # with n=1 the interim table is the ex-post utility table
         val = additive.value_table(mech.space, quarter_grid, 0)
-        expost = val @ mech.probs.T - mech.payments[:, 0][None, :]
-        assert np.allclose(form.utilities, expost, atol=1e-12)
+        probs, pay = dense(mech)
+        expost = val @ probs.T - pay[:, 0][None, :]
+        assert np.allclose(utilities, expost, atol=1e-12)
 
     def test_ir_mechanism_has_nonnegative_diagonal(self, quarter_grid, additive):
         mech = posted_price_table(quarter_grid, price=1.0)
         prior = product_prior(quarter_grid, [[{4: Fraction(1, 2), 8: Fraction(1, 2)}]])
-        form = interim_form(mech, prior, additive, 0)
-        assert np.diag(form.utilities).min() >= -1e-12
+        utilities, _ = interim_utilities(
+            mech, prior, 0, domain_values(mech.domain, mech.space, additive, 0)
+        )
+        assert np.diag(utilities).min() >= -1e-12
 
     def test_two_bidder_matches_enumeration_oracle(self, additive):
         spec = GridSpec(epsilon=1.0, h=2.0)
@@ -157,7 +163,9 @@ class TestInterimForm:
         ]
         prior = product_prior(spec, cells)
         k = 0
-        form = interim_form(mech, prior, additive, k)
+        utilities, _ = interim_utilities(
+            mech, prior, k, domain_values(mech.domain, mech.space, additive, k)
+        )
         types = mech.domain.bidder_types(k)
         # oracle: direct sum over the other bidder's types
         other_types = mech.domain.bidder_types(1)
@@ -172,6 +180,7 @@ class TestInterimForm:
         def type_rank(i, t):
             return mech.domain.bidder_type_rank(i, t)
 
+        probs, pay = dense(mech)
         for ti, t_true in enumerate(types):
             vrow = val[ti]
             for ri, t_rep in enumerate(types):
@@ -180,17 +189,18 @@ class TestInterimForm:
                     if w == 0.0:
                         continue
                     rank = mech.domain.profile_rank([t_rep, t_other])
-                    u = vrow @ mech.probs[rank] - mech.payments[rank, k]
+                    u = vrow @ probs[rank] - pay[rank, k]
                     expected += w * u
-                assert form.utilities[ti, ri] == pytest.approx(expected, abs=1e-9)
+                assert utilities[ti, ri] == pytest.approx(expected, abs=1e-9)
 
     def test_recompute_reproduces(self, quarter_grid, additive):
         mech = posted_price_table(quarter_grid, price=0.5)
         prior = product_prior(quarter_grid, [[{2: Fraction(1, 2), 6: Fraction(1, 2)}]])
-        a = interim_form(mech, prior, additive, 0)
-        b = interim_form(mech, prior, additive, 0)
-        assert np.array_equal(a.utilities, b.utilities)
-        assert np.array_equal(a.expected_payment, b.expected_payment)
+        val = domain_values(mech.domain, mech.space, additive, 0)
+        a = interim_utilities(mech, prior, 0, val)
+        b = interim_utilities(mech, prior, 0, val)
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
 
 class TestRegretReport:
@@ -263,12 +273,14 @@ class TestRegretReport:
     def test_revenue_two_route_consistency(self, quarter_grid, additive):
         mech = posted_price_table(quarter_grid, price=1.0)
         prior = product_prior(quarter_grid, [[{2: Fraction(1, 4), 6: Fraction(3, 4)}]])
-        form = interim_form(mech, prior, additive, 0)
+        _, expected_payment = interim_utilities(
+            mech, prior, 0, domain_values(mech.domain, mech.space, additive, 0)
+        )
         weights = [
             float(prior.marginals[0][0].mass.get(int(t[0]), Fraction(0)))
             for t in mech.domain.bidder_types(0)
         ]
-        via_interim = float(np.dot(weights, form.expected_payment))
+        via_interim = float(np.dot(weights, expected_payment))
         assert via_interim == pytest.approx(revenue(mech, prior), abs=1e-9)
 
     def test_payment_rescaling_scales_revenue(self, quarter_grid):
@@ -299,10 +311,12 @@ class TestRegretReport:
         rep = regret_report(mech, prior, additive)
 
         k = rep.bic_witness["bidder"]
-        form = interim_form(mech, prior, additive, k)
+        utilities, _ = interim_utilities(
+            mech, prior, k, domain_values(mech.domain, mech.space, additive, k)
+        )
         t = mech.domain.bidder_type_rank(k, rep.bic_witness["true_type"])
         r = mech.domain.bidder_type_rank(k, rep.bic_witness["report"])
-        assert form.utilities[t, r] - form.utilities[t, t] == pytest.approx(
+        assert utilities[t, r] - utilities[t, t] == pytest.approx(
             rep.bic_regret, abs=1e-9
         )
 
@@ -358,8 +372,9 @@ class TestSerialization:
         mech = posted_price_table(quarter_grid, price=1.0, m=2)
         text = serialize_mechanism(mech)
         back = deserialize_mechanism(text)
-        assert np.array_equal(back.probs, mech.probs)
-        assert np.array_equal(back.payments, mech.payments)
+        (back_probs, back_pay), (probs, pay) = dense(back), dense(mech)
+        assert np.array_equal(back_probs, probs)
+        assert np.array_equal(back_pay, pay)
         assert serialize_mechanism(back) == text
 
     def test_round_trip_support_domain(self):
@@ -375,7 +390,7 @@ class TestSerialization:
         )
         back = deserialize_mechanism(serialize_mechanism(mech))
         assert back.domain.supports == mech.domain.supports
-        assert np.array_equal(back.probs, mech.probs)
+        assert np.array_equal(dense(back)[0], dense(mech)[0])
         assert back.meta["note"] == "tiny"
 
     def test_rejects_non_stochastic_lottery(self, quarter_grid):
@@ -389,12 +404,10 @@ class TestSerialization:
         # NaN fails every comparison, so the range and sum checks let it by;
         # written out it becomes "p":"nan", which no reader accepts.
         mech = posted_price_table(quarter_grid, price=1.0)
-        probs = mech.probs.copy()
+        probs, pay = dense(mech)
         probs[0, 1] = np.nan
         with pytest.raises(UsageError, match="finite"):
-            MechanismTable(
-                domain=mech.domain, space=mech.space, probs=probs, payments=mech.payments
-            )
+            MechanismTable(domain=mech.domain, space=mech.space, probs=probs, payments=pay)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ParseError):
@@ -421,7 +434,7 @@ class TestSerialization:
             payments=np.array([[0.0], [1.2], [0.5]]),
         )
         doc = json.loads(serialize_mechanism(mech))
-        assert deserialize_mechanism(json.dumps(doc)).payments[1, 0] == 1.2
+        assert dense(deserialize_mechanism(json.dumps(doc)))[1][1, 0] == 1.2
         doc["rows"][1]["entries"][1]["pay"] = ["99.0"]
         with pytest.raises(ParseError, match="row 1 entry 1: payments"):
             deserialize_mechanism(json.dumps(doc))

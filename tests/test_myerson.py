@@ -23,7 +23,7 @@ from mechlearn.myerson import NON_PARTICIPANT, MyersonAuction, single_parameter_
 from mechlearn.outcomes import single_parameter_space
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
-from conftest import marginal, product_prior
+from conftest import dense, marginal, product_prior
 
 
 def single_item_space(n):
@@ -425,7 +425,8 @@ def test_tables_are_pinned(case, table_digest, priced_digest):
         allocate_on_zero_ties=allocate,
     )
     table = single_parameter_table(auction, spec)
-    got_table = hashlib.sha256(table.probs.tobytes() + table.payments.tobytes())
+    probs, pay = dense(table)
+    got_table = hashlib.sha256(probs.tobytes() + pay.tobytes())
     got_priced = hashlib.sha256()
     for positions in itertools.product(
         *(range(NON_PARTICIPANT, len(m.support)) for m in margs)
@@ -444,7 +445,7 @@ def test_missing_exclusion_fails_only_when_looked_up():
     built = single_parameter_table(
         MyersonAuction(virtuals=(iron(low), iron(high)), space=space), spec
     )
-    assert built.probs.sum(axis=1).tolist() == [1.0] * built.domain.num_profiles
+    assert dense(built)[0].sum(axis=1).tolist() == [1.0] * built.domain.num_profiles
     auction = MyersonAuction(virtuals=(iron(high), iron(low)), space=space)
     with pytest.raises(UsageError, match="no outcome excludes"):
         single_parameter_table(auction, spec)

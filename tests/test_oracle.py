@@ -28,7 +28,7 @@ from mechlearn import (
 from mechlearn.mechanism import audit_over_domain
 from mechlearn.oracle import OracleProblem, bic_replacement_map
 
-from conftest import product_prior
+from conftest import dense, product_prior
 from test_audit_reference import expost_utilities
 
 
@@ -116,8 +116,9 @@ class TestSolveOptimal:
         problem = OracleProblem(prior=prior, space=space, model=additive, ic_mode="bic")
         a = solve_optimal(problem)
         b = solve_optimal(problem)
-        assert np.array_equal(a.mechanism.probs, b.mechanism.probs)
-        assert np.array_equal(a.mechanism.payments, b.mechanism.payments)
+        (a_probs, a_pay), (b_probs, b_pay) = dense(a.mechanism), dense(b.mechanism)
+        assert np.array_equal(a_probs, b_probs)
+        assert np.array_equal(a_pay, b_pay)
 
     def test_budget_guard(self, additive):
         spec = GridSpec(epsilon=0.05, h=2.0)
@@ -505,25 +506,27 @@ class TestExtendBic:
     def test_on_support_rows_unchanged(self, additive):
         spec, prior, space, sol = self._support_solution(additive)
         full = extend_bic(sol.mechanism, prior, additive)
+        (full_probs, full_pay), (sup_probs, sup_pay) = dense(full), dense(sol.mechanism)
         for t in (1, 2):
             src = sol.mechanism.domain.profile_rank([[t]])
             dst = full.domain.profile_rank([[t]])
-            assert np.array_equal(full.probs[dst], sol.mechanism.probs[src])
-            assert np.array_equal(full.payments[dst], sol.mechanism.payments[src])
+            assert np.array_equal(full_probs[dst], sup_probs[src])
+            assert np.array_equal(full_pay[dst], sup_pay[src])
 
     def test_single_bidder_gets_favorite_row(self, additive):
         spec, prior, space, sol = self._support_solution(additive)
         full = extend_bic(sol.mechanism, prior, additive)
+        (full_probs, full_pay), (sup_probs, sup_pay) = dense(full), dense(sol.mechanism)
         val = additive.value_table(space, spec, 0)
         supp_ranks = [sol.mechanism.domain.profile_rank([[t]]) for t in (1, 2)]
         for k in range(spec.levels):
             utilities = [
-                val[k] @ sol.mechanism.probs[r] - sol.mechanism.payments[r, 0]
+                val[k] @ sup_probs[r] - sup_pay[r, 0]
                 for r in supp_ranks
             ]
             best = max(utilities)
             dst = full.domain.profile_rank([[k]])
-            got = val[k] @ full.probs[dst] - full.payments[dst, 0]
+            got = val[k] @ full_probs[dst] - full_pay[dst, 0]
             assert got == pytest.approx(best, abs=1e-12)
 
     def test_tie_broken_lexicographically(self, additive):
@@ -611,14 +614,15 @@ def _full_x(problem, sol, lp):
     each bidder's value for the lottery less her payment, then the interim
     columns their defining rows, the last equality rows, give."""
     mech = sol.mechanism
+    probs, pay = dense(mech)
     x = np.zeros(lp.c.size)
-    comps = mech.probs @ lp.layout.comps(np.arange(problem.space.num_outcomes))
+    comps = probs @ lp.layout.comps(np.arange(problem.space.num_outcomes))
     ranks = mech.domain.type_ranks()
     value = np.stack(
-        [np.sum(mech.probs * v[ranks[:, i]], axis=1) for i, v in enumerate(lp.layout.values)],
+        [np.sum(probs * v[ranks[:, i]], axis=1) for i, v in enumerate(lp.layout.values)],
         axis=1,
     )
-    base = np.concatenate([comps.ravel(), (value - mech.payments).ravel()])
+    base = np.concatenate([comps.ravel(), (value - pay).ravel()])
     x[: base.size] = base
     x[base.size :] -= lp.a_eq[lp.a_eq.shape[0] - (x.size - base.size) :] @ x
     return x
@@ -933,27 +937,30 @@ class TestExtendDsic:
     def test_on_support_rows_unchanged(self, additive):
         spec, prior, space, sol, closure = self._two_bidder_solution(additive)
         full = extend_dsic(sol.mechanism, space, additive, closure)
+        (full_probs, full_pay), (sup_probs, sup_pay) = dense(full), dense(sol.mechanism)
         for ta, tb in itertools.product((1, 2), repeat=2):
             src = sol.mechanism.domain.profile_rank([[ta], [tb]])
             dst = full.domain.profile_rank([[ta], [tb]])
-            assert np.array_equal(full.probs[dst], sol.mechanism.probs[src])
-            assert np.array_equal(full.payments[dst], sol.mechanism.payments[src])
+            assert np.array_equal(full_probs[dst], sup_probs[src])
+            assert np.array_equal(full_pay[dst], sup_pay[src])
 
     def test_two_off_support_bidders_zeroed(self, additive):
         spec, prior, space, sol, closure = self._two_bidder_solution(additive)
         full = extend_dsic(sol.mechanism, space, additive, closure)
         dst = full.domain.profile_rank([[0], [0]])  # both off-support
-        assert full.payments[dst].tolist() == [0.0, 0.0]
-        assert full.probs[dst, closure.zero_outcome] == 1.0
+        probs, pay = dense(full)
+        assert pay[dst].tolist() == [0.0, 0.0]
+        assert probs[dst, closure.zero_outcome] == 1.0
 
     def test_other_bidder_zeroed_whatever_she_bids(self, additive):
         spec, prior, space, sol, closure = self._two_bidder_solution(additive)
         full = extend_dsic(sol.mechanism, space, additive, closure)
         val = additive.value_table(space, spec, 1)
+        probs, pay = dense(full)
         for other_bid in range(spec.levels):
             dst = full.domain.profile_rank([[0], [other_bid]])  # bidder 0 off
-            assert full.payments[dst, 1] == 0.0
-            assert val[other_bid] @ full.probs[dst] == pytest.approx(0.0, abs=1e-12)
+            assert pay[dst, 1] == 0.0
+            assert val[other_bid] @ probs[dst] == pytest.approx(0.0, abs=1e-12)
 
     def test_walk_away_preserves_ir(self, additive):
         # support {2} sells at 2; type 0 must not be forced to pay

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mechlearn import (
     CapacityError,
@@ -165,7 +167,43 @@ class TestValues:
             model.audit_custom_table(space)
 
 
+@st.composite
+def _projected_spaces(draw):
+    """A custom space of a few drawn outcomes and each one's one-bidder
+    projections (its allocation to one bidder, the others' zeroed), without
+    the all-zero outcome half the time, in a drawn order; and a model."""
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    level = st.sampled_from([0.0, 0.5, 1.0])
+    rows = st.lists(st.lists(level, min_size=m, max_size=m), min_size=n, max_size=n)
+    base = np.array(draw(st.lists(rows, min_size=1, max_size=3)))
+    projections = [base]
+    for k in range(n):
+        proj = np.zeros_like(base)
+        proj[:, k] = base[:, k]
+        projections.append(proj)
+    alloc = np.unique(np.concatenate(projections), axis=0)
+    if draw(st.booleans()):
+        alloc = alloc[alloc.reshape(len(alloc), -1).any(axis=1)]
+    assume(len(alloc) > 0)
+    alloc = alloc[draw(st.permutations(range(len(alloc))))]
+    model = ValuationModel(tag=draw(st.sampled_from(["additive", "unit_demand"])))
+    return OutcomeSpace(kind="custom", n=n, m=m, alloc=alloc), model
+
+
 class TestWeakDownwardClosure:
+    @given(case=_projected_spaces())
+    @settings(max_examples=200, deadline=None)
+    def test_a_closed_space_of_two_or_more_bidders_has_a_zero_outcome(self, case):
+        # the witness of outcome 0 for bidder 0 keeps only bidder 0's value;
+        # its witness for bidder 1 keeps bidder 1's, which is 0: all-zero
+        space, model = case
+        spec = GridSpec(epsilon=0.5, h=1.0)
+        result = check_weakly_downward_closed(space, model, spec)
+        if result.closed:
+            assert result.zero_outcome is not None
+            for i in range(space.n):
+                assert not model.value_table(space, spec, i)[:, result.zero_outcome].any()
+
     def test_multi_item_additive_closed_with_row_witness(self):
         spec = GridSpec(epsilon=0.5, h=1.0)
         space = enumerate_multi_item(2, 2)

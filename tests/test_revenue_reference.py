@@ -26,6 +26,8 @@ from mechlearn import (
 from mechlearn.errors import UsageError
 from mechlearn.learner import LearnedMechanism
 
+from conftest import dense
+
 SPEC = GridSpec(epsilon=0.25, h=1.0)
 # off-grid atoms, several rounding to one grid index (0.5, 0.55, 0.6 -> 2)
 ATOM_VALUES = [0.0, 0.1, 0.25, 0.3, 0.5, 0.55, 0.6, 0.75, 0.9, 1.0]
@@ -47,7 +49,7 @@ def _reference_revenue(mech, prior) -> Fraction:
         if p == 0:
             continue
         rank = mech.domain.profile_rank(profile)
-        paysum = sum((Fraction(float(x)) for x in mech.payments[rank]), Fraction(0))
+        paysum = sum((Fraction(float(x)) for x in dense(mech)[1][rank]), Fraction(0))
         total += p * paysum
     return total
 
@@ -62,7 +64,7 @@ def _reference_atoms(learned, prior) -> Fraction:
         values = np.array([v for v, _ in combo]).reshape(prior.n, prior.m)
         rank = learned.grid_rank(values)
         paysum = sum(
-            (Fraction(float(x)) for x in learned.inner.payments[rank]), Fraction(0)
+            (Fraction(float(x)) for x in dense(learned.inner)[1][rank]), Fraction(0)
         )
         total += prob * paysum
     return total
@@ -139,12 +141,13 @@ def test_a_non_finite_payment_raises_what_fraction_raises(bad):
     prior = _random_prior(rng, 2, 1)
     grid_prior = prior.to_grid_prior(SPEC)
     table = _random_table(rng, ProfileDomain.full_grid(SPEC, 2, 1))
+    probs, pay = dense(table)
     with pytest.raises(UsageError):
         MechanismTable(
             domain=table.domain,
             space=table.space,
-            probs=table.probs,
-            payments=np.full_like(table.payments, bad),
+            probs=probs,
+            payments=np.full_like(pay, bad),
         )
     with pytest.raises(Exception) as expected:
         Fraction(bad)
