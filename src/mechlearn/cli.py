@@ -76,6 +76,13 @@ def _write_text(path: str, text: str) -> None:
     write_text(path, text, "" if text.endswith("\n") else "\n")
 
 
+def _write_stats(path: str | None, stats: dict) -> None:
+    """Write the oracle's solver statistics to ``path`` as one JSON object,
+    if a path is given; they never enter the mechanism file."""
+    if path is not None:
+        _write_text(path, json.dumps(stats))
+
+
 def _load_instance(path: str):
     """The instance config at ``path`` and the bundle it describes."""
     instance = _load_json(path)
@@ -126,6 +133,7 @@ def _cmd_learn(args) -> int:
     learned = learn(args.mode, _get_samples(args, bundle), bundle)
     meta = {"config_hash": config_hash(instance), "model": instance["model"]}
     _write_mechanism(args.out, learned.inner, **meta)
+    _write_stats(args.stats_json, learned.stats)
     print(f"wrote {args.out} (mode={learned.mode}, rows={learned.inner.domain.num_profiles})")
     return 0
 
@@ -142,6 +150,7 @@ def _cmd_oracle(args) -> int:
         objective=repr(solution.objective_value),
         **{f"{problem.ic_mode}_regret_bound": problem.eta},
     )
+    _write_stats(args.stats_json, solution.stats)
     print(f"objective {solution.objective_value!r}")
     print(f"wrote {args.out}")
     return 0
@@ -308,9 +317,13 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    stats_help = "write the oracle LP's solver statistics as JSON"
+
     def add_learn(name: str, mode: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(mode=mode)  # one of experiments.MODES
+        p.set_defaults(mode=mode, stats_json=None)  # mode: one of experiments.MODES
+        if mode != "single_parameter":  # no LP, so no solver statistics
+            p.add_argument("--stats-json", help=stats_help)
         p.add_argument("--config", required=True, help="instance JSON")
         p.add_argument("--s", type=int, help="samples per (bidder, parameter)")
         p.add_argument("--seed", type=int, help="sampling seed (required unless --samples)")
@@ -332,6 +345,7 @@ def _build_parser() -> _Parser:
         "(default 0 in bic mode, 2*m*epsilon in dsic mode)"
     )
     p.add_argument("--lp-dump", help="write the LP in text form")
+    p.add_argument("--stats-json", help=stats_help)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("myerson", help="export ironed virtual values as CSV")

@@ -15,7 +15,7 @@ the seller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,6 +67,8 @@ class LearnedMechanism:
 
     inner: MechanismTable
     mode: str  # "bic" | "dsic": the truthfulness the table is learned for
+    # the oracle's ``LpSolution.stats``, empty without an LP; never serialized
+    stats: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.inner.domain.is_full_grid:
@@ -177,6 +179,7 @@ def _learn(
                 f"{closure.counterexample[1]}"
             )
     prior = _empirical_prior(samples, spec)
+    stats = {}
     if mode == "single_parameter":  # exactly IR and DSIC
         auction = MyersonAuction(tuple(iron(row[0]) for row in prior.marginals), space)
         inner = single_parameter_table(auction, spec)
@@ -192,9 +195,10 @@ def _learn(
             inner = extend_dsic(solution.mechanism, space, model, closure)
             declared = {"dsic_regret_bound": 2.0 * slack}
         declared["oracle_objective"] = solution.objective_value
+        stats = solution.stats
     ic_mode = "bic" if mode == "bic" else "dsic"
     inner.meta.update(mode=ic_mode, samples=samples.s, seed=samples.rng_seed, **declared)
-    return LearnedMechanism(inner=inner, mode=ic_mode)
+    return LearnedMechanism(inner=inner, mode=ic_mode, stats=stats)
 
 
 def learn_bic(

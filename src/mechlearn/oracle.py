@@ -52,6 +52,15 @@ row is violated, the last relaxation's optimum is feasible for the full LP
 and therefore optimal for it, and its duals on the added rows certify the
 objective.
 
+In BIC mode every component column is also bounded by 1, which the
+feasibility rows imply. A dual simplex puts a boxed column of negative cost
+at its bound, so HiGHS starts dual feasible and skips its dual phase 1,
+about half the iterations. DSIC mode keeps no box: presolve solves most of
+that LP, and with the box the postsolved basis needs a primal cleanup that
+costs more than it saves. The certificate adds the box's Lagrangian term,
+``min(d_j, 0) * 1`` for each boxed column's reduced cost d_j, to the rows'
+duals, so it bounds the objective whatever each column's basis status.
+
 The violated rows are read off the point itself, not off a matrix: a DSIC
 row's left side is an ex-post utility gain, which ``expost_columns`` yields
 slab by slab as it does for the audit, and a BIC row's is an interim one,
@@ -214,9 +223,10 @@ class _Lp(NamedTuple):
     """The LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @
     x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``. The columns
     are the ``layout`` components of every profile and the utilities, u(r,
-    i) at ``n_x + r * n + i``, all nonnegative, then from ``interim[0]``
-    the free interim columns, bidder i's from ``interim[i]``; ``seed`` is
-    the welfare-maximizing point at zero utility.
+    i) at ``n_x + r * n + i``, all nonnegative and the components at most 1
+    in BIC mode, then from ``interim[0]`` the free interim columns, bidder
+    i's from ``interim[i]``; ``seed`` is the welfare-maximizing point at
+    zero utility.
 
     ``a_ub`` ends with the feasibility rows that are inequalities and
     ``a_eq`` starts with those that are equalities; its last rows define
@@ -317,7 +327,11 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     )
 
     objective = -info.objective_function_value
+    # the rows' duals and the box's term (see the module docstring)
     dual = float(np.asarray(result.row_dual) @ np.concatenate(b_rows))
+    upper = base.bounds[:, 1]
+    boxed = np.isfinite(upper)
+    dual += float(np.minimum(np.asarray(result.col_dual)[boxed], 0.0) @ upper[boxed])
     ic_rows = sum(a.size - a.size // len(a) for a in active)  # off the diagonal
     fixed_rows = base.a_ub.shape[0] + base.a_eq.shape[0]
     solution = LpSolution(
@@ -493,8 +507,11 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     b_ub = np.ones(a_ub.shape[0])
     b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
     # the interim columns are free: bounded at 0, which their definitions
-    # imply, HiGHS takes more iterations
+    # imply, HiGHS takes more iterations. The BIC components are boxed at
+    # 1, which the feasibility rows imply (see the module docstring).
     bounds = np.tile([0.0, np.inf], (n_vars, 1))
+    if problem.ic_mode == "bic":
+        bounds[:n_x, 1] = 1.0
     bounds[interim[0] :, 0] = -np.inf
 
     # The seed: each profile plays the components of its welfare-maximizing
@@ -854,7 +871,9 @@ def extend_dsic(
 def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
     """Build the full LP, every row of it, and write it in CPLEX LP text
     format for external checking. The components and utilities have the
-    format's default bounds, ``>= 0``; the interim columns are free."""
+    format's default bounds, ``>= 0``; the interim columns are free. The
+    BIC components' upper bound 1 is left out: the feasibility rows imply
+    it, and HiGHS gets it only to start its dual simplex dual feasible."""
     lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
 

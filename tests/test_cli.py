@@ -1059,3 +1059,55 @@ def test_oracle_on_a_listed_outcome_space_verifies(tmp_path, capsys, n, m, space
         ["verify", "--prior", str(tmp_path / "prior.json"), "--mech", str(mech)]
     ) == 0
     assert capsys.readouterr().out.endswith("declared invariants hold\n")
+
+
+_STATS_KEYS = {"rows", "cols", "nnz", "nit", "rounds", "active_rows",
+               "assemble_s", "solve_s", "audit_s"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-bic", "--s", "20", "--seed", "1"],
+        ["learn-dsic", "--s", "20", "--seed", "1"],
+        ["oracle", "--mode", "bic"],
+        ["oracle", "--mode", "dsic"],
+    ],
+)
+def test_stats_json_stays_out_of_the_mechanism_file(workdir, capsys, argv):
+    argv = argv[:1] + ["--config", str(workdir / "inst.json")] + argv[1:]
+    plain, with_stats = workdir / "plain.json", workdir / "with_stats.json"
+    stats = workdir / "stats.json"
+    assert cli_dispatch(argv + ["--out", str(plain)]) == 0
+    assert cli_dispatch(argv + ["--out", str(with_stats), "--stats-json", str(stats)]) == 0
+    assert with_stats.read_bytes() == plain.read_bytes()
+    text = stats.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1  # one JSON object
+    values = json.loads(text)
+    assert set(values) == _STATS_KEYS
+    assert values["rounds"] >= 1 and values["nit"] >= 0
+    assert values["active_rows"] <= values["rows"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["learn-bic", "--config", "{w}/inst.json", "--s", "20", "--seed", "1",
+         "--out", "{w}/o.json", "--stats-json", "{w}/nodir/s.json"],
+        ["oracle", "--config", "{w}/inst.json", "--out", "{w}/o.json",
+         "--stats-json", "{w}/nodir/s.json"],
+    ],
+)
+def test_unwritable_stats_json_is_usage_error(workdir, capsys, argv):
+    assert cli_dispatch([a.format(w=workdir) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir}/nodir/s.json: cannot write: ")
+
+
+def test_learn_single_has_no_stats_json(workdir, capsys):
+    argv = ["learn-single", "--config", str(workdir / "inst.json"), "--s", "5",
+            "--seed", "1", "--out", str(workdir / "o.json"),
+            "--stats-json", str(workdir / "s.json")]
+    assert cli_dispatch(argv) == 1
+    assert "--stats-json" in capsys.readouterr().err
+    assert not (workdir / "s.json").exists()

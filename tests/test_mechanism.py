@@ -503,7 +503,7 @@ def _pinned_mechanism(name: str) -> MechanismTable:
     "name, digest",
     [
         ("learned_dsic", "5777a925bb18b9ed11f5b45e79e0f0ac7144c07a7729ccc004f7232a40811c17"),
-        ("learned_bic", "ec502ed6a6d2b85b5eaf9d8c96a26af6a1c04188b2bb0ba2369ea07064b5d6c6"),
+        ("learned_bic", "6d08f4512fd58239b34095d2df59f3d9372662f63d690b03e6b0acec712d02dc"),
         ("support_n3", "834b524ef1975c052bf18e25cbe35f54fd12f17eb168dbfde904895720257128"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
     ],

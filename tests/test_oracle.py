@@ -162,6 +162,63 @@ class TestSolveOptimal:
         np.testing.assert_allclose(solution.col_value, [2.5, 1.5])
         np.testing.assert_allclose(solution.row_dual, [-1.5, 0.5])
         assert np.asarray(solution.row_dual) @ [4.0, 1.0] == pytest.approx(-5.5)
+        # A column boxed in [0, 1] of cost -3, with the row x2 - x0 <= 0
+        # appended, ends at its upper bound: x = (2.5, 1.5, 1), objective
+        # -8.5. Its reduced cost -3 enters the dual objective as the term
+        # min(col_dual, 0) * ub that the oracle's certificate adds.
+        highs.addVars(1, np.zeros(1), np.ones(1))
+        highs.changeColsCost(1, np.array([2], dtype=np.int32), np.array([-3.0]))
+        highs.addRows(1, np.array([-np.inf]), np.array([0.0]), 2, starts,
+                      np.array([0, 2], dtype=np.int32), np.array([-1.0, 1.0]))
+        highs.run()
+        assert highs.getModelStatus() == HighsModelStatus.kOptimal
+        assert highs.getInfo().objective_function_value == pytest.approx(-8.5)
+        solution = highs.getSolution()
+        np.testing.assert_allclose(solution.col_value, [2.5, 1.5, 1.0])
+        np.testing.assert_allclose(solution.col_dual, [0.0, 0.0, -3.0], atol=1e-12)
+        ub = np.array([np.inf, np.inf, 1.0])
+        boxed = np.isfinite(ub)
+        dual = np.asarray(solution.row_dual) @ [4.0, 1.0, 0.0]
+        dual += np.minimum(np.asarray(solution.col_dual)[boxed], 0.0) @ ub[boxed]
+        assert dual == pytest.approx(-8.5)
+
+    def test_bic_certificate_counts_the_shares_held_at_one(self, additive):
+        # The BIC LP boxes each item share at 1, and at this optimum shares
+        # sit at 1: the certificate holds only with the box's dual term.
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        prior = u12_prior(spec, 2, 2)
+        space = enumerate_multi_item(2, 2)
+        sol = solve_optimal(
+            OracleProblem(prior=prior, space=space, model=additive, ic_mode="bic")
+        )
+        probs, _ = dense(sol.mechanism)
+        shares = probs @ space.alloc.reshape(space.num_outcomes, -1)
+        assert shares.max() == pytest.approx(1.0, abs=1e-12)
+        assert sol.objective_value == pytest.approx(3.1875, abs=1e-9)
+        assert abs(sol.certificate - sol.objective_value) <= 1e-9
+
+    @pytest.mark.parametrize("mode, top", [("bic", 1.0), ("dsic", np.inf)])
+    def test_base_bounds(self, additive, mode, top):
+        # components in [0, 1] in BIC mode and [0, inf) in DSIC mode,
+        # utilities in [0, inf), interim columns free
+        from mechlearn.oracle import _base
+
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        prior = u12_prior(spec, 2, 2)
+        problem = OracleProblem(
+            prior=prior, space=enumerate_multi_item(2, 2), model=additive, ic_mode=mode
+        )
+        domain = problem.domain()
+        base = _base(problem, domain)
+        n_x = domain.num_profiles * base.layout.feas.shape[1]
+        interim = int(base.interim[0])
+        np.testing.assert_array_equal(base.bounds[:n_x], [[0.0, top]] * n_x)
+        np.testing.assert_array_equal(
+            base.bounds[n_x:interim], [[0.0, np.inf]] * (interim - n_x)
+        )
+        free = base.bounds[interim:]
+        assert (len(free) > 0) == (mode == "bic")
+        assert np.all(free == [-np.inf, np.inf])
 
     def test_lp_dump_written(self, additive, tmp_path):
         spec = GridSpec(epsilon=1.0, h=2.0)
