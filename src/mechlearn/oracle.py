@@ -52,6 +52,12 @@ row is violated, the last relaxation's optimum is feasible for the full LP
 and therefore optimal for it, and its duals on the added rows certify the
 objective.
 
+``_base`` sizes and guards the LP once, before any IC row exists: it counts
+the full LP's rows and nonzeros, which are ``stats["rows"]`` and
+``stats["nnz"]``, and refuses a support table over ``VARIABLE_BUDGET`` cells
+or an LP over ``NNZ_BUDGET`` nonzeros, a cap that also bounds the row
+generation's masks, one byte per IC row.
+
 In BIC mode every component column is also bounded by 1, which the
 feasibility rows imply. A dual simplex puts a boxed column of negative cost
 at its bound, so HiGHS starts dual feasible and skips its dual phase 1,
@@ -67,8 +73,9 @@ slab by slab as it does for the audit, and a BIC row's is an interim one,
 one small product of the point's interim columns.
 
 SciPy, its sparse matrices and its private HiGHS binding, is imported only
-inside the functions that build or solve an LP (``solve_optimal``,
-``_assemble``, ``_base``, ``_inequality_rows`` and ``_interim_rows``), so
+inside the functions that build, solve or write an LP (``solve_optimal``,
+``_assemble``, ``_base``, ``_inequality_rows``, ``_interim_rows`` and
+``_dump_lp``), so
 importing this module, or running a command that solves no LP, loads no
 SciPy. Call ``load_lp_layer`` to import it ahead of the first solve.
 
@@ -132,12 +139,12 @@ if TYPE_CHECKING:
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
 
 VARIABLE_BUDGET = 500_000
-# Caps the nonzeros of the full LP. Building all of them peaks about 50
-# bytes per nonzero above the interpreter (1.97 M nonzeros lifted the
-# process from 81 to 179 MB on a DSIC LP), so the cap holds the matrix of
-# ``--lp-dump`` near 500 MB. The solve path builds only the rows HiGHS sees,
-# but row generation may hand HiGHS every row, so the cap is checked before
-# it too.
+# Caps the full LP's nonzeros, ``stats["nnz"]``, which ``_base`` counts
+# before any IC row exists. Building them all peaks about 50 bytes each
+# above the interpreter (1.97 M nonzeros lifted the process from 81 to
+# 179 MB on a DSIC LP): the cap holds ``--lp-dump``'s matrix near 500 MB.
+# Row generation may hand HiGHS every row, and its masks hold a byte per
+# IC row of at least 2 nonzeros, so the cap keeps them near 5 MB.
 NNZ_BUDGET = 10_000_000
 FEASIBILITY_TOL = 1e-8
 # An inactive row joins the LP once the last optimum violates it by more.
@@ -164,16 +171,6 @@ class OracleProblem:
 
     def domain(self) -> ProfileDomain:
         return ProfileDomain(spec=self.prior.spec, supports=self.prior.supports())
-
-    def check_budget(self) -> None:
-        """Raises ``CapacityError`` when the support table's R * K lottery
-        cells exceed ``VARIABLE_BUDGET``; they bound the LP's R * C
-        component columns, since C <= K."""
-        lottery_vars = self.domain().num_profiles * self.space.num_outcomes
-        if lottery_vars > VARIABLE_BUDGET:
-            raise CapacityError(
-                f"{lottery_vars} lottery variables exceed the {VARIABLE_BUDGET} budget"
-            )
 
 
 @dataclass
@@ -232,7 +229,8 @@ class _Lp(NamedTuple):
     ``a_eq`` starts with those that are equalities; its last rows define
     the interim columns, one row each, in column order. The IC rows come
     first in ``a_ub``: the solve path leaves them out and builds them on
-    demand with ``_inequality_rows``; ``_assemble`` builds them all."""
+    demand with ``_inequality_rows``; ``_assemble`` builds them all.
+    ``rows`` and ``nnz`` count the full LP's, every IC row included."""
 
     c: np.ndarray
     a_ub: sp.csr_matrix
@@ -243,6 +241,8 @@ class _Lp(NamedTuple):
     seed: np.ndarray
     layout: _Layout
     interim: np.ndarray
+    rows: int
+    nnz: int
 
 
 def load_lp_layer() -> None:
@@ -332,7 +332,6 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     upper = base.bounds[:, 1]
     boxed = np.isfinite(upper)
     dual += float(np.minimum(np.asarray(result.col_dual)[boxed], 0.0) @ upper[boxed])
-    ic_rows = sum(a.size - a.size // len(a) for a in active)  # off the diagonal
     fixed_rows = base.a_ub.shape[0] + base.a_eq.shape[0]
     solution = LpSolution(
         mechanism=mech,
@@ -340,9 +339,9 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         solver_status="optimal",
         certificate=-dual,
         stats={
-            "rows": ic_rows + fixed_rows,
+            "rows": base.rows,
             "cols": base.c.size,
-            "nnz": _ub_nnz(problem, domain, base.layout) + base.a_ub.nnz + base.a_eq.nnz,
+            "nnz": base.nnz,
             "nit": nit,
             "rounds": rounds,
             "active_rows": sum(int(a.sum()) for a in active) + fixed_rows,
@@ -447,19 +446,18 @@ def _coupled(shares: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
-    """The LP without its IC rows. Raises ``CapacityError`` first when the
-    LP is over ``VARIABLE_BUDGET`` or ``NNZ_BUDGET``."""
+    """The LP without its IC rows, and the full LP's row and nonzero counts.
+    Raises ``CapacityError`` first over ``VARIABLE_BUDGET`` support-table
+    cells (R * K bounds the R * C components), then over ``NNZ_BUDGET``."""
     import scipy.sparse as sp
 
-    problem.check_budget()
-    layout = _layout(problem, domain)
-    n = domain.n
-    r_profiles = domain.num_profiles
-    bound = _nnz_bound(problem, domain, layout)
-    if bound > NNZ_BUDGET:
+    n, r_profiles = domain.n, domain.num_profiles
+    cells = r_profiles * problem.space.num_outcomes
+    if cells > VARIABLE_BUDGET:
         raise CapacityError(
-            f"the oracle LP has up to {bound} nonzeros, over the {NNZ_BUDGET} budget"
+            f"{cells} support-table cells exceed the {VARIABLE_BUDGET} budget"
         )
+    layout = _layout(problem, domain)
     n_f, n_comp = layout.feas.shape
     n_x = r_profiles * n_comp
     # BIC mode adds, per bidder i and support type t, the interim columns
@@ -506,6 +504,18 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     a_eq = sp.vstack(eq, format="csr") if eq else empty
     b_ub = np.ones(a_ub.shape[0])
     b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
+    # The full LP's size: the IC rows are each bidder's _ic_shape cells off
+    # the diagonal, their nonzeros counted by _ub_nnz; the rest are built.
+    rows = a_ub.shape[0] + a_eq.shape[0]
+    for i in range(n):
+        shape = _ic_shape(problem, domain, i)
+        rows += math.prod(shape) - math.prod(shape[1:])
+    nnz = _ub_nnz(problem, domain, layout) + a_ub.nnz + a_eq.nnz
+    if nnz > NNZ_BUDGET:
+        raise CapacityError(
+            f"the oracle LP has up to {nnz} nonzeros, over the {NNZ_BUDGET} budget"
+        )
+
     # the interim columns are free: bounded at 0, which their definitions
     # imply, HiGHS takes more iterations. The BIC components are boxed at
     # 1, which the feasibility rows imply (see the module docstring).
@@ -521,7 +531,7 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     seed = np.zeros(n_vars)
     seed[:n_x] = layout.comps(best).ravel()
     seed[interim[0] :] -= a_eq[a_eq.shape[0] - n_defs :] @ seed
-    return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed, layout, interim)
+    return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed, layout, interim, rows, nnz)
 
 
 def _ic_shape(problem: OracleProblem, domain: ProfileDomain, i: int) -> tuple:
@@ -600,22 +610,6 @@ def _ub_nnz(problem: OracleProblem, domain: ProfileDomain, layout: _Layout) -> i
         rows = 1 if problem.ic_mode == "bic" else domain.num_profiles // t_i
         total += rows * (differ + 2 * t_i * (t_i - 1))
     return total
-
-
-def _nnz_bound(
-    problem: OracleProblem, domain: ProfileDomain, layout: _Layout | None = None
-) -> int:
-    """Nonzeros the full LP can have at most: exact but for the BIC interim
-    definitions, which skip rest profiles of zero weight."""
-    if layout is None:
-        layout = _layout(problem, domain)
-    total = _ub_nnz(problem, domain, layout)
-    total += domain.num_profiles * np.count_nonzero(layout.feas)  # feasibility
-    if problem.ic_mode == "bic":  # the interim definitions
-        for i, own in enumerate(layout.own):
-            t_i = domain.bidder_type_count(i)
-            total += t_i * (len(own) + 1) * (domain.num_profiles // t_i + 1)
-    return int(total)
 
 
 def _inequality_rows(
@@ -874,6 +868,8 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
     format's default bounds, ``>= 0``; the interim columns are free. The
     BIC components' upper bound 1 is left out: the feasibility rows imply
     it, and HiGHS gets it only to start its dual simplex dual feasible."""
+    import scipy.sparse as sp
+
     lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
 
@@ -886,18 +882,13 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
         return f"ix{i}_{t}_{k}" if k < width else f"iu{i}_{t}"
 
     def expr(row: sp.csr_matrix) -> str:
-        terms = []
-        for j, v in zip(row.indices, row.data):
-            sign = "+" if v >= 0 else "-"
-            terms.append(f"{sign} {abs(float(v))!r} {var(j)}")
+        terms = [
+            f"{'+' if v >= 0 else '-'} {abs(float(v))!r} {var(j)}"
+            for j, v in zip(row.indices, row.data)
+        ]
         return " ".join(terms) if terms else "0"
 
-    objective = " ".join(
-        f"{'+' if v >= 0 else '-'} {abs(float(v))!r} {var(j)}"
-        for j, v in enumerate(c)
-        if v != 0.0
-    )
-    lines = ["Minimize", f" obj: {objective}", "Subject To"]
+    lines = ["Minimize", f" obj: {expr(sp.csr_matrix(c))}", "Subject To"]
     lines += [
         f" ub{r}: {expr(a_ub.getrow(r))} <= {float(b_ub[r])!r}"
         for r in range(a_ub.shape[0])

@@ -22,7 +22,12 @@ from mechlearn.learner import (
     real_lattice_bic_regret,
     real_lattice_dsic_regret,
 )
-from mechlearn.mechanism import deserialize_mechanism, regret_report, revenue
+from mechlearn.mechanism import (
+    audit_over_domain,
+    deserialize_mechanism,
+    regret_report,
+    revenue,
+)
 from mechlearn.outcomes import OutcomeSpace
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
@@ -102,6 +107,28 @@ class TestLearnBic:
         a = learn_bic(samples, 0.25, space, additive)
         b = learn_bic(samples, 0.25, space, additive)
         assert serialize_mechanism(a.inner) == serialize_mechanism(b.inner)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 2: extend_bic keeps the best interim reply of "
+        "a type with no ex-post IR-safe report, which can charge above its value",
+    )
+    def test_learned_tables_are_ir_over_the_full_grid(self, additive):
+        # the learned_bic serializer pin's instance, over 40 sampling seeds,
+        # audited under the uniform prior on the full grid
+        cell = PriorCell("uniform", {"low": 0.0, "high": 2.0})
+        desc = PriorDescription(n=2, m=2, h=2.0, cells=((cell, cell), (cell, cell)))
+        spec = GridSpec(epsilon=0.5, h=2.0)
+        uniform = {k: Fraction(1, spec.levels) for k in range(spec.levels)}
+        grid_prior = product_prior(spec, [[uniform] * 2] * 2)
+        space = enumerate_multi_item(2, 2)
+        failing = []
+        for seed in range(40):
+            samples = sample_prior(desc, 2, 2, 3, seed=seed)
+            learned = learn_bic(samples, 0.5, space, additive)
+            if audit_over_domain(learned.inner, grid_prior, additive).ir_slack < -1e-8:
+                failing.append(seed)
+        assert failing == []
 
 
 class TestLearnDsic:

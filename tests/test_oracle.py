@@ -463,7 +463,7 @@ class TestInterimLp:
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     def test_stats_describe_the_lp(self, tmp_path, mode):
-        from mechlearn.oracle import _nnz_bound
+        from mechlearn.oracle import _base
 
         for name in ("n2m2", "n2m2_unit_demand"):
             problem = _lp_dump_instance(name, mode)
@@ -478,7 +478,7 @@ class TestInterimLp:
             interim = sum(domain.bidder_type_count(i) * (c + 1) for i, c in enumerate(own))
             base = domain.num_profiles * (n_comp + domain.n)
             assert stats["cols"] == base + (interim if mode == "bic" else 0)
-            assert 0 < stats["nnz"] <= _nnz_bound(problem, domain)
+            assert 0 < stats["nnz"] <= _base(problem, domain).nnz
             # rows and nnz describe the full LP, as dumped, not the generated subset
             rows = _dump_rows(path)
             assert stats["rows"] == len(rows)
@@ -506,7 +506,7 @@ class TestInterimLp:
         from mechlearn import oracle
 
         problem = _lp_dump_instance("n2m2", mode)
-        bound = oracle._nnz_bound(problem, problem.domain())
+        bound = oracle._base(problem, problem.domain()).nnz
         monkeypatch.setattr(oracle, "NNZ_BUDGET", bound - 1)
         with pytest.raises(CapacityError, match="nonzeros"):
             solve_optimal(problem)
@@ -518,11 +518,42 @@ class TestInterimLp:
         # DSIC and feasibility entries never share a (row, column), so the
         # bound counts each row's nonzero value differences and its two
         # utilities exactly
-        from mechlearn.oracle import _nnz_bound
+        from mechlearn.oracle import _base
 
         problem = _lp_dump_instance(name, "dsic")
-        bound = _nnz_bound(problem, problem.domain())
+        bound = _base(problem, problem.domain()).nnz
         assert bound == solve_optimal(problem).stats["nnz"]
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_lp_size_is_counted_once(self, tmp_path, mode):
+        # _base's counts are the stats' and the dumped LP's, every row built
+        from mechlearn.oracle import _base
+
+        for name in ("n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"):
+            problem = _lp_dump_instance(name, mode)
+            base = _base(problem, problem.domain())
+            path = tmp_path / f"{name}.lp"
+            stats = solve_optimal(problem, lp_dump=str(path)).stats
+            rows = _dump_rows(path)
+            assert base.rows == stats["rows"] == len(rows), name
+            assert base.nnz == stats["nnz"] == sum(map(len, rows.values())), name
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    def test_nnz_budget_refuses_before_any_ic_row(self, monkeypatch, tmp_path, mode):
+        from mechlearn import oracle
+
+        def no_rows(*args):
+            raise AssertionError("an IC row was built")
+
+        problem = _lp_dump_instance("n2m2", mode)
+        bound = oracle._base(problem, problem.domain()).nnz
+        monkeypatch.setattr(oracle, "NNZ_BUDGET", bound - 1)
+        monkeypatch.setattr(oracle, "_inequality_rows", no_rows)
+        path = tmp_path / "dump.lp"
+        for lp_dump in (None, str(path)):
+            with pytest.raises(CapacityError, match="the oracle LP has up to"):
+                solve_optimal(problem, lp_dump=lp_dump)
+        assert not path.exists()
 
     def test_nnz_budget_admits_the_shipped_configs(self):
         # A learned prior's support lies inside the rounded true support, so
@@ -545,7 +576,7 @@ class TestInterimLp:
                 problem = OracleProblem(
                     prior=prior, space=bundle.space, model=bundle.model, ic_mode=mode
                 )
-                bound = oracle._nnz_bound(problem, problem.domain())
+                bound = oracle._base(problem, problem.domain()).nnz
                 assert bound <= oracle.NNZ_BUDGET, (path.name, mode, bound)
                 checked += 1
         assert checked >= 14
