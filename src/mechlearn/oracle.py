@@ -52,7 +52,7 @@ row is violated, the last relaxation's optimum is feasible for the full LP
 and therefore optimal for it, and its duals on the added rows certify the
 objective.
 
-``_base`` sizes and guards the LP once, before any IC row exists: it counts
+``_base`` sizes and guards the LP once, before it builds any row: it counts
 the full LP's rows and nonzeros, which are ``stats["rows"]`` and
 ``stats["nnz"]``, and refuses a support table over ``VARIABLE_BUDGET`` cells
 or an LP over ``NNZ_BUDGET`` nonzeros, a cap that also bounds the row
@@ -140,7 +140,7 @@ __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend
 
 VARIABLE_BUDGET = 500_000
 # Caps the full LP's nonzeros, ``stats["nnz"]``, which ``_base`` counts
-# before any IC row exists. Building them all peaks about 50 bytes each
+# before it builds any row. Building them all peaks about 50 bytes each
 # above the interpreter (1.97 M nonzeros lifted the process from 81 to
 # 179 MB on a DSIC LP): the cap holds ``--lp-dump``'s matrix near 500 MB.
 # Row generation may hand HiGHS every row, and its masks hold a byte per
@@ -470,9 +470,30 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     interim = n_x + r_profiles * n + np.cumsum([0] + sizes)
     n_vars = int(interim[-1])
 
-    # Exact rational weights, converted to float exactly once.
+    # Exact rational weights, converted to float exactly once; in BIC mode,
+    # each bidder's rest profiles' weights, which the interim rows read.
     weights_frac = type_weights(domain, problem.prior)
     weights = [np.array([float(w) for w in ws]) for ws in weights_frac]
+    rests = [rest_weights(weights_frac, i) for i in range(n) if problem.ic_mode == "bic"]
+
+    # The full LP's size, counted before any row is built: the IC rows are
+    # each bidder's _ic_shape cells off the diagonal, their nonzeros counted
+    # by _ub_nnz; then R copies of the feasibility rows and, in BIC mode, an
+    # interim definition row per interim column, with its 1 and one entry
+    # per own component and utility of each rest profile of nonzero weight.
+    n_defs = n_vars - int(interim[0])
+    rows = r_profiles * n_f + n_defs
+    for i in range(n):
+        shape = _ic_shape(problem, domain, i)
+        rows += math.prod(shape) - math.prod(shape[1:])
+    nnz = _ub_nnz(problem, domain, layout)
+    nnz += r_profiles * int(np.count_nonzero(layout.feas))
+    nnz += sum(size * (1 + int(np.count_nonzero(w))) for size, w in zip(sizes, rests))
+    if nnz > NNZ_BUDGET:
+        raise CapacityError(
+            f"the oracle LP has up to {nnz} nonzeros, over the {NNZ_BUDGET} budget"
+        )
+
     type_ranks = domain.type_ranks()
     profile_w = np.ones(r_profiles)
     for i in range(n):
@@ -487,7 +508,6 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     # The feasibility rows of every profile, with right side 1, as
     # equalities or inequalities; then, in BIC mode, one equality row per
     # interim variable, defining it, with right side 0.
-    n_defs = n_vars - int(interim[0])
     row, col = np.nonzero(layout.feas)
     feas = sp.csr_matrix(
         (
@@ -500,22 +520,10 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     empty = sp.csr_matrix((0, n_vars))
     a_ub, eq = (empty, [feas]) if layout.equal else (feas, [])
     if problem.ic_mode == "bic":
-        eq.append(_interim_rows(domain, weights_frac, layout, interim))
+        eq.append(_interim_rows(domain, rests, layout, interim))
     a_eq = sp.vstack(eq, format="csr") if eq else empty
     b_ub = np.ones(a_ub.shape[0])
     b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
-    # The full LP's size: the IC rows are each bidder's _ic_shape cells off
-    # the diagonal, their nonzeros counted by _ub_nnz; the rest are built.
-    rows = a_ub.shape[0] + a_eq.shape[0]
-    for i in range(n):
-        shape = _ic_shape(problem, domain, i)
-        rows += math.prod(shape) - math.prod(shape[1:])
-    nnz = _ub_nnz(problem, domain, layout) + a_ub.nnz + a_eq.nnz
-    if nnz > NNZ_BUDGET:
-        raise CapacityError(
-            f"the oracle LP has up to {nnz} nonzeros, over the {NNZ_BUDGET} budget"
-        )
-
     # the interim columns are free: bounded at 0, which their definitions
     # imply, HiGHS takes more iterations. The BIC components are boxed at
     # 1, which the feasibility rows imply (see the module docstring).
@@ -661,23 +669,22 @@ def _inequality_rows(
 
 def _interim_rows(
     domain: ProfileDomain,
-    weights_frac: list[list],
+    rests: list[np.ndarray],
     layout: _Layout,
     interim: np.ndarray,
 ) -> sp.csr_matrix:
     """One equality row per interim variable, in column order, with right
     side 0: ``pi_i(t, c) - sum_rest w(rest) x(join(i, t, rest), c)`` for
     each of bidder i's own components c, and ``U_i(t) - sum_rest w(rest)
-    u(join(i, t, rest), i)``."""
+    u(join(i, t, rest), i)``, where ``rests[i]`` holds the ``w(rest)``."""
     import scipy.sparse as sp
 
     n, r_profiles = domain.n, domain.num_profiles
     n_comp = layout.feas.shape[1]
     n_x = r_profiles * n_comp
     entries = []  # (row, column, coef)
-    for i, own in enumerate(layout.own):
+    for i, (own, w) in enumerate(zip(layout.own, rests)):
         t_i = domain.bidder_type_count(i)
-        w = rest_weights(weights_frac, i)
         prof = domain.join_rank(i, np.arange(t_i)[:, None], np.arange(w.size))
         # (T_i, R_rest, C_i + 1): x(prof, c) for each own component c, then
         # u(prof, i)

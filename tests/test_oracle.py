@@ -463,8 +463,6 @@ class TestInterimLp:
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     def test_stats_describe_the_lp(self, tmp_path, mode):
-        from mechlearn.oracle import _base
-
         for name in ("n2m2", "n2m2_unit_demand"):
             problem = _lp_dump_instance(name, mode)
             domain = problem.domain()
@@ -478,7 +476,6 @@ class TestInterimLp:
             interim = sum(domain.bidder_type_count(i) * (c + 1) for i, c in enumerate(own))
             base = domain.num_profiles * (n_comp + domain.n)
             assert stats["cols"] == base + (interim if mode == "bic" else 0)
-            assert 0 < stats["nnz"] <= _base(problem, domain).nnz
             # rows and nnz describe the full LP, as dumped, not the generated subset
             rows = _dump_rows(path)
             assert stats["rows"] == len(rows)
@@ -514,41 +511,48 @@ class TestInterimLp:
         solve_optimal(problem)
 
     @pytest.mark.parametrize("name", ["n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"])
-    def test_nnz_bound_is_exact_in_dsic_mode(self, name):
+    def test_nnz_bound_is_exact_in_dsic_mode(self, tmp_path, name):
         # DSIC and feasibility entries never share a (row, column), so the
-        # bound counts each row's nonzero value differences and its two
-        # utilities exactly
-        from mechlearn.oracle import _base
-
+        # count _base makes before any IC row exists is the dumped LP's:
+        # each row's nonzero value differences and its two utilities
         problem = _lp_dump_instance(name, "dsic")
-        bound = _base(problem, problem.domain()).nnz
-        assert bound == solve_optimal(problem).stats["nnz"]
+        path = tmp_path / "dump.lp"
+        stats = solve_optimal(problem, lp_dump=str(path)).stats
+        rows = _dump_rows(path)
+        assert stats["rows"] == len(rows)
+        assert stats["nnz"] == sum(len(names) for names in rows.values())
+
+    def test_nnz_count_skips_rest_profiles_of_zero_weight(self):
+        # bidder 0's rest profile (0, 0) weighs 10^-400, 0.0 as a float, so
+        # its interim rows hold no entry for it
+        from mechlearn.oracle import _assemble
+
+        tiny = Fraction(1, 10**200)
+        rare = {0: tiny, 2: 1 - tiny}
+        cells = [[{1: Fraction(1, 3), 2: Fraction(2, 3)}], [rare], [rare]]
+        problem = OracleProblem(
+            prior=product_prior(GridSpec(epsilon=1.0, h=2.0), cells),
+            space=enumerate_multi_item(3, 1),
+            model=ValuationModel(tag="additive"),
+            ic_mode="bic",
+        )
+        lp, _, _ = _assemble(problem, problem.domain())
+        assert lp.nnz == lp.a_ub.nnz + lp.a_eq.nnz
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
-    def test_lp_size_is_counted_once(self, tmp_path, mode):
-        # _base's counts are the stats' and the dumped LP's, every row built
-        from mechlearn.oracle import _base
-
-        for name in ("n2m2", "n3m1", "n2m2_unit_demand", "n3m1_unit_demand"):
-            problem = _lp_dump_instance(name, mode)
-            base = _base(problem, problem.domain())
-            path = tmp_path / f"{name}.lp"
-            stats = solve_optimal(problem, lp_dump=str(path)).stats
-            rows = _dump_rows(path)
-            assert base.rows == stats["rows"] == len(rows), name
-            assert base.nnz == stats["nnz"] == sum(map(len, rows.values())), name
-
-    @pytest.mark.parametrize("mode", ["bic", "dsic"])
-    def test_nnz_budget_refuses_before_any_ic_row(self, monkeypatch, tmp_path, mode):
+    def test_nnz_budget_refuses_before_any_row_is_built(self, monkeypatch, tmp_path, mode):
+        # the IC rows and the BIC interim rows are the ones whose size no
+        # other budget bounds
         from mechlearn import oracle
 
         def no_rows(*args):
-            raise AssertionError("an IC row was built")
+            raise AssertionError("a row was built")
 
         problem = _lp_dump_instance("n2m2", mode)
         bound = oracle._base(problem, problem.domain()).nnz
         monkeypatch.setattr(oracle, "NNZ_BUDGET", bound - 1)
         monkeypatch.setattr(oracle, "_inequality_rows", no_rows)
+        monkeypatch.setattr(oracle, "_interim_rows", no_rows)
         path = tmp_path / "dump.lp"
         for lp_dump in (None, str(path)):
             with pytest.raises(CapacityError, match="the oracle LP has up to"):
