@@ -72,12 +72,12 @@ row's left side is an ex-post utility gain, which ``expost_columns`` yields
 slab by slab as it does for the audit, and a BIC row's is an interim one,
 one small product of the point's interim columns.
 
-SciPy, its sparse matrices and its private HiGHS binding, is imported only
-inside the functions that build, solve or write an LP (``solve_optimal``,
-``_assemble``, ``_base``, ``_inequality_rows``, ``_interim_rows`` and
-``_dump_lp``), so
-importing this module, or running a command that solves no LP, loads no
-SciPy. Call ``load_lp_layer`` to import it ahead of the first solve.
+The matrices are ``_Csr`` tuples of plain arrays, and of SciPy the oracle
+loads only its private HiGHS binding, ``scipy.optimize._highspy._core``,
+from SciPy's package directory, without ``scipy.optimize`` or
+``scipy.sparse`` (``_highs``). ``solve_optimal`` loads it on its first
+call, so importing this module, or running a command that solves no LP,
+loads no SciPy. Call ``load_lp_layer`` to load it ahead of the first solve.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -105,9 +105,14 @@ candidates and that index, ``MechanismTable``'s factored form:
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
+from types import ModuleType
 from typing import TYPE_CHECKING, Callable, Literal, NamedTuple
 
 import numpy as np
@@ -133,7 +138,6 @@ from .outcomes import (
 )
 
 if TYPE_CHECKING:
-    import scipy.sparse as sp
     from scipy.optimize._highspy._core import _Highs
 
 __all__ = ["OracleProblem", "LpSolution", "solve_optimal", "extend_bic", "extend_dsic"]
@@ -216,6 +220,55 @@ class _Layout(NamedTuple):
     lottery: Callable[[np.ndarray], np.ndarray]
 
 
+class _Csr(NamedTuple):
+    """A sparse matrix by rows: row r holds ``data[indptr[r] : indptr[r +
+    1]]`` in the columns ``indices[indptr[r] : indptr[r + 1]]``, ascending.
+    The index arrays are int32, as HiGHS takes them; the budgets keep every
+    count below 2**31."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+def _vstack(blocks: list[_Csr]) -> _Csr:
+    """The rows of ``blocks``, one after another."""
+    starts = np.cumsum([0] + [b.nnz for b in blocks], dtype=np.int32)
+    return _Csr(
+        np.concatenate([starts[:1]] + [b.indptr[1:] + s for b, s in zip(blocks, starts)]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.data for b in blocks]),
+        (sum(b.shape[0] for b in blocks), blocks[0].shape[1]),
+    )
+
+
+def _coo_to_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> _Csr:
+    """The matrix of the entries ``data`` at (``rows``, ``cols``), as
+    ``scipy.sparse``'s ``tocsr()`` builds it: sorted by (row, column), the
+    entries of one cell summed in their given order."""
+    order = np.lexsort((cols, rows))
+    rows, cols, data = rows[order], cols[order], data[order]
+    first = np.ones(rows.size, dtype=bool)  # the first entry of each cell
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    summed = data[first]
+    np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
+    return _Csr(indptr, cols[first].astype(np.int32), summed, shape)
+
+
+def _matvec(a: _Csr, x: np.ndarray) -> np.ndarray:
+    """``a @ x``, each row's products summed in index order, as
+    ``scipy.sparse`` sums them."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return np.bincount(rows, weights=a.data * x[a.indices], minlength=a.shape[0])
+
+
 class _Lp(NamedTuple):
     """The LP: minimize ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @
     x == b_eq`` and the ``(lower, upper)`` rows of ``bounds``. The columns
@@ -233,9 +286,9 @@ class _Lp(NamedTuple):
     ``rows`` and ``nnz`` count the full LP's, every IC row included."""
 
     c: np.ndarray
-    a_ub: sp.csr_matrix
+    a_ub: _Csr
     b_ub: np.ndarray
-    a_eq: sp.csr_matrix
+    a_eq: _Csr
     b_eq: np.ndarray
     bounds: np.ndarray
     seed: np.ndarray
@@ -245,17 +298,47 @@ class _Lp(NamedTuple):
     nnz: int
 
 
+_HIGHS = "scipy.optimize._highspy._core"
+
+
+def _highs() -> ModuleType:
+    """SciPy's HiGHS binding, ``scipy.optimize._highspy._core``, the one
+    module of SciPy beyond its top-level package that the oracle uses.
+
+    It is loaded from its file in SciPy's package directory and registered
+    under its own name, so that ``scipy.optimize``, if it is imported later,
+    reuses it: pybind11 refuses to register the binding's types twice. If
+    the module is loaded already, by this function or by ``scipy.optimize``,
+    it is returned as it is. Raises ``ImportError`` naming the directory
+    searched when the file is not there, as before SciPy 1.15."""
+    if _HIGHS in sys.modules:
+        return sys.modules[_HIGHS]
+    import scipy
+
+    folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    paths = [os.path.join(folder, "_core" + suffix) for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(
+            f"SciPy's HiGHS binding _core is not in {folder}; mechlearn needs scipy>=1.15"
+        )
+    spec = importlib.util.spec_from_file_location(_HIGHS, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def load_lp_layer() -> None:
-    """Import the SciPy modules that LP building and solving use. Processes
-    forked after this call inherit them instead of importing them again."""
-    import scipy.sparse  # noqa: F401
-    import scipy.optimize._highspy._core  # noqa: F401
+    """Load the HiGHS binding, the only part of SciPy that LP building and
+    solving use. Processes forked after this call inherit it instead of
+    loading it again."""
+    _highs()
 
 
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
     """Revenue-maximal IR + (eta-BIC | eta-DSIC) mechanism on the support."""
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs
-
+    highspy = _highs()
     start = time.perf_counter()
     domain = problem.domain()
     if lp_dump is not None:
@@ -270,7 +353,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
     # rows the model holds, one cell per row.
     active = [np.zeros(_ic_shape(problem, domain, i), dtype=bool) for i in range(n)]
 
-    def new_rows(x: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    def new_rows(x: np.ndarray) -> tuple[_Csr, np.ndarray]:
         picks = []
         for a, violated in zip(active, _violated_rows(problem, domain, base, x)):
             violated &= ~a
@@ -278,7 +361,7 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
             picks.append(np.nonzero(violated))
         return _inequality_rows(problem, domain, base, picks)
 
-    highs = _Highs()
+    highs = highspy._Highs()
     highs.setOptionValue("output_flag", False)
     highs.addVars(base.c.size, base.bounds[:, 0], base.bounds[:, 1])
     highs.changeColsCost(base.c.size, np.arange(base.c.size, dtype=np.int32), base.c)
@@ -293,12 +376,12 @@ def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolut
         rounds += 1
         highs.run()
         status = highs.getModelStatus()
-        if status == HighsModelStatus.kInfeasible:
+        if status == highspy.HighsModelStatus.kInfeasible:
             raise InvariantError(
                 "oracle LP reported infeasible, but the zero mechanism is always "
                 "feasible; this is an internal solver fault"
             )
-        if status != HighsModelStatus.kOptimal:
+        if status != highspy.HighsModelStatus.kOptimal:
             raise InvariantError(
                 f"LP solver failed with status {highs.modelStatusToString(status)}"
             )
@@ -359,8 +442,6 @@ def _assemble(
 ) -> tuple[_Lp, int, np.ndarray]:
     """The full LP with every row built, the component column count and the
     interim column offsets."""
-    import scipy.sparse as sp
-
     base = _base(problem, domain)
     every = []
     for i in range(domain.n):
@@ -370,7 +451,7 @@ def _assemble(
         every.append(np.nonzero(rows))
     a_ub, b_ub = _inequality_rows(problem, domain, base, every)
     lp = base._replace(
-        a_ub=sp.vstack([a_ub, base.a_ub], format="csr"),
+        a_ub=_vstack([a_ub, base.a_ub]),
         b_ub=np.concatenate([b_ub, base.b_ub]),
     )
     return lp, domain.num_profiles * base.layout.feas.shape[1], base.interim
@@ -449,8 +530,6 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     """The LP without its IC rows, and the full LP's row and nonzero counts.
     Raises ``CapacityError`` first over ``VARIABLE_BUDGET`` support-table
     cells (R * K bounds the R * C components), then over ``NNZ_BUDGET``."""
-    import scipy.sparse as sp
-
     n, r_profiles = domain.n, domain.num_profiles
     cells = r_profiles * problem.space.num_outcomes
     if cells > VARIABLE_BUDGET:
@@ -509,19 +588,20 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     # equalities or inequalities; then, in BIC mode, one equality row per
     # interim variable, defining it, with right side 0.
     row, col = np.nonzero(layout.feas)
-    feas = sp.csr_matrix(
-        (
-            np.tile(layout.feas[row, col], r_profiles),
-            (np.arange(r_profiles)[:, None] * n_comp + col).ravel(),
-            np.append(0, np.cumsum(np.tile(np.bincount(row, minlength=n_f), r_profiles))),
-        ),
-        shape=(r_profiles * n_f, n_vars),
+    indptr = np.zeros(r_profiles * n_f + 1, dtype=np.int32)
+    np.cumsum(np.tile(np.bincount(row, minlength=n_f), r_profiles), out=indptr[1:])
+    feas = _Csr(
+        indptr,
+        (np.arange(r_profiles)[:, None] * n_comp + col).ravel().astype(np.int32),
+        np.tile(layout.feas[row, col], r_profiles),
+        (r_profiles * n_f, n_vars),
     )
-    empty = sp.csr_matrix((0, n_vars))
+    no_index = np.zeros(1, dtype=np.int32)
+    empty = _Csr(no_index, no_index[:0], np.zeros(0), (0, n_vars))
     a_ub, eq = (empty, [feas]) if layout.equal else (feas, [])
     if problem.ic_mode == "bic":
         eq.append(_interim_rows(domain, rests, layout, interim))
-    a_eq = sp.vstack(eq, format="csr") if eq else empty
+    a_eq = _vstack(eq) if eq else empty
     b_ub = np.ones(a_ub.shape[0])
     b_eq = np.concatenate([np.ones(a_eq.shape[0] - n_defs), np.zeros(n_defs)])
     # the interim columns are free: bounded at 0, which their definitions
@@ -538,7 +618,8 @@ def _base(problem: OracleProblem, domain: ProfileDomain) -> _Lp:
     best = np.argmax(sum(v[type_ranks[:, i]] for i, v in enumerate(layout.values)), axis=1)
     seed = np.zeros(n_vars)
     seed[:n_x] = layout.comps(best).ravel()
-    seed[interim[0] :] -= a_eq[a_eq.shape[0] - n_defs :] @ seed
+    if problem.ic_mode == "bic":
+        seed[interim[0] :] -= _matvec(eq[-1], seed)
     return _Lp(c, a_ub, b_ub, a_eq, b_eq, bounds, seed, layout, interim, rows, nnz)
 
 
@@ -593,13 +674,10 @@ def _violated_rows(
     return out
 
 
-def _add_rows(highs: _Highs, a: sp.csr_matrix, lower, upper: np.ndarray) -> None:
+def _add_rows(highs: _Highs, a: _Csr, lower, upper: np.ndarray) -> None:
     """Append the rows ``lower <= a @ x <= upper`` to a live HiGHS model."""
     lower = np.broadcast_to(np.asarray(lower, dtype=np.float64), upper.shape)
-    highs.addRows(
-        a.shape[0], lower, upper, a.nnz,
-        a.indptr[:-1].astype(np.int32), a.indices.astype(np.int32), a.data,
-    )
+    highs.addRows(a.shape[0], lower, upper, a.nnz, a.indptr[:-1], a.indices, a.data)
 
 
 def _ub_nnz(problem: OracleProblem, domain: ProfileDomain, layout: _Layout) -> int:
@@ -625,7 +703,7 @@ def _inequality_rows(
     domain: ProfileDomain,
     base: _Lp,
     picks: list[tuple[np.ndarray, ...]],
-) -> tuple[sp.csr_matrix, np.ndarray]:
+) -> tuple[_Csr, np.ndarray]:
     """Bidder by bidder, the IC rows ``picks[i]`` selects: index arrays of
     (true type, report) in BIC mode or (true type, report, rest) in DSIC
     mode, as ``np.nonzero`` gives them from a mask of ``_ic_shape``. Rows
@@ -637,8 +715,6 @@ def _inequality_rows(
     its utility and -1 on the truthful one, in column order. Those are the
     columns of the profiles (s, rest) and (t, rest) in DSIC mode and the
     interim columns of s and t in BIC mode."""
-    import scipy.sparse as sp
-
     n, layout, interim = domain.n, base.layout, base.interim
     n_comp = layout.feas.shape[1]
     n_x = domain.num_profiles * n_comp
@@ -658,12 +734,15 @@ def _inequality_rows(
         ones = np.ones((true.size, 1))
         data = np.hstack([vals[true] - vals[report], ones, -ones])
         cols = np.hstack([comps, u_report[:, None], u_true[:, None]])
+        order = np.argsort(cols, axis=1)  # each row's terms in column order
+        data = np.take_along_axis(data, order, axis=1)
+        cols = np.take_along_axis(cols, order, axis=1)
         keep = data != 0.0
-        indptr = np.append(0, np.cumsum(np.count_nonzero(keep, axis=1)))
+        indptr = np.zeros(true.size + 1, dtype=np.int32)
+        np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
         shape = (true.size, int(interim[-1]))
-        blocks.append(sp.csr_matrix((data[keep], cols[keep], indptr), shape=shape))
-    a_ub = sp.vstack(blocks, format="csr")
-    a_ub.sort_indices()  # each row's terms in column order
+        blocks.append(_Csr(indptr, cols[keep].astype(np.int32), data[keep], shape))
+    a_ub = _vstack(blocks)
     return a_ub, np.full(a_ub.shape[0], problem.eta)
 
 
@@ -672,13 +751,11 @@ def _interim_rows(
     rests: list[np.ndarray],
     layout: _Layout,
     interim: np.ndarray,
-) -> sp.csr_matrix:
+) -> _Csr:
     """One equality row per interim variable, in column order, with right
     side 0: ``pi_i(t, c) - sum_rest w(rest) x(join(i, t, rest), c)`` for
     each of bidder i's own components c, and ``U_i(t) - sum_rest w(rest)
     u(join(i, t, rest), i)``, where ``rests[i]`` holds the ``w(rest)``."""
-    import scipy.sparse as sp
-
     n, r_profiles = domain.n, domain.num_profiles
     n_comp = layout.feas.shape[1]
     n_x = r_profiles * n_comp
@@ -702,7 +779,7 @@ def _interim_rows(
         ]
     rows, cols, data = (np.concatenate(a) for a in zip(*entries))
     shape = (int(interim[-1] - interim[0]), int(interim[-1]))
-    return sp.coo_matrix((data, (rows, cols)), shape=shape).tocsr()
+    return _coo_to_csr(rows, cols, data, shape)
 
 
 def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:
@@ -875,8 +952,6 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
     format's default bounds, ``>= 0``; the interim columns are free. The
     BIC components' upper bound 1 is left out: the feasibility rows imply
     it, and HiGHS gets it only to start its dual simplex dual feasible."""
-    import scipy.sparse as sp
-
     lp, n_x, interim = _assemble(problem, domain)
     c, a_ub, b_ub, a_eq, b_eq = lp[:5]
 
@@ -888,22 +963,20 @@ def _dump_lp(path: str, problem: OracleProblem, domain: ProfileDomain) -> None:
         t, k = divmod(j - int(interim[i]), width + 1)
         return f"ix{i}_{t}_{k}" if k < width else f"iu{i}_{t}"
 
-    def expr(row: sp.csr_matrix) -> str:
+    def expr(cols: np.ndarray, coefs: np.ndarray) -> str:
         terms = [
             f"{'+' if v >= 0 else '-'} {abs(float(v))!r} {var(j)}"
-            for j, v in zip(row.indices, row.data)
+            for j, v in zip(cols, coefs)
         ]
         return " ".join(terms) if terms else "0"
 
-    lines = ["Minimize", f" obj: {expr(sp.csr_matrix(c))}", "Subject To"]
-    lines += [
-        f" ub{r}: {expr(a_ub.getrow(r))} <= {float(b_ub[r])!r}"
-        for r in range(a_ub.shape[0])
-    ]
-    lines += [
-        f" eq{r}: {expr(a_eq.getrow(r))} = {float(b_eq[r])!r}"
-        for r in range(a_eq.shape[0])
-    ]
+    def rows(a: _Csr):
+        for lo, hi in zip(a.indptr[:-1], a.indptr[1:]):
+            yield expr(a.indices[lo:hi], a.data[lo:hi])
+
+    lines = ["Minimize", f" obj: {expr(np.flatnonzero(c), c[c != 0])}", "Subject To"]
+    lines += [f" ub{r}: {e} <= {float(b_ub[r])!r}" for r, e in enumerate(rows(a_ub))]
+    lines += [f" eq{r}: {e} = {float(b_eq[r])!r}" for r, e in enumerate(rows(a_eq))]
     lines.append("Bounds")
     lines += [f" {var(j)} free" for j in range(int(interim[0]), len(c))]
     lines.append("End")

@@ -32,6 +32,14 @@ def dense(mech: MechanismTable) -> tuple[np.ndarray, np.ndarray]:
     return mech.rows_probs[mech.src], mech.rows_pay[mech.src]
 
 
+def csr(a):
+    """The oracle's ``(indptr, indices, data, shape)`` matrix as a SciPy
+    ``csr_array``, for references that read it as a matrix."""
+    import scipy.sparse as sp
+
+    return sp.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
+
+
 def enumerate_profiles(domain: ProfileDomain):
     """All profiles of ``domain`` in rank order, as n-tuples of m-tuples of
     grid indices: the reference the rank code is checked against."""

@@ -28,7 +28,7 @@ from mechlearn import (
 from mechlearn.mechanism import audit_over_domain
 from mechlearn.oracle import OracleProblem, bic_replacement_map
 
-from conftest import dense, product_prior
+from conftest import csr, dense, product_prior
 from test_audit_reference import expost_utilities
 
 
@@ -140,11 +140,14 @@ class TestSolveOptimal:
             )
 
     def test_highs_binding_solves_and_certifies(self):
-        # The oracle drives HiGHS through scipy's private binding; a scipy
-        # release that moves or changes it fails here first. minimize
-        # -x0 - 2 x1 s.t. x0 + x1 <= 4, x0 - x1 == 1, x >= 0: the optimum
-        # is x = (2.5, 1.5), objective -5.5, duals (-1.5, 0.5).
-        from scipy.optimize._highspy._core import HighsModelStatus, _Highs
+        # The oracle drives HiGHS through scipy's private binding, which
+        # oracle._highs loads; a scipy release that moves or changes it
+        # fails here first. minimize -x0 - 2 x1 s.t. x0 + x1 <= 4,
+        # x0 - x1 == 1, x >= 0: the optimum is x = (2.5, 1.5), objective
+        # -5.5, duals (-1.5, 0.5).
+        from mechlearn.oracle import _highs
+
+        HighsModelStatus, _Highs = _highs().HighsModelStatus, _highs()._Highs
 
         highs = _Highs()
         highs.setOptionValue("output_flag", False)
@@ -346,7 +349,12 @@ class TestSolveOptimal:
     def test_lp_dump_round_trips_through_highs(self, tmp_path, name, mode):
         # HiGHS reads the dump back as the LP the oracle solved: as many rows
         # and columns and the same optimum, so a pinned digest pins that LP.
-        from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, _Highs
+        from mechlearn.oracle import _highs
+
+        highspy = _highs()
+        HighsModelStatus, HighsStatus, _Highs = (
+            highspy.HighsModelStatus, highspy.HighsStatus, highspy._Highs
+        )
 
         path = tmp_path / "dump.lp"
         sol = solve_optimal(_lp_dump_instance(name, mode), lp_dump=str(path))
@@ -358,6 +366,89 @@ class TestSolveOptimal:
         assert highs.getModelStatus() == HighsModelStatus.kOptimal
         objective = -highs.getInfo().objective_function_value
         assert objective == pytest.approx(sol.objective_value, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["bic", "dsic"])
+    @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
+    def test_assembled_rows_are_the_rows_scipy_sparse_builds(self, monkeypatch, name, mode):
+        # The oracle builds its matrices as plain arrays. HiGHS must get the
+        # arrays scipy.sparse builds from the same entries, to the bit: the
+        # interim rows' entries through coo tocsr(), every row's entries
+        # sorted by column, and the seed's interim columns summed row by
+        # row in index order, as a csr matvec sums them.
+        import scipy.sparse as sp
+
+        from mechlearn import oracle
+
+        pairs = []  # (what scipy.sparse builds, what the oracle built)
+
+        def recording(rows, cols, data, shape):
+            pairs.append((sp.coo_array((data, (rows, cols)), shape=shape).tocsr(),
+                          coo_to_csr(rows, cols, data, shape)))
+            return pairs[-1][1]
+
+        coo_to_csr = oracle._coo_to_csr
+        monkeypatch.setattr(oracle, "_coo_to_csr", recording)
+        problem = _lp_dump_instance(name, mode)
+        lp, _, interim = oracle._assemble(problem, problem.domain())
+        assert len(pairs) == (1 if mode == "bic" else 0)
+        rng = np.random.default_rng(0)
+        for a in (lp.a_ub, lp.a_eq):
+            rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+            p = rng.permutation(a.nnz)
+            shuffled = sp.coo_array((a.data[p], (rows[p], a.indices[p])), shape=a.shape)
+            pairs.append((shuffled.tocsr(), a))
+        for want, got in pairs:
+            _assert_same_csr(got, want)
+        seed = lp.seed.copy()
+        seed[interim[0] :] = 0.0
+        seed[interim[0] :] -= csr(lp.a_eq)[lp.a_eq.shape[0] - (seed.size - interim[0]) :] @ seed
+        assert seed.tobytes() == lp.seed.tobytes()
+
+    def test_coo_entries_sum_as_scipy_sparse_sums_them(self):
+        # cells hit up to four times, in rows short enough that scipy's
+        # sort keeps their order: each cell's entries summed in the order
+        # given, to the bit
+        import scipy.sparse as sp
+
+        from mechlearn.oracle import _coo_to_csr
+
+        rng = np.random.default_rng(1)
+        shape = (40, 6)
+        rows, cols = rng.integers(0, shape[0], 200), rng.integers(0, shape[1], 200)
+        assert np.bincount(rows).max() <= 16
+        data = rng.standard_normal(200)
+        got = _coo_to_csr(rows, cols, data, shape)
+        want = sp.coo_array((data, (rows, cols)), shape=shape).tocsr()
+        assert want.nnz < 200
+        _assert_same_csr(got, want)
+
+    def test_matvec_sums_as_scipy_sparse_sums(self):
+        # rows of about 150 terms, long enough that any other order than
+        # the index order, pairwise summation included, changes the bits
+        import scipy.sparse as sp
+
+        from mechlearn.oracle import _coo_to_csr, _matvec
+
+        rng = np.random.default_rng(2)
+        dense = rng.standard_normal((6, 300)) * (rng.random((6, 300)) < 0.5)
+        rows, cols = np.nonzero(dense)
+        a = _coo_to_csr(rows, cols, dense[rows, cols], dense.shape)
+        x = rng.standard_normal(300)
+        assert _matvec(a, x).tobytes() == (sp.csr_array(dense) @ x).tobytes()
+        pairwise = [np.sum(a.data[lo:hi] * x[a.indices[lo:hi]])
+                    for lo, hi in zip(a.indptr[:-1], a.indptr[1:])]
+        assert _matvec(a, x).tobytes() != np.array(pairwise).tobytes()
+
+
+def _assert_same_csr(got, want):
+    """The oracle's matrix ``got`` holds the arrays of the scipy.sparse
+    matrix ``want``, its data to the bit and its indices as int32, which
+    HiGHS takes."""
+    assert got.shape == want.shape
+    assert got.indptr.dtype == got.indices.dtype == np.int32
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.dtype == want.data.dtype and got.data.tobytes() == want.data.tobytes()
 
 
 def _lp_dump_instance(name, mode):
@@ -716,7 +807,7 @@ def _full_x(problem, sol, lp):
     )
     base = np.concatenate([comps.ravel(), (value - pay).ravel()])
     x[: base.size] = base
-    x[base.size :] -= lp.a_eq[lp.a_eq.shape[0] - (x.size - base.size) :] @ x
+    x[base.size :] -= csr(lp.a_eq)[lp.a_eq.shape[0] - (x.size - base.size) :] @ x
     return x
 
 
@@ -756,14 +847,14 @@ class TestRowGeneration:
         # every row in one linprog call: the reference the generated rows must meet
         lp, _, _ = oracle._assemble(problem, problem.domain())
         full = linprog(
-            lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+            lp.c, A_ub=csr(lp.a_ub), b_ub=lp.b_ub, A_eq=csr(lp.a_eq), b_eq=lp.b_eq,
             bounds=lp.bounds, method="highs",
         )
         assert full.status == 0
         assert sol.objective_value == pytest.approx(-full.fun, rel=1e-9, abs=1e-12)
         assert 1 <= sol.stats["rounds"] and sol.stats["active_rows"] <= sol.stats["rows"]
         x = _full_x(problem, sol, lp)
-        assert np.max(lp.a_ub @ x - lp.b_ub, initial=0.0) <= oracle.FEASIBILITY_TOL
+        assert np.max(csr(lp.a_ub) @ x - lp.b_ub, initial=0.0) <= oracle.FEASIBILITY_TOL
         assert np.min(x - lp.bounds[:, 0]) >= -oracle.FEASIBILITY_TOL  # u >= 0 is IR
         if problem.domain().num_profiles <= 8 and space.num_outcomes <= OUTCOME_GUARD:
             exact = brute_force_optimal(prior, space, model, mode, eta)
@@ -826,11 +917,11 @@ class TestRowGeneration:
         ic_rows = lp.a_ub.shape[0] - base.a_ub.shape[0]  # the feasibility rows follow
         for x, masks in seen:
             # the reference: every IC row of the full matrix, by matvec
-            ref = np.flatnonzero(lp.a_ub[:ic_rows] @ x - lp.b_ub[:ic_rows] > oracle.ROW_TOL)
+            ref = np.flatnonzero(csr(lp.a_ub)[:ic_rows] @ x - lp.b_ub[:ic_rows] > oracle.ROW_TOL)
             a_ub, b_ub = oracle._inequality_rows(
                 problem, domain, base, [np.nonzero(mask) for mask in masks]
             )
-            want = lp.a_ub[ref]
+            want = csr(lp.a_ub)[ref]
             assert a_ub.shape == want.shape
             assert np.array_equal(a_ub.indptr, want.indptr)
             assert np.array_equal(a_ub.indices, want.indices)

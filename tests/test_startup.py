@@ -1,5 +1,6 @@
-"""Start-up cost: the commands that solve no LP load no SciPy, and a sweep
-reads its worker count before it starts anything."""
+"""Start-up cost: the commands that solve no LP load no SciPy, those that
+solve one load only its HiGHS binding, and a sweep reads its worker count
+before it starts anything."""
 
 import json
 import os
@@ -18,13 +19,15 @@ from conftest import posted_price_table
 from test_cli import CONCENTRATE, INSTANCE
 
 SRC = Path(mechlearn.__file__).resolve().parent.parent
+TESTS = Path(__file__).resolve().parent
 
 # Runs in a fresh interpreter: imports mechlearn, then mechlearn.cli, then
 # runs each argv of ``sys.argv[1]`` (a JSON list) through cli_dispatch, and
 # prints, per step, its exit code and which of the watched modules are loaded.
 PROBE = """
 import contextlib, io, json, sys
-WATCHED = ("scipy", "concurrent.futures.process")
+WATCHED = ("scipy", "scipy.optimize", "scipy.optimize._highspy._core", "scipy.sparse",
+           "concurrent.futures.process")
 steps = []
 def record(name, code=0):
     steps.append([name, code, [m for m in WATCHED if m in sys.modules]])
@@ -97,12 +100,74 @@ def test_commands_that_solve_no_lp_load_no_scipy(inputs):
     ids=["learn-dsic", "oracle-lp-dump"],
 )
 def test_commands_that_solve_an_lp_load_scipy_on_the_way(inputs, argv):
+    # of SciPy, its top-level package and the HiGHS binding alone: neither
+    # scipy.optimize nor scipy.sparse
     steps = _fresh_run([[a.format(w=inputs) for a in argv]])
     assert steps == [
         ["import mechlearn", 0, []],
         ["import mechlearn.cli", 0, []],
-        [argv[0], 0, ["scipy"]],
+        [argv[0], 0, ["scipy", "scipy.optimize._highspy._core"]],
     ]
+
+
+# Runs in a fresh interpreter: solves one small LP with the oracle and one
+# with scipy.optimize.linprog through HiGHS, in the order ``sys.argv[1]``
+# names, and prints both objectives.
+ORDERS = """
+import sys
+from fractions import Fraction
+from mechlearn import (GridSpec, OracleProblem, ValuationModel, enumerate_multi_item,
+                       solve_optimal)
+from conftest import product_prior
+
+def oracle():
+    prior = product_prior(GridSpec(1.0, 2.0), [[{1: Fraction(1, 3), 2: Fraction(2, 3)}]])
+    problem = OracleProblem(prior=prior, space=enumerate_multi_item(1, 1),
+                            model=ValuationModel(tag="additive"))
+    return solve_optimal(problem).objective_value
+
+def scipy():
+    from scipy.optimize import linprog
+    return linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[4.0], A_eq=[[1.0, -1.0]],
+                   b_eq=[1.0], method="highs").fun
+
+first, second = (oracle, scipy) if sys.argv[1] == "oracle-first" else (scipy, oracle)
+values = {f.__name__: f() for f in (first, second)}
+print(values["oracle"], values["scipy"])
+"""
+
+
+@pytest.mark.parametrize("order", ["oracle-first", "scipy-first"])
+def test_oracle_and_scipy_optimize_share_one_highs_binding(order):
+    # pybind11 refuses to register the binding's types twice: whichever
+    # loads it first, the other must reuse it
+    done = subprocess.run(
+        [sys.executable, "-c", ORDERS, order],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    oracle, scipy = map(float, done.stdout.split())
+    assert (oracle, scipy) == (pytest.approx(4 / 3), pytest.approx(-5.5))
+
+
+def test_missing_highs_binding_names_the_directory_searched(tmp_path, monkeypatch):
+    # SciPy before 1.15 has no scipy.optimize._highspy._core
+    import types
+
+    from mechlearn import oracle
+
+    fake = types.ModuleType("scipy")
+    fake.__path__ = [str(tmp_path)]
+    monkeypatch.setitem(sys.modules, "scipy", fake)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    folder = tmp_path / "optimize" / "_highspy"
+    with pytest.raises(ImportError, match="scipy>=1.15") as raised:
+        oracle.load_lp_layer()
+    assert str(folder) in str(raised.value)
+    assert "scipy.optimize._highspy._core" not in sys.modules
 
 
 @pytest.mark.parametrize(
