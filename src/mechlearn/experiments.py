@@ -14,6 +14,7 @@ contract.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -36,10 +37,10 @@ from .errors import (
     read_text,
     write_text,
 )
-from .grid import DiscreteMarginal, GridSpec, ProductPrior, SampleSet
+from .grid import DiscreteMarginal, GridSpec, SampleSet
 from .learner import MODES, LearnedMechanism, _learn, regret_slack
 from .mechanism import deserialize_mechanism, regret_report
-from .oracle import FEASIBILITY_TOL, OracleProblem, load_lp_layer, solve_optimal
+from .oracle import FEASIBILITY_TOL, OracleProblem, solve_optimal
 from .outcomes import OutcomeSpace, ValuationModel, model_from_config, space_from_config
 from .priors import PriorDescription, prior_from_config, sample_prior
 
@@ -188,29 +189,6 @@ def exact_benchmark(bundle: InstanceBundle, mode: str) -> float:
     return solve_optimal(problem).objective_value
 
 
-def _run_cell(
-    bundle: InstanceBundle, grid_prior: ProductPrior, mode: str, s: int, seed: int
-) -> tuple[dict, float, float]:
-    """The cell's row, the regret bound its learned table declares, and its
-    wall time; ``grid_prior`` is the grid pushforward of the true prior."""
-    t0 = time.perf_counter()
-    samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
-    learned = learn(mode, samples, bundle)
-    learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior, grid_prior))
-    report = regret_report(learned.inner, grid_prior, bundle.model)
-    wall = time.perf_counter() - t0
-    ic_mode = learned.inner.meta["mode"]
-    regret = getattr(report, f"{ic_mode}_regret")
-    row = {
-        "s": s,
-        "seed": seed,
-        "learned_revenue": learned_revenue,
-        "regret": regret,
-        "ir_slack": report.ir_slack,
-    }
-    return row, learned.inner.meta[f"{ic_mode}_regret_bound"], wall
-
-
 @dataclass
 class SweepResult:
     config_hash: str
@@ -222,23 +200,7 @@ class SweepResult:
     timings: list[dict]
 
 
-def sweep_workers(value: str | None, cells: int) -> int:
-    """Processes a sweep of ``cells`` cells runs on: the ``MECHLEARN_WORKERS``
-    value ``value`` (1 when unset), at most one per cell, since a process
-    pool starts all of its workers at the first submit. A value that is not
-    an integer raises ConfigError naming the variable."""
-    if value is None:
-        return 1
-    try:
-        workers = int(value)
-    except ValueError:
-        raise ConfigError(f"MECHLEARN_WORKERS: {value!r} is not an integer") from None
-    return max(1, min(workers, cells))
-
-
 def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResult:
-    cells = [(s, seed) for s in config.s_values for seed in config.seeds]
-    workers = sweep_workers(os.environ.get("MECHLEARN_WORKERS"), len(cells))
     bundle = config.bundle
     if not bundle.prior.grid_supported(bundle.spec):
         raise ConfigError(
@@ -247,34 +209,36 @@ def run_sweep(config: ExperimentConfig, out_dir: str | None = None) -> SweepResu
         )
     benchmark = exact_benchmark(bundle, config.mode)
     grid_prior = bundle.prior.to_grid_prior(bundle.spec)
-    args = (bundle, grid_prior, config.mode)
-
-    results: list[tuple[dict, float, float]] = []
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        load_lp_layer()  # once, here: forked workers inherit it
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, *args, s, seed) for s, seed in cells
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_run_cell(*args, s, seed) for s, seed in cells]
 
     rows = []
     timings = []
-    for (s, seed), (row, bound, wall) in zip(cells, results):
-        row = dict(row)
-        row["benchmark_revenue"] = benchmark
-        row["gap"] = benchmark - row["learned_revenue"]
-        if row["regret"] > bound + FEASIBILITY_TOL:
+    for s, seed in itertools.product(config.s_values, config.seeds):
+        t0 = time.perf_counter()
+        samples = sample_prior(bundle.prior, bundle.n, bundle.m, s, seed)
+        learned = learn(config.mode, samples, bundle)
+        learned_revenue = float(learned.exact_revenue_on_atoms(bundle.prior, grid_prior))
+        report = regret_report(learned.inner, grid_prior, bundle.model)
+        wall = time.perf_counter() - t0
+        ic_mode = learned.inner.meta["mode"]
+        regret = getattr(report, f"{ic_mode}_regret")
+        bound = learned.inner.meta[f"{ic_mode}_regret_bound"]
+        if regret > bound + FEASIBILITY_TOL:
             warnings.warn(
-                f"single-run regret {row['regret']} above the declared {bound} "
+                f"single-run regret {regret} above the declared {bound} "
                 f"bound at (s={s}, seed={seed})",
                 stacklevel=2,
             )
-        rows.append(row)
+        rows.append(
+            {
+                "s": s,
+                "seed": seed,
+                "learned_revenue": learned_revenue,
+                "regret": regret,
+                "ir_slack": report.ir_slack,
+                "benchmark_revenue": benchmark,
+                "gap": benchmark - learned_revenue,
+            }
+        )
         timings.append({"s": s, "seed": seed, "wall_time_s": wall})
     rows.sort(key=lambda r: (r["s"], r["seed"]))
     timings.sort(key=lambda r: (r["s"], r["seed"]))

@@ -77,7 +77,7 @@ loads only its private HiGHS binding, ``scipy.optimize._highspy._core``,
 from SciPy's package directory, without ``scipy.optimize`` or
 ``scipy.sparse`` (``_highs``). ``solve_optimal`` loads it on its first
 call, so importing this module, or running a command that solves no LP,
-loads no SciPy. Call ``load_lp_layer`` to load it ahead of the first solve.
+loads no SciPy.
 
 Interim constraint weights are assembled as exact rationals and converted to
 floats once, so identical priors produce identical matrices; the HiGHS solves
@@ -247,21 +247,6 @@ def _vstack(blocks: list[_Csr]) -> _Csr:
     )
 
 
-def _coo_to_csr(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, shape) -> _Csr:
-    """The matrix of the entries ``data`` at (``rows``, ``cols``), as
-    ``scipy.sparse``'s ``tocsr()`` builds it: sorted by (row, column), the
-    entries of one cell summed in their given order."""
-    order = np.lexsort((cols, rows))
-    rows, cols, data = rows[order], cols[order], data[order]
-    first = np.ones(rows.size, dtype=bool)  # the first entry of each cell
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    summed = data[first]
-    np.add.at(summed, np.cumsum(first)[~first] - 1, data[~first])
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows[first], minlength=shape[0]), out=indptr[1:])
-    return _Csr(indptr, cols[first].astype(np.int32), summed, shape)
-
-
 def _matvec(a: _Csr, x: np.ndarray) -> np.ndarray:
     """``a @ x``, each row's products summed in index order, as
     ``scipy.sparse`` sums them."""
@@ -309,17 +294,21 @@ def _highs() -> ModuleType:
     under its own name, so that ``scipy.optimize``, if it is imported later,
     reuses it: pybind11 refuses to register the binding's types twice. If
     the module is loaded already, by this function or by ``scipy.optimize``,
-    it is returned as it is. Raises ``ImportError`` naming the directory
-    searched when the file is not there, as before SciPy 1.15."""
+    it is returned as it is. Raises ``UsageError`` naming the SciPy floor
+    when SciPy cannot be imported or the file is not there, as before SciPy
+    1.15; the latter also names the directory searched."""
     if _HIGHS in sys.modules:
         return sys.modules[_HIGHS]
-    import scipy
+    try:
+        import scipy
+    except ImportError as exc:
+        raise UsageError(f"cannot import SciPy ({exc}); mechlearn needs scipy>=1.15") from exc
 
     folder = os.path.join(scipy.__path__[0], "optimize", "_highspy")
     paths = [os.path.join(folder, "_core" + suffix) for suffix in EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
-        raise ImportError(
+        raise UsageError(
             f"SciPy's HiGHS binding _core is not in {folder}; mechlearn needs scipy>=1.15"
         )
     spec = importlib.util.spec_from_file_location(_HIGHS, path)
@@ -327,13 +316,6 @@ def _highs() -> ModuleType:
     sys.modules[_HIGHS] = module
     spec.loader.exec_module(module)
     return module
-
-
-def load_lp_layer() -> None:
-    """Load the HiGHS binding, the only part of SciPy that LP building and
-    solving use. Processes forked after this call inherit it instead of
-    loading it again."""
-    _highs()
 
 
 def solve_optimal(problem: OracleProblem, lp_dump: str | None = None) -> LpSolution:
@@ -759,27 +741,28 @@ def _interim_rows(
     n, r_profiles = domain.n, domain.num_profiles
     n_comp = layout.feas.shape[1]
     n_x = r_profiles * n_comp
-    entries = []  # (row, column, coef)
+    blocks = []
     for i, (own, w) in enumerate(zip(layout.own, rests)):
         t_i = domain.bidder_type_count(i)
-        prof = domain.join_rank(i, np.arange(t_i)[:, None], np.arange(w.size))
-        # (T_i, R_rest, C_i + 1): x(prof, c) for each own component c, then
-        # u(prof, i)
-        cols = np.concatenate(
-            [prof[..., None] * n_comp + own, (n_x + prof * n + i)[..., None]], axis=2
-        )
-        defined = np.arange(interim[i], interim[i + 1]).reshape(t_i, 1, len(own) + 1)
         # a rest profile whose weight rounds to zero adds no entries
         keep = np.flatnonzero(w)
-        rows, cols = np.broadcast_arrays(defined - interim[0], cols[:, keep])
-        coef = np.broadcast_to(-w[keep][:, None], cols.shape)
-        entries += [
-            (defined.ravel() - interim[0], defined.ravel(), np.ones(defined.size)),
-            (rows.ravel(), cols.ravel(), coef.ravel()),
-        ]
-    rows, cols, data = (np.concatenate(a) for a in zip(*entries))
-    shape = (int(interim[-1] - interim[0]), int(interim[-1]))
-    return _coo_to_csr(rows, cols, data, shape)
+        prof = domain.join_rank(i, np.arange(t_i)[:, None], keep)
+        # (T_i, C_i + 1, kept rests): x(prof, c) for each own component c,
+        # then u(prof, i), ascending along the rests as join_rank is
+        summed = np.concatenate(
+            [prof[:, None] * n_comp + own[:, None], n_x + prof[:, None] * n + i], axis=1
+        )
+        # each row ends with the interim column it defines, past every x and u
+        defined = np.arange(interim[i], interim[i + 1]).reshape(t_i, len(own) + 1, 1)
+        cols = np.concatenate([summed, defined], axis=2)
+        rows, width = defined.size, keep.size + 1
+        blocks.append(_Csr(
+            np.arange(rows + 1, dtype=np.int32) * width,
+            cols.ravel().astype(np.int32),
+            np.tile(np.append(-w[keep], 1.0), rows),
+            (rows, int(interim[-1])),
+        ))
+    return _vstack(blocks)
 
 
 def _audit_solution(problem: OracleProblem, solution: LpSolution) -> None:

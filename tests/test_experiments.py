@@ -1,5 +1,4 @@
 import itertools
-import os
 import warnings
 from fractions import Fraction
 
@@ -255,7 +254,6 @@ class TestSweep:
         if mode == "single_parameter":
             cfg["instance"].update(n=2, m=1, space={"kind": "single_parameter"})
         config = ExperimentConfig.from_json(cfg)
-        monkeypatch.delenv("MECHLEARN_WORKERS", raising=False)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # within the declared bound: silent
             run_sweep(config)
@@ -268,18 +266,6 @@ class TestSweep:
         with pytest.warns(UserWarning, match=rf"regret 10.0 above the declared {bound} bound"):
             (row,) = run_sweep(config).rows
         assert row["regret"] == 10.0
-
-    def test_worker_pool_matches_sequential(self, tmp_path):
-        config = ExperimentConfig.from_json(sweep_config(s_values=(20,), seeds=(0, 1)))
-        run_sweep(config, out_dir=str(tmp_path / "seq"))
-        os.environ["MECHLEARN_WORKERS"] = "2"
-        try:
-            run_sweep(config, out_dir=str(tmp_path / "par"))
-        finally:
-            del os.environ["MECHLEARN_WORKERS"]
-        assert (tmp_path / "seq" / "rows.csv").read_bytes() == (
-            tmp_path / "par" / "rows.csv"
-        ).read_bytes()
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     def test_benchmark_past_the_brute_force_guard_is_the_float_lp(self, monkeypatch, mode):

@@ -158,7 +158,7 @@ def test_learn_and_serialize_allocate_nothing_the_size_of_the_dense_table(additi
     desc = PriorDescription(n=2, m=4, h=1.0, cells=((cell,) * 4,) * 2)
     samples = sample_prior(desc, 2, 4, 2, seed=3)
     space = enumerate_multi_item(2, 4)
-    oracle.load_lp_layer()  # SciPy's first import is not the learn's to count
+    oracle._highs()  # SciPy's first import is not the learn's to count
     tracemalloc.start()
     try:
         inner = learn_dsic(samples, 0.5, space, additive).inner

@@ -369,70 +369,40 @@ class TestSolveOptimal:
 
     @pytest.mark.parametrize("mode", ["bic", "dsic"])
     @pytest.mark.parametrize("name", ["n2m2", "n3m1"])
-    def test_assembled_rows_are_the_rows_scipy_sparse_builds(self, monkeypatch, name, mode):
+    def test_assembled_rows_are_the_rows_scipy_sparse_builds(self, name, mode):
         # The oracle builds its matrices as plain arrays. HiGHS must get the
-        # arrays scipy.sparse builds from the same entries, to the bit: the
-        # interim rows' entries through coo tocsr(), every row's entries
-        # sorted by column, and the seed's interim columns summed row by
-        # row in index order, as a csr matvec sums them.
+        # arrays scipy.sparse builds from the same entries, to the bit: every
+        # row's entries sorted by column, and the seed's interim columns
+        # summed row by row in index order, as a csr matvec sums them.
         import scipy.sparse as sp
 
         from mechlearn import oracle
 
-        pairs = []  # (what scipy.sparse builds, what the oracle built)
-
-        def recording(rows, cols, data, shape):
-            pairs.append((sp.coo_array((data, (rows, cols)), shape=shape).tocsr(),
-                          coo_to_csr(rows, cols, data, shape)))
-            return pairs[-1][1]
-
-        coo_to_csr = oracle._coo_to_csr
-        monkeypatch.setattr(oracle, "_coo_to_csr", recording)
         problem = _lp_dump_instance(name, mode)
         lp, _, interim = oracle._assemble(problem, problem.domain())
-        assert len(pairs) == (1 if mode == "bic" else 0)
         rng = np.random.default_rng(0)
         for a in (lp.a_ub, lp.a_eq):
             rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
             p = rng.permutation(a.nnz)
             shuffled = sp.coo_array((a.data[p], (rows[p], a.indices[p])), shape=a.shape)
-            pairs.append((shuffled.tocsr(), a))
-        for want, got in pairs:
-            _assert_same_csr(got, want)
+            _assert_same_csr(a, shuffled.tocsr())
         seed = lp.seed.copy()
         seed[interim[0] :] = 0.0
         seed[interim[0] :] -= csr(lp.a_eq)[lp.a_eq.shape[0] - (seed.size - interim[0]) :] @ seed
         assert seed.tobytes() == lp.seed.tobytes()
-
-    def test_coo_entries_sum_as_scipy_sparse_sums_them(self):
-        # cells hit up to four times, in rows short enough that scipy's
-        # sort keeps their order: each cell's entries summed in the order
-        # given, to the bit
-        import scipy.sparse as sp
-
-        from mechlearn.oracle import _coo_to_csr
-
-        rng = np.random.default_rng(1)
-        shape = (40, 6)
-        rows, cols = rng.integers(0, shape[0], 200), rng.integers(0, shape[1], 200)
-        assert np.bincount(rows).max() <= 16
-        data = rng.standard_normal(200)
-        got = _coo_to_csr(rows, cols, data, shape)
-        want = sp.coo_array((data, (rows, cols)), shape=shape).tocsr()
-        assert want.nnz < 200
-        _assert_same_csr(got, want)
 
     def test_matvec_sums_as_scipy_sparse_sums(self):
         # rows of about 150 terms, long enough that any other order than
         # the index order, pairwise summation included, changes the bits
         import scipy.sparse as sp
 
-        from mechlearn.oracle import _coo_to_csr, _matvec
+        from mechlearn.oracle import _Csr, _matvec
 
         rng = np.random.default_rng(2)
         dense = rng.standard_normal((6, 300)) * (rng.random((6, 300)) < 0.5)
         rows, cols = np.nonzero(dense)
-        a = _coo_to_csr(rows, cols, dense[rows, cols], dense.shape)
+        indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1)).astype(np.int32)
+        a = _Csr(indptr, cols.astype(np.int32), dense[rows, cols], dense.shape)
         x = rng.standard_normal(300)
         assert _matvec(a, x).tobytes() == (sp.csr_array(dense) @ x).tobytes()
         pairwise = [np.sum(a.data[lo:hi] * x[a.indices[lo:hi]])

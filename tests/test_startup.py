@@ -1,6 +1,5 @@
-"""Start-up cost: the commands that solve no LP load no SciPy, those that
-solve one load only its HiGHS binding, and a sweep reads its worker count
-before it starts anything."""
+"""Start-up cost: the commands that solve no LP load no SciPy, and those
+that solve one load only its HiGHS binding."""
 
 import json
 import os
@@ -11,9 +10,8 @@ from pathlib import Path
 import pytest
 
 import mechlearn
-from mechlearn import ConfigError, GridSpec, serialize_mechanism
+from mechlearn import GridSpec, UsageError, serialize_mechanism
 from mechlearn.cli import cli_dispatch
-from mechlearn.experiments import sweep_workers
 
 from conftest import posted_price_table
 from test_cli import CONCENTRATE, INSTANCE
@@ -67,6 +65,8 @@ def inputs(tmp_path):
     single = {**INSTANCE, "n": 2, "m": 1, "space": {"kind": "single_parameter"}}
     (tmp_path / "single.json").write_text(json.dumps(single))
     (tmp_path / "conc.json").write_text(json.dumps(CONCENTRATE))
+    sweep = {"instance": INSTANCE, "mode": "bic", "s_values": [20], "seeds": [0, 1]}
+    (tmp_path / "sweep.json").write_text(json.dumps(sweep))
     return tmp_path
 
 
@@ -96,12 +96,15 @@ def test_commands_that_solve_no_lp_load_no_scipy(inputs):
          "--out", "{w}/learned.json"],
         ["oracle", "--config", "{w}/inst.json", "--mode", "bic", "--out",
          "{w}/oracle.json", "--lp-dump", "{w}/dump.lp"],
+        ["sweep", "--config", "{w}/sweep.json", "--out", "{w}/sweep"],
     ],
-    ids=["learn-dsic", "oracle-lp-dump"],
+    ids=["learn-dsic", "oracle-lp-dump", "sweep"],
 )
-def test_commands_that_solve_an_lp_load_scipy_on_the_way(inputs, argv):
+def test_commands_that_solve_an_lp_load_scipy_on_the_way(inputs, monkeypatch, argv):
     # of SciPy, its top-level package and the HiGHS binding alone: neither
-    # scipy.optimize nor scipy.sparse
+    # scipy.optimize nor scipy.sparse. MECHLEARN_WORKERS once put a sweep's
+    # cells in a process pool; set, it must start none.
+    monkeypatch.setenv("MECHLEARN_WORKERS", "2")
     steps = _fresh_run([[a.format(w=inputs) for a in argv]])
     assert steps == [
         ["import mechlearn", 0, []],
@@ -153,61 +156,48 @@ def test_oracle_and_scipy_optimize_share_one_highs_binding(order):
     assert (oracle, scipy) == (pytest.approx(4 / 3), pytest.approx(-5.5))
 
 
-def test_missing_highs_binding_names_the_directory_searched(tmp_path, monkeypatch):
-    # SciPy before 1.15 has no scipy.optimize._highspy._core
+def _stub_scipy(tmp_path, monkeypatch):
+    """A ``scipy`` package in ``tmp_path`` without the HiGHS binding, as
+    before SciPy 1.15; returns the directory the oracle searches."""
     import types
-
-    from mechlearn import oracle
 
     fake = types.ModuleType("scipy")
     fake.__path__ = [str(tmp_path)]
     monkeypatch.setitem(sys.modules, "scipy", fake)
     monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
-    folder = tmp_path / "optimize" / "_highspy"
-    with pytest.raises(ImportError, match="scipy>=1.15") as raised:
-        oracle.load_lp_layer()
+    return tmp_path / "optimize" / "_highspy"
+
+
+def test_missing_highs_binding_names_the_directory_searched(tmp_path, monkeypatch):
+    from mechlearn import oracle
+
+    folder = _stub_scipy(tmp_path, monkeypatch)
+    with pytest.raises(UsageError, match="scipy>=1.15") as raised:
+        oracle._highs()
     assert str(folder) in str(raised.value)
     assert "scipy.optimize._highspy._core" not in sys.modules
 
 
-@pytest.mark.parametrize(
-    "value, cells, workers",
-    [
-        (None, 24, 1),
-        ("1", 24, 1),
-        ("2", 24, 2),
-        ("5000", 24, 24),
-        ("5000", 1, 1),
-        ("0", 24, 1),
-        ("-3", 24, 1),
-        (" 4 ", 3, 3),
-    ],
-)
-def test_sweep_starts_at_most_one_worker_per_cell(value, cells, workers):
-    assert sweep_workers(value, cells) == workers
+def test_scipy_that_fails_to_import_is_a_usage_error(monkeypatch):
+    from mechlearn import oracle
+
+    monkeypatch.setitem(sys.modules, "scipy", None)  # import scipy raises
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core", raising=False)
+    with pytest.raises(UsageError, match="scipy>=1.15") as raised:
+        oracle._highs()
+    assert isinstance(raised.value.__cause__, ImportError)
 
 
-@pytest.mark.parametrize("value", ["abc", "", "2.5", "two"])
-def test_sweep_workers_not_an_integer_is_config_error(value):
-    with pytest.raises(ConfigError, match="MECHLEARN_WORKERS"):
-        sweep_workers(value, 24)
-
-
-def test_sweep_workers_not_an_integer_is_exit_one(tmp_path, capsys, monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    monkeypatch.setenv("MECHLEARN_WORKERS", "abc")
-    config = tmp_path / "sweep.json"
-    config.write_text(json.dumps(
-        {"instance": INSTANCE, "mode": "bic", "s_values": [20], "seeds": [0, 1]}
-    ))
-    out = tmp_path / "out"
-    assert cli_dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 1
+def test_missing_highs_binding_is_exit_one(inputs, capsys, monkeypatch):
+    folder = _stub_scipy(inputs / "stub", monkeypatch)
+    out = inputs / "learned.json"
+    argv = ["learn-dsic", "--config", f"{inputs}/inst.json", "--s", "20", "--seed", "1",
+            "--out", str(out)]
+    assert cli_dispatch(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: MECHLEARN_WORKERS: 'abc' is not an integer\n"
+    assert captured.err == (
+        f"error: SciPy's HiGHS binding _core is not in {folder}; mechlearn needs scipy>=1.15\n"
+    )
     assert captured.out == ""
     assert not out.exists()
+    assert "scipy.optimize._highspy._core" not in sys.modules
