@@ -28,14 +28,10 @@ from .grid import (
 )
 from .learner import (
     LearnedMechanism,
-    Menu,
-    MenuEntry,
     evaluate_on_reals,
     learn_bic,
     learn_dsic,
     learn_single_parameter,
-    mechanism_to_menu,
-    menu_mechanism,
     nudge_to_ic,
 )
 from .mechanism import (

@@ -40,7 +40,7 @@ from .experiments import (
     write_rows_csv,
 )
 from .grid import GridSpec, SampleSet
-from .learner import mechanism_to_menu, menu_mechanism, nudge_to_ic
+from .learner import nudge_to_ic
 from .mechanism import (
     audit_over_domain,
     deserialize_mechanism,
@@ -181,11 +181,9 @@ def _cmd_nudge(args) -> int:
     if mech.n != 1:
         raise UsageError("nudge applies to single-bidder mechanisms only")
     model_cfg, model = _load_model(args, mech)
-    menu = mechanism_to_menu(mech, model)
-    nudged = nudge_to_ic(menu, model, args.epsilon)
     _write_mechanism(  # every type picks its best entry: exactly DSIC and IR
         args.out,
-        menu_mechanism(nudged, model, mech.domain.spec),
+        nudge_to_ic(mech, model, args.epsilon),
         dsic_regret_bound=0.0,
         model=model_cfg,
         nudge_epsilon=repr(args.epsilon),

@@ -6,11 +6,12 @@ single-parameter auction), extend to the full grid, and wrap the grid table
 so it accepts arbitrary real bids by rounding them down first. Every
 pipeline is a deterministic function of its inputs.
 
-The nudge turns a single-bidder IR + eps-IC menu into an exactly IC and IR
-one by scaling every payment by (1 - sqrt(eps)): more expensive entries keep
-more absolute discount, which beats any eps-bounded deviation gain. The
-bidder then simply picks her utility-maximizing entry, ties resolved toward
-the seller.
+The nudge turns a single-bidder IR + eps-IC full-grid table into an exactly
+IC and IR one. Its menu is the table's distinct played rows plus a free
+outcome worth zero, and it scales every payment by (1 - sqrt(eps)): more
+expensive entries keep more absolute discount, which beats any eps-bounded
+deviation gain. Each type then plays her utility-maximizing entry, ties
+resolved toward the seller.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import CapacityError, UsageError
 from .grid import GridSpec, ProductPrior, SampleSet, empirical_marginal, round_down_indices
 from .mechanism import (
     MechanismTable,
-    ProfileDomain,
     distinct_columns,
     expost_columns,
     interim_utilities,
@@ -46,16 +46,12 @@ from .priors import PriorDescription
 __all__ = [
     "MODES",
     "LearnedMechanism",
-    "Menu",
-    "MenuEntry",
     "learn_bic",
     "learn_dsic",
     "learn_single_parameter",
     "regret_slack",
     "evaluate_on_reals",
-    "mechanism_to_menu",
     "nudge_to_ic",
-    "menu_mechanism",
     "real_lattice_bic_regret",
     "real_lattice_dsic_regret",
 ]
@@ -225,113 +221,48 @@ def learn_single_parameter(
 
 
 # ---------------------------------------------------------------------------
-# Menus and the nudge (single bidder).
+# The nudge (single bidder).
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MenuEntry:
-    """A lottery over outcomes with one expected payment."""
+def nudge_to_ic(
+    mech: MechanismTable, model: ValuationModel, epsilon: float
+) -> MechanismTable:
+    """The exactly IC and IR table of a single-bidder full-grid table.
 
-    probs: np.ndarray
-    payment: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
-            raise UsageError("menu entry lottery must be a distribution")
-        object.__setattr__(self, "probs", p)
-
-
-@dataclass(frozen=True)
-class Menu:
-    """Priced lotteries a single bidder chooses from."""
-
-    space: OutcomeSpace
-    entries: tuple[MenuEntry, ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise UsageError("menus must be nonempty")
-
-    def utilities(self, model: ValuationModel, spec: GridSpec) -> np.ndarray:
-        """(T, E) utility of every grid type for every entry."""
-        val = model.value_table(self.space, spec, 0)  # (T, K)
-        probs = np.stack([e.probs for e in self.entries], axis=0)  # (E, K)
-        pay = np.array([e.payment for e in self.entries])
-        return val @ probs.T - pay[None, :]
-
-
-def _zero_entry(space: OutcomeSpace, model: ValuationModel, spec: GridSpec) -> MenuEntry:
-    val = model.value_table(space, spec, 0)
+    Its candidate rows are the menu: the first outcome worth zero to the
+    bidder at price 0, then the distinct (lottery, payment) rows ``mech``
+    plays, in the order first played. Every payment is scaled by
+    (1 - sqrt(epsilon)), which is in [0, 1] for epsilon in [0, 1]: a larger
+    epsilon would make the seller pay. Each grid type plays its utility
+    argmax, ties toward the highest payment, then the earliest entry."""
+    if mech.n != 1:
+        raise UsageError("menus only exist for single-bidder mechanisms")
+    if not mech.domain.is_full_grid:
+        raise UsageError("extend the mechanism to the full grid first")
+    val = model.value_table(mech.space, mech.domain.spec, 0)  # (T, K)
     zero_cols = np.flatnonzero(np.all(val == 0.0, axis=0))
     if zero_cols.size == 0:
         raise UsageError(
             "space has no outcome worth zero to the bidder; cannot build the "
             "IR anchor entry"
         )
-    probs = np.zeros(space.num_outcomes)
-    probs[zero_cols[0]] = 1.0
-    return MenuEntry(probs=probs, payment=0.0)
-
-
-def mechanism_to_menu(
-    mech: MechanismTable, model: ValuationModel
-) -> Menu:
-    """Distinct (lottery, payment) rows of a single-bidder full-grid table,
-    plus the zero entry."""
-    if mech.n != 1:
-        raise UsageError("menus only exist for single-bidder mechanisms")
-    if not mech.domain.is_full_grid:
-        raise UsageError("extend the mechanism to the full grid first")
-    spec = mech.domain.spec
-    entries: list[MenuEntry] = [_zero_entry(mech.space, model, spec)]
-    seen = {(tuple(entries[0].probs.tolist()), 0.0)}
-    for c in dict.fromkeys(mech.src.tolist()):  # candidates in the order played
-        key = (tuple(mech.rows_probs[c].tolist()), float(mech.rows_pay[c, 0]))
-        if key not in seen:
-            seen.add(key)
-            entries.append(
-                MenuEntry(probs=mech.rows_probs[c], payment=float(mech.rows_pay[c, 0]))
-            )
-    return Menu(space=mech.space, entries=tuple(entries))
-
-
-def nudge_to_ic(menu: Menu, model: ValuationModel, epsilon: float) -> Menu:
-    """Scale every entry's payment by (1 - sqrt(epsilon)), which is in [0, 1]
-    for epsilon in [0, 1]: a larger epsilon would make the seller pay."""
     if not 0.0 <= epsilon <= 1.0:  # NaN fails it too
         raise UsageError(f"epsilon must be in [0, 1], got {epsilon}")
-    factor = 1.0 - np.sqrt(epsilon)
-    return Menu(
-        space=menu.space,
-        entries=tuple(
-            MenuEntry(probs=e.probs, payment=factor * e.payment) for e in menu.entries
-        ),
-    )
-
-
-def menu_selection(
-    menu: Menu, model: ValuationModel, spec: GridSpec
-) -> np.ndarray:
-    """Chosen entry per grid type: utility argmax, ties toward the highest
-    payment, then the earliest entry."""
-    u = menu.utilities(model, spec)
-    pay = np.array([e.payment for e in menu.entries])
-    return np.argmax(np.where(u == u.max(axis=1, keepdims=True), pay, -np.inf), axis=1)
-
-
-def menu_mechanism(
-    menu: Menu, model: ValuationModel, spec: GridSpec
-) -> MechanismTable:
-    """Single-bidder mechanism that lets every grid type pick from the menu."""
-    choice = menu_selection(menu, model, spec)
-    domain = ProfileDomain.full_grid(spec, 1, menu.space.m)
+    zero = np.eye(mech.space.num_outcomes)[zero_cols[0]]
+    first = {(tuple(zero.tolist()), 0.0): -1}  # menu key -> candidate row
+    for c in dict.fromkeys(mech.src.tolist()):  # candidates in the order played
+        first.setdefault((tuple(mech.rows_probs[c].tolist()), float(mech.rows_pay[c, 0])), c)
+    rows = np.array(list(first.values())[1:], dtype=np.int64)
+    probs = np.vstack([zero, mech.rows_probs[rows]])  # (E, K)
+    pay = np.concatenate([[0.0], mech.rows_pay[rows, 0]]) * (1.0 - np.sqrt(epsilon))
+    u = val @ probs.T - pay[None, :]  # (T, E)
+    choice = np.argmax(np.where(u == u.max(axis=1, keepdims=True), pay, -np.inf), axis=1)
     return MechanismTable(
-        domain=domain,
-        space=menu.space,
-        probs=np.stack([e.probs for e in menu.entries]),
-        payments=np.array([[e.payment] for e in menu.entries]),
+        domain=mech.domain,
+        space=mech.space,
+        probs=probs,
+        payments=pay[:, None],
         meta={"pipeline": "menu_selection"},
         src=choice,
     )

@@ -66,6 +66,37 @@ def posted_price_table(spec: GridSpec, price: float, m: int = 1) -> MechanismTab
     return MechanismTable(domain=domain, space=space, probs=probs, payments=payments)
 
 
+def menu_table(spec, space, probs, payments, src):
+    """The single-bidder full-grid table in which grid type rank t plays the
+    priced lottery ``(probs[src[t]], payments[src[t]])``."""
+    return MechanismTable(
+        domain=ProfileDomain.full_grid(spec, 1, space.m),
+        space=space,
+        probs=np.asarray(probs, dtype=np.float64),
+        payments=np.asarray(payments, dtype=np.float64)[:, None],
+        src=src,
+    )
+
+
+def eps_ic_menu_table(rng, spec, space, model, eps, max_entries):
+    """A random menu behind the zero entry, and its table: each type plays an
+    IR entry within eps of its best utility. Returns the table and the
+    payment each type makes."""
+    probs = [np.eye(space.num_outcomes)[0]]
+    pay = [0.0]
+    for _ in range(int(rng.integers(1, max_entries))):
+        w = rng.random(space.num_outcomes)
+        probs.append(w / w.sum())
+        pay.append(float(rng.uniform(0, 3)))
+    probs, pay = np.stack(probs), np.array(pay)
+    u = model.value_table(space, spec, 0) @ probs.T - pay[None, :]
+    assign = np.zeros(u.shape[0], dtype=int)
+    for t in range(u.shape[0]):
+        ok = np.flatnonzero((u[t] >= u[t].max() - eps) & (u[t] >= 0.0))
+        assign[t] = int(rng.choice(ok))
+    return menu_table(spec, space, probs, pay, assign), pay[assign]
+
+
 def axis_views(mech: MechanismTable, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Lottery and payment tensors with bidder k's type axis first: probs as
     (T_k, R_rest, K) and bidder k's payments as (T_k, R_rest), by

@@ -27,14 +27,13 @@ from mechlearn.experiments import (
     concentration_experiment,
     run_sweep,
 )
-from mechlearn.learner import Menu, MenuEntry, menu_mechanism
 from mechlearn.mechanism import audit_over_domain, regret_report, revenue
 from mechlearn.myerson import MyersonAuction, single_parameter_table
 from mechlearn.oracle import OracleProblem
 from mechlearn.outcomes import single_parameter_space
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
-from conftest import dense, product_prior
+from conftest import dense, eps_ic_menu_table, product_prior
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -219,21 +218,9 @@ def test_criterion_5_nudge():
     worst_regret, worst_margin = 0.0, np.inf
     for eps in (0.01, 0.04, 0.09):
         for _ in range(100):
-            entries = [MenuEntry(probs=np.eye(space.num_outcomes)[0], payment=0.0)]
-            for _ in range(int(rng.integers(1, 6))):
-                w = rng.random(space.num_outcomes)
-                w /= w.sum()
-                entries.append(MenuEntry(probs=w, payment=float(rng.uniform(0, 3))))
-            menu = Menu(space=space, entries=tuple(entries))
-            u = menu.utilities(model, spec)
-            pay = np.array([e.payment for e in menu.entries])
-            assign = np.zeros(u.shape[0], dtype=int)
-            for t in range(u.shape[0]):
-                ok = np.flatnonzero((u[t] >= u[t].max() - eps) & (u[t] >= 0.0))
-                assign[t] = int(rng.choice(ok))
-            rev0 = float(pay[assign].mean())  # uniform evaluation prior
-            nudged = nudge_to_ic(menu, model, eps)
-            mech = menu_mechanism(nudged, model, spec)
+            table, paid = eps_ic_menu_table(rng, spec, space, model, eps, 6)
+            rev0 = float(paid.mean())  # uniform evaluation prior
+            mech = nudge_to_ic(table, model, eps)
             rep = regret_report(mech, prior, model)
             rev1 = revenue(mech, prior)
             bound = (1.0 - np.sqrt(eps)) * (rev0 - np.sqrt(eps))

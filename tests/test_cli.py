@@ -6,6 +6,7 @@ import pytest
 from mechlearn import (
     GridSpec,
     MechanismTable,
+    OutcomeSpace,
     ProfileDomain,
     deserialize_mechanism,
     enumerate_multi_item,
@@ -845,6 +846,44 @@ class TestExitCodes:
         monkeypatch.setattr(oracle, "NNZ_BUDGET", 40)
         assert cli_dispatch(argv) == 2
         assert "capacity error: the oracle LP has up to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "source, epsilon, message",
+        [
+            ("support", "0.1", "extend the mechanism to the full grid first"),
+            ("two_bidders", "0.1", "nudge applies to single-bidder mechanisms only"),
+            ("nothing_free", "0.1", "space has no outcome worth zero to the bidder; "
+             "cannot build the IR anchor entry"),
+            # the domain is refused before epsilon is looked at
+            ("support", "4", "extend the mechanism to the full grid first"),
+        ],
+    )
+    def test_nudge_refusal_is_usage_error(self, workdir, capsys, source, epsilon, message):
+        mech = workdir / "m.json"
+        if source == "support":
+            argv = ["oracle", "--config", str(workdir / "inst.json"), "--out", str(mech)]
+            assert cli_dispatch(argv) == 0
+        elif source == "two_bidders":
+            (workdir / "two.json").write_text(json.dumps({**INSTANCE, "n": 2, "m": 1}))
+            argv = ["learn-dsic", "--config", str(workdir / "two.json"), "--s", "5",
+                    "--seed", "1", "--out", str(mech)]
+            assert cli_dispatch(argv) == 0
+        else:  # a full grid table on a space whose every outcome gives an item
+            spec = GridSpec(epsilon=1.0, h=2.0)
+            space = OutcomeSpace(kind="custom", n=1, m=1, alloc=np.array([[[0.5]], [[1.0]]]))
+            mech.write_text(serialize_mechanism(MechanismTable(
+                domain=ProfileDomain.full_grid(spec, 1, 1), space=space,
+                probs=np.eye(2), payments=[[0.0], [1.0]], src=[0, 0, 1],
+                meta={"model": {"tag": "additive"}},
+            )))
+        capsys.readouterr()
+        out = workdir / "nudged.json"
+        argv = ["nudge", "--mech", str(mech), "--epsilon", epsilon, "--out", str(out)]
+        assert cli_dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

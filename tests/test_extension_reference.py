@@ -1,12 +1,13 @@
-"""The extension tables against the implementations they replaced.
+"""The extension and nudge tables against the implementations they replaced.
 
-``_reference_extend_bic``, ``_reference_extend_dsic`` and
-``_reference_menu_selection`` are the previous implementations, kept here
-verbatim: the DSIC table was zero-filled and then written per case, and the
-menu choice was a loop over types. Every table must come out equal byte for
-byte, so a ``-0.0`` where the reference has ``0.0`` is a difference, and
-wherever a reference raises, the new function raises the same error with the
-same text.
+``_reference_extend_bic``, ``_reference_extend_dsic`` and the nudge path
+``_reference_nudge`` are the previous implementations, kept here verbatim:
+the DSIC table was zero-filled and then written per case, and the nudge
+built a ``_Menu`` of ``_MenuEntry``s from the table, scaled its payments and
+let every type choose from it in a loop. Every table must come out equal
+byte for byte, so a ``-0.0`` where the reference has ``0.0`` is a
+difference, and wherever a reference raises, the new function raises the
+same error with the same text.
 """
 
 import dataclasses
@@ -29,11 +30,11 @@ from mechlearn import (
     enumerate_multi_item,
     extend_bic,
     extend_dsic,
+    nudge_to_ic,
 )
 from mechlearn import mechanism
 from mechlearn.errors import InvariantError, UsageError
 from mechlearn.grid import ProductPrior
-from mechlearn.learner import Menu, MenuEntry, menu_mechanism, menu_selection
 from mechlearn.mechanism import expost_columns, rest_columns
 from mechlearn.oracle import bic_replacement_map
 from mechlearn.outcomes import (
@@ -166,8 +167,90 @@ def _reference_extend_dsic(
     )
 
 
+@dataclasses.dataclass(frozen=True)
+class _MenuEntry:
+    """A lottery over outcomes with one expected payment."""
+
+    probs: np.ndarray
+    payment: float
+
+    def __post_init__(self) -> None:
+        p = np.asarray(self.probs, dtype=np.float64)
+        if p.min() < -1e-9 or abs(p.sum() - 1.0) > 1e-9:
+            raise UsageError("menu entry lottery must be a distribution")
+        object.__setattr__(self, "probs", p)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Menu:
+    """Priced lotteries a single bidder chooses from."""
+
+    space: OutcomeSpace
+    entries: tuple[_MenuEntry, ...]
+
+    def __post_init__(self) -> None:
+        if not self.entries:
+            raise UsageError("menus must be nonempty")
+
+    def utilities(self, model: ValuationModel, spec: GridSpec) -> np.ndarray:
+        """(T, E) utility of every grid type for every entry."""
+        val = model.value_table(self.space, spec, 0)  # (T, K)
+        probs = np.stack([e.probs for e in self.entries], axis=0)  # (E, K)
+        pay = np.array([e.payment for e in self.entries])
+        return val @ probs.T - pay[None, :]
+
+
+def _zero_entry(space: OutcomeSpace, model: ValuationModel, spec: GridSpec) -> _MenuEntry:
+    val = model.value_table(space, spec, 0)
+    zero_cols = np.flatnonzero(np.all(val == 0.0, axis=0))
+    if zero_cols.size == 0:
+        raise UsageError(
+            "space has no outcome worth zero to the bidder; cannot build the "
+            "IR anchor entry"
+        )
+    probs = np.zeros(space.num_outcomes)
+    probs[zero_cols[0]] = 1.0
+    return _MenuEntry(probs=probs, payment=0.0)
+
+
+def _reference_mechanism_to_menu(
+    mech: MechanismTable, model: ValuationModel
+) -> _Menu:
+    """Distinct (lottery, payment) rows of a single-bidder full-grid table,
+    plus the zero entry."""
+    if mech.n != 1:
+        raise UsageError("menus only exist for single-bidder mechanisms")
+    if not mech.domain.is_full_grid:
+        raise UsageError("extend the mechanism to the full grid first")
+    spec = mech.domain.spec
+    entries: list[_MenuEntry] = [_zero_entry(mech.space, model, spec)]
+    seen = {(tuple(entries[0].probs.tolist()), 0.0)}
+    for c in dict.fromkeys(mech.src.tolist()):  # candidates in the order played
+        key = (tuple(mech.rows_probs[c].tolist()), float(mech.rows_pay[c, 0]))
+        if key not in seen:
+            seen.add(key)
+            entries.append(
+                _MenuEntry(probs=mech.rows_probs[c], payment=float(mech.rows_pay[c, 0]))
+            )
+    return _Menu(space=mech.space, entries=tuple(entries))
+
+
+def _reference_nudge_menu(menu: _Menu, model: ValuationModel, epsilon: float) -> _Menu:
+    """Scale every entry's payment by (1 - sqrt(epsilon)), which is in [0, 1]
+    for epsilon in [0, 1]: a larger epsilon would make the seller pay."""
+    if not 0.0 <= epsilon <= 1.0:  # NaN fails it too
+        raise UsageError(f"epsilon must be in [0, 1], got {epsilon}")
+    factor = 1.0 - np.sqrt(epsilon)
+    return _Menu(
+        space=menu.space,
+        entries=tuple(
+            _MenuEntry(probs=e.probs, payment=factor * e.payment) for e in menu.entries
+        ),
+    )
+
+
 def _reference_menu_selection(
-    menu: Menu, model: ValuationModel, spec: GridSpec
+    menu: _Menu, model: ValuationModel, spec: GridSpec
 ) -> np.ndarray:
     """Chosen entry per grid type: utility argmax, ties toward the highest
     payment, then the earliest entry."""
@@ -182,7 +265,7 @@ def _reference_menu_selection(
 
 
 def _reference_menu_mechanism(
-    menu: Menu, model: ValuationModel, spec: GridSpec
+    menu: _Menu, model: ValuationModel, spec: GridSpec
 ) -> MechanismTable:
     """Single-bidder mechanism that lets every grid type pick from the menu."""
     choice = _reference_menu_selection(menu, model, spec)
@@ -196,6 +279,14 @@ def _reference_menu_mechanism(
         payments=payments,
         meta={"pipeline": "menu_selection"},
     )
+
+
+def _reference_nudge(
+    mech: MechanismTable, model: ValuationModel, epsilon: float
+) -> MechanismTable:
+    """The table's menu, nudged, with every grid type choosing from it."""
+    menu = _reference_nudge_menu(_reference_mechanism_to_menu(mech, model), model, epsilon)
+    return _reference_menu_mechanism(menu, model, mech.domain.spec)
 
 
 def _outcome(fn, *args):
@@ -315,9 +406,11 @@ def test_lone_off_support_types_that_decline_equal_the_reference(n, additive):
 
 
 @st.composite
-def _menus(draw):
-    """A single-bidder space, a model, and a menu whose payments and
-    lotteries repeat, so that utilities and payments tie."""
+def _nudge_cases(draw):
+    """A single-bidder full-grid table, a model and a nudge epsilon. The
+    candidate rows repeat lotteries and payments, ±0.0 and negative ones
+    among them, so that rows collapse and utilities and payments tie; the
+    index plays a random subset of the rows."""
     m = draw(st.integers(1, 2))
     levels = draw(st.integers(2, 5))
     spec = GridSpec(epsilon=0.5, h=0.5 * (levels - 1))
@@ -328,25 +421,29 @@ def _menus(draw):
         space = enumerate_multi_item(1, m)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     k_out = space.num_outcomes
-    entries = []
-    for _ in range(draw(st.integers(1, 8))):
-        if rng.random() < 0.5:
-            probs = np.eye(k_out)[rng.integers(0, k_out)]
-        else:
-            probs = rng.dirichlet(np.ones(k_out))
-        entries.append(MenuEntry(probs=probs, payment=float(rng.integers(0, 2 * levels)) / 4))
-    entries += [entries[i] for i in rng.integers(0, len(entries), size=draw(st.integers(0, 3)))]
-    return Menu(space=space, entries=tuple(entries)), model, spec
+    lotteries = [
+        np.eye(k_out)[rng.integers(0, k_out)] if rng.random() < 0.5
+        else rng.dirichlet(np.ones(k_out))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    prices = [0.0, -0.0, -0.25] + [float(p) / 4 for p in rng.integers(0, 2 * levels, size=3)]
+    c = draw(st.integers(1, 8))
+    probs = np.stack([lotteries[i] for i in rng.integers(0, len(lotteries), size=c)])
+    payments = rng.choice(prices, size=(c, 1))
+    domain = ProfileDomain.full_grid(spec, 1, m)
+    played = rng.choice(c, size=rng.integers(1, c + 1), replace=False)
+    src = rng.choice(played, size=domain.num_profiles)
+    mech = MechanismTable(domain=domain, space=space, probs=probs, payments=payments, src=src)
+    return mech, model, draw(st.sampled_from([0.0, 0.04, 0.25, 1.0]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=_menus())
-def test_menu_selection_equals_the_reference(case):
-    menu, model, spec = case
-    new, old = menu_selection(menu, model, spec), _reference_menu_selection(menu, model, spec)
-    assert (new.dtype, new.tobytes()) == (old.dtype, old.tobytes())
+@given(case=_nudge_cases())
+def test_nudge_equals_the_reference(case):
+    mech, model, epsilon = case
     _assert_same_table(
-        menu_mechanism(menu, model, spec), _reference_menu_mechanism(menu, model, spec)
+        _outcome(nudge_to_ic, mech, model, epsilon),
+        _outcome(_reference_nudge, mech, model, epsilon),
     )
 
 

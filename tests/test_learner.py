@@ -5,20 +5,15 @@ import pytest
 
 from mechlearn import (
     GridSpec,
-    Menu,
-    MenuEntry,
     UsageError,
     enumerate_multi_item,
     evaluate_on_reals,
     learn_bic,
     learn_dsic,
-    mechanism_to_menu,
     nudge_to_ic,
     serialize_mechanism,
 )
 from mechlearn.learner import (
-    menu_mechanism,
-    menu_selection,
     real_lattice_bic_regret,
     real_lattice_dsic_regret,
 )
@@ -31,7 +26,7 @@ from mechlearn.mechanism import (
 from mechlearn.outcomes import OutcomeSpace
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
-from conftest import dense, posted_price_table, product_prior
+from conftest import dense, eps_ic_menu_table, menu_table, posted_price_table, product_prior
 
 
 def u12_description(n, m):
@@ -195,71 +190,61 @@ class TestEvaluateOnReals:
 class TestMenus:
     def test_posted_price_menu_has_two_entries(self, quarter_grid, additive):
         mech = posted_price_table(quarter_grid, price=1.0)
-        menu = mechanism_to_menu(mech, additive)
-        assert len(menu.entries) == 2
-        assert menu.entries[0].payment == 0.0
+        out = nudge_to_ic(mech, additive, 0.0)
+        assert len(out.rows_probs) == 2
+        assert out.rows_pay[0, 0] == 0.0
 
     def test_constant_mechanism_menu(self, quarter_grid, additive):
         mech = posted_price_table(quarter_grid, price=0.0)  # always sells at 0... free bundle
-        menu = mechanism_to_menu(mech, additive)
+        out = nudge_to_ic(mech, additive, 0.0)
         # zero entry plus the single distinct (bundle, 0) row
-        assert len(menu.entries) == 2
+        assert len(out.rows_probs) == 2
 
     def test_reselection_reproduces_ic_source(self, additive):
         prior = u12_description(1, 2)
         samples = sample_prior(prior, 1, 2, 150, seed=9)
         learned = learn_bic(samples, 0.25, enumerate_multi_item(1, 2), additive)
-        menu = mechanism_to_menu(learned.inner, additive)
-        rebuilt = menu_mechanism(menu, additive, learned.spec)
+        rebuilt = nudge_to_ic(learned.inner, additive, 0.0)
         val = additive.value_table(learned.inner.space, learned.spec, 0)
         (src_probs, src_pay), (new_probs, new_pay) = dense(learned.inner), dense(rebuilt)
         u_src = np.einsum("to,ro->tr", val, src_probs) - src_pay[:, 0][None, :]
         u_new = np.einsum("to,ro->tr", val, new_probs) - new_pay[:, 0][None, :]
         assert np.allclose(np.diag(u_new), np.diag(u_src), atol=1e-9)
 
-    def test_menu_requires_entries(self):
-        space = enumerate_multi_item(1, 1)
-        with pytest.raises(UsageError):
-            Menu(space=space, entries=())
-
 
 class TestNudge:
-    def _menu(self, price):
-        space = enumerate_multi_item(1, 1)
-        zero = MenuEntry(probs=np.array([1.0, 0.0]), payment=0.0)
-        sale = MenuEntry(probs=np.array([0.0, 1.0]), payment=price)
-        return Menu(space=space, entries=(zero, sale))
+    def _table(self, price):
+        # one item on the grid {0, 1, 2}: a type buys iff its value covers price
+        spec = GridSpec(epsilon=1.0, h=2.0)
+        src = [int(v >= price) for v in (0.0, 1.0, 2.0)]
+        return menu_table(spec, enumerate_multi_item(1, 1), np.eye(2), [0.0, price], src)
 
     def test_zero_epsilon_keeps_payments(self, additive):
-        menu = self._menu(1.5)
-        out = nudge_to_ic(menu, additive, 0.0)
-        assert [e.payment for e in out.entries] == [0.0, 1.5]
+        out = nudge_to_ic(self._table(1.5), additive, 0.0)
+        assert out.rows_pay[:, 0].tolist() == [0.0, 1.5]
 
     def test_single_entry_price_scaled(self, additive):
-        menu = self._menu(1.5)
-        out = nudge_to_ic(menu, additive, 0.04)
-        assert out.entries[1].payment == pytest.approx((1 - 0.2) * 1.5, abs=1e-12)
+        out = nudge_to_ic(self._table(1.5), additive, 0.04)
+        assert out.rows_pay[1, 0] == pytest.approx((1 - 0.2) * 1.5, abs=1e-12)
 
     def test_negative_epsilon_rejected(self, additive):
         with pytest.raises(UsageError):
-            nudge_to_ic(self._menu(1.0), additive, -0.1)
+            nudge_to_ic(self._table(1.0), additive, -0.1)
 
     def test_selection_breaks_ties_toward_high_payment(self, additive):
         spec = GridSpec(epsilon=1.0, h=2.0)
-        space = enumerate_multi_item(1, 1)
-        menu = Menu(
-            space=space,
-            entries=(
-                MenuEntry(probs=np.array([1.0, 0.0]), payment=0.0),
-                MenuEntry(probs=np.array([0.0, 1.0]), payment=1.0),
-            ),
-        )
-        choice = menu_selection(menu, additive, spec)
         # the type whose value equals the price is indifferent: buy anyway
-        assert choice.tolist() == [0, 1, 1]
-        # equal utility and equal payment: earliest entry wins
-        dup = Menu(space=space, entries=(menu.entries[0], menu.entries[0]))
-        assert menu_selection(dup, additive, spec)[0] == 0
+        posted = menu_table(spec, enumerate_multi_item(1, 1), np.eye(2), [0.0, 1.0], [0, 0, 1])
+        assert nudge_to_ic(posted, additive, 0.0).src.tolist() == [0, 1, 1]
+        # two lotteries that give each of two items with probability 1/2 at
+        # the same price: equal utility and equal payment, earliest entry wins
+        halves = np.array([[0.0, 0.5, 0.5, 0.0], [0.5, 0.0, 0.0, 0.5]])
+        probs = np.vstack([np.eye(4)[0], halves])
+        src = [0, 1] + [2] * 7  # type (0, 1) plays the first half lottery first
+        mech = menu_table(spec, enumerate_multi_item(1, 2), probs, [0.0, 0.5, 0.5], src)
+        out = nudge_to_ic(mech, additive, 0.0)
+        assert out.src.tolist() == [0] + [1] * 8
+        assert out.rows_probs[1].tolist() == halves[0].tolist()
 
     def test_random_eps_ic_menus_bound(self, additive):
         rng = np.random.default_rng(123)
@@ -269,27 +254,13 @@ class TestNudge:
         prior = product_prior(spec, [[dict(full), dict(full)]])
         for eps in (0.01, 0.09):
             for _ in range(30):
-                entries = [MenuEntry(probs=np.eye(space.num_outcomes)[0], payment=0.0)]
-                for _ in range(int(rng.integers(1, 5))):
-                    w = rng.random(space.num_outcomes)
-                    w /= w.sum()
-                    entries.append(
-                        MenuEntry(probs=w, payment=float(rng.uniform(0, 3)))
-                    )
-                menu = Menu(space=space, entries=tuple(entries))
-                u = menu.utilities(additive, spec)
-                pay = np.array([e.payment for e in menu.entries])
-                assign = np.zeros(u.shape[0], dtype=int)
-                for t in range(u.shape[0]):
-                    ok = np.flatnonzero((u[t] >= u[t].max() - eps) & (u[t] >= 0))
-                    assign[t] = int(rng.choice(ok))
-                rev0 = float(pay[assign].mean())  # uniform evaluation prior
-                nudged = nudge_to_ic(menu, additive, eps)
-                mech = menu_mechanism(nudged, additive, spec)
-                rep = regret_report(mech, prior, additive)
+                mech, paid = eps_ic_menu_table(rng, spec, space, additive, eps, 5)
+                rev0 = float(paid.mean())  # uniform evaluation prior
+                nudged = nudge_to_ic(mech, additive, eps)
+                rep = regret_report(nudged, prior, additive)
                 assert rep.bic_regret <= 1e-9
                 assert rep.ir_slack >= -1e-9
-                rev1 = revenue(mech, prior)
+                rev1 = revenue(nudged, prior)
                 assert rev1 >= (1 - np.sqrt(eps)) * (rev0 - np.sqrt(eps)) - 1e-9
 
     def test_learned_single_bidder_nudged_to_exact_ic(self, additive):
@@ -306,13 +277,11 @@ class TestNudge:
         from mechlearn.learner import _empirical_prior
 
         emp = _empirical_prior(samples, learned.spec)
-        menu = mechanism_to_menu(learned.inner, additive)
         eps_ic = 4 * 2 * eps
-        nudged = nudge_to_ic(menu, additive, eps_ic)
-        mech = menu_mechanism(nudged, additive, learned.spec)
+        mech = nudge_to_ic(learned.inner, additive, eps_ic)
         rep = regret_report(mech, emp, additive)
         assert rep.bic_regret <= 1e-9
-        base = menu_mechanism(menu, additive, learned.spec)
+        base = nudge_to_ic(learned.inner, additive, 0.0)
         rev0 = revenue(base, emp)
         rev1 = revenue(mech, emp)
         assert rev1 >= (1 - np.sqrt(eps_ic)) * (rev0 - np.sqrt(eps_ic)) - 1e-9

@@ -22,6 +22,7 @@ from mechlearn import (
     enumerate_multi_item,
     learn_bic,
     learn_dsic,
+    nudge_to_ic,
     regret_report,
     revenue,
     sample_prior,
@@ -481,6 +482,8 @@ def _pinned_mechanism(name: str) -> MechanismTable:
             prior=prior, space=enumerate_multi_item(3, 1), model=additive, ic_mode="bic"
         )
         return solve_optimal(problem).mechanism
+    if name == "nudged":  # the -0.0 row collapses onto the zero entry
+        return nudge_to_ic(_pinned_mechanism("hand_built"), additive, 0.04)
     # hand-built: a -0.0 payment, a 1/3 lottery and zero-probability outcomes
     probs = np.zeros((9, 4))
     probs[:, 0] = 1.0
@@ -506,6 +509,7 @@ def _pinned_mechanism(name: str) -> MechanismTable:
         ("learned_bic", "6d08f4512fd58239b34095d2df59f3d9372662f63d690b03e6b0acec712d02dc"),
         ("support_n3", "834b524ef1975c052bf18e25cbe35f54fd12f17eb168dbfde904895720257128"),
         ("hand_built", "a4a1f221fb7946664a9389603e88fe093cf18028f8c4e36ae50f180c2927630a"),
+        ("nudged", "ef63019b6f4786f74a71990ac1e847b9a05f5af9b32d7052fbb7da266e519e30"),
     ],
 )
 def test_serialized_bytes_are_pinned(name, digest):
@@ -516,7 +520,9 @@ def test_serialized_bytes_are_pinned(name, digest):
 
 
 @pytest.mark.parametrize("rows", [1, 7])
-@pytest.mark.parametrize("name", ["learned_dsic", "learned_bic", "support_n3", "hand_built"])
+@pytest.mark.parametrize(
+    "name", ["learned_dsic", "learned_bic", "support_n3", "hand_built", "nudged"]
+)
 def test_serialized_bytes_do_not_depend_on_the_row_block(monkeypatch, name, rows):
     mech = _pinned_mechanism(name)
     monkeypatch.setattr(mechanism, "SERIALIZE_BLOCK_ROWS", mech.domain.num_profiles)
