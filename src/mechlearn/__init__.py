@@ -2,8 +2,10 @@
 
 Pipelines: round sampled values to a grid, solve an LP revenue oracle over
 the empirical product prior, extend off-support, and wrap for real bids;
-plus single-parameter Myerson machinery and the single-bidder exact-IC
-nudge, with incentive and individual-rationality audits throughout.
+plus the single-parameter Myerson auction as a full-grid table (one fixed
+tie order, under which zero-virtual-value ties allocate) and the
+single-bidder exact-IC nudge, with incentive and individual-rationality
+audits throughout.
 """
 
 from ._version import TOOL_VERSION as __version__
@@ -43,18 +45,11 @@ from .mechanism import (
     revenue,
     serialize_mechanism,
 )
-from .myerson import (
-    IronedVirtuals,
-    MyersonAuction,
-    iron,
-    run_myerson,
-    snap_to_support,
-)
+from .myerson import IronedVirtuals, iron
 from .oracle import LpSolution, OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .exactlp import brute_force_optimal
 from .outcomes import (
     OutcomeSpace,
-    PricedOutcome,
     ValuationModel,
     bidder_value,
     check_weakly_downward_closed,

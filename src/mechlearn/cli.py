@@ -178,8 +178,6 @@ def _cmd_myerson(args) -> int:
 
 def _cmd_nudge(args) -> int:
     mech = deserialize_mechanism(read_text(args.mech))
-    if mech.n != 1:
-        raise UsageError("nudge applies to single-bidder mechanisms only")
     model_cfg, model = _load_model(args, mech)
     _write_mechanism(  # every type picks its best entry: exactly DSIC and IR
         args.out,

@@ -32,7 +32,7 @@ from .mechanism import (
     max_gain,
     revenue,
 )
-from .myerson import MyersonAuction, iron, single_parameter_table
+from .myerson import iron, single_parameter_table
 from .oracle import OracleProblem, extend_bic, extend_dsic, solve_optimal
 from .outcomes import (
     ENUMERATION_BUDGET,
@@ -177,8 +177,7 @@ def _learn(
     prior = _empirical_prior(samples, spec)
     stats = {}
     if mode == "single_parameter":  # exactly IR and DSIC
-        auction = MyersonAuction(tuple(iron(row[0]) for row in prior.marginals), space)
-        inner = single_parameter_table(auction, spec)
+        inner = single_parameter_table(tuple(iron(row[0]) for row in prior.marginals), space, spec)
         declared = {"pipeline": "single_parameter", "dsic_regret_bound": 0.0}
     else:
         eta = slack if mode == "dsic" else 0.0
@@ -237,7 +236,7 @@ def nudge_to_ic(
     epsilon would make the seller pay. Each grid type plays its utility
     argmax, ties toward the highest payment, then the earliest entry."""
     if mech.n != 1:
-        raise UsageError("menus only exist for single-bidder mechanisms")
+        raise UsageError("nudge applies to single-bidder mechanisms only")
     if not mech.domain.is_full_grid:
         raise UsageError("extend the mechanism to the full grid first")
     val = model.value_table(mech.space, mech.domain.spec, 0)  # (T, K)

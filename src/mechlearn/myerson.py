@@ -10,8 +10,11 @@ virtual values of near-tied support points, and everything downstream
 ordering.
 
 The auction allocates by maximizing total virtual welfare with a fixed,
-bid-independent tie order; winners pay ladder thresholds, which makes the
-auction exactly IR and DSIC.
+bid-independent tie order (a welfare tie goes to the larger total
+allocation, so zero-virtual-value ties allocate); winners pay ladder
+thresholds, which makes the auction exactly IR and DSIC. It exists only as
+the full-grid table ``single_parameter_table`` builds, and real bids reach
+it through that table like every learned table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -27,14 +29,11 @@ import numpy as np
 from .errors import CapacityError, UsageError
 from .grid import DiscreteMarginal, GridSpec
 from .mechanism import MechanismTable, ProfileDomain
-from .outcomes import OutcomeSpace, PricedOutcome
+from .outcomes import OutcomeSpace
 
 __all__ = [
     "IronedVirtuals",
-    "MyersonAuction",
     "iron",
-    "run_myerson",
-    "snap_to_support",
     "single_parameter_table",
     "ironed_curve_rows",
 ]
@@ -146,148 +145,89 @@ def ironed_curve_rows(iv: IronedVirtuals) -> list[dict]:
     return rows
 
 
-NON_PARTICIPANT = -1  # sentinel support position for below-minimum bids
+def _position_table(
+    virtuals: Sequence[IronedVirtuals], alloc: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Chosen outcome (-1 where none is feasible) and every bidder's ladder
+    payment at every position profile of the (K, n) allocation levels
+    ``alloc``. Axis i is indexed by bidder i's support position + 1, so
+    index 0 is a bid below the support: a non-participant.
 
-
-@dataclass(frozen=True)
-class MyersonAuction:
-    """Virtual-welfare maximizer with a fixed tie order over outcomes.
-
-    The outcome space must be single-parameter (one allocation level per
-    bidder). At exact zero-virtual-value ties the default is to allocate;
-    both conventions are revenue-neutral but one must be fixed for the tie
-    order to be consistent.
+    The chosen outcome is the first of the lexicographic maxima of
+    (virtual welfare, total allocation) among the outcomes that give no
+    non-participant any allocation, so zero-virtual-value ties allocate.
+    Welfare is summed in bidder order. Raises ``CapacityError`` first when
+    the table is over ``POSITION_CELL_BUDGET``.
     """
-
-    virtuals: tuple[IronedVirtuals, ...]
-    space: OutcomeSpace
-    allocate_on_zero_ties: bool = True
-
-    def __post_init__(self) -> None:
-        if self.space.m != 1:
-            raise UsageError("Myersonian auctions require a single-parameter space")
-        if len(self.virtuals) != self.space.n:
-            raise UsageError("need one IronedVirtuals per bidder")
-
-    @property
-    def n(self) -> int:
-        return self.space.n
-
-    def support_values(self, i: int) -> np.ndarray:
-        return self.virtuals[i].marginal.support_values()
-
-    @cached_property
-    def _position_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """Chosen outcome (-1 where none is feasible) and every bidder's
-        ladder payment at every position profile. Axis i is indexed by
-        bidder i's position + 1, so index 0 is NON_PARTICIPANT.
-
-        The chosen outcome is the first of the lexicographic maxima of
-        (virtual welfare, total allocation) among the outcomes that give
-        no non-participant any allocation; the total is negated when zero
-        ties do not allocate. Welfare is summed in bidder order. Raises
-        ``CapacityError`` first when the table is over
-        ``POSITION_CELL_BUDGET``.
-        """
-        alloc = self.space.alloc[:, :, 0]  # (K, n)
-        shape = tuple(len(iv.support) + 1 for iv in self.virtuals)
-        cells = math.prod(shape) * max(alloc.shape)
-        if cells > POSITION_CELL_BUDGET:
-            raise CapacityError(
-                f"the Myerson position table has {cells} cells, over the "
-                f"{POSITION_CELL_BUDGET} budget"
-            )
-        welfare = np.zeros(shape + alloc.shape[:1])
-        feasible = np.ones(welfare.shape, dtype=bool)
-        total = np.zeros(alloc.shape[0])
-        for i, iv in enumerate(self.virtuals):
-            phi = np.concatenate(([0.0], iv.phi_floats()))
-            welfare += phi.reshape((-1,) + (1,) * (self.n - i)) * alloc[:, i]
-            feasible[(slice(None),) * i + (0,)] &= alloc[:, i] == 0.0
-            total += alloc[:, i]
-        best = np.where(feasible, welfare, -np.inf).max(axis=-1, keepdims=True)
-        tied = feasible & (welfare == best)
-        key = np.where(tied, total if self.allocate_on_zero_ties else -total, -np.inf)
-        tied &= key == key.max(axis=-1, keepdims=True)
-        chosen = np.where(feasible.any(axis=-1), tied.argmax(axis=-1), -1)
-
-        # Myerson's payment identity on the ladder: a bidder at position p
-        # pays v_p x_p minus the sum over lower positions l of
-        # x_l (v_{l+1} - v_l), all other positions held fixed.
-        payments = np.zeros(shape + (self.n,))
-        for i in range(self.n):
-            vals = self.support_values(i)
-            x = np.moveaxis(alloc[chosen, i], i, -1)[..., 1:]
-            ladder = np.zeros_like(x)
-            np.cumsum(x[..., :-1] * np.diff(vals), axis=-1, out=ladder[..., 1:])
-            np.moveaxis(payments[..., i], i, -1)[..., 1:] = vals * x - ladder
-        return chosen, payments
-
-    def _outcomes_at(self, index: tuple) -> np.ndarray:
-        chosen = self._position_table[0][index]
-        if np.any(chosen < 0):
-            raise UsageError(
-                "no outcome excludes the non-participating bidders; the space "
-                "cannot host below-minimum bids"
-            )
-        return chosen
-
-    def priced_outcome(self, positions: Sequence[int]) -> PricedOutcome:
-        """Allocation plus ladder-threshold payments for support positions."""
-        index = tuple(p + 1 for p in positions)
-        return PricedOutcome(
-            outcome=int(self._outcomes_at(index)),
-            payments=self._position_table[1][index].copy(),
+    n = len(virtuals)
+    shape = tuple(len(iv.support) + 1 for iv in virtuals)
+    cells = math.prod(shape) * max(alloc.shape)
+    if cells > POSITION_CELL_BUDGET:
+        raise CapacityError(
+            f"the Myerson position table has {cells} cells, over the "
+            f"{POSITION_CELL_BUDGET} budget"
         )
+    welfare = np.zeros(shape + alloc.shape[:1])
+    feasible = np.ones(welfare.shape, dtype=bool)
+    total = np.zeros(alloc.shape[0])
+    for i, iv in enumerate(virtuals):
+        phi = np.concatenate(([0.0], iv.phi_floats()))
+        welfare += phi.reshape((-1,) + (1,) * (n - i)) * alloc[:, i]
+        feasible[(slice(None),) * i + (0,)] &= alloc[:, i] == 0.0
+        total += alloc[:, i]
+    best = np.where(feasible, welfare, -np.inf).max(axis=-1, keepdims=True)
+    tied = feasible & (welfare == best)
+    key = np.where(tied, total, -np.inf)
+    tied &= key == key.max(axis=-1, keepdims=True)
+    chosen = np.where(feasible.any(axis=-1), tied.argmax(axis=-1), -1)
 
-
-def snap_to_support(v: float, marginal: DiscreteMarginal) -> int:
-    """Largest support position with value <= v, or the sentinel if v is
-    below the whole support (treated as non-participation)."""
-    vals = marginal.support_values()
-    pos = int(np.searchsorted(vals, v, side="right")) - 1
-    return pos if pos >= 0 else NON_PARTICIPANT
-
-
-def run_myerson(auction: MyersonAuction, bids: Sequence[float]) -> PricedOutcome:
-    """Run the auction on bids that must sit exactly on each bidder's support."""
-    if len(bids) != auction.n:
-        raise UsageError(f"expected {auction.n} bids, got {len(bids)}")
-    positions = []
-    for i, b in enumerate(bids):
-        vals = auction.support_values(i)
-        hit = np.flatnonzero(vals == float(b))
-        if hit.size == 0:
-            raise UsageError(
-                f"bid {b!r} of bidder {i} is not a support value; use "
-                f"snap_to_support first"
-            )
-        positions.append(int(hit[0]))
-    return auction.priced_outcome(positions)
+    # Myerson's payment identity on the ladder: a bidder at position p
+    # pays v_p x_p minus the sum over lower positions l of
+    # x_l (v_{l+1} - v_l), all other positions held fixed.
+    payments = np.zeros(shape + (n,))
+    for i, iv in enumerate(virtuals):
+        vals = iv.marginal.support_values()
+        x = np.moveaxis(alloc[chosen, i], i, -1)[..., 1:]
+        ladder = np.zeros_like(x)
+        np.cumsum(x[..., :-1] * np.diff(vals), axis=-1, out=ladder[..., 1:])
+        np.moveaxis(payments[..., i], i, -1)[..., 1:] = vals * x - ladder
+    return chosen, payments
 
 
 def single_parameter_table(
-    auction: MyersonAuction, spec: GridSpec
+    virtuals: Sequence[IronedVirtuals], space: OutcomeSpace, spec: GridSpec
 ) -> MechanismTable:
-    """Materialize the snapped auction as a full-grid mechanism table."""
-    n = auction.n
+    """The virtual-welfare auction of one ``IronedVirtuals`` per bidder on
+    the single-parameter ``space``, as a full-grid table: a grid bid plays
+    the row of the bidder's support value at or below it, and a bid below
+    the support does not participate."""
+    if space.m != 1:
+        raise UsageError("Myersonian auctions require a single-parameter space")
+    if len(virtuals) != space.n:
+        raise UsageError("need one IronedVirtuals per bidder")
+    n = space.n
     domain = ProfileDomain.full_grid(spec, n, 1)
     r = domain.num_profiles
     # snapped position + 1 of every grid value, 0 below the support
     index = np.ix_(
         *(
-            np.searchsorted(auction.support_values(i), spec.values(), side="right")
-            for i in range(n)
+            np.searchsorted(iv.marginal.support_values(), spec.values(), side="right")
+            for iv in virtuals
         )
     )
-    chosen = auction._outcomes_at(index).ravel()
-    probs = np.zeros((r, auction.space.num_outcomes))
+    chosen, payments = _position_table(virtuals, space.alloc[:, :, 0])
+    chosen = chosen[index].ravel()
+    if np.any(chosen < 0):
+        raise UsageError(
+            "no outcome excludes the non-participating bidders; the space "
+            "cannot host below-minimum bids"
+        )
+    probs = np.zeros((r, space.num_outcomes))
     probs[np.arange(r), chosen] = 1.0
-    payments = auction._position_table[1][index].reshape(r, n)
     return MechanismTable(
         domain=domain,
-        space=auction.space,
+        space=space,
         probs=probs,
-        payments=payments,
+        payments=payments[index].reshape(r, n),
         meta={"pipeline": "myerson"},
     )

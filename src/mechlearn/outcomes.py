@@ -28,7 +28,6 @@ from .grid import GridSpec, round_down_indices
 __all__ = [
     "OutcomeSpace",
     "ValuationModel",
-    "PricedOutcome",
     "ClosureResult",
     "enumerate_multi_item",
     "single_parameter_space",
@@ -125,20 +124,6 @@ def single_parameter_space(levels: Sequence[Sequence[float]]) -> OutcomeSpace:
     return OutcomeSpace(
         kind="single_parameter", n=arr.shape[1], m=1, alloc=arr[:, :, None]
     )
-
-
-@dataclass(frozen=True)
-class PricedOutcome:
-    """An outcome index together with one payment per bidder."""
-
-    outcome: int
-    payments: np.ndarray
-
-    def __post_init__(self) -> None:
-        pay = np.asarray(self.payments, dtype=np.float64)
-        if not np.all(np.isfinite(pay)):
-            raise UsageError("payments must be finite")
-        object.__setattr__(self, "payments", pay)
 
 
 def grid_type_indices(spec: GridSpec, m: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from mechlearn.experiments import (
     run_sweep,
 )
 from mechlearn.mechanism import audit_over_domain, regret_report, revenue
-from mechlearn.myerson import MyersonAuction, single_parameter_table
+from mechlearn.myerson import single_parameter_table
 from mechlearn.oracle import OracleProblem
 from mechlearn.outcomes import single_parameter_space
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
@@ -114,11 +114,9 @@ def test_criterion_2_myerson_optimality():
         prior = product_prior(spec, cells)
         rows = [np.zeros(n)] + [np.eye(n)[i] for i in range(n)]
         space = single_parameter_space(np.array(rows))
-        auction = MyersonAuction(
-            virtuals=tuple(iron(prior.marginals[i][0]) for i in range(n)),
-            space=space,
+        table = single_parameter_table(
+            tuple(iron(prior.marginals[i][0]) for i in range(n)), space, spec
         )
-        table = single_parameter_table(auction, spec)
         got = revenue(table, prior)
         opt = float(brute_force_optimal(prior, space, model, "bic"))
         worst = max(worst, abs(got - opt))

@@ -14,12 +14,10 @@ from mechlearn import (
     brute_force_optimal,
     iron,
     learn_single_parameter,
-    run_myerson,
-    snap_to_support,
 )
-from mechlearn.learner import real_lattice_dsic_regret
+from mechlearn.learner import evaluate_on_reals, real_lattice_dsic_regret
 from mechlearn.mechanism import regret_report, revenue
-from mechlearn.myerson import NON_PARTICIPANT, MyersonAuction, single_parameter_table
+from mechlearn.myerson import single_parameter_table
 from mechlearn.outcomes import single_parameter_space
 from mechlearn.priors import PriorCell, PriorDescription, sample_prior
 
@@ -97,128 +95,84 @@ class TestIroning:
         assert [r["phi"] for r in rows] == [0.0, 2.0]
 
 
+def grid_rows(table):
+    """The table's lotteries (L, ..., L, K) and payments (L, ..., L, n),
+    indexed by each bidder's grid index."""
+    probs, pay = dense(table)
+    shape = (table.domain.spec.levels,) * table.n
+    return probs.reshape(shape + (-1,)), pay.reshape(shape + (-1,))
+
+
+def random_marginal(rng, spec, low, high):
+    size = int(rng.integers(low, high))
+    idx = sorted(rng.choice(spec.levels, size=size, replace=False))
+    w = rng.integers(1, 5, size=size)
+    return marginal(spec, {int(k): Fraction(int(x), int(w.sum())) for k, x in zip(idx, w)})
+
+
 class TestRunMyerson:
-    def _uniform_auction(self, allocate=True):
+    def test_zero_tie_allocates_and_is_optimal(self):
+        # the phi = 0 tie at the low type allocates, and the auction earns
+        # the brute-force optimum of 1 on uniform{1,2}
         spec = GridSpec(epsilon=1.0, h=2.0)
         m = marginal(spec, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-        return spec, m, MyersonAuction(
-            virtuals=(iron(m),),
-            space=single_item_space(1),
-            allocate_on_zero_ties=allocate,
-        )
-
-    def test_zero_tie_conventions_both_optimal(self):
-        # shipped default allocates on the phi=0 tie; both conventions earn
-        # the brute-force optimum of 1 on uniform{1,2}
-        for allocate in (True, False):
-            spec, m, auction = self._uniform_auction(allocate)
-            table = single_parameter_table(auction, spec)
-            prior = product_prior(spec, [[{1: Fraction(1, 2), 2: Fraction(1, 2)}]])
-            space = auction.space
-            model = ValuationModel(tag="additive")
-            opt = brute_force_optimal(prior, space, model, "bic")
-            assert revenue(table, prior) == pytest.approx(float(opt), abs=1e-9)
-        # the default convention sells to the low type at price 1
-        spec, m, auction = self._uniform_auction(True)
-        po = run_myerson(auction, [1.0])
-        assert po.outcome == 1 and po.payments[0] == 1.0
-        po2 = run_myerson(auction, [2.0])
-        assert po2.outcome == 1 and po2.payments[0] == 1.0
+        table = single_parameter_table((iron(m),), single_item_space(1), spec)
+        prior = product_prior(spec, [[{1: Fraction(1, 2), 2: Fraction(1, 2)}]])
+        opt = brute_force_optimal(prior, table.space, ValuationModel(tag="additive"), "bic")
+        assert revenue(table, prior) == pytest.approx(float(opt), abs=1e-9)
+        # both support types buy at price 1; the bid of 0 is below the support
+        probs, pay = grid_rows(table)
+        assert probs.argmax(axis=-1).tolist() == [0, 1, 1]
+        assert pay[:, 0].tolist() == [0.0, 1.0, 1.0]
 
     def test_negative_virtual_welfare_no_sale(self):
         spec = GridSpec(epsilon=1.0, h=10.0)
         m = marginal(spec, {1: Fraction(89, 100), 10: Fraction(11, 100)})
         iv = iron(m)
         assert iv.phi_exact[0] < 0
-        auction = MyersonAuction(virtuals=(iv, iv), space=single_item_space(2))
-        po = run_myerson(auction, [1.0, 1.0])
-        assert po.outcome == 0
-        assert po.payments.tolist() == [0.0, 0.0]
-
-    def test_off_support_bid_rejected(self):
-        spec, m, auction = self._uniform_auction()
-        with pytest.raises(UsageError, match="snap_to_support"):
-            run_myerson(auction, [1.5])
+        probs, pay = grid_rows(single_parameter_table((iv, iv), single_item_space(2), spec))
+        assert probs[1, 1].argmax() == 0
+        assert pay[1, 1].tolist() == [0.0, 0.0]
 
     def test_allocation_monotone_in_own_bid(self):
         rng = np.random.default_rng(13)
         spec = GridSpec(epsilon=0.25, h=2.0)
+        space = single_item_space(2)
         for _ in range(20):
-            supports = []
-            for _ in range(2):
-                size = int(rng.integers(1, 4))
-                idx = sorted(rng.choice(spec.levels, size=size, replace=False))
-                w = rng.integers(1, 5, size=size)
-                supports.append(
-                    marginal(
-                        spec,
-                        {int(k): Fraction(int(x), int(w.sum())) for k, x in zip(idx, w)},
-                    )
-                )
-            auction = MyersonAuction(
-                virtuals=tuple(iron(s) for s in supports), space=single_item_space(2)
-            )
-            alloc = auction.space.alloc[:, :, 0]
+            virtuals = tuple(iron(random_marginal(rng, spec, 1, 4)) for _ in range(2))
+            probs, _ = grid_rows(single_parameter_table(virtuals, space, spec))
+            levels = probs @ space.alloc[:, :, 0]  # (L, L, n)
             for i in range(2):
-                t_i = len(supports[i].support)
-                t_other = len(supports[1 - i].support)
-                for other in range(t_other):
-                    levels = []
-                    for mine in range(t_i):
-                        pos = [0, 0]
-                        pos[i], pos[1 - i] = mine, other
-                        levels.append(alloc[auction.priced_outcome(pos).outcome, i])
-                    assert all(a <= b + 1e-12 for a, b in zip(levels, levels[1:]))
+                assert np.all(np.diff(levels[..., i], axis=i) >= -1e-12)
 
     def test_payment_is_threshold_bid(self):
-        # single item, 0/1 allocations: a winner pays the lowest ladder bid
-        # at which she still wins (direct search oracle)
+        # single item, 0/1 allocations: a winner pays the lowest grid bid at
+        # which she still wins, which is a support value (direct search)
         rng = np.random.default_rng(17)
         spec = GridSpec(epsilon=0.25, h=2.0)
+        space = single_item_space(2)
         for _ in range(20):
-            margs = []
-            for _ in range(2):
-                size = int(rng.integers(2, 4))
-                idx = sorted(rng.choice(spec.levels, size=size, replace=False))
-                w = rng.integers(1, 5, size=size)
-                margs.append(
-                    marginal(
-                        spec,
-                        {int(k): Fraction(int(x), int(w.sum())) for k, x in zip(idx, w)},
-                    )
-                )
-            auction = MyersonAuction(
-                virtuals=tuple(iron(s) for s in margs), space=single_item_space(2)
-            )
-            alloc = auction.space.alloc[:, :, 0]
-            for pos in itertools.product(range(len(margs[0].support)), range(len(margs[1].support))):
-                po = auction.priced_outcome(list(pos))
-                for i in range(2):
-                    vals = margs[i].support_values()
-                    if alloc[po.outcome, i] == 1.0:
-                        winning = [
-                            vals[t]
-                            for t in range(len(vals))
-                            if alloc[
-                                auction.priced_outcome(
-                                    [t if j == i else pos[j] for j in range(2)]
-                                ).outcome,
-                                i,
-                            ]
-                            == 1.0
-                        ]
-                        assert po.payments[i] == pytest.approx(min(winning), abs=1e-12)
-                    else:
-                        assert po.payments[i] == pytest.approx(0.0, abs=1e-12)
+            margs = [random_marginal(rng, spec, 2, 4) for _ in range(2)]
+            table = single_parameter_table(tuple(iron(s) for s in margs), space, spec)
+            probs, pay = grid_rows(table)
+            wins = (probs @ space.alloc[:, :, 0]) == 1.0  # (L, L, n)
+            for i in range(2):
+                own_wins = np.moveaxis(wins[..., i], i, 0)  # own grid index first
+                own_pay = np.moveaxis(pay[..., i], i, 0)
+                for other in range(spec.levels):
+                    won = own_wins[:, other]
+                    expected = np.zeros(spec.levels)
+                    if won.any():
+                        threshold = spec.values()[won].min()
+                        assert threshold in margs[i].support_values()
+                        expected[won] = threshold
+                    assert own_pay[:, other] == pytest.approx(expected, abs=1e-12)
 
     def test_induced_table_exactly_dsic(self):
         spec = GridSpec(epsilon=0.5, h=2.0)
         m1 = marginal(spec, {1: Fraction(1, 3), 3: Fraction(2, 3)})
         m2 = marginal(spec, {0: Fraction(1, 2), 4: Fraction(1, 2)})
-        auction = MyersonAuction(
-            virtuals=(iron(m1), iron(m2)), space=single_item_space(2)
-        )
-        table = single_parameter_table(auction, spec)
+        table = single_parameter_table((iron(m1), iron(m2)), single_item_space(2), spec)
         prior = product_prior(
             spec, [[{1: Fraction(1, 3), 3: Fraction(2, 3)}], [{0: Fraction(1, 2), 4: Fraction(1, 2)}]]
         )
@@ -228,20 +182,48 @@ class TestRunMyerson:
 
 
 class TestSnap:
-    def test_support_point_maps_to_itself(self):
-        spec = GridSpec(epsilon=1.0, h=2.0)
-        m = marginal(spec, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-        assert m.support_values()[snap_to_support(2.0, m)] == 2.0
+    """A learned table answers real bids by rounding them down to the grid,
+    where a bid plays the row of the support value at or below it."""
 
-    def test_floor_to_support(self):
-        spec = GridSpec(epsilon=1.0, h=2.0)
-        m = marginal(spec, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-        assert m.support_values()[snap_to_support(1.7, m)] == 1.0
+    @pytest.fixture(scope="class")
+    def learned(self):
+        # the empirical supports are {0.5, 1.5}, grid indices 2 and 6, and
+        # the low type's virtual value is positive, so it is served
+        cell = PriorCell("discrete_on_grid", {"values": [0.5, 1.5], "probs": ["3/4", "1/4"]})
+        prior = PriorDescription(n=2, m=1, h=2.0, cells=((cell,), (cell,)))
+        samples = sample_prior(prior, 2, 1, 60, seed=3)
+        for i in range(2):
+            assert sorted(set(samples.cell(i, 0).tolist())) == [0.5, 1.5]
+        return learn_single_parameter(samples, 0.25, single_item_space(2))
 
-    def test_below_support_is_sentinel(self):
-        spec = GridSpec(epsilon=1.0, h=2.0)
-        m = marginal(spec, {1: Fraction(1, 2), 2: Fraction(1, 2)})
-        assert snap_to_support(0.5, m) == NON_PARTICIPANT
+    @staticmethod
+    def entries(learned, bids):
+        return [
+            (p, o, pay.tolist())
+            for p, o, pay in evaluate_on_reals(learned, [[b] for b in bids])
+        ]
+
+    def test_support_point_maps_to_itself(self, learned):
+        domain = learned.inner.domain
+        for bids in itertools.product([0.5, 1.5], repeat=2):
+            rank = domain.profile_rank([[int(b / 0.25)] for b in bids])
+            expected = [(p, o, pay.tolist()) for p, o, pay in learned.inner.lottery_entries(rank)]
+            assert self.entries(learned, bids) == expected
+
+    def test_floor_to_support(self, learned):
+        assert self.entries(learned, [0.5, 0.0]) == [(1.0, 1, [0.5, 0.0])]
+        for other in (0.0, 0.5, 1.1, 1.5, 2.0):
+            for low, between in ((0.5, 0.51), (0.5, 1.0), (0.5, 1.49), (1.5, 1.8), (1.5, 2.0)):
+                assert self.entries(learned, [between, other]) == self.entries(learned, [low, other])
+                assert self.entries(learned, [other, between]) == self.entries(learned, [other, low])
+
+    def test_below_support_plays_non_participation(self, learned):
+        alloc = learned.inner.space.alloc[:, :, 0]
+        for bid in (0.0, 0.3, 0.49):
+            for other in (0.0, 0.5, 1.5, 2.0):
+                for i, bids in ((0, [bid, other]), (1, [other, bid])):
+                    for _, o, pay in self.entries(learned, bids):
+                        assert alloc[o, i] == 0.0 and pay[i] == 0.0
 
 
 class TestLearnSingleParameter:
@@ -304,6 +286,13 @@ class TestLearnSingleParameter:
         with pytest.raises(UsageError):
             learn_single_parameter(samples, 0.25, single_item_space(1))
 
+    def test_rejects_a_space_for_another_bidder_count(self):
+        cell = PriorCell("uniform", {"low": 0.0, "high": 2.0})
+        prior = PriorDescription(n=2, m=1, h=2.0, cells=((cell,), (cell,)))
+        samples = sample_prior(prior, 2, 1, 10, seed=0)
+        with pytest.raises(UsageError, match="one IronedVirtuals per bidder"):
+            learn_single_parameter(samples, 0.25, single_item_space(1))
+
 
 class TestMyersonOptimality:
     def test_matches_lp_on_small_instances(self):
@@ -322,20 +311,18 @@ class TestMyersonOptimality:
                 )
             prior = product_prior(spec, cells)
             space = single_item_space(n)
-            auction = MyersonAuction(
-                virtuals=tuple(iron(prior.marginals[i][0]) for i in range(n)),
-                space=space,
+            table = single_parameter_table(
+                tuple(iron(prior.marginals[i][0]) for i in range(n)), space, spec
             )
-            table = single_parameter_table(auction, spec)
             got = revenue(table, prior)
             opt = float(brute_force_optimal(prior, space, model, "bic"))
             assert got == pytest.approx(opt, abs=1e-7)
 
 
 def _pin_auctions():
-    """Four auctions whose tables and priced outcomes are pinned by digest:
-    one bidder; supports above index 0; three bidders on fractional levels
-    with a non-dyadic grid step; and the no-allocation tie convention."""
+    """Four auctions whose tables are pinned by digest: one bidder; supports
+    above index 0; three bidders on fractional levels with a non-dyadic grid
+    step; and a space whose zero-virtual-value ties pick among levels."""
     one = GridSpec(epsilon=1.0, h=10.0)
     half = GridSpec(epsilon=0.5, h=2.0)
     tenth = GridSpec(epsilon=0.1, h=1.0)
@@ -356,12 +343,11 @@ def _pin_auctions():
     )
     halves = single_parameter_space([[0, 0], [1, 0], [0, 1], [0.5, 0.5]])
     return [
-        (one, (marginal(one, {4: "1/2", 5: "3/10", 10: "1/5"}),), single_item_space(1), True),
+        (one, (marginal(one, {4: "1/2", 5: "3/10", 10: "1/5"}),), single_item_space(1)),
         (
             half,
             (marginal(half, {1: "1/3", 3: "2/3"}), marginal(half, {2: "1/2", 4: "1/2"})),
             single_item_space(2),
-            True,
         ),
         (
             tenth,
@@ -377,63 +363,32 @@ def _pin_auctions():
                 ),
             ),
             fractional,
-            True,
         ),
         (
             half,
             (marginal(half, {2: "1/2", 4: "1/2"}), marginal(half, {0: "1/4", 2: "1/4", 4: "1/2"})),
             halves,
-            False,
         ),
     ]
 
 
 @pytest.mark.parametrize(
-    "case, table_digest, priced_digest",
+    "case, table_digest",
     [
-        (
-            0,
-            "2ffc77d367525351b4a333cb100b1a969943536d9afafdccf7e246a9903c015a",
-            "e2d7fc9ea0f77c1625303ef97129b6a50e03f62cd36b27e42c445ffd52554f2a",
-        ),
-        (
-            1,
-            "d48119946a09f1a9f18eca1522fcc8881b08b66458607c3b0308552e469d55c7",
-            "16597f1735222505b2b6c5db9390f6a1f870fe31ed2346d616ab0d8114cd2ea9",
-        ),
-        (
-            2,
-            "19ba8a631511ad646b190a478ffe45155aa9f23d24fd322f8b9f57978a3ad36b",
-            "437f2d244543b5e458053be726560c253d14cdd1295aecf3a8303e2b0e8f78f7",
-        ),
-        (
-            3,
-            "8379738ff8b721eb8973fc00b26d22011830123d438cffcf76b381b4faba44b9",
-            "0ad8de560b8393dd20f5f085df8add6a998899bb01315714bbd7492e499fc47c",
-        ),
+        (0, "2ffc77d367525351b4a333cb100b1a969943536d9afafdccf7e246a9903c015a"),
+        (1, "d48119946a09f1a9f18eca1522fcc8881b08b66458607c3b0308552e469d55c7"),
+        (2, "19ba8a631511ad646b190a478ffe45155aa9f23d24fd322f8b9f57978a3ad36b"),
+        (3, "569ba47d54de280180036c685654a88edf0b01f377ba5db2398ec50af437b296"),
     ],
-    ids=["one_bidder", "supports_above_zero", "fractional_levels", "no_allocation_on_ties"],
+    ids=["one_bidder", "supports_above_zero", "fractional_levels", "zero_ties_allocate"],
 )
-def test_tables_are_pinned(case, table_digest, priced_digest):
-    # Digests of the table bytes and of priced_outcome at every position
-    # profile, NON_PARTICIPANT included: the tie order and the order in which
+def test_tables_are_pinned(case, table_digest):
+    # Digests of the table bytes: the tie order and the order in which
     # ladder payments are summed both show in the last bits.
-    spec, margs, space, allocate = _pin_auctions()[case]
-    auction = MyersonAuction(
-        virtuals=tuple(iron(m) for m in margs),
-        space=space,
-        allocate_on_zero_ties=allocate,
-    )
-    table = single_parameter_table(auction, spec)
+    spec, margs, space = _pin_auctions()[case]
+    table = single_parameter_table(tuple(iron(m) for m in margs), space, spec)
     probs, pay = dense(table)
-    got_table = hashlib.sha256(probs.tobytes() + pay.tobytes())
-    got_priced = hashlib.sha256()
-    for positions in itertools.product(
-        *(range(NON_PARTICIPANT, len(m.support)) for m in margs)
-    ):
-        priced = auction.priced_outcome(list(positions))
-        got_priced.update(np.int64(priced.outcome).tobytes() + priced.payments.tobytes())
-    assert (got_table.hexdigest(), got_priced.hexdigest()) == (table_digest, priced_digest)
+    assert hashlib.sha256(probs.tobytes() + pay.tobytes()).hexdigest() == table_digest
 
 
 def test_missing_exclusion_fails_only_when_looked_up():
@@ -442,35 +397,31 @@ def test_missing_exclusion_fails_only_when_looked_up():
     space = single_parameter_space([[1, 0], [0.5, 0.5]])
     low = marginal(spec, {0: "1/2", 2: "1/2"})
     high = marginal(spec, {1: "1/2", 2: "1/2"})
-    built = single_parameter_table(
-        MyersonAuction(virtuals=(iron(low), iron(high)), space=space), spec
-    )
+    built = single_parameter_table((iron(low), iron(high)), space, spec)
     assert dense(built)[0].sum(axis=1).tolist() == [1.0] * built.domain.num_profiles
-    auction = MyersonAuction(virtuals=(iron(high), iron(low)), space=space)
     with pytest.raises(UsageError, match="no outcome excludes"):
-        single_parameter_table(auction, spec)
-    with pytest.raises(UsageError, match="no outcome excludes"):
-        auction.priced_outcome([NON_PARTICIPANT, 0])
-    assert auction.priced_outcome([0, NON_PARTICIPANT]).outcome == 0
+        single_parameter_table((iron(high), iron(low)), space, spec)
 
 
-def _reference_priced(auction, positions):
-    """Per-query reference for priced_outcome: a scan over the outcomes for
-    the first one of greatest (welfare, signed total allocation), then the
-    ladder summed upward from the lowest position."""
-    alloc = auction.space.alloc[:, :, 0]
+BELOW_SUPPORT = -1  # the reference's position of a bid below the support
+
+
+def _reference_priced(virtuals, alloc, positions):
+    """Per-query reference for one position profile: a scan over the
+    outcomes for the first one of greatest (welfare, total allocation),
+    then the ladder summed upward from the lowest position."""
 
     def choose(pos):
         best, best_key = None, None
         for o in range(alloc.shape[0]):
-            if any(p == NON_PARTICIPANT and alloc[o, i] != 0.0 for i, p in enumerate(pos)):
+            if any(p == BELOW_SUPPORT and alloc[o, i] != 0.0 for i, p in enumerate(pos)):
                 continue
             welfare, total = 0.0, 0.0
             for i, p in enumerate(pos):
-                if p != NON_PARTICIPANT:
-                    welfare += alloc[o, i] * float(auction.virtuals[i].phi_exact[p])
+                if p != BELOW_SUPPORT:
+                    welfare += alloc[o, i] * float(virtuals[i].phi_exact[p])
                     total += alloc[o, i]
-            key = (welfare, total if auction.allocate_on_zero_ties else -total)
+            key = (welfare, total)
             if best is None or key > best_key:
                 best, best_key = o, key
         if best is None:
@@ -478,11 +429,11 @@ def _reference_priced(auction, positions):
         return best
 
     chosen = choose(positions)
-    payments = np.zeros(auction.n)
+    payments = np.zeros(len(virtuals))
     for i, p in enumerate(positions):
-        if p == NON_PARTICIPANT:
+        if p == BELOW_SUPPORT:
             continue
-        vals = auction.support_values(i)
+        vals = virtuals[i].marginal.support_values()
         ladder = 0.0
         for low in range(p):
             probe = positions[:i] + (low,) + positions[i + 1 :]
@@ -491,7 +442,7 @@ def _reference_priced(auction, positions):
     return chosen, payments
 
 
-def test_priced_outcome_matches_the_per_query_reference():
+def test_table_matches_the_per_query_reference():
     rng = np.random.default_rng(41)
     spec = GridSpec(epsilon=0.1, h=1.0)
     for _ in range(40):
@@ -504,19 +455,24 @@ def test_priced_outcome_matches_the_per_query_reference():
             idx = sorted(rng.choice(spec.levels, size=int(rng.integers(1, 5)), replace=False))
             w = rng.integers(1, 5, size=len(idx))
             margs.append(marginal(spec, {int(k): Fraction(int(x), int(w.sum())) for k, x in zip(idx, w)}))
-        auction = MyersonAuction(
-            virtuals=tuple(iron(m) for m in margs),
-            space=single_parameter_space(levels),
-            allocate_on_zero_ties=bool(rng.random() < 0.5),
-        )
-        for positions in itertools.product(
-            *(range(NON_PARTICIPANT, len(m.support)) for m in margs)
-        ):
-            try:
-                expected = _reference_priced(auction, positions)
-            except UsageError:
-                with pytest.raises(UsageError, match="no outcome excludes"):
-                    auction.priced_outcome(list(positions))
-                continue
-            got = auction.priced_outcome(list(positions))
-            assert (got.outcome, got.payments.tobytes()) == (expected[0], expected[1].tobytes())
+        rng.random()  # unused; drawing it keeps the instance sequence fixed
+        virtuals = tuple(iron(m) for m in margs)
+        space = single_parameter_space(levels)
+        # each grid index's snapped support position, BELOW_SUPPORT under it
+        snapped = [
+            np.searchsorted(m.support_values(), spec.values(), side="right") - 1 for m in margs
+        ]
+        try:
+            expected = {
+                pos: _reference_priced(virtuals, space.alloc[:, :, 0], pos)
+                for pos in itertools.product(*(sorted(set(s.tolist())) for s in snapped))
+            }
+        except UsageError:
+            with pytest.raises(UsageError, match="no outcome excludes"):
+                single_parameter_table(virtuals, space, spec)
+            continue
+        probs, pay = grid_rows(single_parameter_table(virtuals, space, spec))
+        for grid in itertools.product(range(spec.levels), repeat=n):
+            chosen, payments = expected[tuple(int(s[k]) for s, k in zip(snapped, grid))]
+            assert probs[grid].tolist() == np.eye(space.num_outcomes)[chosen].tolist()
+            assert pay[grid].tobytes() == payments.tobytes()

@@ -1,4 +1,4 @@
-"""The README's CLI examples run as written."""
+"""The README's library quickstart and CLI examples run as written."""
 
 import json
 import pathlib
@@ -11,13 +11,24 @@ from mechlearn.cli import cli_dispatch
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def _block(heading: str, lang: str) -> str:
+    """The first ``lang`` code block under the README's ``heading``."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(f"\n{heading}\n"):]
+    return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
+
+
 def _cli_lines() -> list[list[str]]:
     """The ``mechlearn`` commands of the ``sh`` block under ``## CLI``,
     without the program name."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme[readme.index("\n## CLI\n"):]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    block = _block("## CLI", "sh")
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("mechlearn ")]
+
+
+def test_readme_library_quickstart_runs(capsys):
+    exec(compile(_block("## Library quickstart", "python"), "README.md", "exec"), {})
+    _, ir_slack, revenue = capsys.readouterr().out.split()
+    assert float(ir_slack) >= 0.0 and float(revenue) > 0.0
 
 
 def test_readme_cli_examples_run_and_verify(tmp_path, monkeypatch, capsys):
